@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dramsim, kernels, memsys, pipeline, reorder, traceio
+from . import dramsim, memsys, pipeline, reorder, traceio
 
-DATA_LAYOUT = ("first-touch", "rcb", "hilbert", "zorder")
-COMPUTATION = ("block", "zorder-comp")
+DEFAULTS = pipeline.DEFAULTS
 
 
 def _fail(stage: str, msg: str) -> int:
@@ -32,45 +31,16 @@ def _save_rows(path, rows: np.ndarray):
     np.asarray(rows, dtype="<i8").tofile(path)
 
 
-def _load_rows(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<i8")
-
-
 def cmd_gen(args) -> int:
     prefix = args.out
-    addr = kernels.AddressModel(
-        row_stride_bytes=args.row_stride or args.m * 8,
-        row_bytes=args.m * 8, seed=args.seed)
-    if args.kind == "gather":
-        trace, rows = kernels.gen_gather_trace(args.n, args.count, addr, args.seed)
-        data = labels = None
-    else:
-        if args.clusters:
-            data = kernels.make_clustered(args.n, args.m, args.clusters,
-                                          args.seed, layout=args.layout)
-        else:
-            data = kernels.make_uniform(args.n, args.m, args.seed)
-        labels = None
-        if args.kind == "knn":
-            rng = np.random.default_rng(args.seed + 1)
-            queries = rng.random((args.queries, args.m))
-            reorder.save_dataset(prefix + ".queries", queries)
-            if args.queries == 0:
-                trace, rows = traceio.Trace.empty(), np.empty(0, np.int64)
-            else:
-                trace, rows = kernels.gen_knn_trace(data, queries, args.k, addr)
-        elif args.kind == "dbscan":
-            trace, rows = kernels.gen_dbscan_trace(data, args.radius, addr)
-        elif args.kind == "dtree":
-            rng = np.random.default_rng(args.seed + 1)
-            labels = (data @ rng.random(args.m) > 0.5 * args.m * 0.5).astype(np.int64)
-            trace, rows = kernels.gen_dtree_trace(data, labels, args.max_depth, addr)
-        else:
-            return _fail("gen", f"unknown kind {args.kind}")
-    if data is not None:
-        reorder.save_dataset(prefix + ".data", data)
-    if labels is not None:
-        _save_rows(prefix + ".labels", labels)
+    kernel = {k: v for k, v in vars(args).items() if k in DEFAULTS["kernel"]}
+    ctx = pipeline.build_kernel({"seed": args.seed, "kernel": kernel})
+    trace, rows = ctx.generate()
+    for suffix, matrix in ((".data", ctx.data), (".queries", ctx.queries)):
+        if matrix is not None:
+            reorder.save_dataset(prefix + suffix, matrix)
+    if ctx.labels is not None:
+        _save_rows(prefix + ".labels", ctx.labels)
     _save_rows(prefix + ".rows", rows)
     traceio.write_trace(prefix + ".trace", trace)
     print(f"{len(trace)} records")
@@ -79,38 +49,21 @@ def cmd_gen(args) -> int:
 
 def cmd_reorder(args) -> int:
     method = args.method
-    if args.kernel == "dtree" and method == "zorder-comp":
-        return _fail("reorder", "zorder-comp is not applicable to tree kernels")
+    data = reorder.load_dataset(args.dataset) if args.dataset else None
+    rows = np.fromfile(args.rows, dtype="<i8") if args.rows else None
+    stride = args.row_stride or (data.shape[1] * 8 if data is not None else 64)
+    params = {"sfc_bits": args.bits, "rcb_leaf_size": args.leaf_size,
+              "block_window": args.window}
     t0 = time.perf_counter()
-    if method in ("rcb", "hilbert", "zorder", "zorder-comp"):
-        data = reorder.load_dataset(args.dataset)
-        if method == "rcb":
-            perm = reorder.reorder_rcb(data, args.leaf_size)
-        elif method == "zorder-comp":
-            perm = reorder.reorder_queries_zorder(data, args.bits)
-        else:
-            perm = reorder.reorder_sfc(data, method, args.bits)
-        out_data = reorder.apply_permutation(data, perm)
-    elif method == "first-touch":
-        data = reorder.load_dataset(args.dataset)
-        rows = _load_rows(args.rows)
-        perm = reorder.reorder_first_touch(rows, len(data))
-        out_data = reorder.apply_permutation(data, perm)
-    elif method == "block":
-        rows = _load_rows(args.rows)
-        data = reorder.load_dataset(args.dataset) if args.dataset else None
-        stride = args.row_stride or (data.shape[1] * 8 if data is not None else 64)
-        blocked = reorder.block_by_page(rows, stride, window=args.window)
-        _save_rows(args.out + ".rows", blocked)
-        perm = None
-        out_data = None
-    else:
-        return _fail("reorder", f"unknown method {method}")
+    perm, blocked = pipeline.reorder_by(method, params, kind=args.kernel, points=data,
+                                        rows=rows, n=None if data is None else len(data),
+                                        row_stride_bytes=stride)
     overhead = time.perf_counter() - t0
-    if perm is not None:
+    if blocked is not None:
+        _save_rows(args.out + ".rows", blocked)
+    else:
         reorder.save_permutation(args.out + ".perm.csv", perm)
-    if out_data is not None:
-        reorder.save_dataset(args.out + ".data", out_data)
+        reorder.save_dataset(args.out + ".data", reorder.apply_permutation(data, perm))
     with open(args.out + ".overhead.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "overhead_s"])
@@ -119,19 +72,13 @@ def cmd_reorder(args) -> int:
     return 0
 
 
-def _cache_from_args(args) -> memsys.CacheConfig:
-    return memsys.CacheConfig(
-        l1=memsys.LevelConfig(args.l1_kb * 1024, 8),
-        l2=memsys.LevelConfig(args.l2_kb * 1024, 8),
-        l3=memsys.LevelConfig(args.l3_kb * 1024, 16),
-    )
-
-
 def cmd_filter(args) -> int:
     trace = traceio.read_trace(args.trace)
-    hw = memsys.StridePrefetchConfig(degree=args.hw_degree) if args.hw_prefetch else None
-    pf = memsys.PrefetchConfig(hw=hw, sw_target=args.sw_target)
-    dram_trace, stats = memsys.filter_to_dram(trace, _cache_from_args(args), pf)
+    cfg = pipeline.resolve_config({
+        "cache": {"l1_kb": args.l1_kb, "l2_kb": args.l2_kb, "l3_kb": args.l3_kb},
+        "prefetch": {"hw": args.hw_prefetch, "hw_degree": args.hw_degree,
+                     "sw_target": args.sw_target}})
+    dram_trace, stats = memsys.filter_to_dram(trace, *pipeline.memory_config(cfg))
     traceio.write_trace(args.out, dram_trace)
     with open(args.stats, "w", newline="") as f:
         w = csv.writer(f)
@@ -148,12 +95,8 @@ def cmd_filter(args) -> int:
 
 def cmd_dramsim(args) -> int:
     trace = traceio.read_trace(args.trace)
-    geom = dramsim.DramGeometry()
-    timing = dramsim.DramTiming()
-    stats = dramsim.simulate(trace, geom, timing, scheme=args.scheme,
-                             cap=args.cap, arrival=args.arrival)
-    ideal = dramsim.simulate_ideal(trace, geom, timing, scheme=args.scheme,
-                                   cap=args.cap, arrival=args.arrival)
+    stats, ideal = pipeline.simulate_dram(trace, pipeline.resolve_config(
+        {"dram": {"scheme": args.scheme, "cap": args.cap, "arrival": args.arrival}}))
     header = ["trace", "scheme", "cap", "hits", "misses", "conflicts",
               "hit_ratio", "avg_latency", "ideal_latency", "improvement_pct"]
     row = [args.trace, args.scheme, args.cap, stats.hits, stats.misses,
@@ -208,9 +151,7 @@ def render_report(rows: list[dict]) -> str:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.csv:
-        rows.extend(pipeline.read_csv(path))
+    rows = [r for path in args.csv for r in pipeline.read_csv(path)]
     required = {"hit_ratio", "avg_latency", "ideal_latency"}
     for r in rows:
         if not required <= set(r):
@@ -224,31 +165,28 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Memory-locality trace toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
+    kd = DEFAULTS["kernel"]
     g = sub.add_parser("gen", help="generate a dataset and kernel trace")
-    g.add_argument("--kind", required=True, choices=["knn", "dbscan", "dtree", "gather"])
+    g.add_argument("--kind", required=True, choices=pipeline.KERNELS)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, default=2)
-    g.add_argument("--k", type=int, default=5)
-    g.add_argument("--queries", type=int, default=1000)
-    g.add_argument("--radius", type=float, default=0.05)
-    g.add_argument("--max-depth", type=int, default=8)
-    g.add_argument("--count", type=int, default=100000)
-    g.add_argument("--clusters", type=int, default=0)
-    g.add_argument("--layout", choices=["contiguous", "shuffled"], default="contiguous")
-    g.add_argument("--row-stride", type=int, default=0)
-    g.add_argument("--seed", type=int, default=0)
+    for name, typ in (("m", int), ("k", int), ("queries", int), ("radius", float),
+                      ("max_depth", int), ("count", int), ("clusters", int)):
+        g.add_argument("--" + name.replace("_", "-"), type=typ, default=kd[name])
+    g.add_argument("--layout", choices=["contiguous", "shuffled"], default=kd["layout"])
+    g.add_argument("--row-stride", dest="row_stride_bytes", type=int,
+                   default=kd["row_stride_bytes"])
+    g.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     g.add_argument("--out", required=True, help="output path prefix")
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("reorder", help="build and apply a reordering")
-    r.add_argument("--method", required=True,
-                   choices=list(DATA_LAYOUT) + list(COMPUTATION))
+    r.add_argument("--method", required=True, choices=pipeline.REORDERINGS)
     r.add_argument("--dataset", help="dataset path (raw f64 + .json sidecar)")
     r.add_argument("--rows", help="access row sequence (raw i64)")
     r.add_argument("--kernel", help="kernel kind, for applicability checks")
-    r.add_argument("--bits", type=int, default=reorder.DEFAULT_SFC_BITS)
-    r.add_argument("--leaf-size", type=int, default=32)
-    r.add_argument("--window", type=int, default=reorder.DEFAULT_BLOCK_WINDOW)
+    r.add_argument("--bits", type=int, default=DEFAULTS["sfc_bits"])
+    r.add_argument("--leaf-size", type=int, default=DEFAULTS["rcb_leaf_size"])
+    r.add_argument("--window", type=int, default=DEFAULTS["block_window"])
     r.add_argument("--row-stride", type=int, default=0)
     r.add_argument("--out", required=True, help="output path prefix")
     r.set_defaults(func=cmd_reorder)
@@ -257,26 +195,28 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--trace", required=True)
     f.add_argument("--out", required=True)
     f.add_argument("--stats", required=True)
-    f.add_argument("--l1-kb", type=int, default=32)
-    f.add_argument("--l2-kb", type=int, default=256)
-    f.add_argument("--l3-kb", type=int, default=8192)
+    for level in ("l1_kb", "l2_kb", "l3_kb"):
+        f.add_argument("--" + level.replace("_", "-"), type=int,
+                       default=DEFAULTS["cache"][level])
     f.add_argument("--hw-prefetch", action="store_true")
-    f.add_argument("--hw-degree", type=int, default=2)
-    f.add_argument("--sw-target", default="L2", choices=list(memsys.LEVEL_NAMES))
+    f.add_argument("--hw-degree", type=int, default=DEFAULTS["prefetch"]["hw_degree"])
+    f.add_argument("--sw-target", default=DEFAULTS["prefetch"]["sw_target"],
+                   choices=memsys.LEVEL_NAMES)
     f.set_defaults(func=cmd_filter)
 
     d = sub.add_parser("dramsim", help="simulate DRAM over a trace")
     d.add_argument("--trace", required=True)
     d.add_argument("--stats", required=True)
-    d.add_argument("--scheme", default="RoBaRaCoCh", choices=list(dramsim.SCHEMES))
-    d.add_argument("--cap", type=int, default=4)
-    d.add_argument("--arrival", default="from-trace", choices=["from-trace", "fixed-gap"])
+    d.add_argument("--scheme", default=DEFAULTS["dram"]["scheme"], choices=dramsim.SCHEMES)
+    d.add_argument("--cap", type=int, default=DEFAULTS["dram"]["cap"])
+    d.add_argument("--arrival", default=DEFAULTS["dram"]["arrival"],
+                   choices=["from-trace", "fixed-gap"])
     d.set_defaults(func=cmd_dramsim)
 
     pf = sub.add_parser("prefetch", help="inject software prefetch records")
     pf.add_argument("--trace", required=True)
     pf.add_argument("--out", required=True)
-    pf.add_argument("--distance", type=int, default=16)
+    pf.add_argument("--distance", type=int, default=DEFAULTS["prefetch"]["sw_distance"])
     pf.set_defaults(func=cmd_prefetch)
 
     pl = sub.add_parser("pipeline", help="run experiment configs end to end")
@@ -296,7 +236,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except pipeline.PipelineError as e:
-        return _fail("pipeline", str(e))
+        print(f"memloc: {e}", file=sys.stderr)  # already stage-tagged
+        return 1
     except (ValueError, OSError, traceio.TraceFormatError) as e:
         return _fail(args.command, str(e))
 

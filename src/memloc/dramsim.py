@@ -94,34 +94,33 @@ class DramStats:
         return self.hits / self.total if self.total else 0.0
 
 
+def _fields(line, scheme: str, geom: DramGeometry) -> dict:
+    """Split a line number (int or int64 array) into the scheme's fields."""
+    if scheme not in _FIELD_ORDER:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    bits = geom.field_bits()
+    out = {}
+    for name in _FIELD_ORDER[scheme]:
+        w = bits[name]
+        out[name] = line & ((1 << w) - 1)
+        line >>= w
+    return out
+
+
 def map_address(paddr: int, scheme: str, geom: DramGeometry = DramGeometry()):
     """Decompose a physical address into (channel, rank, bank, row, column).
 
     Addresses beyond the geometry's capacity wrap modulo capacity.
     """
-    if scheme not in _FIELD_ORDER:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    bits = geom.field_bits()
-    x = int(paddr) >> 6
-    out = {}
-    for name in _FIELD_ORDER[scheme]:
-        w = bits[name]
-        out[name] = x & ((1 << w) - 1)
-        x >>= w
-    return (out["channel"], out["rank"], out["bank"], out["row"], out["column"])
+    f = _fields(int(paddr) >> 6, scheme, geom)
+    return (f["channel"], f["rank"], f["bank"], f["row"], f["column"])
 
 
 def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
     """Vectorized (bank_id, row) arrays; bank_id folds channel and rank in."""
-    bits = geom.field_bits()
-    x = (trace.vaddr >> np.uint64(6)).astype(np.int64)
-    fields = {}
-    for name in _FIELD_ORDER[scheme]:
-        w = bits[name]
-        fields[name] = x & ((1 << w) - 1)
-        x >>= w
-    bank_id = (fields["channel"] * geom.ranks + fields["rank"]) * geom.banks + fields["bank"]
-    return bank_id, fields["row"]
+    f = _fields((trace.vaddr >> np.uint64(6)).astype(np.int64), scheme, geom)
+    bank_id = (f["channel"] * geom.ranks + f["rank"]) * geom.banks + f["bank"]
+    return bank_id, f["row"]
 
 
 def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
@@ -245,9 +244,7 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         b: {"hits": v[0], "misses": v[1], "conflicts": v[2]}
         for b, v in sorted(bank_stats.items())
     }
-    stats.hits = sum(v[0] for v in bank_stats.values())
-    stats.misses = sum(v[1] for v in bank_stats.values())
-    stats.conflicts = sum(v[2] for v in bank_stats.values())
+    stats.hits, stats.misses, stats.conflicts = map(sum, zip(*bank_stats.values()))
     return stats
 
 

@@ -9,7 +9,7 @@ row sequence, which feeds the inspector-style reorderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,15 @@ class AddressModel:
     page_size: int = PAGE_SIZE
     page_mapping: str = "identity"  # or "shuffle"
     seed: int = 0
+    rows: int = 0  # rows in the matrix; 0: shuffle only the pages a trace touches
 
     def __post_init__(self):
         if self.base % self.line_size:
             raise ValueError("base must be line-aligned")
         if self.row_stride_bytes < 1:
             raise ValueError("row_stride_bytes must be >= 1")
+        if self.page_mapping not in ("identity", "shuffle"):
+            raise ValueError(f"unknown page_mapping {self.page_mapping!r}")
         if not self.row_bytes:
             self.row_bytes = self.row_stride_bytes
 
@@ -68,8 +71,9 @@ def rows_to_lines(rows, addr: AddressModel, full_row: bool = True) -> np.ndarray
 
 def rows_to_trace(rows, addr: AddressModel, issue_gap: int = DEFAULT_ISSUE_GAP,
                   full_row: bool = True) -> Trace:
+    """Read trace of row examinations, at physical addresses."""
     lines = rows_to_lines(rows, addr, full_row=full_row)
-    return Trace.from_addresses(lines, KIND_READ, issue_gap)
+    return Trace.from_addresses(_physical(lines, addr), KIND_READ, issue_gap)
 
 
 def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int,
@@ -165,21 +169,27 @@ def gen_sequential_trace(n_lines: int, addr: AddressModel,
     return Trace.from_addresses(lines, KIND_READ, issue_gap)
 
 
-def translate(trace: Trace, addr: AddressModel) -> Trace:
-    """Virtual-to-physical page mapping; offsets inside pages are kept."""
-    if addr.page_mapping == "identity":
-        return Trace(trace.vaddr.copy(), trace.cycle.copy(), trace.kind.copy())
-    if addr.page_mapping != "shuffle":
-        raise ValueError(f"unknown page_mapping {addr.page_mapping!r}")
-    page = trace.vaddr // addr.page_size
-    offset = trace.vaddr % addr.page_size
-    if len(trace) == 0:
-        return Trace(trace.vaddr.copy(), trace.cycle.copy(), trace.kind.copy())
-    lo, hi = int(page.min()), int(page.max())
+def _physical(vaddr: np.ndarray, addr: AddressModel) -> np.ndarray:
+    """Virtual-to-physical page mapping; offsets inside pages are kept.
+    "shuffle" permutes the frames of the matrix's pages (of the touched
+    pages if addr.rows is 0), so all traces over a matrix share a mapping."""
+    if addr.page_mapping == "identity" or len(vaddr) == 0:
+        return vaddr
+    page = vaddr // addr.page_size
+    offset = vaddr % addr.page_size
+    if addr.rows:
+        last = addr.base + (addr.rows - 1) * addr.row_stride_bytes + addr.row_bytes - 1
+        lo, hi = addr.base // addr.page_size, last // addr.page_size
+    else:
+        lo, hi = int(page.min()), int(page.max())
     rng = np.random.default_rng(addr.seed)
     frames = rng.permutation(hi - lo + 1).astype(np.uint64) + lo
-    paddr = frames[(page - lo).astype(np.int64)] * addr.page_size + offset
-    return Trace(paddr, trace.cycle.copy(), trace.kind.copy())
+    return frames[(page - lo).astype(np.int64)] * addr.page_size + offset
+
+
+def translate(trace: Trace, addr: AddressModel) -> Trace:
+    """`trace` with its addresses mapped through :func:`_physical`."""
+    return Trace(_physical(trace.vaddr, addr).copy(), trace.cycle.copy(), trace.kind.copy())
 
 
 def make_clustered(n: int, m: int, clusters: int, seed: int = 0,

@@ -268,24 +268,10 @@ def inject_sw_prefetch(trace: Trace, distance: int,
     if stream is None:
         stream = trace.vaddr[demand_idx]
     stream = np.asarray(stream, dtype=np.uint64)
-    n = len(demand_idx)
     if distance >= len(stream):
         return Trace(trace.vaddr.copy(), trace.cycle.copy(), trace.kind.copy())
-    vaddr, cycle, kind = [], [], []
-    pos = 0
-    for j, i in enumerate(demand_idx):
-        # Records before this demand access (already-present prefetches etc.)
-        while pos < i:
-            vaddr.append(trace.vaddr[pos]); cycle.append(trace.cycle[pos]); kind.append(trace.kind[pos])
-            pos += 1
-        if j + distance < len(stream):
-            vaddr.append(stream[j + distance])
-            cycle.append(trace.cycle[i])
-            kind.append(KIND_PREFETCH)
-        vaddr.append(trace.vaddr[i]); cycle.append(trace.cycle[i]); kind.append(trace.kind[i])
-        pos = i + 1
-    while pos < len(trace):
-        vaddr.append(trace.vaddr[pos]); cycle.append(trace.cycle[pos]); kind.append(trace.kind[pos])
-        pos += 1
-    return Trace(np.asarray(vaddr, np.uint64), np.asarray(cycle, np.uint32),
-                 np.asarray(kind, np.uint8))
+    # Demand access j gets stream[j + distance] while that exists.
+    at = demand_idx[:len(stream) - distance]
+    return Trace(np.insert(trace.vaddr, at, stream[distance:distance + len(at)]),
+                 np.insert(trace.cycle, at, trace.cycle[at]),
+                 np.insert(trace.kind, at, KIND_PREFETCH))

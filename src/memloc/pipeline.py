@@ -1,9 +1,11 @@
-"""End-to-end experiment pipelines.
+"""The experiment model: kernels, variants, and end-to-end pipelines.
 
 An experiment config (one JSON document) names a kernel, a memory
 system, a DRAM model, and a list of variants.  Each variant runs
-generate -> cache-filter -> DRAM simulate (actual and ideal) over
-identical seeds and yields one CSV row.
+generate -> reorder -> replay -> cache-filter -> DRAM simulate (actual
+and ideal) over identical seeds and yields one CSV row.  This module is
+the only place that dispatches on kernel kind or reordering method; the
+CLI is a file-I/O shell over it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dramsim, kernels, memsys, reorder
-from .traceio import Trace
 
 CSV_FIELDS = [
     "config_hash", "variant", "records", "dram_requests",
@@ -25,8 +26,29 @@ CSV_FIELDS = [
     "l2_miss_ratio", "useless_prefetch_fraction", "overhead_s",
 ]
 
-DATA_LAYOUT_METHODS = ("first-touch", "rcb", "hilbert", "zorder")
-COMPUTATION_METHODS = ("block", "zorder-comp")
+KERNELS = ("knn", "dbscan", "dtree", "gather")
+REORDERINGS = ("first-touch", "rcb", "hilbert", "zorder", "block", "zorder-comp")
+
+# Every accepted config key and its default; a dict value is a section.
+DEFAULTS = {
+    "seed": 0, "variants": ("baseline",), "sfc_bits": reorder.DEFAULT_SFC_BITS,
+    "rcb_leaf_size": 32, "block_window": reorder.DEFAULT_BLOCK_WINDOW,
+    "kernel": {
+        "kind": None, "n": 10000, "m": 2, "k": 5, "queries": 1000,
+        "queries_from_data": True, "radius": 0.05, "max_depth": 8,
+        "count": 100000, "clusters": 0, "layout": "contiguous", "spread": 0.02,
+        "row_stride_bytes": None,  # None: m * 8, rows packed back to back
+        "page_mapping": "identity",
+    },
+    "cache": {"l1_kb": 32, "l1_ways": 8, "l2_kb": 256, "l2_ways": 8,
+              "l3_kb": 8192, "l3_ways": 16},
+    "prefetch": {"hw": False, "hw_degree": 2, "hw_distance": 1,
+                 "sw_target": "L2", "sw_distance": 16},
+    "dram": {"banks": 16, "rows_per_bank": 32768, "row_size_bytes": 8192,
+             "tCL": 16, "tRCD": 16, "tRP": 16, "tBURST": 4,
+             "scheme": "RoBaRaCoCh", "cap": 4, "arrival": "from-trace",
+             "arrival_gap": 4, "queue_depth": 32},
+}
 
 
 class PipelineError(RuntimeError):
@@ -38,43 +60,37 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _build_cache(config: dict) -> memsys.CacheConfig:
-    c = config.get("cache", {})
-    return memsys.CacheConfig(
-        l1=memsys.LevelConfig(c.get("l1_kb", 32) * 1024, c.get("l1_ways", 8)),
-        l2=memsys.LevelConfig(c.get("l2_kb", 256) * 1024, c.get("l2_ways", 8)),
-        l3=memsys.LevelConfig(c.get("l3_kb", 8192) * 1024, c.get("l3_ways", 16)),
-    )
+def resolve_config(config: dict, defaults: dict = DEFAULTS, prefix: str = "") -> dict:
+    """`config` with every default filled in; unknown keys are rejected."""
+    if not isinstance(config, dict):
+        raise PipelineError(f"config: {prefix[:-1] or 'the config'} must be an object")
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise PipelineError(f"config: unknown key {prefix + unknown[0]!r}")
+    out = {**defaults, **config}
+    for key, section in defaults.items():
+        if isinstance(section, dict):
+            out[key] = resolve_config(config.get(key, {}), section, f"{key}.")
+    return out
 
 
-def _build_prefetch(config: dict) -> memsys.PrefetchConfig:
-    p = config.get("prefetch", {})
-    hw = None
-    if p.get("hw"):
-        hw = memsys.StridePrefetchConfig(degree=p.get("hw_degree", 2),
-                                         distance=p.get("hw_distance", 1))
-    return memsys.PrefetchConfig(hw=hw, sw_target=p.get("sw_target", "L2"))
+def memory_config(cfg: dict):
+    """(CacheConfig, PrefetchConfig) of a resolved config."""
+    c, p = cfg["cache"], cfg["prefetch"]
+    levels = (memsys.LevelConfig(c[f"l{i}_kb"] * 1024, c[f"l{i}_ways"]) for i in (1, 2, 3))
+    hw = memsys.StridePrefetchConfig(p["hw_degree"], p["hw_distance"]) if p["hw"] else None
+    return memsys.CacheConfig(*levels), memsys.PrefetchConfig(hw, p["sw_target"])
 
 
-def _build_dram(config: dict):
-    d = config.get("dram", {})
-    geom = dramsim.DramGeometry(
-        banks=d.get("banks", 16),
-        rows_per_bank=d.get("rows_per_bank", 32768),
-        row_size_bytes=d.get("row_size_bytes", 8192),
-    )
-    timing = dramsim.DramTiming(
-        tCL=d.get("tCL", 16), tRCD=d.get("tRCD", 16),
-        tRP=d.get("tRP", 16), tBURST=d.get("tBURST", 4),
-    )
-    kw = {
-        "scheme": d.get("scheme", "RoBaRaCoCh"),
-        "cap": d.get("cap", 4),
-        "arrival": d.get("arrival", "from-trace"),
-        "arrival_gap": d.get("arrival_gap", 4),
-        "queue_depth": d.get("queue_depth", 32),
-    }
-    return geom, timing, kw
+def simulate_dram(dram_trace, cfg: dict):
+    """(actual, ideal) DramStats of a DRAM trace under the config's model."""
+    d = cfg["dram"]
+    pick = lambda *keys: {k: d[k] for k in keys}  # noqa: E731
+    geom = dramsim.DramGeometry(**pick("banks", "rows_per_bank", "row_size_bytes"))
+    timing = dramsim.DramTiming(**pick("tCL", "tRCD", "tRP", "tBURST"))
+    kw = pick("scheme", "cap", "arrival", "arrival_gap", "queue_depth")
+    return (dramsim.simulate(dram_trace, geom, timing, **kw),
+            dramsim.simulate_ideal(dram_trace, geom, timing, **kw))
 
 
 @dataclass
@@ -87,117 +103,126 @@ class _KernelCtx:
     spec: dict
     seed: int
 
-    def generate(self, data=None, queries=None):
-        """(trace, row_sequence) for the current (possibly reordered) inputs."""
+    def generate(self, data=None, labels=None, queries=None):
+        """(trace, row_sequence) over the kernel's inputs, or reordered copies."""
         data = self.data if data is None else data
-        queries = self.queries if queries is None else queries
         k = self.spec
         if self.kind == "knn":
-            return kernels.gen_knn_trace(data, queries, k.get("k", 5), self.addr)
+            return kernels.gen_knn_trace(data, self.queries if queries is None else queries,
+                                         k["k"], self.addr)
         if self.kind == "dbscan":
-            return kernels.gen_dbscan_trace(data, k.get("radius", 0.05), self.addr)
+            return kernels.gen_dbscan_trace(data, k["radius"], self.addr)
         if self.kind == "dtree":
-            return kernels.gen_dtree_trace(data, self.labels, k.get("max_depth", 8), self.addr)
-        if self.kind == "gather":
-            return kernels.gen_gather_trace(k["n"], k.get("count", 100000), self.addr, self.seed)
-        raise PipelineError(f"gen: unknown kernel kind {self.kind!r}")
+            return kernels.gen_dtree_trace(data, self.labels if labels is None else labels,
+                                           k["max_depth"], self.addr)
+        return kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.seed)
 
 
 def build_kernel(config: dict) -> _KernelCtx:
-    k = dict(config["kernel"])
-    kind = k["kind"]
-    seed = int(config.get("seed", 0))
-    n, m = int(k.get("n", 10000)), int(k.get("m", 2))
+    cfg = resolve_config(config)
+    k = cfg["kernel"]
+    kind, seed = k["kind"], int(cfg["seed"])
+    if kind not in KERNELS:
+        raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
+    n, m = int(k["n"]), int(k["m"])
     rng = np.random.default_rng(seed)
     data = labels = queries = None
     if kind != "gather":
-        if k.get("clusters"):
+        if k["clusters"]:
             data = kernels.make_clustered(n, m, int(k["clusters"]), seed,
-                                          layout=k.get("layout", "contiguous"),
-                                          spread=k.get("spread", 0.02))
+                                          layout=k["layout"], spread=k["spread"])
         else:
             data = kernels.make_uniform(n, m, seed)
     if kind == "knn":
-        nq = int(k.get("queries", 1000))
-        if k.get("clusters") and k.get("queries_from_data", True):
+        nq = int(k["queries"])
+        if k["clusters"] and k["queries_from_data"]:
             queries = data[rng.integers(0, n, nq)] + rng.normal(0, 0.005, (nq, m))
         else:
             queries = rng.random((nq, m))
     if kind == "dtree":
         labels = (data @ rng.random(m) > 0.5 * rng.random(m).sum()).astype(np.int64)
-    stride = int(k.get("row_stride_bytes", m * 8))
+    stride = m * 8 if k["row_stride_bytes"] is None else int(k["row_stride_bytes"])
     addr = kernels.AddressModel(row_stride_bytes=stride, row_bytes=m * 8,
-                                page_mapping=k.get("page_mapping", "identity"),
-                                seed=seed)
+                                page_mapping=k["page_mapping"], seed=seed, rows=n)
     return _KernelCtx(kind, data, labels, queries, addr, k, seed)
+
+
+def reorder_by(method: str, cfg: dict, *, kind: str | None = None, points=None,
+               rows=None, n: int | None = None, row_stride_bytes: int = 64):
+    """(permutation, row sequence) that reordering `method` computes, one
+    of them None, with a resolved config's parameters.
+
+    rcb, hilbert and zorder permute `points`, the feature matrix, and
+    zorder-comp the query set passed as `points` (map[new] = old).
+    first-touch permutes the `n` rows by the inspected `rows` sequence;
+    block reorders the `rows` sequence itself.
+    """
+    if method not in REORDERINGS:
+        raise PipelineError(f"reorder: unknown method or variant {method!r}")
+    if method == "zorder-comp" and kind == "dtree":
+        raise PipelineError("reorder: zorder-comp is not applicable to tree kernels")
+    if method == "block" and rows is not None:
+        return None, reorder.block_by_page(rows, row_stride_bytes, window=cfg["block_window"])
+    if method == "first-touch" and rows is not None and n is not None:
+        return reorder.reorder_first_touch(rows, n), None
+    if method in ("block", "first-touch"):
+        raise PipelineError(f"reorder: {method} needs the access row sequence and dataset")
+    if points is None:
+        what = "a query set" if method == "zorder-comp" else "a feature matrix"
+        raise PipelineError(f"reorder: {method} needs {what} ({kind})")
+    if method == "rcb":
+        return reorder.reorder_rcb(points, cfg["rcb_leaf_size"]), None
+    if method == "zorder-comp":
+        return reorder.reorder_queries_zorder(points, cfg["sfc_bits"]), None
+    return reorder.reorder_sfc(points, method, cfg["sfc_bits"]), None
+
+
+def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
+    """Apply `variant`'s transformation; return a callable that replays
+    the kernel over its output and returns the trace."""
+    if variant == "baseline":
+        return lambda: baseline[0]
+    if variant == "sw-prefetch":
+        trace = memsys.inject_sw_prefetch(baseline[0], cfg["prefetch"]["sw_distance"])
+        return lambda: trace
+    rows = baseline[1] if variant in ("first-touch", "block") else None
+    perm, blocked = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=int(ctx.spec["n"]),
+                               points=ctx.queries if variant == "zorder-comp" else ctx.data,
+                               row_stride_bytes=ctx.addr.row_stride_bytes)
+    if blocked is not None:
+        return lambda: kernels.rows_to_trace(blocked, ctx.addr)
+    if variant == "zorder-comp":
+        queries = ctx.queries[perm]
+        return lambda: ctx.generate(queries=queries)[0]
+    if ctx.data is None:
+        # Index-only kernel: relabel rows through the inverse map.
+        relabelled = reorder.invert_permutation(perm)[rows]
+        return lambda: kernels.rows_to_trace(relabelled, ctx.addr, full_row=False)
+    data = reorder.apply_permutation(ctx.data, perm)
+    labels = None if ctx.labels is None else ctx.labels[perm]
+    return lambda: ctx.generate(data=data, labels=labels)[0]
 
 
 def run_variant(ctx: _KernelCtx, variant: str, config: dict,
                 baseline: tuple | None = None) -> dict:
-    """One pipeline row.  `baseline` caches (trace, rows) for reuse."""
-    t0 = time.perf_counter()
-    sw_distance = 0
-    if variant == "baseline":
-        trace, rows = baseline if baseline else ctx.generate()
-    elif variant in ("first-touch", "block"):
-        _, rows = baseline if baseline else ctx.generate()
-        if variant == "first-touch":
-            n = int(ctx.spec["n"]) if ctx.data is None else len(ctx.data)
-            perm = reorder.reorder_first_touch(rows, n)
-            if ctx.data is None:
-                # Index-only kernel: relabel rows through the inverse map.
-                rows = reorder.invert_permutation(perm)[rows]
-                trace = kernels.rows_to_trace(rows, ctx.addr, full_row=False)
-            else:
-                data = reorder.apply_permutation(ctx.data, perm)
-                tree_ctx = _KernelCtx(ctx.kind, data, None if ctx.labels is None
-                                      else ctx.labels[perm], ctx.queries, ctx.addr,
-                                      ctx.spec, ctx.seed)
-                trace, rows = tree_ctx.generate()
-        else:
-            blocked = reorder.block_by_page(
-                rows, ctx.addr.row_stride_bytes, ctx.addr.page_size,
-                config.get("block_window", reorder.DEFAULT_BLOCK_WINDOW))
-            trace = kernels.rows_to_trace(blocked, ctx.addr)
-            rows = blocked
-    elif variant in ("rcb", "hilbert", "zorder"):
-        if ctx.data is None:
-            raise PipelineError(f"reorder: {variant} needs a feature matrix")
-        if variant == "rcb":
-            perm = reorder.reorder_rcb(ctx.data, config.get("rcb_leaf_size", 32))
-        else:
-            perm = reorder.reorder_sfc(ctx.data, variant,
-                                       config.get("sfc_bits", reorder.DEFAULT_SFC_BITS))
-        data = reorder.apply_permutation(ctx.data, perm)
-        lab = None if ctx.labels is None else ctx.labels[perm]
-        trace, rows = _KernelCtx(ctx.kind, data, lab, ctx.queries, ctx.addr,
-                                 ctx.spec, ctx.seed).generate()
-    elif variant == "zorder-comp":
-        if ctx.kind == "dtree":
-            raise PipelineError("reorder: zorder-comp is not applicable to tree kernels")
-        if ctx.queries is None:
-            raise PipelineError(f"reorder: zorder-comp needs a query set ({ctx.kind})")
-        qperm = reorder.reorder_queries_zorder(
-            ctx.queries, config.get("sfc_bits", reorder.DEFAULT_SFC_BITS))
-        trace, rows = ctx.generate(queries=ctx.queries[qperm])
-    elif variant == "sw-prefetch":
-        trace, rows = baseline if baseline else ctx.generate()
-        sw_distance = int(config.get("prefetch", {}).get("sw_distance", 16))
-        trace = memsys.inject_sw_prefetch(trace, sw_distance)
-    else:
-        raise PipelineError(f"reorder: unknown variant {variant!r}")
-    overhead = time.perf_counter() - t0
+    """One pipeline row.  `baseline` caches (trace, rows) for reuse.
 
-    cache = _build_cache(config)
-    pf = _build_prefetch(config)
+    overhead_s times the variant's transformation alone (the reordering
+    or the prefetch injection), not the kernel replay after it.
+    """
+    cfg = resolve_config(config)
+    baseline = baseline or ctx.generate()
+    t0 = time.perf_counter()
+    replay = _transform(ctx, variant, cfg, baseline)
+    overhead = 0.0 if variant == "baseline" else time.perf_counter() - t0
+    trace = replay()
+
     try:
-        dram_trace, mstats = memsys.filter_to_dram(trace, cache, pf)
+        dram_trace, mstats = memsys.filter_to_dram(trace, *memory_config(cfg))
     except Exception as e:
         raise PipelineError(f"filter: {e}") from e
-    geom, timing, kw = _build_dram(config)
     try:
-        actual = dramsim.simulate(dram_trace, geom, timing, **kw)
-        ideal = dramsim.simulate_ideal(dram_trace, geom, timing, **kw)
+        actual, ideal = simulate_dram(dram_trace, cfg)
     except Exception as e:
         raise PipelineError(f"dramsim: {e}") from e
     return {
@@ -218,10 +243,8 @@ def run_variant(ctx: _KernelCtx, variant: str, config: dict,
 def run_pipeline(config: dict) -> list[dict]:
     ctx = build_kernel(config)
     baseline = ctx.generate()
-    rows = []
-    for variant in config.get("variants", ["baseline"]):
-        rows.append(run_variant(ctx, variant, config, baseline=baseline))
-    return rows
+    return [run_variant(ctx, variant, config, baseline=baseline)
+            for variant in resolve_config(config)["variants"]]
 
 
 def write_csv(path, rows: list[dict]):

@@ -8,7 +8,6 @@ access or query order instead of the rows themselves.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -33,25 +32,18 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def reorder_first_touch(inspected, n: int, passes: int = 1) -> np.ndarray:
+def reorder_first_touch(inspected, n: int) -> np.ndarray:
     """Order rows by first occurrence in the inspected access sequence.
 
-    Rows never touched are appended in ascending original order.  The
-    inspector makes `passes` passes over the sequence; extra passes only
-    matter when the caller truncates the sequence per pass.
+    Rows never touched are appended in ascending original order.
     """
     inspected = np.asarray(inspected, dtype=np.int64).ravel()
     if inspected.size and (inspected.min() < 0 or inspected.max() >= n):
         raise ValueError("access index out of range")
+    touched, first = np.unique(inspected, return_index=True)
     seen = np.zeros(n, dtype=bool)
-    order = []
-    for _ in range(max(1, passes)):
-        for i in inspected:
-            if not seen[i]:
-                seen[i] = True
-                order.append(i)
-    rest = np.flatnonzero(~seen)
-    return np.concatenate([np.asarray(order, dtype=np.int64), rest]) if order else np.arange(n)
+    seen[touched] = True
+    return np.concatenate([touched[np.argsort(first)], np.flatnonzero(~seen)])
 
 
 def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
@@ -130,19 +122,17 @@ def block_by_page(
     if window < 1:
         raise ValueError("window must be >= 1")
     seq = np.asarray(seq, dtype=np.int64).ravel()
+    if not len(seq):
+        return seq.copy()
     pages = (seq * row_stride_bytes) // page_size_bytes
-    out = np.empty_like(seq)
-    pos = 0
-    for start in range(0, len(seq), window):
-        chunk = seq[start : start + window]
-        chunk_pages = pages[start : start + window]
-        groups: dict = {}
-        for i, pg in zip(chunk, chunk_pages):
-            groups.setdefault(int(pg), []).append(i)
-        for grp in groups.values():
-            out[pos : pos + len(grp)] = grp
-            pos += len(grp)
-    return out
+    # Sort by (window, page), keeping index order inside each group ...
+    order = np.lexsort((pages, np.arange(len(seq)) // window))
+    s_pages, s_windows = pages[order], order // window
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (s_pages[1:] != s_pages[:-1]) | (s_windows[1:] != s_windows[:-1])]))
+    # ... then order the groups by their first index, which also orders windows.
+    first = np.repeat(order[starts], np.diff(np.append(starts, len(seq))))
+    return seq[order[np.argsort(first, kind="stable")]]
 
 
 def apply_permutation(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -153,20 +143,22 @@ def apply_permutation(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def save_permutation(path, perm: np.ndarray):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["new_position", "old_index"])
-        for new, old in enumerate(np.asarray(perm, dtype=np.int64)):
-            w.writerow([new, int(old)])
+    """Two-column CSV (new_position,old_index) with a header, CRLF lines."""
+    perm = np.asarray(perm, dtype=np.int64)
+    np.savetxt(path, np.column_stack([np.arange(len(perm)), perm]), fmt="%d",
+               delimiter=",", newline="\r\n", header="new_position,old_index",
+               comments="")
 
 
 def load_permutation(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    body = rows[1:] if rows and rows[0] and not rows[0][0].isdigit() else rows
+    """Inverse of :func:`save_permutation`; the header line is optional."""
+    lines = Path(path).read_text().splitlines()
+    if lines and not lines[0][:1].isdigit():
+        lines = lines[1:]
+    body = (np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2) if lines
+            else np.empty((0, 2), dtype=np.int64))
     perm = np.full(len(body), -1, dtype=np.int64)
-    for new, old in body:
-        perm[int(new)] = int(old)
+    perm[body[:, 0]] = body[:, 1]
     return check_permutation(perm, len(body))
 
 

@@ -9,7 +9,7 @@ and may be up to 128 bits wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,16 +63,7 @@ def quantize(point, cfg: QuantizerConfig):
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (cfg.dims,):
         raise ValueError(f"expected a length-{cfg.dims} point, got shape {point.shape}")
-    lo = np.array(cfg.lo)
-    hi = np.array(cfg.hi)
-    span = hi - lo
-    top = cfg.grid_side - 1
-    out = np.zeros(cfg.dims, dtype=np.uint64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.floor((point - lo) / span * top + 0.5)
-    live = span > 0
-    out[live] = np.clip(scaled[live], 0, top).astype(np.uint64)
-    return tuple(int(v) for v in out)
+    return tuple(int(v) for v in quantize_rows(point[None], cfg)[0])
 
 
 def quantize_rows(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:

@@ -12,7 +12,7 @@ kind: 0 = read, 1 = write, 2 = prefetch.  Cycles are non-decreasing.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

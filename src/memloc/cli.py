@@ -121,9 +121,12 @@ def cmd_prefetch(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.jobs < 1:
+        return _fail("pipeline", "--jobs must be >= 1")
     configs = [json.loads(Path(p).read_text()) for p in args.config]
-    if args.jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as ex:
+    jobs = min(args.jobs, len(configs))  # the pool forks all its workers up front
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(jobs) as ex:
             results = list(ex.map(pipeline.run_pipeline, configs))
     else:
         results = [pipeline.run_pipeline(c) for c in configs]

@@ -1,7 +1,7 @@
 """Cycle-approximate DRAM model with per-bank row buffers.
 
 Addresses are decomposed by a named bit-field scheme (fields read
-right-to-left from the LSB, after dropping the 6 line-offset bits).
+right-to-left from the LSB, after dropping the line-offset bits).
 The scheduler is FR-FCFS-Cap: oldest row-hit-ready request first,
 falling back to strict oldest-first once the globally oldest request
 has exhausted its bypass budget (cap=1 degenerates to FCFS).  Service
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traceio import Trace
+from .traceio import LINE_SHIFT, LINE_SIZE, Trace
 
 SCHEMES = ("RoBaRaCoCh", "ChRaBaRoCo")
 
@@ -33,17 +33,16 @@ class DramGeometry:
     banks: int = 16
     rows_per_bank: int = 32768
     row_size_bytes: int = 8192
-    line_size: int = 64
 
     def __post_init__(self):
         for v in (self.channels, self.ranks, self.banks, self.rows_per_bank,
-                  self.row_size_bytes, self.line_size):
+                  self.row_size_bytes):
             if v & (v - 1) or v < 1:
                 raise ValueError("geometry counts must be powers of two")
 
     @property
     def columns_per_row(self) -> int:
-        return self.row_size_bytes // self.line_size
+        return self.row_size_bytes // LINE_SIZE
 
     def field_bits(self) -> dict:
         return {
@@ -112,62 +111,53 @@ def map_address(paddr: int, scheme: str, geom: DramGeometry = DramGeometry()):
 
     Addresses beyond the geometry's capacity wrap modulo capacity.
     """
-    f = _fields(int(paddr) >> 6, scheme, geom)
+    f = _fields(int(paddr) >> LINE_SHIFT, scheme, geom)
     return (f["channel"], f["rank"], f["bank"], f["row"], f["column"])
 
 
 def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
     """Vectorized (bank_id, row) arrays; bank_id folds channel and rank in."""
-    f = _fields((trace.vaddr >> np.uint64(6)).astype(np.int64), scheme, geom)
+    f = _fields((trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64), scheme, geom)
     bank_id = (f["channel"] * geom.ranks + f["rank"]) * geom.banks + f["bank"]
     return bank_id, f["row"]
+
+
+def _prepare(trace: Trace, geom: DramGeometry, scheme: str, arrival: str,
+             arrival_gap: int):
+    """(bank_id, row, arrival cycle) int64 arrays of a checked request trace."""
+    n = len(trace)
+    if n == 0:
+        raise ValueError("trace is empty")
+    bank_arr, row_arr = _decompose_trace(trace, scheme, geom)
+    if arrival == "from-trace":
+        arrive_arr = trace.cycle.astype(np.int64)
+    elif arrival == "fixed-gap":
+        if arrival_gap < 0:
+            raise ValueError("arrival_gap must be >= 0")
+        arrive_arr = np.arange(n, dtype=np.int64) * arrival_gap
+    else:
+        raise ValueError(f"unknown arrival model {arrival!r}")
+    return bank_arr, row_arr, arrive_arr
 
 
 def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
              timing: DramTiming = DramTiming(), scheme: str = "RoBaRaCoCh",
              cap: int = 4, arrival: str = "from-trace", arrival_gap: int = 4,
-             queue_depth: int = 32, collect_events: bool = False,
-             ideal: bool = False) -> DramStats:
+             queue_depth: int = 32, collect_events: bool = False) -> DramStats:
     """Run the FR-FCFS-Cap model over a trace and return DramStats.
 
     arrival "from-trace" uses record cycles; "fixed-gap" spaces
     arrivals `arrival_gap` cycles apart.  Only the `queue_depth`
-    oldest outstanding requests are visible to the scheduler.  With
-    ideal=True every request is serviced at row-hit latency and
-    counted as a hit.
+    oldest outstanding requests are visible to the scheduler.
     """
-    n = len(trace)
-    if n == 0:
-        raise ValueError("trace is empty")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    bank_arr, row_arr = _decompose_trace(trace, scheme, geom)
-    if arrival == "from-trace":
-        arrive_arr = trace.cycle.astype(np.int64)
-    elif arrival == "fixed-gap":
-        arrive_arr = np.arange(n, dtype=np.int64) * arrival_gap
-    else:
-        raise ValueError(f"unknown arrival model {arrival!r}")
-
+    if queue_depth < 1:
+        raise ValueError("queue_depth must be >= 1")
+    bank_arr, row_arr, arrive_arr = _prepare(trace, geom, scheme, arrival, arrival_gap)
+    n = len(trace)
     t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
     stats = DramStats(total=n, events=[] if collect_events else None)
-
-    if ideal:
-        # Every request is a hit, so the scheduler never reorders and the
-        # FCFS service chain t_i = max(t_{i-1}, arrive_i) + t_hit has the
-        # closed form below.
-        idx = np.arange(n, dtype=np.int64)
-        finish = np.maximum.accumulate(arrive_arr - t_hit * idx) + t_hit * (idx + 1)
-        stats.hits = n
-        stats.avg_latency = float(np.mean(finish - arrive_arr))
-        counts = np.bincount(bank_arr)
-        stats.per_bank = {
-            int(b): {"hits": int(c), "misses": 0, "conflicts": 0}
-            for b, c in enumerate(counts) if c
-        }
-        if collect_events:
-            stats.events = ["h"] * n
-        return stats
 
     bank_id = bank_arr.tolist()
     row = row_arr.tolist()
@@ -250,9 +240,21 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
 
 def simulate_ideal(trace: Trace, geom: DramGeometry = DramGeometry(),
                    timing: DramTiming = DramTiming(), scheme: str = "RoBaRaCoCh",
-                   **kw) -> DramStats:
-    """Every request serviced at row-hit latency; hit ratio reported as 1."""
-    return simulate(trace, geom, timing, scheme, ideal=True, **kw)
+                   arrival: str = "from-trace", arrival_gap: int = 4) -> DramStats:
+    """Every request serviced at row-hit latency; hit ratio reported as 1.
+
+    All hits mean the scheduler never reorders, so the FCFS service chain
+    t_i = max(t_{i-1}, arrive_i) + t_hit has the closed form below.
+    """
+    bank_arr, _, arrive_arr = _prepare(trace, geom, scheme, arrival, arrival_gap)
+    n = len(trace)
+    t_hit = timing.hit
+    idx = np.arange(n, dtype=np.int64)
+    finish = np.maximum.accumulate(arrive_arr - t_hit * idx) + t_hit * (idx + 1)
+    return DramStats(
+        hits=n, total=n, avg_latency=float(np.mean(finish - arrive_arr)),
+        per_bank={int(b): {"hits": int(c), "misses": 0, "conflicts": 0}
+                  for b, c in enumerate(np.bincount(bank_arr)) if c})
 
 
 def improvement(actual: DramStats, ideal: DramStats) -> float:

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kdtree import KdTree
-from .traceio import KIND_READ, Trace
-
-LINE_SIZE = 64
-PAGE_SIZE = 4096
-DEFAULT_ISSUE_GAP = 4
+from .traceio import KIND_READ, LINE_SIZE, PAGE_SIZE, Trace
 
 
 @dataclass
@@ -28,14 +24,12 @@ class AddressModel:
     base: int = 0x1000_0000
     row_stride_bytes: int = 64
     row_bytes: int = 0  # bytes examined per row; defaults to the stride
-    line_size: int = LINE_SIZE
-    page_size: int = PAGE_SIZE
     page_mapping: str = "identity"  # or "shuffle"
     seed: int = 0
     rows: int = 0  # rows in the matrix; 0: shuffle only the pages a trace touches
 
     def __post_init__(self):
-        if self.base % self.line_size:
+        if self.base % LINE_SIZE:
             raise ValueError("base must be line-aligned")
         if self.row_stride_bytes < 1:
             raise ValueError("row_stride_bytes must be >= 1")
@@ -57,27 +51,25 @@ def rows_to_lines(rows, addr: AddressModel, full_row: bool = True) -> np.ndarray
     """
     rows = np.asarray(rows, dtype=np.int64)
     start = addr.base + rows * addr.row_stride_bytes
-    first = start // addr.line_size
-    if not full_row or addr.row_bytes <= addr.line_size and addr.row_stride_bytes % addr.line_size == 0:
-        return (first * addr.line_size).astype(np.uint64)
-    last = (start + addr.row_bytes - 1) // addr.line_size
+    first = start // LINE_SIZE
+    if not full_row or addr.row_bytes <= LINE_SIZE and addr.row_stride_bytes % LINE_SIZE == 0:
+        return (first * LINE_SIZE).astype(np.uint64)
+    last = (start + addr.row_bytes - 1) // LINE_SIZE
     counts = last - first + 1
     total = int(counts.sum())
     rep_first = np.repeat(first, counts)
     group_start = np.repeat(np.cumsum(counts) - counts, counts)
     within = np.arange(total) - group_start
-    return ((rep_first + within) * addr.line_size).astype(np.uint64)
+    return ((rep_first + within) * LINE_SIZE).astype(np.uint64)
 
 
-def rows_to_trace(rows, addr: AddressModel, issue_gap: int = DEFAULT_ISSUE_GAP,
-                  full_row: bool = True) -> Trace:
+def rows_to_trace(rows, addr: AddressModel, full_row: bool = True) -> Trace:
     """Read trace of row examinations, at physical addresses."""
     lines = rows_to_lines(rows, addr, full_row=full_row)
-    return Trace.from_addresses(_physical(lines, addr), KIND_READ, issue_gap)
+    return Trace.from_addresses(_physical(lines, addr), KIND_READ)
 
 
-def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int,
-                  addr: AddressModel, issue_gap: int = DEFAULT_ISSUE_GAP):
+def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int, addr: AddressModel):
     """kd-tree k-NN over all queries; returns (trace, row_sequence)."""
     data = np.asarray(data, dtype=np.float64)
     if k > data.shape[0]:
@@ -88,11 +80,10 @@ def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int,
     for q in np.asarray(queries, dtype=np.float64):
         tree.knn(q, k, visit=visit)
     rows = np.asarray(rows, dtype=np.int64)
-    return rows_to_trace(rows, addr, issue_gap), rows
+    return rows_to_trace(rows, addr), rows
 
 
-def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel,
-                     issue_gap: int = DEFAULT_ISSUE_GAP):
+def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel):
     """Radius query around every point, DBSCAN-style neighborhood pass."""
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -103,7 +94,7 @@ def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel,
     for q in data:
         tree.radius(q, radius, visit=visit)
     rows = np.asarray(rows, dtype=np.int64)
-    return rows_to_trace(rows, addr, issue_gap), rows
+    return rows_to_trace(rows, addr), rows
 
 
 def _gini(labels: np.ndarray) -> float:
@@ -113,7 +104,7 @@ def _gini(labels: np.ndarray) -> float:
 
 
 def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
-                    addr: AddressModel, issue_gap: int = DEFAULT_ISSUE_GAP):
+                    addr: AddressModel):
     """Greedy single-feature threshold tree; node subsets read via index lists."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -149,24 +140,22 @@ def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
 
     grow(np.arange(data.shape[0], dtype=np.int64), 1)
     rows = np.asarray(rows, dtype=np.int64)
-    return rows_to_trace(rows, addr, issue_gap), rows
+    return rows_to_trace(rows, addr), rows
 
 
-def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0,
-                     issue_gap: int = DEFAULT_ISSUE_GAP):
+def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0):
     """Indirect A[B[i]] reads over uniform random rows; one line per read."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=count, dtype=np.int64)
-    return rows_to_trace(rows, addr, issue_gap, full_row=False), rows
+    return rows_to_trace(rows, addr, full_row=False), rows
 
 
-def gen_sequential_trace(n_lines: int, addr: AddressModel,
-                         issue_gap: int = DEFAULT_ISSUE_GAP) -> Trace:
+def gen_sequential_trace(n_lines: int, addr: AddressModel) -> Trace:
     """Streaming sanity kernel: one pass of consecutive lines."""
-    lines = addr.base + np.arange(n_lines, dtype=np.uint64) * addr.line_size
-    return Trace.from_addresses(lines, KIND_READ, issue_gap)
+    lines = addr.base + np.arange(n_lines, dtype=np.uint64) * LINE_SIZE
+    return Trace.from_addresses(lines, KIND_READ)
 
 
 def _physical(vaddr: np.ndarray, addr: AddressModel) -> np.ndarray:
@@ -175,16 +164,16 @@ def _physical(vaddr: np.ndarray, addr: AddressModel) -> np.ndarray:
     pages if addr.rows is 0), so all traces over a matrix share a mapping."""
     if addr.page_mapping == "identity" or len(vaddr) == 0:
         return vaddr
-    page = vaddr // addr.page_size
-    offset = vaddr % addr.page_size
+    page = vaddr // PAGE_SIZE
+    offset = vaddr % PAGE_SIZE
     if addr.rows:
         last = addr.base + (addr.rows - 1) * addr.row_stride_bytes + addr.row_bytes - 1
-        lo, hi = addr.base // addr.page_size, last // addr.page_size
+        lo, hi = addr.base // PAGE_SIZE, last // PAGE_SIZE
     else:
         lo, hi = int(page.min()), int(page.max())
     rng = np.random.default_rng(addr.seed)
     frames = rng.permutation(hi - lo + 1).astype(np.uint64) + lo
-    return frames[(page - lo).astype(np.int64)] * addr.page_size + offset
+    return frames[(page - lo).astype(np.int64)] * PAGE_SIZE + offset
 
 
 def translate(trace: Trace, addr: AddressModel) -> Trace:

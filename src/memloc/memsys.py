@@ -13,30 +13,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traceio import KIND_PREFETCH, Trace
-
-LINE_SIZE = 64
-PAGE_SIZE = 4096
+from .traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
 
 LEVEL_NAMES = ("L1", "L2", "L3")
+_PAGE_LINES_SHIFT = (PAGE_SIZE >> LINE_SHIFT).bit_length() - 1  # line -> page number
 
 
 @dataclass(frozen=True)
 class LevelConfig:
     capacity_bytes: int
     associativity: int
-    line_size: int = LINE_SIZE
 
     def __post_init__(self):
-        sets = self.capacity_bytes // (self.associativity * self.line_size)
-        if sets * self.associativity * self.line_size != self.capacity_bytes:
+        sets = self.num_sets
+        if sets * self.associativity * LINE_SIZE != self.capacity_bytes:
             raise ValueError("capacity must be divisible by ways * line size")
         if sets & (sets - 1):
             raise ValueError("set count must be a power of two")
 
     @property
     def num_sets(self) -> int:
-        return self.capacity_bytes // (self.associativity * self.line_size)
+        return self.capacity_bytes // (self.associativity * LINE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -97,13 +94,12 @@ class MemsysStats:
 class _Level:
     """One set-associative LRU level.  Way order encodes recency (MRU last)."""
 
-    __slots__ = ("ways", "set_mask", "sets", "line_shift")
+    __slots__ = ("ways", "set_mask", "sets")
 
     def __init__(self, cfg: LevelConfig):
         self.ways = cfg.associativity
         self.set_mask = cfg.num_sets - 1
         self.sets = [[] for _ in range(cfg.num_sets)]
-        self.line_shift = cfg.line_size.bit_length() - 1
 
     def lookup(self, line: int) -> bool:
         """Hit: refresh recency and return True.  No fill on miss."""
@@ -142,7 +138,7 @@ class _StridePrefetcher:
         self.table: dict = {}  # page -> (last_line, stride)
 
     def observe(self, line: int, l2_miss: bool):
-        page = line >> 6  # lines per 4KB page
+        page = line >> _PAGE_LINES_SHIFT
         out = []
         entry = self.table.get(page)
         if entry is not None:
@@ -225,28 +221,23 @@ class CacheHierarchy:
 
 
 def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
-                   pf: PrefetchConfig = PrefetchConfig(),
-                   keep_prefetch_misses: bool = False):
+                   pf: PrefetchConfig = PrefetchConfig()):
     """Simulate the hierarchy; return (dram_trace, stats).
 
     The output is the order-preserving subsequence of demand accesses
-    that miss every level.  With keep_prefetch_misses, software
-    prefetch records that miss their target level are carried along
-    (still marked prefetch and never counted as demand).
+    that miss every level.
     """
     trace.validate()
     hier = CacheHierarchy(cache, pf)
-    shift = 6
     vaddr = trace.vaddr
     kinds = trace.kind
     keep = np.zeros(len(trace), dtype=bool)
     demand = hier.access_demand
     prefetch = hier.access_prefetch
-    lines = (vaddr >> np.uint64(shift)).astype(np.int64)
+    lines = (vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
     for i in range(len(trace)):
         if kinds[i] == KIND_PREFETCH:
-            if prefetch(int(lines[i])) and keep_prefetch_misses:
-                keep[i] = True
+            prefetch(int(lines[i]))
         elif demand(int(lines[i])):
             keep[i] = True
     out = Trace(vaddr[keep].copy(), trace.cycle[keep].copy(), kinds[keep].copy())

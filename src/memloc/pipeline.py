@@ -88,8 +88,8 @@ def simulate_dram(dram_trace, cfg: dict):
     pick = lambda *keys: {k: d[k] for k in keys}  # noqa: E731
     geom = dramsim.DramGeometry(**pick("banks", "rows_per_bank", "row_size_bytes"))
     timing = dramsim.DramTiming(**pick("tCL", "tRCD", "tRP", "tBURST"))
-    kw = pick("scheme", "cap", "arrival", "arrival_gap", "queue_depth")
-    return (dramsim.simulate(dram_trace, geom, timing, **kw),
+    kw = pick("scheme", "arrival", "arrival_gap")
+    return (dramsim.simulate(dram_trace, geom, timing, **kw, **pick("cap", "queue_depth")),
             dramsim.simulate_ideal(dram_trace, geom, timing, **kw))
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .sfc import QuantizerConfig, hilbert_encode, morton_encode, quantize_rows
+from .traceio import PAGE_SIZE
 
 DEFAULT_SFC_BITS = 10
 DEFAULT_BLOCK_WINDOW = 4096
@@ -110,7 +111,7 @@ def reorder_queries_zorder(queries: np.ndarray, bits: int = DEFAULT_SFC_BITS) ->
 def block_by_page(
     seq,
     row_stride_bytes: int,
-    page_size_bytes: int = 4096,
+    page_size_bytes: int = PAGE_SIZE,
     window: int = DEFAULT_BLOCK_WINDOW,
 ) -> np.ndarray:
     """Group accesses by OS page inside consecutive windows.

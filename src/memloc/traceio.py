@@ -7,13 +7,14 @@ Layout:
   zero padding (3)
 
 kind: 0 = read, 1 = write, 2 = prefetch.  Cycles are non-decreasing.
+The modelled machine's fixed memory geometry is defined here, once.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +22,11 @@ MAGIC = b"MLTR"
 VERSION = 1
 HEADER_SIZE = 17
 RECORD_SIZE = 16
+
+LINE_SIZE = 64  # a trace is a sequence of line accesses
+LINE_SHIFT = 6  # log2(LINE_SIZE): vaddr >> LINE_SHIFT is the line number
+PAGE_SIZE = 4096
+ISSUE_GAP = 4  # cycles between consecutive generated records
 
 KIND_READ = 0
 KIND_WRITE = 1
@@ -66,7 +72,7 @@ class Trace:
         return cls(np.empty(0, np.uint64), np.empty(0, np.uint32), np.empty(0, np.uint8))
 
     @classmethod
-    def from_addresses(cls, vaddr, kind=KIND_READ, issue_gap: int = 4) -> "Trace":
+    def from_addresses(cls, vaddr, kind=KIND_READ, issue_gap: int = ISSUE_GAP) -> "Trace":
         """Build a trace with a fixed issue gap between records."""
         vaddr = np.asarray(vaddr, dtype=np.uint64)
         n = len(vaddr)
@@ -75,7 +81,7 @@ class Trace:
         return cls(vaddr, cycle, kinds)
 
     def validate(self):
-        if len(self) and np.any(np.diff(self.cycle.astype(np.int64)) < 0):
+        if np.any(self.cycle[1:] < self.cycle[:-1]):
             raise TraceFormatError("cycles must be non-decreasing")
         if np.any(self.kind > KIND_PREFETCH):
             raise TraceFormatError("unknown record kind")
@@ -92,23 +98,24 @@ def write_trace(path, trace: Trace):
     assert len(header) == HEADER_SIZE
     with open(path, "wb") as f:
         f.write(header)
-        f.write(rec.tobytes())
+        rec.tofile(f)
 
 
 def read_trace(path) -> Trace:
-    raw = Path(path).read_bytes()
-    if len(raw) < HEADER_SIZE or raw[:4] != MAGIC:
-        raise TraceFormatError(f"{path}: not a trace file")
-    version = raw[4]
-    if version != VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {version}")
-    (count,) = struct.unpack("<Q", raw[9:17])
-    expected = HEADER_SIZE + RECORD_SIZE * count
-    if len(raw) != expected:
-        raise TraceFormatError(
-            f"{path}: size {len(raw)} != {expected} for {count} records"
-        )
-    rec = np.frombuffer(raw, dtype=RECORD_DTYPE, count=count, offset=HEADER_SIZE)
-    trace = Trace(rec["vaddr"].copy(), rec["cycle"].copy(), rec["kind"].copy())
+    """The trace in `path`; its columns are views of one record array."""
+    with open(path, "rb") as f:
+        header = f.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE or header[:4] != MAGIC:
+            raise TraceFormatError(f"{path}: not a trace file")
+        version = header[4]
+        if version != VERSION:
+            raise TraceFormatError(f"{path}: unsupported version {version}")
+        (count,) = struct.unpack("<Q", header[9:17])
+        expected = HEADER_SIZE + RECORD_SIZE * count
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise TraceFormatError(f"{path}: size {size} != {expected} for {count} records")
+        rec = np.fromfile(f, dtype=RECORD_DTYPE, count=count)
+    trace = Trace(rec["vaddr"], rec["cycle"], rec["kind"])
     trace.validate()
     return trace

@@ -214,3 +214,52 @@ class TestReport:
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         assert run(["report", path]) != 0
+
+
+class TestPipelineJobs:
+    """--jobs never forks more workers than there are configs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        from memloc import cli
+
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: [])
+        return made
+
+    def configs(self, tmp_path, count):
+        paths = [tmp_path / f"c{i}.json" for i in range(count)]
+        for p in paths:
+            p.write_text("{}")
+        return paths
+
+    @pytest.mark.parametrize("jobs, count, workers", [(500, 2, [2]), (3, 5, [3]),
+                                                      (8, 1, []), (1, 4, [])])
+    def test_workers_capped_at_config_count(self, pools, tmp_path, jobs, count, workers):
+        argv = ["pipeline", "--config", *self.configs(tmp_path, count),
+                "--out", tmp_path / "o.csv", "--jobs", jobs]
+        assert run(argv) == 0
+        assert pools == workers
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, pools, tmp_path, capsys, jobs):
+        argv = ["pipeline", "--config", *self.configs(tmp_path, 2),
+                "--out", tmp_path / "o.csv", "--jobs", jobs]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("memloc: pipeline: --jobs")
+        assert pools == []

@@ -232,3 +232,26 @@ class TestGeometry:
                     for v in s.per_bank.values())
         assert total == s.total == 300
         assert s.hits + s.misses + s.conflicts == s.total
+
+
+class TestInputChecks:
+    """Bad scheduler inputs fail at once instead of looping or going negative."""
+
+    def test_queue_depth_below_one_rejected(self):
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="queue_depth"):
+                simulate(trace_of([1, 2, 3]), queue_depth=depth)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_ideal])
+    def test_negative_arrival_gap_rejected(self, sim):
+        with pytest.raises(ValueError, match="arrival_gap"):
+            sim(trace_of([1, 2, 3]), arrival="fixed-gap", arrival_gap=-50)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_ideal])
+    def test_shared_checks_apply_to_both(self, sim):
+        with pytest.raises(ValueError, match="empty"):
+            sim(Trace.empty())
+        with pytest.raises(ValueError, match="scheme"):
+            sim(trace_of([1]), scheme="nope")
+        with pytest.raises(ValueError, match="arrival"):
+            sim(trace_of([1]), arrival="nope")

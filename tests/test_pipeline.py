@@ -1,5 +1,6 @@
 """The shared experiment model: config checks, golden rows, CLI parity."""
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memloc import kernels, memsys, pipeline, reorder, traceio
+from memloc import dramsim, kernels, memsys, pipeline, reorder, traceio
 from memloc.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_pipeline.json").read_text())
@@ -164,3 +165,35 @@ class TestPageMapping:
     def test_unknown_mapping_rejected(self):
         with pytest.raises(ValueError, match="page_mapping"):
             self.kernel("interleave")
+
+
+def test_bad_dram_queue_settings_fail_fast_with_their_stage():
+    base = {"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 200}}
+    for dram, what in (({"queue_depth": 0}, "queue_depth"),
+                       ({"arrival": "fixed-gap", "arrival_gap": -50}, "arrival_gap")):
+        with pytest.raises(pipeline.PipelineError, match=f"^dramsim: {what}"):
+            pipeline.run_pipeline({**base, "dram": dram})
+
+
+def test_defaults_table_matches_the_library_defaults(monkeypatch):
+    """pipeline.DEFAULTS repeats the library's defaults; they must not drift."""
+    cfg = pipeline.resolve_config({})
+    assert pipeline.memory_config(cfg) == (memsys.CacheConfig(), memsys.PrefetchConfig())
+    hw = pipeline.resolve_config({"prefetch": {"hw": True}})
+    assert pipeline.memory_config(hw)[1] == memsys.PrefetchConfig(memsys.StridePrefetchConfig())
+
+    signatures, calls = {}, {}
+    for name in ("simulate", "simulate_ideal"):
+        signatures[name] = inspect.signature(getattr(dramsim, name)).parameters
+
+        def record(trace, geom, timing, _name=name, **kw):
+            calls[_name] = (geom, timing, kw)
+        monkeypatch.setattr(dramsim, name, record)
+    pipeline.simulate_dram(None, cfg)
+    assert set(calls) == set(signatures)
+    for name, (geom, timing, kw) in calls.items():
+        assert geom == dramsim.DramGeometry()
+        assert timing == dramsim.DramTiming()
+        params = signatures[name]
+        assert set(kw) == set(params) - {"trace", "geom", "timing", "collect_events"}
+        assert kw == {k: params[k].default for k in kw}

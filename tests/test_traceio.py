@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,3 +80,54 @@ def test_from_addresses_issue_gap():
     t = Trace.from_addresses([0, 64, 128], issue_gap=4)
     assert t.cycle.tolist() == [0, 4, 8]
     assert t.kind.tolist() == [0, 0, 0]
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_io_peak_memory_stays_near_the_file_size(tmp_path):
+    """Reading and writing hold about one copy of the records, not two."""
+    t = sample_trace(200_000, seed=4)
+    path = tmp_path / "big.trace"
+    write_peak = _peak_bytes(traceio.write_trace, path, t)
+    size = path.stat().st_size
+    read_peak = _peak_bytes(traceio.read_trace, path)
+    assert write_peak <= 1.25 * size
+    assert read_peak <= 1.25 * size
+
+
+def test_read_columns_view_one_record_array(tmp_path):
+    path = tmp_path / "v.trace"
+    traceio.write_trace(path, sample_trace(10, seed=5))
+    t = traceio.read_trace(path)
+    assert t.vaddr.base is not None and t.vaddr.base is t.cycle.base is t.kind.base
+
+
+def test_size_mismatch_with_header_count_rejected(tmp_path):
+    path = tmp_path / "x.trace"
+    traceio.write_trace(path, sample_trace(4, seed=6))
+    path.write_bytes(path.read_bytes() + b"\x00" * 16)
+    with pytest.raises(traceio.TraceFormatError, match="size"):
+        traceio.read_trace(path)
+
+
+def test_short_header_and_bad_version_rejected(tmp_path):
+    path = tmp_path / "h.trace"
+    path.write_bytes(b"MLTR\x01")
+    with pytest.raises(traceio.TraceFormatError, match="not a trace"):
+        traceio.read_trace(path)
+    path.write_bytes(b"MLTR\x02" + b"\x00" * 12)
+    with pytest.raises(traceio.TraceFormatError, match="version"):
+        traceio.read_trace(path)
+
+
+def test_unknown_kind_rejected():
+    t = Trace(np.zeros(2, np.uint64), np.zeros(2, np.uint32), np.array([0, 3], np.uint8))
+    with pytest.raises(traceio.TraceFormatError, match="kind"):
+        t.validate()

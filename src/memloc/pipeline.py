@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,17 @@ DEFAULTS = {
 
 class PipelineError(RuntimeError):
     """Raised with the failing stage's name in the message."""
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as PipelineError("name: ...")."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(f"{name}: {e}") from e
 
 
 def config_hash(config: dict) -> str:
@@ -107,15 +119,16 @@ class _KernelCtx:
         """(trace, row_sequence) over the kernel's inputs, or reordered copies."""
         data = self.data if data is None else data
         k = self.spec
-        if self.kind == "knn":
-            return kernels.gen_knn_trace(data, self.queries if queries is None else queries,
-                                         k["k"], self.addr)
-        if self.kind == "dbscan":
-            return kernels.gen_dbscan_trace(data, k["radius"], self.addr)
-        if self.kind == "dtree":
-            return kernels.gen_dtree_trace(data, self.labels if labels is None else labels,
-                                           k["max_depth"], self.addr)
-        return kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.seed)
+        with _stage("gen"):
+            if self.kind == "knn":
+                return kernels.gen_knn_trace(data, self.queries if queries is None else queries,
+                                             k["k"], self.addr)
+            if self.kind == "dbscan":
+                return kernels.gen_dbscan_trace(data, k["radius"], self.addr)
+            if self.kind == "dtree":
+                return kernels.gen_dtree_trace(data, self.labels if labels is None else labels,
+                                               k["max_depth"], self.addr)
+            return kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.seed)
 
 
 def build_kernel(config: dict) -> _KernelCtx:
@@ -161,20 +174,22 @@ def reorder_by(method: str, cfg: dict, *, kind: str | None = None, points=None,
         raise PipelineError(f"reorder: unknown method or variant {method!r}")
     if method == "zorder-comp" and kind == "dtree":
         raise PipelineError("reorder: zorder-comp is not applicable to tree kernels")
-    if method == "block" and rows is not None:
-        return None, reorder.block_by_page(rows, row_stride_bytes, window=cfg["block_window"])
-    if method == "first-touch" and rows is not None and n is not None:
-        return reorder.reorder_first_touch(rows, n), None
-    if method in ("block", "first-touch"):
-        raise PipelineError(f"reorder: {method} needs the access row sequence and dataset")
-    if points is None:
-        what = "a query set" if method == "zorder-comp" else "a feature matrix"
-        raise PipelineError(f"reorder: {method} needs {what} ({kind})")
-    if method == "rcb":
-        return reorder.reorder_rcb(points, cfg["rcb_leaf_size"]), None
-    if method == "zorder-comp":
-        return reorder.reorder_queries_zorder(points, cfg["sfc_bits"]), None
-    return reorder.reorder_sfc(points, method, cfg["sfc_bits"]), None
+    with _stage("reorder"):
+        if method == "block" and rows is not None:
+            return None, reorder.block_by_page(rows, row_stride_bytes,
+                                               window=cfg["block_window"])
+        if method == "first-touch" and rows is not None and n is not None:
+            return reorder.reorder_first_touch(rows, n), None
+        if method in ("block", "first-touch"):
+            raise PipelineError(f"reorder: {method} needs the access row sequence and dataset")
+        if points is None:
+            what = "a query set" if method == "zorder-comp" else "a feature matrix"
+            raise PipelineError(f"reorder: {method} needs {what}" + (f" ({kind})" if kind else ""))
+        if method == "rcb":
+            return reorder.reorder_rcb(points, cfg["rcb_leaf_size"]), None
+        if method == "zorder-comp":
+            return reorder.reorder_queries_zorder(points, cfg["sfc_bits"]), None
+        return reorder.reorder_sfc(points, method, cfg["sfc_bits"]), None
 
 
 def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
@@ -183,7 +198,8 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
     if variant == "baseline":
         return lambda: baseline[0]
     if variant == "sw-prefetch":
-        trace = memsys.inject_sw_prefetch(baseline[0], cfg["prefetch"]["sw_distance"])
+        with _stage("prefetch"):
+            trace = memsys.inject_sw_prefetch(baseline[0], cfg["prefetch"]["sw_distance"])
         return lambda: trace
     rows = baseline[1] if variant in ("first-touch", "block") else None
     perm, blocked = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=int(ctx.spec["n"]),
@@ -217,14 +233,10 @@ def run_variant(ctx: _KernelCtx, variant: str, config: dict,
     overhead = 0.0 if variant == "baseline" else time.perf_counter() - t0
     trace = replay()
 
-    try:
+    with _stage("filter"):
         dram_trace, mstats = memsys.filter_to_dram(trace, *memory_config(cfg))
-    except Exception as e:
-        raise PipelineError(f"filter: {e}") from e
-    try:
+    with _stage("dramsim"):
         actual, ideal = simulate_dram(dram_trace, cfg)
-    except Exception as e:
-        raise PipelineError(f"dramsim: {e}") from e
     return {
         "config_hash": config_hash(config),
         "variant": variant,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sfc import QuantizerConfig, hilbert_encode, morton_encode, quantize_rows
+from .sfc import QuantizerConfig, encode, quantize_rows
 from .traceio import PAGE_SIZE
 
 DEFAULT_SFC_BITS = 10
@@ -78,29 +78,15 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def sfc_codes(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> list:
-    """SFC code per row, quantizing with the dataset's own min/max bounds."""
+def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:
+    """Stable sort of rows by ascending space-filling-curve index,
+    quantizing with the dataset's own min/max bounds."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("dataset must be an (n, m) array")
-    m = data.shape[1]
-    cfg = QuantizerConfig(m, bits, tuple(data.min(axis=0)), tuple(data.max(axis=0)))
-    grid = quantize_rows(data, cfg)
-    if curve == "zorder":
-        encode = morton_encode
-    elif curve == "hilbert":
-        encode = hilbert_encode
-    else:
-        raise ValueError(f"unknown curve {curve!r}")
-    return [encode(row, cfg) for row in grid.tolist()]
-
-
-def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:
-    """Stable sort of rows by ascending space-filling-curve index."""
-    codes = sfc_codes(data, curve, bits)
-    return np.asarray(
-        sorted(range(len(codes)), key=codes.__getitem__), dtype=np.int64
-    )
+    cfg = QuantizerConfig(data.shape[1], bits, data.min(axis=0), data.max(axis=0))
+    # lexsort takes its last key as the primary one: the top code word.
+    return np.lexsort(encode(list(quantize_rows(data, cfg).T), bits, curve))
 
 
 def reorder_queries_zorder(queries: np.ndarray, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:

@@ -3,17 +3,21 @@
 Morton (Z-order) codes interleave coordinate bits with dimension 0 in
 the least significant bit of each d-bit group.  Hilbert codes use the
 Gray-code transpose construction, so consecutive indices always differ
-by exactly 1 in exactly one coordinate.  Codes are plain Python ints
-and may be up to 128 bits wide.
+by exactly 1 in exactly one coordinate.  Codes may be up to 128 bits
+wide.  One encoder and one decoder serve both curves, on Python ints
+(the scalar API) and on uint64 columns (every row of a grid at once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 MAX_CODE_BITS = 128
+MAX_GRID_BITS = 64  # grid coordinates are uint64 columns
+_WORD_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -71,104 +75,110 @@ def quantize_rows(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != cfg.dims:
         raise ValueError(f"expected an (n, {cfg.dims}) array")
+    if cfg.bits > MAX_GRID_BITS:
+        raise ValueError(f"bits = {cfg.bits} exceeds the {MAX_GRID_BITS}-bit grid columns")
     lo = np.array(cfg.lo)
     hi = np.array(cfg.hi)
     span = hi - lo
     top = cfg.grid_side - 1
+    # Above 53 bits float64 rounds `top` up to 2^bits: clip below that.
+    ceiling = min(float(top), np.nextafter(float(cfg.grid_side), 0))
     out = np.zeros(data.shape, dtype=np.uint64)
     live = span > 0
     if live.any():
         scaled = np.floor((data[:, live] - lo[live]) / span[live] * top + 0.5)
-        out[:, live] = np.clip(scaled, 0, top).astype(np.uint64)
+        out[:, live] = np.clip(scaled, 0, ceiling).astype(np.uint64)
     return out
 
 
-def _check_coords(coords, cfg: QuantizerConfig):
+def _exchange(x: list, i: int, k: int):
+    """Skilling's inner step without branches: if bit k of axis i is set,
+    invert the low k bits of axis 0, else swap them with axis i's."""
+    p = (1 << k) - 1
+    high = x[i] >> k & 1
+    t = (x[0] ^ x[i]) & p * (1 - high)
+    x[0] = x[0] ^ (p * high | t)
+    x[i] = x[i] ^ t
+
+
+def _axes_to_transpose(x: list, bits: int) -> list:
+    x = list(x)  # Gray-code transpose form (Skilling 2004) of a copy
+    for k in range(bits - 1, 0, -1):
+        for i in range(len(x)):
+            _exchange(x, i, k)
+    for i in range(1, len(x)):
+        x[i] = x[i] ^ x[i - 1]
+    t = 0
+    for k in range(bits - 1, 0, -1):
+        t = t ^ ((1 << k) - 1) * (x[-1] >> k & 1)
+    return [c ^ t for c in x]
+
+
+def _transpose_to_axes(x: list, bits: int) -> list:
+    t = x[-1] >> 1
+    for i in range(len(x) - 1, 0, -1):
+        x[i] = x[i] ^ x[i - 1]
+    x[0] = x[0] ^ t
+    for k in range(1, bits):
+        for i in range(len(x) - 1, -1, -1):
+            _exchange(x, i, k)
+    return x
+
+
+@lru_cache(maxsize=None)
+def _layout(dims: int, bits: int, curve: str) -> tuple:
+    """(axis j, bit k, word, shift) of every code bit: bit k of axis j is
+    code bit k*d + j (Morton) or k*d + (d-1-j) (Hilbert, of the transpose)."""
+    if curve not in ("hilbert", "zorder"):
+        raise ValueError(f"unknown curve {curve!r}")
+    lanes = range(dims) if curve == "zorder" else range(dims - 1, -1, -1)
+    return tuple((j, k, *divmod(k * dims + lane, 64))
+                 for j, lane in enumerate(lanes) for k in range(bits))
+
+
+def encode(axes: list, bits: int, curve: str) -> list:
+    """64-bit code words, least significant first, of d grid coordinates:
+    Python ints (exact at any width), or uint64 columns for many rows."""
+    x = _axes_to_transpose(axes, bits) if curve == "hilbert" else axes
+    words = [0 * x[0] for _ in range(-(-len(x) * bits // 64))]  # int or uint64 zeros
+    for j, k, w, s in _layout(len(x), bits, curve):
+        words[w] |= (x[j] >> k & 1) << s
+    return words
+
+
+def decode(words: list, dims: int, bits: int, curve: str) -> list:
+    """Inverse of :func:`encode`: the d coordinates of the code words."""
+    x = [0 * words[0] for _ in range(dims)]
+    for j, k, w, s in _layout(dims, bits, curve):
+        x[j] |= (words[w] >> s & 1) << k
+    return _transpose_to_axes(x, bits) if curve == "hilbert" else x
+
+
+def _code(coords, cfg: QuantizerConfig, curve: str) -> int:
     if len(coords) != cfg.dims:
         raise ValueError(f"expected {cfg.dims} coordinates, got {len(coords)}")
-    side = cfg.grid_side
     for c in coords:
-        if not 0 <= c < side:
-            raise ValueError(f"coordinate {c} outside [0, {side})")
+        if not 0 <= c < cfg.grid_side:
+            raise ValueError(f"coordinate {c} outside [0, {cfg.grid_side})")
+    words = encode([int(c) for c in coords], cfg.bits, curve)
+    return sum(w << 64 * i for i, w in enumerate(words))
 
 
-def _check_code(code: int, cfg: QuantizerConfig):
+def _coords(code: int, cfg: QuantizerConfig, curve: str) -> tuple:
     if not 0 <= code < (1 << cfg.code_bits):
         raise ValueError(f"code {code} outside [0, 2^{cfg.code_bits})")
+    words = [code >> 64 * i & _WORD_MASK for i in range(-(-cfg.code_bits // 64))]
+    return tuple(decode(words, cfg.dims, cfg.bits, curve))
 
 
 def morton_encode(coords, cfg: QuantizerConfig) -> int:
     """Bit-interleave grid coordinates; dim 0 is the LSB of each group."""
-    _check_coords(coords, cfg)
-    d, b = cfg.dims, cfg.bits
-    code = 0
-    for j, c in enumerate(coords):
-        c = int(c)
-        for k in range(b):
-            if (c >> k) & 1:
-                code |= 1 << (k * d + j)
-    return code
+    return _code(coords, cfg, "zorder")
 
 
 def morton_decode(code: int, cfg: QuantizerConfig):
     """Inverse of :func:`morton_encode`."""
-    _check_code(code, cfg)
-    d, b = cfg.dims, cfg.bits
-    coords = [0] * d
-    for k in range(b):
-        for j in range(d):
-            if (code >> (k * d + j)) & 1:
-                coords[j] |= 1 << k
-    return tuple(coords)
-
-
-def _axes_to_transpose(x: list, bits: int) -> list:
-    # Gray-code transpose form (Skilling-style), in place.
-    n = len(x)
-    m = 1 << (bits - 1)
-    q = m
-    while q > 1:
-        p = q - 1
-        for i in range(n):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q >>= 1
-    for i in range(1, n):
-        x[i] ^= x[i - 1]
-    t = 0
-    q = m
-    while q > 1:
-        if x[n - 1] & q:
-            t ^= q - 1
-        q >>= 1
-    for i in range(n):
-        x[i] ^= t
-    return x
-
-
-def _transpose_to_axes(x: list, bits: int) -> list:
-    n = len(x)
-    top = 2 << (bits - 1)
-    t = x[n - 1] >> 1
-    for i in range(n - 1, 0, -1):
-        x[i] ^= x[i - 1]
-    x[0] ^= t
-    q = 2
-    while q != top:
-        p = q - 1
-        for i in range(n - 1, -1, -1):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q <<= 1
-    return x
+    return _coords(code, cfg, "zorder")
 
 
 def hilbert_encode(coords, cfg: QuantizerConfig) -> int:
@@ -176,26 +186,9 @@ def hilbert_encode(coords, cfg: QuantizerConfig) -> int:
 
     For d=2, b=1 the cell order is (0,0), (0,1), (1,1), (1,0).
     """
-    _check_coords(coords, cfg)
-    d, b = cfg.dims, cfg.bits
-    x = _axes_to_transpose([int(c) for c in coords], b)
-    # Interleave transpose bits, axis 0 most significant within each group.
-    code = 0
-    for k in range(b - 1, -1, -1):
-        for i in range(d):
-            code = (code << 1) | ((x[i] >> k) & 1)
-    return code
+    return _code(coords, cfg, "hilbert")
 
 
 def hilbert_decode(code: int, cfg: QuantizerConfig):
     """Inverse of :func:`hilbert_encode`."""
-    _check_code(code, cfg)
-    d, b = cfg.dims, cfg.bits
-    x = [0] * d
-    pos = d * b
-    for k in range(b - 1, -1, -1):
-        for i in range(d):
-            pos -= 1
-            if (code >> pos) & 1:
-                x[i] |= 1 << k
-    return tuple(_transpose_to_axes(x, b))
+    return _coords(code, cfg, "hilbert")

@@ -6,12 +6,15 @@ must agree exactly.
 """
 
 import csv
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloc import memsys, reorder
+from memloc import memsys, reorder, sfc
+from memloc.sfc import QuantizerConfig, quantize_rows
 from memloc.traceio import KIND_PREFETCH, Trace
 
 
@@ -84,6 +87,135 @@ def load_permutation_oracle(path):
     return reorder.check_permutation(perm, len(body))
 
 
+# The scalar SFC codecs as one bit loop per function and curve.
+
+def _check_coords(coords, cfg: QuantizerConfig):
+    if len(coords) != cfg.dims:
+        raise ValueError(f"expected {cfg.dims} coordinates, got {len(coords)}")
+    side = cfg.grid_side
+    for c in coords:
+        if not 0 <= c < side:
+            raise ValueError(f"coordinate {c} outside [0, {side})")
+
+
+def _check_code(code: int, cfg: QuantizerConfig):
+    if not 0 <= code < (1 << cfg.code_bits):
+        raise ValueError(f"code {code} outside [0, 2^{cfg.code_bits})")
+
+
+def morton_encode_oracle(coords, cfg: QuantizerConfig) -> int:
+    """Bit-interleave grid coordinates; dim 0 is the LSB of each group."""
+    _check_coords(coords, cfg)
+    d, b = cfg.dims, cfg.bits
+    code = 0
+    for j, c in enumerate(coords):
+        c = int(c)
+        for k in range(b):
+            if (c >> k) & 1:
+                code |= 1 << (k * d + j)
+    return code
+
+
+def morton_decode_oracle(code: int, cfg: QuantizerConfig):
+    """Inverse of :func:`morton_encode_oracle`."""
+    _check_code(code, cfg)
+    d, b = cfg.dims, cfg.bits
+    coords = [0] * d
+    for k in range(b):
+        for j in range(d):
+            if (code >> (k * d + j)) & 1:
+                coords[j] |= 1 << k
+    return tuple(coords)
+
+
+def _axes_to_transpose(x: list, bits: int) -> list:
+    # Gray-code transpose form (Skilling-style), in place.
+    n = len(x)
+    m = 1 << (bits - 1)
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(n):
+            if x[i] & q:
+                x[0] ^= p
+            else:
+                t = (x[0] ^ x[i]) & p
+                x[0] ^= t
+                x[i] ^= t
+        q >>= 1
+    for i in range(1, n):
+        x[i] ^= x[i - 1]
+    t = 0
+    q = m
+    while q > 1:
+        if x[n - 1] & q:
+            t ^= q - 1
+        q >>= 1
+    for i in range(n):
+        x[i] ^= t
+    return x
+
+
+def _transpose_to_axes(x: list, bits: int) -> list:
+    n = len(x)
+    top = 2 << (bits - 1)
+    t = x[n - 1] >> 1
+    for i in range(n - 1, 0, -1):
+        x[i] ^= x[i - 1]
+    x[0] ^= t
+    q = 2
+    while q != top:
+        p = q - 1
+        for i in range(n - 1, -1, -1):
+            if x[i] & q:
+                x[0] ^= p
+            else:
+                t = (x[0] ^ x[i]) & p
+                x[0] ^= t
+                x[i] ^= t
+        q <<= 1
+    return x
+
+
+def hilbert_encode_oracle(coords, cfg: QuantizerConfig) -> int:
+    """Hilbert index of a grid point (canonical orientation).
+
+    For d=2, b=1 the cell order is (0,0), (0,1), (1,1), (1,0).
+    """
+    _check_coords(coords, cfg)
+    d, b = cfg.dims, cfg.bits
+    x = _axes_to_transpose([int(c) for c in coords], b)
+    # Interleave transpose bits, axis 0 most significant within each group.
+    code = 0
+    for k in range(b - 1, -1, -1):
+        for i in range(d):
+            code = (code << 1) | ((x[i] >> k) & 1)
+    return code
+
+
+def hilbert_decode_oracle(code: int, cfg: QuantizerConfig):
+    """Inverse of :func:`hilbert_encode_oracle`."""
+    _check_code(code, cfg)
+    d, b = cfg.dims, cfg.bits
+    x = [0] * d
+    pos = d * b
+    for k in range(b - 1, -1, -1):
+        for i in range(d):
+            pos -= 1
+            if (code >> pos) & 1:
+                x[i] |= 1 << k
+    return tuple(_transpose_to_axes(x, b))
+
+
+def reorder_sfc_oracle(data, curve, bits):
+    """Stable sort of rows by a Python-int code per row, with a key function."""
+    data = np.asarray(data, dtype=np.float64)
+    cfg = QuantizerConfig(data.shape[1], bits, tuple(data.min(axis=0)), tuple(data.max(axis=0)))
+    encode = morton_encode_oracle if curve == "zorder" else hilbert_encode_oracle
+    codes = [encode(row, cfg) for row in quantize_rows(data, cfg).tolist()]
+    return np.asarray(sorted(range(len(codes)), key=codes.__getitem__), dtype=np.int64)
+
+
 @st.composite
 def row_sequences(draw):
     n = draw(st.integers(1, 300))
@@ -144,3 +276,63 @@ def test_load_permutation_without_header(tmp_path):
     path.write_text("0,2\r\n1,0\r\n2,1\r\n")
     assert reorder.load_permutation(path).tolist() == [2, 0, 1]
     assert load_permutation_oracle(path).tolist() == [2, 0, 1]
+
+
+@st.composite
+def grids(draw):
+    """(dims, bits) with bits <= 64 per axis and a code of at most 128 bits."""
+    d = draw(st.integers(1, 128))
+    return d, draw(st.integers(1, min(64, 128 // d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_sfc_codecs_match_bit_loops(grid, data):
+    d, b = grid
+    cfg = QuantizerConfig(d, b)
+    p = tuple(data.draw(st.lists(st.integers(0, (1 << b) - 1), min_size=d, max_size=d)))
+    code = data.draw(st.integers(0, (1 << d * b) - 1))
+    assert sfc.morton_encode(p, cfg) == morton_encode_oracle(p, cfg)
+    assert sfc.hilbert_encode(p, cfg) == hilbert_encode_oracle(p, cfg)
+    assert sfc.morton_decode(code, cfg) == morton_decode_oracle(code, cfg)
+    assert sfc.hilbert_decode(code, cfg) == hilbert_decode_oracle(code, cfg)
+
+
+@pytest.mark.parametrize("d, b", [(1, 128), (2, 64), (1, 64), (128, 1), (3, 42)])
+def test_sfc_codecs_match_bit_loops_at_full_width(d, b):
+    cfg = QuantizerConfig(d, b)
+    rng = random.Random(d * 1000 + b)
+    for _ in range(50):
+        p = tuple(rng.randrange(1 << b) for _ in range(d))
+        code = rng.randrange(1 << d * b)
+        assert sfc.morton_encode(p, cfg) == morton_encode_oracle(p, cfg)
+        assert sfc.hilbert_encode(p, cfg) == hilbert_encode_oracle(p, cfg)
+        assert sfc.morton_decode(code, cfg) == morton_decode_oracle(code, cfg)
+        assert sfc.hilbert_decode(code, cfg) == hilbert_decode_oracle(code, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(), st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from(["hilbert", "zorder"]))
+def test_column_codec_matches_bit_loops(grid, n, seed, curve):
+    d, b = grid
+    cfg = QuantizerConfig(d, b)
+    cols = np.random.default_rng(seed).integers(0, 1 << b, (d, n), dtype=np.uint64)
+    words = sfc.encode(list(cols), b, curve)
+    oracle = morton_encode_oracle if curve == "zorder" else hilbert_encode_oracle
+    for r in range(n):
+        code = sum(int(w[r]) << 64 * i for i, w in enumerate(words))
+        assert code == oracle(tuple(int(c) for c in cols[:, r]), cfg)
+    assert np.array_equal(np.array(sfc.decode(words, d, b, curve)), cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 64), st.integers(1, 120),
+       st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 1, 2]), st.sampled_from(["hilbert", "zorder"]))
+def test_reorder_sfc_matches_key_sort(d, bits, n, seed, decimals, curve):
+    bits = min(bits, 128 // d)
+    data = np.random.default_rng(seed).normal(0, 3, (n, d))
+    if decimals is not None:
+        data = data.round(decimals)  # coarse values: ties and degenerate axes
+    perm = reorder.reorder_sfc(data, curve, bits)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, reorder_sfc_oracle(data, curve, bits))

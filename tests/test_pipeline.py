@@ -118,6 +118,32 @@ def test_missing_or_unknown_kernel_kind_rejected():
             pipeline.build_kernel({"kernel": kernel})
 
 
+STAGE_ERRORS = {
+    "wide-hilbert": ("reorder", {"kernel": {**BASE["kernel"], "m": 20}, "variants": ["hilbert"]}),
+    "rcb-leaf-size": ("reorder", {"rcb_leaf_size": 0, "variants": ["rcb"]}),
+    "block-window": ("reorder", {"block_window": 0, "variants": ["block"]}),
+    "sfc-bits": ("reorder", {"sfc_bits": 0, "variants": ["zorder"]}),
+    "wide-grid": ("reorder", {"sfc_bits": 65, "variants": ["zorder-comp"]}),
+    "sw-distance": ("prefetch", {"prefetch": {"sw_distance": 0}, "variants": ["sw-prefetch"]}),
+    "k-above-n": ("gen", {"kernel": {**BASE["kernel"], "k": 201}}),
+    "gather-hilbert": ("reorder", {"kernel": {"kind": "gather", "n": 300, "count": 50},
+                                   "variants": ["hilbert"]}),
+}
+
+
+@pytest.mark.parametrize("stage, bad", STAGE_ERRORS.values(), ids=STAGE_ERRORS)
+def test_generation_and_transformation_errors_carry_their_stage(stage, bad):
+    with pytest.raises(pipeline.PipelineError, match=f"^{stage}: (?!{stage}:)"):
+        pipeline.run_pipeline({**BASE, **bad})
+
+
+def test_missing_points_message_names_the_kernel_only_when_known():
+    cfg = pipeline.resolve_config({})
+    for kind, tail in ((None, "matrix$"), ("gather", r"matrix \(gather\)$")):
+        with pytest.raises(pipeline.PipelineError, match=f"^reorder: hilbert needs a feature {tail}"):
+            pipeline.reorder_by("hilbert", cfg, kind=kind)
+
+
 def test_config_hash_covers_the_raw_config():
     assert pipeline.config_hash(BASE) != pipeline.config_hash(pipeline.resolve_config(BASE))
 

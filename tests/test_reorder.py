@@ -93,6 +93,20 @@ class TestSfcReorder:
         for curve in ("hilbert", "zorder"):
             assert reorder.reorder_sfc(data, curve, bits=12).tolist() == order
 
+    @pytest.mark.parametrize("bits", [54, 60, 64])
+    def test_1d_is_value_sort_on_wide_grids(self, bits):
+        rng = np.random.default_rng(5)
+        data = rng.random((40, 1))
+        order = np.argsort(data[:, 0], kind="stable").tolist()
+        for curve in ("hilbert", "zorder"):
+            assert reorder.reorder_sfc(data, curve, bits=bits).tolist() == order
+
+    def test_grid_wider_than_64_bits_rejected(self):
+        data = np.random.default_rng(5).random((40, 1))
+        for bits in (65, 100):
+            with pytest.raises(ValueError, match="64-bit grid"):
+                reorder.reorder_sfc(data, "hilbert", bits=bits)
+
     def test_hilbert_unit_square_order(self):
         data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         perm = reorder.reorder_sfc(data, "hilbert", bits=1)

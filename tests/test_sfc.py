@@ -87,6 +87,22 @@ class TestQuantize:
         lo, hi = sorted([a, b])
         assert quantize([lo], cfg) <= quantize([hi], cfg)
 
+    @given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=50), st.integers(1, 64))
+    @settings(max_examples=200)
+    def test_wide_grids_stay_in_range_and_monotone(self, values, bits):
+        cfg = QuantizerConfig(1, bits, (0.0,), (1.0,))
+        pts = np.sort(np.array(values))[:, None]
+        grid = quantize_rows(pts, cfg)[:, 0]
+        assert np.all(grid[1:] >= grid[:-1])
+        assert [int(g) < 1 << bits for g in grid] == [True] * len(grid)
+        if bits <= 53:  # exact float64 grid: plain round-half-up and clamp
+            top = (1 << bits) - 1
+            assert np.array_equal(grid, np.clip(np.floor(pts[:, 0] * top + 0.5), 0, top))
+
+    def test_grid_wider_than_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="64-bit grid"):
+            quantize_rows(np.zeros((1, 1)), QuantizerConfig(1, 65))
+
 
 class TestMorton:
     def test_zero(self):

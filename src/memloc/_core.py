@@ -1,0 +1,94 @@
+"""Build and load the compiled simulator core, ``_core.c``, on first use.
+
+The library is compiled with the system C compiler into
+``__pycache__/`` beside the source (or a per-user temporary directory
+when that is not writable), under a name keyed by the SHA-256 of the
+source, the compiler command and the platform, so an edited source is
+rebuilt and an unchanged one is only loaded.  When it cannot be built
+or loaded, :func:`load` warns once and returns None, and the simulators
+run their Python reference loops instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_core.c")
+_COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+
+
+def _array(dtype):
+    return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+
+
+_I64, _U8 = ctypes.c_int64, _array(np.uint8)
+_SIGNATURES = {
+    "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
+                      *[_I64] * 5, _array(np.int64)],
+    "memloc_simulate": [_I64, *[_array(np.int64)] * 3, *[_I64] * 6, _array(np.int64), _U8,
+                        _array(np.uint64)],
+}
+
+
+def _cache_dirs():
+    yield _SOURCE.parent / "__pycache__"
+    private = Path(tempfile.gettempdir()) / f"memloc-{os.getuid()}"
+    private.mkdir(mode=0o700, exist_ok=True)
+    if private.stat().st_uid == os.getuid():  # never load another user's build
+        yield private
+
+
+def _build() -> Path:
+    """Path of the compiled library, compiling it if no cache holds it."""
+    source = _SOURCE.read_bytes()
+    tag = "\0".join([*_COMPILE, sysconfig.get_platform()]).encode()
+    name = f"_core-{hashlib.sha256(source + tag).hexdigest()[:16]}.so"
+    for directory in _cache_dirs():
+        lib = directory / name
+        if lib.exists():
+            return lib
+        try:
+            directory.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+        except OSError:
+            continue
+        os.close(fd)
+        import subprocess  # only a build needs it, so a cached load stays cheap
+        try:
+            done = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
+                                  capture_output=True, text=True)
+            if done.returncode:
+                raise OSError(f"compiler failed: {done.stderr.strip()[:200]}")
+            os.chmod(tmp, 0o755)
+            os.replace(tmp, lib)  # atomic: concurrent workers never see a partial file
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return lib
+    raise OSError("no writable directory for the compiled core")
+
+
+@functools.cache
+def load():
+    """The compiled core as a ctypes library, or None (with one RuntimeWarning)."""
+    try:
+        lib = ctypes.CDLL(str(_build()))
+    except OSError as e:
+        reason = str(e)
+    else:
+        for fn, argtypes in _SIGNATURES.items():
+            getattr(lib, fn).argtypes = argtypes
+            getattr(lib, fn).restype = ctypes.c_int
+        return lib
+    warnings.warn(f"memloc: compiled simulator core unavailable ({reason}); "
+                  "running the Python reference loops", RuntimeWarning, stacklevel=3)
+    return None

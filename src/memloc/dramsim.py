@@ -6,7 +6,9 @@ The scheduler is FR-FCFS-Cap: oldest row-hit-ready request first,
 falling back to strict oldest-first once the globally oldest request
 has exhausted its bypass budget (cap=1 degenerates to FCFS).  Service
 latencies: hit tCL+tBURST, closed bank tRCD+tCL+tBURST, conflict
-tRP+tRCD+tCL+tBURST.
+tRP+tRCD+tCL+tBURST.  simulate runs a compiled copy (_core.c) of the
+scheduler loop in _simulate_reference, which runs when that cannot be
+built, and in tests as the reference.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _core
 from .traceio import LINE_SHIFT, LINE_SIZE, Trace
 
 SCHEMES = ("RoBaRaCoCh", "ChRaBaRoCo")
+_EVENT_CHARS = bytes.maketrans(bytes([0, 1, 2]), b"hmc")
 
 _FIELD_ORDER = {
     # scheme -> field names from LSB upward (name read right-to-left)
@@ -154,15 +158,47 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         raise ValueError("cap must be >= 1")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
-    bank_arr, row_arr, arrive_arr = _prepare(trace, geom, scheme, arrival, arrival_gap)
-    n = len(trace)
+    args = (*_prepare(trace, geom, scheme, arrival, arrival_gap),
+            geom.channels * geom.ranks * geom.banks, timing, cap, queue_depth, collect_events)
+    core = _core.load()
+    return _simulate_reference(*args) if core is None else _simulate_core(core, *args)
+
+
+def _simulate_core(core, bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
+                   cap: int, queue_depth: int, collect_events: bool) -> DramStats:
+    """The compiled core's copy of _simulate_reference."""
+    n = len(bank_arr)
+    counts = np.zeros((nbanks, 3), dtype=np.int64)
+    events = np.zeros(n, dtype=np.uint8)
+    latency = np.zeros(2, dtype=np.uint64)
+    # Bypass counts and the window never exceed n, so larger caps and
+    # depths act as n + 1 and n do.
+    if core.memloc_simulate(n, bank_arr, row_arr, arrive_arr, nbanks, timing.hit,
+                            timing.closed, timing.conflict, min(cap, n + 1) - 1,
+                            min(queue_depth, n), counts, events, latency):
+        raise MemoryError("dramsim: out of memory")
+    lo, hi = latency.tolist()
+    hits, misses, conflicts = counts.sum(axis=0).tolist()
+    return DramStats(
+        hits=hits, misses=misses, conflicts=conflicts, total=n,
+        avg_latency=(hi << 64 | lo) / n,
+        per_bank={int(b): dict(zip(("hits", "misses", "conflicts"), counts[b].tolist()))
+                  for b in np.flatnonzero(counts.any(axis=1))},
+        events=list(events.tobytes().translate(_EVENT_CHARS).decode()) if collect_events
+        else None)
+
+
+def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
+                        cap: int, queue_depth: int, collect_events: bool) -> DramStats:
+    """The FR-FCFS-Cap loop in Python over _prepare's arrays: the fallback
+    without a compiled core, and the reference for tests."""
+    n = len(bank_arr)
     t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
     stats = DramStats(total=n, events=[] if collect_events else None)
 
     bank_id = bank_arr.tolist()
     row = row_arr.tolist()
     arrive = arrive_arr.tolist()
-    nbanks = geom.channels * geom.ranks * geom.banks
     open_row = [-1] * nbanks
     bank_stats: dict = {}
     lat_sum = 0

@@ -5,6 +5,9 @@ hierarchy is non-inclusive with fill-on-miss along the lookup path.
 A per-page stride prefetcher (with next-line behavior on misses)
 models the default hardware prefetching into L2; software prefetch
 records fill only their target level and are never counted as demand.
+filter_to_dram runs a compiled copy of CacheHierarchy's loop (_core.c);
+CacheHierarchy itself runs when that cannot be built, and in tests as
+the reference.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _core
 from .traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
 
 LEVEL_NAMES = ("L1", "L2", "L3")
@@ -55,6 +59,10 @@ class StridePrefetchConfig:
     def __post_init__(self):
         if self.degree < 1 or self.distance < 1:
             raise ValueError("degree and distance must be >= 1")
+        # A prefetch line, line + stride * (distance + degree - 1) with a
+        # stride under one page, then stays inside int64.
+        if self.degree + self.distance > 1 << 56:
+            raise ValueError("degree + distance must be <= 2**56")
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,38 @@ class CacheHierarchy:
         return True
 
 
+def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
+                      pf: PrefetchConfig):
+    """(keep mask, stats) of the Python loop over CacheHierarchy: the
+    fallback without a compiled core, and the reference for tests."""
+    hier = CacheHierarchy(cache, pf)
+    keep = np.zeros(len(lines), dtype=bool)
+    demand = hier.access_demand
+    prefetch = hier.access_prefetch
+    for i, (line, kind) in enumerate(zip(lines.tolist(), kinds.tolist())):
+        if kind == KIND_PREFETCH:
+            prefetch(line)
+        elif demand(line):
+            keep[i] = True
+    return keep, hier.stats
+
+
+def _filter_core(core, lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
+                 pf: PrefetchConfig):
+    """(keep mask, stats) of the compiled core's copy of the same loop."""
+    keep = np.zeros(len(lines), dtype=np.uint8)
+    counts = np.zeros(10, dtype=np.int64)
+    degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
+    if core.memloc_filter(len(lines), lines, np.ascontiguousarray(kinds), keep,
+                          np.array([c.num_sets for c in cache.levels], dtype=np.int64),
+                          np.array([c.associativity for c in cache.levels], dtype=np.int64),
+                          LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
+                          degree, distance, _PAGE_LINES_SHIFT, counts):
+        raise MemoryError("cache filter: out of memory")
+    c = counts.tolist()
+    return keep.view(bool), MemsysStats(c[0:3], c[3:6], *c[6:])
+
+
 def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
                    pf: PrefetchConfig = PrefetchConfig()):
     """Simulate the hierarchy; return (dram_trace, stats).
@@ -228,20 +268,13 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     that miss every level.
     """
     trace.validate()
-    hier = CacheHierarchy(cache, pf)
-    vaddr = trace.vaddr
-    kinds = trace.kind
-    keep = np.zeros(len(trace), dtype=bool)
-    demand = hier.access_demand
-    prefetch = hier.access_prefetch
-    lines = (vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
-    for i in range(len(trace)):
-        if kinds[i] == KIND_PREFETCH:
-            prefetch(int(lines[i]))
-        elif demand(int(lines[i])):
-            keep[i] = True
-    out = Trace(vaddr[keep].copy(), trace.cycle[keep].copy(), kinds[keep].copy())
-    return out, hier.stats
+    lines = (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
+    core = _core.load()
+    if core is None:
+        keep, stats = _filter_reference(lines, trace.kind, cache, pf)
+    else:
+        keep, stats = _filter_core(core, lines, trace.kind, cache, pf)
+    return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats
 
 
 def inject_sw_prefetch(trace: Trace, distance: int,

@@ -59,6 +59,8 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
         raise ValueError("dataset must be a non-empty (n, m) array")
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
+    if not np.isfinite(data).all():
+        raise ValueError("data holds NaN or infinite values")
 
     out = []
 

@@ -75,6 +75,8 @@ def quantize_rows(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != cfg.dims:
         raise ValueError(f"expected an (n, {cfg.dims}) array")
+    if not np.isfinite(data).all():
+        raise ValueError("data holds NaN or infinite values")
     if cfg.bits > MAX_GRID_BITS:
         raise ValueError(f"bits = {cfg.bits} exceeds the {MAX_GRID_BITS}-bit grid columns")
     lo = np.array(cfg.lo)

@@ -156,6 +156,12 @@ class TestHwPrefetch:
         assert st.hw_prefetches_useful + st.hw_prefetches_useless == st.hw_prefetches_issued
         assert 0.0 <= st.useless_fraction <= 1.0
 
+    def test_reach_is_bounded_so_prefetch_lines_fit_int64(self):
+        StridePrefetchConfig(degree=1, distance=(1 << 56) - 1)
+        for degree, distance in ((1, 1 << 56), (1 << 56, 1), (3, 1 << 70)):
+            with pytest.raises(ValueError, match="2\\*\\*56"):
+                StridePrefetchConfig(degree=degree, distance=distance)
+
 
 class TestSwPrefetch:
     def test_distance_beyond_stream_unchanged(self):

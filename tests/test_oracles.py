@@ -2,20 +2,24 @@
 
 Each oracle below is the straightforward per-element loop that the
 production function used to be.  Hypothesis draws inputs, and the two
-must agree exactly.
+must agree exactly.  The compiled simulator core is checked the same way
+against the Python loops that stay in memsys and dramsim.
 """
 
 import csv
 import random
+import shutil
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloc import memsys, reorder, sfc
+from memloc import _core, dramsim, memsys, reorder, sfc
 from memloc.sfc import QuantizerConfig, quantize_rows
-from memloc.traceio import KIND_PREFETCH, Trace
+from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
 
 
 def first_touch_oracle(inspected, n):
@@ -336,3 +340,181 @@ def test_reorder_sfc_matches_key_sort(d, bits, n, seed, decimals, curve):
     perm = reorder.reorder_sfc(data, curve, bits)
     assert perm.dtype == np.int64
     assert np.array_equal(perm, reorder_sfc_oracle(data, curve, bits))
+
+
+# The compiled core against the Python loops.
+
+needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture(scope="module")
+def core():
+    lib = _core.load()
+    assert lib is not None, "the compiled core did not build"
+    return lib
+
+
+def filter_reference(trace, cache, pf):
+    """filter_to_dram over the Python CacheHierarchy loop."""
+    keep, stats = memsys._filter_reference(
+        (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64), trace.kind, cache, pf)
+    return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats
+
+
+def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
+    nbanks = geom.channels * geom.ranks * geom.banks
+    return dramsim._simulate_reference(
+        *dramsim._prepare(trace, geom, scheme, arrival, arrival_gap), nbanks, timing, cap,
+        queue_depth, True)
+
+
+def assert_same_filter(got, want):
+    (dram, stats), (dram_ref, stats_ref) = got, want
+    assert dram == dram_ref
+    assert vars(stats) == vars(stats_ref)
+    for value in (*stats.demand_accesses, *stats.demand_misses, stats.hw_prefetches_issued,
+                  stats.hw_prefetches_useful, stats.sw_prefetches_seen,
+                  stats.dram_demand_accesses):
+        assert type(value) is int
+
+
+def assert_same_dram(got, want):
+    assert vars(got) == vars(want)
+    assert list(got.per_bank.items()) == list(want.per_bank.items())  # sorted by bank
+    for value in (got.hits, got.misses, got.conflicts, got.total):
+        assert type(value) is int
+    assert type(got.avg_latency) is float
+
+
+@st.composite
+def cache_setups(draw):
+    """Tiny caches (1-4 sets, 2-4 ways), HW prefetch on or off, any SW target."""
+    levels = [memsys.LevelConfig(draw(st.sampled_from([1, 2, 4])) * ways * 64, ways)
+              for ways in draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))]
+    hw = draw(st.one_of(st.none(), st.builds(memsys.StridePrefetchConfig,
+                                              st.integers(1, 4), st.integers(1, 4))))
+    return memsys.CacheConfig(*levels), memsys.PrefetchConfig(hw, draw(st.sampled_from(
+        memsys.LEVEL_NAMES)))
+
+
+@st.composite
+def line_traces(draw):
+    """Strided runs over a few pages, ascending and descending (down to
+    line 0, so stride prefetches go negative), then revisits of earlier
+    lines, mixed with SW prefetches."""
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        start = draw(st.integers(0, 3)) * 64 + draw(st.integers(0, 12))
+        stride = draw(st.integers(-4, 4))
+        lines += [line for line in range(start, start + stride * draw(st.integers(1, 12)),
+                                         stride or 1) if line >= 0]
+    lines = lines or [0]
+    lines += draw(st.lists(st.sampled_from(lines), max_size=60))
+    kinds = draw(st.lists(st.sampled_from([0, 0, 0, 1, KIND_PREFETCH]),
+                          min_size=len(lines), max_size=len(lines)))
+    return Trace.from_addresses(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT), kinds)
+
+
+@needs_compiler
+@settings(max_examples=300, deadline=None)
+@given(line_traces(), cache_setups())
+def test_filter_core_matches_cache_hierarchy(core, trace, setup):
+    cache, pf = setup
+    assert_same_filter(memsys.filter_to_dram(trace, cache, pf),
+                       filter_reference(trace, cache, pf))
+
+
+@needs_compiler
+@pytest.mark.parametrize("target", memsys.LEVEL_NAMES)
+@pytest.mark.parametrize("hw", [None, memsys.StridePrefetchConfig(4, 3)])
+def test_filter_core_matches_on_a_long_trace(core, target, hw):
+    rng = np.random.default_rng(7)
+    sweep = np.tile(np.arange(512, dtype=np.uint64) * 64, 3)  # between L1 and L2 size
+    vaddr = np.concatenate([rng.integers(0, 1 << 26, 3000, dtype=np.uint64),
+                            np.arange(3000, dtype=np.uint64)[::-1] * 192, sweep])
+    trace = memsys.inject_sw_prefetch(Trace.from_addresses(vaddr), 8)
+    cache = memsys.CacheConfig(memsys.LevelConfig(4096, 4), memsys.LevelConfig(16384, 8),
+                               memsys.LevelConfig(65536, 16))
+    pf = memsys.PrefetchConfig(hw, target)
+    assert_same_filter(memsys.filter_to_dram(trace, cache, pf), filter_reference(trace, cache, pf))
+
+
+@st.composite
+def dram_cases(draw):
+    """Requests on a tiny geometry (1-4 banks, 4 rows of 2 lines), so
+    rows collide; bursty cycles and every scheduler setting."""
+    geom = dramsim.DramGeometry(banks=draw(st.sampled_from([1, 2, 4])), rows_per_bank=4,
+                                row_size_bytes=128)
+    n = draw(st.integers(1, 80))
+    lines = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 4, 30]), min_size=n, max_size=n))
+    trace = Trace(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT),
+                  np.cumsum(gaps, dtype=np.int64), np.zeros(n, np.uint8))
+    timing = dramsim.DramTiming(*draw(st.lists(st.integers(1, 20), min_size=4, max_size=4)))
+    arrival = draw(st.sampled_from(["from-trace", "fixed-gap"]))
+    return (trace, geom, timing, draw(st.sampled_from(dramsim.SCHEMES)),
+            draw(st.integers(1, 6)), arrival, draw(st.integers(0, 8)), draw(st.integers(1, 40)))
+
+
+@needs_compiler
+@settings(max_examples=400, deadline=None)
+@given(dram_cases())
+def test_simulate_core_matches_reference(core, case):
+    trace, geom, timing, scheme, cap, arrival, gap, depth = case
+    got = dramsim.simulate(trace, geom, timing, scheme, cap, arrival, gap, depth,
+                           collect_events=True)
+    assert_same_dram(got, simulate_reference(*case))
+    assert dramsim.simulate(trace, geom, timing, scheme, cap, arrival, gap, depth).events is None
+
+
+@needs_compiler
+@pytest.mark.parametrize("cap, depth", [(1, 32), (4, 32), (10 ** 30, 10 ** 30), (3, 1)])
+def test_simulate_core_matches_on_a_long_trace(core, cap, depth):
+    rng = np.random.default_rng(11)
+    trace = Trace(rng.integers(0, 1 << 30, 5000, dtype=np.uint64) & ~np.uint64(63),
+                  np.cumsum(rng.integers(0, 40, 5000)), np.zeros(5000, np.uint8))
+    geom, timing = dramsim.DramGeometry(banks=8), dramsim.DramTiming()
+    got = dramsim.simulate(trace, geom, timing, "ChRaBaRoCo", cap, "from-trace", 4, depth,
+                           collect_events=True)
+    assert_same_dram(got, simulate_reference(trace, geom, timing, "ChRaBaRoCo", cap,
+                                             "from-trace", 4, depth))
+
+
+@pytest.fixture
+def hide_compiler(tmp_path, monkeypatch):
+    """Call to take `cc` off PATH and point the core at an uncached copy
+    of its source, so that the next load() cannot build it."""
+    def hide():
+        source = tmp_path / "src" / "_core.c"
+        source.parent.mkdir()
+        source.write_bytes(_core._SOURCE.read_bytes() + b"/* uncached */\n")
+        monkeypatch.setattr(_core, "_SOURCE", source)
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        _core.load.cache_clear()
+    yield hide
+    _core.load.cache_clear()
+
+
+def _filter_and_simulate(trace, pf):
+    dram, stats = memsys.filter_to_dram(trace, pf=pf)
+    return dram, stats, dramsim.simulate(dram, collect_events=True)
+
+
+@needs_compiler
+def test_without_a_compiler_the_reference_loops_run_and_warn_once(core, hide_compiler):
+    trace = memsys.inject_sw_prefetch(Trace.from_addresses(
+        np.random.default_rng(3).integers(0, 1 << 24, 4000, dtype=np.uint64)), 8)
+    pf = memsys.PrefetchConfig(memsys.StridePrefetchConfig())
+    want = _filter_and_simulate(trace, pf)
+    hide_compiler()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _filter_and_simulate(trace, pf)
+        again = _filter_and_simulate(trace, pf)
+    assert _core.load() is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "Python reference loops" in str(caught[0].message)
+    for result in (got, again):
+        assert_same_filter(result[:2], want[:2])
+        assert_same_dram(result[2], want[2])

@@ -144,6 +144,14 @@ def test_missing_points_message_names_the_kernel_only_when_known():
             pipeline.reorder_by("hilbert", cfg, kind=kind)
 
 
+@pytest.mark.parametrize("method", ["hilbert", "zorder", "rcb", "zorder-comp"])
+def test_non_finite_points_fail_in_the_reorder_stage(method):
+    points = np.random.default_rng(1).random((8, 2))
+    points[5, 1] = np.nan
+    with pytest.raises(pipeline.PipelineError, match="^reorder: .*NaN or infinite"):
+        pipeline.reorder_by(method, pipeline.resolve_config({}), points=points)
+
+
 def test_config_hash_covers_the_raw_config():
     assert pipeline.config_hash(BASE) != pipeline.config_hash(pipeline.resolve_config(BASE))
 

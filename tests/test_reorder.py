@@ -79,6 +79,13 @@ class TestRcb:
         with pytest.raises(ValueError):
             reorder.reorder_rcb(np.empty((0, 2)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        data = np.random.default_rng(4).random((6, 2))
+        data[3, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reorder.reorder_rcb(data, 1)
+
 
 class TestSfcReorder:
     def test_identical_rows_identity(self):
@@ -127,6 +134,16 @@ class TestSfcReorder:
         with pytest.raises(ValueError):
             reorder.reorder_sfc(data, "zorder", bits=10)
 
+    @pytest.mark.parametrize("curve", ["hilbert", "zorder"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, curve, bad):
+        # A NaN used to make that axis's bounds NaN, and the axis was then
+        # silently ignored: the rows came back in the other axis's order.
+        data = np.array([[0.1, 0.4], [0.2, 0.3], [0.5, 0.9], [0.7, 0.1]])
+        data[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reorder.reorder_sfc(data, curve)
+
 
 class TestQueryZorder:
     def test_single_query_identity(self):
@@ -138,6 +155,10 @@ class TestQueryZorder:
         perm = reorder.reorder_queries_zorder(q, bits=8)
         again = reorder.reorder_queries_zorder(q[perm], bits=8)
         assert again.tolist() == list(range(60))
+
+    def test_non_finite_queries_rejected(self):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reorder.reorder_queries_zorder(np.array([[0.3, 0.4], [np.nan, 0.1]]))
 
     def test_reduces_mean_consecutive_distance(self):
         rng = np.random.default_rng(9)

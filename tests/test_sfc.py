@@ -45,6 +45,12 @@ def ref_hilbert_2d(n, d):
 
 
 class TestQuantize:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        cfg = QuantizerConfig(2, 4, (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            quantize_rows(np.array([[0.5, 0.5], [bad, 0.5]]), cfg)
+
     def test_lower_bound_maps_to_zero(self):
         cfg = QuantizerConfig(3, 4, (0.0, -1.0, 5.0), (1.0, 1.0, 9.0))
         assert quantize([0.0, -1.0, 5.0], cfg) == (0, 0, 0)

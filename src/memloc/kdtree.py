@@ -1,8 +1,12 @@
-"""Array-backed kd-tree with traversal-order callbacks.
+"""Implicit median kd-tree with traversal-order callbacks.
 
-The tree stores one dataset row per node (median split, axis cycling
-by depth).  Queries report every row whose features are examined, in
-examination order, which is what the trace generators consume.
+The tree is one array, `order`, of row indices in tree order.  The
+subtree on positions [lo, hi) has its node at mid = lo + (hi - lo) // 2,
+its left subtree on [lo, mid) and its right subtree on [mid + 1, hi),
+and splits on axis depth % m, ties kept in their earlier order.  Queries
+report every row whose features are examined, in examination order.
+The squared distance d2 is the left-to-right float64 sum of squared
+coordinate differences, so it is the same on every host.
 """
 
 from __future__ import annotations
@@ -17,84 +21,73 @@ class KdTree:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] == 0:
             raise ValueError("data must be a non-empty (n, m) array")
-        self.data = data
+        if not np.isfinite(data).all():
+            raise ValueError("data holds NaN or infinite values")
         n, self.m = data.shape
-        self.row = np.empty(n, dtype=np.int64)
-        self.axis = np.empty(n, dtype=np.int64)
-        self.left = np.full(n, -1, dtype=np.int64)
-        self.right = np.full(n, -1, dtype=np.int64)
-        self._count = 0
-        self.root = self._build(np.arange(n, dtype=np.int64), 0)
+        # group[p] is the first position of the subtree holding p at this
+        # depth, so one stable lexsort sorts every subtree at once.  The
+        # subtrees deeper than n.bit_length() - 2 hold one row at most.
+        order, pos = np.arange(n), np.arange(n)
+        group = np.zeros(n, dtype=np.int64)
+        for depth in range(n.bit_length() - 1):
+            order = order[np.lexsort((data[order, depth % self.m], group))]
+            mid = group + np.bincount(group, minlength=n)[group] // 2
+            group = np.where(pos < mid, group, np.minimum(pos, mid + 1))
+        self.order = order
+        self._rows = order.tolist()
+        self._points = data[order].tolist()
 
-    def _build(self, idx: np.ndarray, depth: int) -> int:
-        if len(idx) == 0:
-            return -1
-        axis = depth % self.m
-        order = np.argsort(self.data[idx, axis], kind="stable")
-        idx = idx[order]
-        mid = len(idx) // 2
-        node = self._count
-        self._count += 1
-        self.row[node] = idx[mid]
-        self.axis[node] = axis
-        self.left[node] = self._build(idx[:mid], depth + 1)
-        self.right[node] = self._build(idx[mid + 1 :], depth + 1)
-        return node
+    def walk(self, query, visit, k: int | None = None, r2: float = 0.0):
+        """Pruned depth-first walk from the root, near side first, calling
+        `visit(row)` for every row whose features are read.  With `k`, the
+        k nearest rows as a heap of (-d2, row), skipping a far side whose
+        plane is no nearer than the k-th best d2; else the rows with
+        d2 <= r2, skipping a far side whose plane lies beyond r2."""
+        q = [float(v) for v in query]
+        pts, rows, m = self._points, self._rows, self.m
+        if len(q) != m:
+            raise ValueError(f"query must have {m} coordinates")
+        found: list = []
+        # Only far sides are pushed; a near side is entered directly and
+        # never pruned, even when the k-th best d2 is 0.
+        stack = [(0, len(rows), 0, 0.0)]
+        while stack:
+            lo, hi, depth, plane2 = stack.pop()
+            if k is None:
+                if not plane2 <= r2:
+                    continue
+            elif len(found) == k and plane2 >= -found[0][0]:
+                continue
+            while lo < hi:
+                mid = lo + (hi - lo) // 2
+                p, row = pts[mid], rows[mid]
+                visit(row)
+                d2 = 0.0
+                for a, b in zip(p, q):
+                    d = a - b
+                    d2 += d * d
+                if k is None:
+                    if d2 <= r2:
+                        found.append(row)
+                elif len(found) < k:
+                    heapq.heappush(found, (-d2, row))
+                elif d2 < -found[0][0]:
+                    heapq.heapreplace(found, (-d2, row))
+                ax = depth % m
+                delta = q[ax] - p[ax]
+                depth += 1
+                if delta < 0:
+                    stack.append((mid + 1, hi, depth, delta * delta))
+                    hi = mid
+                else:
+                    stack.append((lo, mid, depth, delta * delta))
+                    lo = mid + 1
+        return found
 
     def knn(self, query: np.ndarray, k: int, visit=None):
-        """k nearest rows by Euclidean distance, pruned DFS.
-
-        `visit(row)` is called for every row whose features are read,
-        in examination order.
-        """
-        data, row, axis, left, right = self.data, self.row, self.axis, self.left, self.right
-        heap: list = []  # (-dist2, row)
-        stack = [(self.root, False, 0.0)]
-        q = np.asarray(query, dtype=np.float64)
-        while stack:
-            node, is_far, plane2 = stack.pop()
-            if node < 0:
-                continue
-            if is_far and len(heap) == k and plane2 >= -heap[0][0]:
-                continue
-            r = row[node]
-            if visit is not None:
-                visit(r)
-            diff = data[r] - q
-            d2 = float(diff @ diff)
-            if len(heap) < k:
-                heapq.heappush(heap, (-d2, int(r)))
-            elif d2 < -heap[0][0]:
-                heapq.heapreplace(heap, (-d2, int(r)))
-            ax = axis[node]
-            delta = q[ax] - data[r, ax]
-            near, far = (left[node], right[node]) if delta < 0 else (right[node], left[node])
-            # LIFO stack: push far side first so the near side is explored first.
-            stack.append((far, True, delta * delta))
-            stack.append((near, False, 0.0))
-        return sorted(((-d, r) for d, r in heap))
+        """The k nearest rows as sorted (d2, row) pairs."""
+        return sorted((-d, r) for d, r in self.walk(query, visit or (lambda row: None), k=k))
 
     def radius(self, query: np.ndarray, radius: float, visit=None):
-        """All rows within `radius`, pruned DFS (near side first)."""
-        data, row, axis, left, right = self.data, self.row, self.axis, self.left, self.right
-        r2 = radius * radius
-        out = []
-        stack = [self.root]
-        q = np.asarray(query, dtype=np.float64)
-        while stack:
-            node = stack.pop()
-            if node < 0:
-                continue
-            r = row[node]
-            if visit is not None:
-                visit(r)
-            diff = data[r] - q
-            if float(diff @ diff) <= r2:
-                out.append(int(r))
-            ax = axis[node]
-            delta = q[ax] - data[r, ax]
-            near, far = (left[node], right[node]) if delta < 0 else (right[node], left[node])
-            if delta * delta <= r2:
-                stack.append(far)
-            stack.append(near)
-        return out
+        """All rows within `radius`, in examination order."""
+        return self.walk(query, visit or (lambda row: None), r2=radius * radius)

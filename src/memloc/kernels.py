@@ -71,28 +71,28 @@ def rows_to_trace(rows, addr: AddressModel, full_row: bool = True) -> Trace:
 
 def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int, addr: AddressModel):
     """kd-tree k-NN over all queries; returns (trace, row_sequence)."""
-    data = np.asarray(data, dtype=np.float64)
-    if k > data.shape[0]:
-        raise ValueError("k cannot exceed the number of rows")
-    tree = KdTree(data)
-    rows: list = []
-    visit = rows.append
-    for q in np.asarray(queries, dtype=np.float64):
-        tree.knn(q, k, visit=visit)
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows_to_trace(rows, addr), rows
+    if not 1 <= k <= len(data):
+        raise ValueError("k must be between 1 and the number of rows")
+    return _tree_trace(data, queries, addr, k=k)
 
 
 def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel):
     """Radius query around every point, DBSCAN-style neighborhood pass."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-    data = np.asarray(data, dtype=np.float64)
+    return _tree_trace(data, data, addr, r2=radius * radius)
+
+
+def _tree_trace(data, queries, addr: AddressModel, k: int | None = None, r2: float = 0.0):
+    """One KdTree.walk per query row: kNN with `k`, else radius sqrt(r2)."""
     tree = KdTree(data)
+    queries = np.asarray(queries, dtype=np.float64)
+    if not np.isfinite(queries).all():
+        raise ValueError("queries hold NaN or infinite values")
     rows: list = []
     visit = rows.append
-    for q in data:
-        tree.radius(q, radius, visit=visit)
+    for q in queries.tolist():
+        tree.walk(q, visit, k, r2)
     rows = np.asarray(rows, dtype=np.int64)
     return rows_to_trace(rows, addr), rows
 

@@ -137,6 +137,9 @@ def build_kernel(config: dict) -> _KernelCtx:
     kind, seed = k["kind"], int(cfg["seed"])
     if kind not in KERNELS:
         raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
+    for key, low in (("k", 1), ("queries", 0)) if kind == "knn" else ():
+        if int(k[key]) < low:
+            raise PipelineError(f"config: kernel.{key} must be >= {low}")
     n, m = int(k["n"]), int(k["m"])
     rng = np.random.default_rng(seed)
     data = labels = queries = None
@@ -253,10 +256,13 @@ def run_variant(ctx: _KernelCtx, variant: str, config: dict,
 
 
 def run_pipeline(config: dict) -> list[dict]:
+    cfg = resolve_config(config)
+    if cfg["kernel"]["kind"] == "knn" and int(cfg["kernel"]["queries"]) < 1:
+        # memloc gen may write the empty trace; the DRAM model cannot time it.
+        raise PipelineError("config: kernel.queries must be >= 1")
     ctx = build_kernel(config)
     baseline = ctx.generate()
-    return [run_variant(ctx, variant, config, baseline=baseline)
-            for variant in resolve_config(config)["variants"]]
+    return [run_variant(ctx, variant, config, baseline=baseline) for variant in cfg["variants"]]
 
 
 def write_csv(path, rows: list[dict]):

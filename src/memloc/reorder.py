@@ -84,8 +84,8 @@ def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> n
     """Stable sort of rows by ascending space-filling-curve index,
     quantizing with the dataset's own min/max bounds."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("dataset must be an (n, m) array")
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ValueError("dataset must be a non-empty (n, m) array")
     cfg = QuantizerConfig(data.shape[1], bits, data.min(axis=0), data.max(axis=0))
     # lexsort takes its last key as the primary one: the top code word.
     return np.lexsort(encode(list(quantize_rows(data, cfg).T), bits, curve))

@@ -39,6 +39,11 @@ class TestGen:
                     "--out", tmp_path / "q0"]) == 0
         assert len(traceio.read_trace(tmp_path / "q0.trace")) == 0
 
+    @pytest.mark.parametrize("flag, value, low", [("--k", "0", 1), ("--queries", "-1", 0)])
+    def test_bad_knn_sizes_fail_at_config(self, tmp_path, capsys, flag, value, low):
+        assert run(["gen", "--kind", "knn", "--n", "100", flag, value, "--out", tmp_path / "bad"]) == 1
+        assert f"memloc: config: kernel.{flag[2:]} must be >= {low}" in capsys.readouterr().err
+
     def test_dbscan_and_dtree(self, tmp_path):
         assert run(["gen", "--kind", "dbscan", "--n", "200", "--radius", "0.1",
                     "--out", tmp_path / "db"]) == 0

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from memloc import kernels
+from memloc import kernels, pipeline
 from memloc.kernels import AddressModel
 from memloc.traceio import KIND_READ
 
@@ -43,6 +45,20 @@ class TestKnn:
         data = np.random.default_rng(0).random((3, 2))
         with pytest.raises(ValueError):
             kernels.gen_knn_trace(data, data, 4, AddressModel.for_matrix(2))
+
+    def test_k_below_one_rejected(self):
+        data = np.random.default_rng(0).random((3, 2))
+        with pytest.raises(ValueError, match="k must be"):
+            kernels.gen_knn_trace(data, data, 0, AddressModel.for_matrix(2))
+
+    @pytest.mark.parametrize("where", ["data", "queries"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, where, bad):
+        inputs = {"data": np.random.default_rng(0).random((20, 2)),
+                  "queries": np.random.default_rng(1).random((4, 2))}
+        inputs[where][2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            kernels.gen_knn_trace(inputs["data"], inputs["queries"], 3, AddressModel.for_matrix(2))
 
     def test_duplicate_queries_repeat_subsequence(self):
         rng = np.random.default_rng(1)
@@ -94,6 +110,15 @@ class TestDbscan:
         with pytest.raises(ValueError):
             kernels.gen_dbscan_trace(np.zeros((2, 2)), 0.0, AddressModel.for_matrix(2))
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            kernels.gen_dbscan_trace(np.zeros((2, 2)), np.nan, AddressModel.for_matrix(2))
+
+    def test_infinite_radius_visits_every_row(self):
+        data = np.random.default_rng(4).random((30, 3))
+        _, rows = kernels.gen_dbscan_trace(data, np.inf, AddressModel.for_matrix(3))
+        assert len(rows) == 30 * 30
+
     def test_separated_clusters_stay_separate(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(0.0, 0.4, (40, 2))
@@ -104,6 +129,26 @@ class TestDbscan:
         for i in range(40):
             hits = tree.radius(data[i], 0.5)
             assert all(h < 40 for h in hits)
+
+
+# SHA-256 of the little-endian int64 visit sequence, recorded with the
+# recursive kd-tree: the implicit tree must visit the same rows in the
+# same order, at widths other than the golden pipeline's m = 2.
+KNN = {"kind": "knn", "n": 600, "k": 5, "queries": 60, "clusters": 8}
+DBSCAN = {"kind": "dbscan", "n": 300, "clusters": 6}
+
+
+@pytest.mark.parametrize("kernel, digest", [
+    ({**KNN, "m": 2}, "ea6777512997d81a100149e1e0242ba0a37c250c24f2db09ce6086ac3a8358e8"),
+    ({**KNN, "m": 4}, "3c823888031ec31aff6a83425716db2bc5ba14f172f43799bfb33d1da440b823"),
+    ({**KNN, "m": 16}, "4b3012663f0d157e764dd8f7596593e41ab762c12d594e4e1fce0fee067c3cf2"),
+    ({**DBSCAN, "m": 2, "radius": 0.05}, "17893129db99614d695c5827cf7371fc55de0e8aa889fd8d7111ae5e5319375d"),
+    ({**DBSCAN, "m": 4, "radius": 0.08}, "decebeb377cc7cb16079baac3f6cacee89a2fee83b592083c45c7f0356e4b945"),
+    ({**DBSCAN, "m": 16, "radius": 0.15}, "92891f148752a14b4b5d672e54e527b3e890affaa20ff1e3f70bb79a245800b1"),
+], ids=["knn-m2", "knn-m4", "knn-m16", "dbscan-m2", "dbscan-m4", "dbscan-m16"])
+def test_visit_sequence_matches_its_pinned_digest(kernel, digest):
+    _, rows = pipeline.build_kernel({"seed": 3, "kernel": kernel}).generate()
+    assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
 
 class TestDtree:

@@ -7,6 +7,7 @@ against the Python loops that stay in memsys and dramsim.
 """
 
 import csv
+import heapq
 import random
 import shutil
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memloc import _core, dramsim, memsys, reorder, sfc
+from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig, quantize_rows
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
 
@@ -220,6 +222,96 @@ def reorder_sfc_oracle(data, curve, bits):
     return np.asarray(sorted(range(len(codes)), key=codes.__getitem__), dtype=np.int64)
 
 
+class KdTreeOracle:
+    """The recursive kd-tree the implicit one replaced: one stable argsort
+    and one Python call per node into four node arrays, and the kNN and
+    radius walks written out separately.  Its d2 is the production tree's
+    left-to-right sum, so the comparison does not depend on the BLAS."""
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
+        n, self.m = self.data.shape
+        self.row = np.empty(n, dtype=np.int64)
+        self.axis = np.empty(n, dtype=np.int64)
+        self.left = np.full(n, -1, dtype=np.int64)
+        self.right = np.full(n, -1, dtype=np.int64)
+        self._count = 0
+        self.root = self._build(np.arange(n, dtype=np.int64), 0)
+
+    def _build(self, idx, depth):
+        if len(idx) == 0:
+            return -1
+        axis = depth % self.m
+        idx = idx[np.argsort(self.data[idx, axis], kind="stable")]
+        mid = len(idx) // 2
+        node = self._count
+        self._count += 1
+        self.row[node] = idx[mid]
+        self.axis[node] = axis
+        self.left[node] = self._build(idx[:mid], depth + 1)
+        self.right[node] = self._build(idx[mid + 1:], depth + 1)
+        return node
+
+    def in_order(self, node=None):
+        node = self.root if node is None else node
+        if node < 0:
+            return []
+        return self.in_order(self.left[node]) + [int(self.row[node])] + self.in_order(self.right[node])
+
+    def _d2(self, r, q):
+        d2 = 0.0
+        for a, b in zip(self.data[r].tolist(), q.tolist()):
+            d2 += (a - b) * (a - b)
+        return d2
+
+    def knn(self, query, k, visit):
+        heap: list = []  # (-dist2, row)
+        stack = [(self.root, False, 0.0)]
+        q = np.asarray(query, dtype=np.float64)
+        while stack:
+            node, is_far, plane2 = stack.pop()
+            if node < 0:
+                continue
+            if is_far and len(heap) == k and plane2 >= -heap[0][0]:
+                continue
+            r = self.row[node]
+            visit(r)
+            d2 = self._d2(r, q)
+            if len(heap) < k:
+                heapq.heappush(heap, (-d2, int(r)))
+            elif d2 < -heap[0][0]:
+                heapq.heapreplace(heap, (-d2, int(r)))
+            ax = self.axis[node]
+            delta = q[ax] - self.data[r, ax]
+            near, far = ((self.left[node], self.right[node]) if delta < 0
+                         else (self.right[node], self.left[node]))
+            stack.append((far, True, delta * delta))
+            stack.append((near, False, 0.0))
+        return sorted((-d, r) for d, r in heap)
+
+    def radius(self, query, radius, visit):
+        r2 = radius * radius
+        out = []
+        stack = [self.root]
+        q = np.asarray(query, dtype=np.float64)
+        while stack:
+            node = stack.pop()
+            if node < 0:
+                continue
+            r = self.row[node]
+            visit(r)
+            if self._d2(r, q) <= r2:
+                out.append(int(r))
+            ax = self.axis[node]
+            delta = q[ax] - self.data[r, ax]
+            near, far = ((self.left[node], self.right[node]) if delta < 0
+                         else (self.right[node], self.left[node]))
+            if delta * delta <= r2:
+                stack.append(far)
+            stack.append(near)
+        return out
+
+
 @st.composite
 def row_sequences(draw):
     n = draw(st.integers(1, 300))
@@ -340,6 +432,52 @@ def test_reorder_sfc_matches_key_sort(d, bits, n, seed, decimals, curve):
     perm = reorder.reorder_sfc(data, curve, bits)
     assert perm.dtype == np.int64
     assert np.array_equal(perm, reorder_sfc_oracle(data, curve, bits))
+
+
+@st.composite
+def kd_cases(draw):
+    """Points on a coarse grid (duplicates, ties on a coordinate) or a
+    fine one, and queries that are data rows or grid points."""
+    n, m = draw(st.integers(1, 64)), draw(st.integers(1, 16))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 1 << 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(0, levels, (n, m)) / levels
+    if draw(st.booleans()):
+        data[:, rng.integers(m)] = 0.5  # one coordinate tied everywhere
+    queries = np.vstack([data[rng.integers(0, n, 3)], rng.integers(0, levels + 1, (3, m)) / levels])
+    return data, queries
+
+
+def _walks(tree, query, method, arg):
+    seen: list = []
+    found = getattr(tree, method)(query, arg, visit=seen.append)
+    return [int(r) for r in seen], found
+
+
+@settings(max_examples=300, deadline=None)
+@given(kd_cases(), st.data())
+def test_kdtree_knn_matches_recursive_tree(case, pick):
+    data, queries = case
+    n = len(data)
+    k = pick.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    tree, oracle = KdTree(data), KdTreeOracle(data)
+    assert tree.order.tolist() == oracle.in_order()
+    for q in queries:
+        assert _walks(tree, q, "knn", k) == _walks(oracle, q, "knn", k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kd_cases(), st.data())
+def test_kdtree_radius_matches_recursive_tree(case, pick):
+    data, queries = case
+    m = data.shape[1]
+    tree, oracle = KdTree(data), KdTreeOracle(data)
+    radius = pick.draw(st.sampled_from([0.0, 0.1, 0.5, 2.0 * m ** 0.5, float("inf")]))
+    for q in queries:
+        got = _walks(tree, q, "radius", radius)
+        assert got == _walks(oracle, q, "radius", radius)
+        if radius >= 2.0 * m ** 0.5:  # covers every point: all rows, once each
+            assert sorted(got[0]) == sorted(got[1]) == list(range(len(data)))
 
 
 # The compiled core against the Python loops.

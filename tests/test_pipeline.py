@@ -126,6 +126,10 @@ STAGE_ERRORS = {
     "wide-grid": ("reorder", {"sfc_bits": 65, "variants": ["zorder-comp"]}),
     "sw-distance": ("prefetch", {"prefetch": {"sw_distance": 0}, "variants": ["sw-prefetch"]}),
     "k-above-n": ("gen", {"kernel": {**BASE["kernel"], "k": 201}}),
+    "k-zero": ("config", {"kernel": {**BASE["kernel"], "k": 0}}),
+    "queries-zero": ("config", {"kernel": {**BASE["kernel"], "queries": 0}}),
+    "nan-radius": ("gen", {"kernel": {"kind": "dbscan", "n": 300, "radius": float("nan")}}),
+    "nan-spread": ("gen", {"kernel": {**BASE["kernel"], "clusters": 4, "spread": float("nan")}}),
     "gather-hilbert": ("reorder", {"kernel": {"kind": "gather", "n": 300, "count": 50},
                                    "variants": ["hilbert"]}),
 }

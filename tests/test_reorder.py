@@ -144,6 +144,11 @@ class TestSfcReorder:
         with pytest.raises(ValueError, match="NaN or infinite"):
             reorder.reorder_sfc(data, curve)
 
+    @pytest.mark.parametrize("curve", ["hilbert", "zorder"])
+    def test_empty_rejected(self, curve):
+        with pytest.raises(ValueError, match="^dataset must be a non-empty"):
+            reorder.reorder_sfc(np.empty((0, 2)), curve)
+
 
 class TestQueryZorder:
     def test_single_query_identity(self):

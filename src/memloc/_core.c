@@ -1,11 +1,13 @@
-/* Compiled core of memloc's two sequential simulators.
+/* Compiled core of memloc's two sequential simulators, and their only
+ * implementation in the package.
  *
- * memloc_filter replays a trace through the three-level LRU filter of
- * memsys.CacheHierarchy; memloc_simulate runs the FR-FCFS-Cap loop of
- * dramsim._simulate_reference.  Both must give results identical to
- * those Python loops, which stay in memsys/dramsim as the fallback and
- * as the reference tests/test_oracles.py compares against.  _core.py
- * compiles this file on first use and loads it with ctypes.
+ * memloc_filter replays a trace through the three-level LRU filter that
+ * memsys.filter_to_dram models; memloc_simulate runs the FR-FCFS-Cap
+ * scheduler behind dramsim.simulate.  Both must give results identical
+ * to the Python loops in tests/reference_models.py (CacheHierarchy and
+ * _simulate_reference), which tests/test_oracles.py compares them
+ * against.  _core.py compiles this file on first use and loads it with
+ * ctypes; without a C compiler memloc cannot filter or simulate.
  *
  * Both functions return 0, or -1 when memory runs out.
  */
@@ -14,7 +16,7 @@
 #include <string.h>
 
 /* One set-associative LRU level.  Within a set, ways are in recency
- * order, MRU last, as in the Python lists of memsys._Level. */
+ * order, MRU last, as in the Python lists of the reference _Level. */
 typedef struct {
     int64_t *line;  /* sets * ways lines */
     uint8_t *pf;    /* per way: HW-prefetched and not yet demand-hit */
@@ -149,7 +151,9 @@ static void hw_prefetch(hierarchy *h, int64_t line)
     }
 }
 
-/* Train on an L2 access and issue its prefetches, as _StridePrefetcher.observe. */
+/* Train the per-page stride table on an L2 access (an L1 demand miss) and
+ * issue its prefetches into L2: `degree` lines ahead once two consecutive
+ * same-page deltas are equal, and the next line on an L2 miss. */
 static int observe(hierarchy *h, int64_t line, int l2_miss)
 {
     table *t = &h->pages;

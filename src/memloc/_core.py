@@ -4,9 +4,9 @@ The library is compiled with the system C compiler into
 ``__pycache__/`` beside the source (or a per-user temporary directory
 when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
-rebuilt and an unchanged one is only loaded.  When it cannot be built
-or loaded, :func:`load` warns once and returns None, and the simulators
-run their Python reference loops instead.
+rebuilt and an unchanged one is only loaded.  The core is memloc's only
+cache filter and DRAM scheduler, so memloc needs a C compiler (``cc``):
+when the core cannot be built or loaded, :func:`load` raises OSError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import hashlib
 import os
 import sysconfig
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +77,22 @@ def _build() -> Path:
 
 
 @functools.cache
-def load():
-    """The compiled core as a ctypes library, or None (with one RuntimeWarning)."""
+def _open():
+    """The library, or the OSError that kept it from loading: one try per process."""
     try:
         lib = ctypes.CDLL(str(_build()))
     except OSError as e:
-        reason = str(e)
-    else:
-        for fn, argtypes in _SIGNATURES.items():
-            getattr(lib, fn).argtypes = argtypes
-            getattr(lib, fn).restype = ctypes.c_int
-        return lib
-    warnings.warn(f"memloc: compiled simulator core unavailable ({reason}); "
-                  "running the Python reference loops", RuntimeWarning, stacklevel=3)
-    return None
+        return OSError(f"the compiled simulator core could not be built or loaded ({e}); "
+                       "memloc needs a C compiler (cc)")
+    for fn, argtypes in _SIGNATURES.items():
+        getattr(lib, fn).argtypes = argtypes
+        getattr(lib, fn).restype = ctypes.c_int
+    return lib
+
+
+def load():
+    """The compiled core as a ctypes library; OSError when it cannot be built."""
+    lib = _open()
+    if isinstance(lib, OSError):
+        raise lib.with_traceback(None)  # drop the last raise's frames
+    return lib

@@ -6,9 +6,9 @@ The scheduler is FR-FCFS-Cap: oldest row-hit-ready request first,
 falling back to strict oldest-first once the globally oldest request
 has exhausted its bypass budget (cap=1 degenerates to FCFS).  Service
 latencies: hit tCL+tBURST, closed bank tRCD+tCL+tBURST, conflict
-tRP+tRCD+tCL+tBURST.  simulate runs a compiled copy (_core.c) of the
-scheduler loop in _simulate_reference, which runs when that cannot be
-built, and in tests as the reference.
+tRP+tRCD+tCL+tBURST.  simulate runs the scheduler in the compiled core
+(_core.c), which needs a C compiler; tests/reference_models.py holds
+the Python loop the tests compare it against.
 """
 
 from __future__ import annotations
@@ -24,25 +24,25 @@ SCHEMES = ("RoBaRaCoCh", "ChRaBaRoCo")
 _EVENT_CHARS = bytes.maketrans(bytes([0, 1, 2]), b"hmc")
 
 _FIELD_ORDER = {
-    # scheme -> field names from LSB upward (name read right-to-left)
-    "RoBaRaCoCh": ("channel", "column", "rank", "bank", "row"),
-    "ChRaBaRoCo": ("column", "row", "bank", "rank", "channel"),
+    # scheme -> field names from LSB upward (name read right-to-left).  The
+    # modelled part has one channel and one rank, so Ch and Ra take no bits.
+    "RoBaRaCoCh": ("column", "bank", "row"),
+    "ChRaBaRoCo": ("column", "row", "bank"),
 }
 
 
 @dataclass(frozen=True)
 class DramGeometry:
-    channels: int = 1
-    ranks: int = 1
     banks: int = 16
     rows_per_bank: int = 32768
     row_size_bytes: int = 8192
 
     def __post_init__(self):
-        for v in (self.channels, self.ranks, self.banks, self.rows_per_bank,
-                  self.row_size_bytes):
+        for v in (self.banks, self.rows_per_bank, self.row_size_bytes):
             if v & (v - 1) or v < 1:
                 raise ValueError("geometry counts must be powers of two")
+        if self.row_size_bytes < LINE_SIZE:
+            raise ValueError(f"row_size_bytes must be >= the {LINE_SIZE}-byte line")
 
     @property
     def columns_per_row(self) -> int:
@@ -50,8 +50,6 @@ class DramGeometry:
 
     def field_bits(self) -> dict:
         return {
-            "channel": (self.channels - 1).bit_length(),
-            "rank": (self.ranks - 1).bit_length(),
             "bank": (self.banks - 1).bit_length(),
             "row": (self.rows_per_bank - 1).bit_length(),
             "column": (self.columns_per_row - 1).bit_length(),
@@ -111,24 +109,24 @@ def _fields(line, scheme: str, geom: DramGeometry) -> dict:
 
 
 def map_address(paddr: int, scheme: str, geom: DramGeometry = DramGeometry()):
-    """Decompose a physical address into (channel, rank, bank, row, column).
+    """Decompose a physical address into (channel, rank, bank, row, column);
+    channel and rank are always 0.
 
     Addresses beyond the geometry's capacity wrap modulo capacity.
     """
     f = _fields(int(paddr) >> LINE_SHIFT, scheme, geom)
-    return (f["channel"], f["rank"], f["bank"], f["row"], f["column"])
+    return (0, 0, f["bank"], f["row"], f["column"])
 
 
 def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
-    """Vectorized (bank_id, row) arrays; bank_id folds channel and rank in."""
+    """Vectorized (bank, row) arrays."""
     f = _fields((trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64), scheme, geom)
-    bank_id = (f["channel"] * geom.ranks + f["rank"]) * geom.banks + f["bank"]
-    return bank_id, f["row"]
+    return f["bank"], f["row"]
 
 
 def _prepare(trace: Trace, geom: DramGeometry, scheme: str, arrival: str,
              arrival_gap: int):
-    """(bank_id, row, arrival cycle) int64 arrays of a checked request trace."""
+    """(bank, row, arrival cycle) int64 arrays of a checked request trace."""
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
@@ -158,24 +156,16 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         raise ValueError("cap must be >= 1")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
-    args = (*_prepare(trace, geom, scheme, arrival, arrival_gap),
-            geom.channels * geom.ranks * geom.banks, timing, cap, queue_depth, collect_events)
-    core = _core.load()
-    return _simulate_reference(*args) if core is None else _simulate_core(core, *args)
-
-
-def _simulate_core(core, bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
-                   cap: int, queue_depth: int, collect_events: bool) -> DramStats:
-    """The compiled core's copy of _simulate_reference."""
+    bank_arr, row_arr, arrive_arr = _prepare(trace, geom, scheme, arrival, arrival_gap)
     n = len(bank_arr)
-    counts = np.zeros((nbanks, 3), dtype=np.int64)
+    counts = np.zeros((geom.banks, 3), dtype=np.int64)
     events = np.zeros(n, dtype=np.uint8)
     latency = np.zeros(2, dtype=np.uint64)
     # Bypass counts and the window never exceed n, so larger caps and
     # depths act as n + 1 and n do.
-    if core.memloc_simulate(n, bank_arr, row_arr, arrive_arr, nbanks, timing.hit,
-                            timing.closed, timing.conflict, min(cap, n + 1) - 1,
-                            min(queue_depth, n), counts, events, latency):
+    if _core.load().memloc_simulate(n, bank_arr, row_arr, arrive_arr, geom.banks, timing.hit,
+                                    timing.closed, timing.conflict, min(cap, n + 1) - 1,
+                                    min(queue_depth, n), counts, events, latency):
         raise MemoryError("dramsim: out of memory")
     lo, hi = latency.tolist()
     hits, misses, conflicts = counts.sum(axis=0).tolist()
@@ -186,92 +176,6 @@ def _simulate_core(core, bank_arr, row_arr, arrive_arr, nbanks: int, timing: Dra
                   for b in np.flatnonzero(counts.any(axis=1))},
         events=list(events.tobytes().translate(_EVENT_CHARS).decode()) if collect_events
         else None)
-
-
-def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
-                        cap: int, queue_depth: int, collect_events: bool) -> DramStats:
-    """The FR-FCFS-Cap loop in Python over _prepare's arrays: the fallback
-    without a compiled core, and the reference for tests."""
-    n = len(bank_arr)
-    t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
-    stats = DramStats(total=n, events=[] if collect_events else None)
-
-    bank_id = bank_arr.tolist()
-    row = row_arr.tolist()
-    arrive = arrive_arr.tolist()
-    open_row = [-1] * nbanks
-    bank_stats: dict = {}
-    lat_sum = 0
-    next_req = 0
-    window: list = []  # [req_index, bypass_count, bank, row], arrival order
-    queued = {}  # (bank, row) -> number of window entries
-    hits_queued = 0  # window entries matching their bank's open row
-    t = 0
-    max_bypass = cap - 1  # cap=1 -> no bypass -> FCFS
-    events = stats.events
-
-    while window or next_req < n:
-        while next_req < n and len(window) < queue_depth and arrive[next_req] <= t:
-            b = bank_id[next_req]
-            r = row[next_req]
-            window.append([next_req, 0, b, r])
-            key = (b, r)
-            queued[key] = queued.get(key, 0) + 1
-            if open_row[b] == r:
-                hits_queued += 1
-            next_req += 1
-        if not window:
-            t = arrive[next_req]
-            continue
-        pick_pos = 0
-        if hits_queued and len(window) > 1:
-            # A row-hit may bypass older requests only while none of the
-            # bypassed ones has exhausted its budget of cap-1 bypasses.
-            for pos, entry in enumerate(window):
-                if open_row[entry[2]] == entry[3]:
-                    pick_pos = pos
-                    break
-                if entry[1] >= max_bypass:
-                    break
-        req, _, b, r = window.pop(pick_pos)
-        if pick_pos:
-            for pos in range(pick_pos):
-                window[pos][1] += 1
-        key = (b, r)
-        left = queued[key] - 1
-        if left:
-            queued[key] = left
-        else:
-            del queued[key]
-        prev = open_row[b]
-        if prev == r:
-            kind, service = 0, t_hit
-            hits_queued -= 1  # the popped entry itself was a hit
-        else:
-            if prev == -1:
-                kind, service = 1, t_closed
-            else:
-                kind, service = 2, t_conflict
-                hits_queued -= queued.get((b, prev), 0)
-            hits_queued += queued.get(key, 0)
-            open_row[b] = r
-        start = t if t > arrive[req] else arrive[req]
-        t = start + service
-        lat_sum += t - arrive[req]
-        bs = bank_stats.get(b)
-        if bs is None:
-            bs = bank_stats[b] = [0, 0, 0]
-        bs[kind] += 1
-        if events is not None:
-            events.append("hmc"[kind])
-
-    stats.avg_latency = lat_sum / n
-    stats.per_bank = {
-        b: {"hits": v[0], "misses": v[1], "conflicts": v[2]}
-        for b, v in sorted(bank_stats.items())
-    }
-    stats.hits, stats.misses, stats.conflicts = map(sum, zip(*bank_stats.values()))
-    return stats
 
 
 def simulate_ideal(trace: Trace, geom: DramGeometry = DramGeometry(),

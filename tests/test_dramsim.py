@@ -220,6 +220,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             DramGeometry(banks=12)
 
+    def test_rows_shorter_than_a_line_rejected(self):
+        assert DramGeometry(row_size_bytes=64).columns_per_row == 1
+        for size in (32, 1):
+            with pytest.raises(ValueError, match="row_size_bytes must be >= the 64-byte line"):
+                DramGeometry(row_size_bytes=size)
+
     def test_bad_timing_rejected(self):
         with pytest.raises(ValueError):
             DramTiming(tCL=0)

@@ -62,6 +62,7 @@ def test_traceio_constants_agree():
 
 REMOVED_KNOBS = [
     (memsys.LevelConfig, "line_size"), (dramsim.DramGeometry, "line_size"),
+    (dramsim.DramGeometry, "channels"), (dramsim.DramGeometry, "ranks"),
     (kernels.AddressModel, "line_size"), (kernels.AddressModel, "page_size"),
     (memsys.filter_to_dram, "keep_prefetch_misses"), (dramsim.simulate, "ideal"),
     *((gen, "issue_gap") for gen in (

@@ -3,10 +3,9 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from memloc import kernels, memsys
+from memloc import kernels
 from memloc.memsys import (
     CacheConfig,
-    CacheHierarchy,
     LevelConfig,
     PrefetchConfig,
     StridePrefetchConfig,
@@ -14,6 +13,7 @@ from memloc.memsys import (
     inject_sw_prefetch,
 )
 from memloc.traceio import KIND_PREFETCH, KIND_READ, Trace
+from reference_models import CacheHierarchy, _Level
 
 
 class LruOracle:
@@ -45,6 +45,11 @@ class TestLevelConfig:
         with pytest.raises(ValueError):
             LevelConfig(3 * 64 * 8, 8)  # 3 sets, not a power of two
 
+    @pytest.mark.parametrize("capacity, ways", [(0, 8), (512, 0), (-512, 8), (0, 0)])
+    def test_empty_levels_rejected(self, capacity, ways):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            LevelConfig(capacity, ways)
+
     def test_defaults(self):
         cfg = CacheConfig()
         assert cfg.l1.num_sets == 64
@@ -55,7 +60,7 @@ class TestLruCorrectness:
     def test_single_set_matches_stack_distance_oracle(self):
         # All addresses land in one set: stride of num_sets lines.
         cfg = LevelConfig(8 * 64, 8)  # one set, 8 ways
-        lvl = memsys._Level(cfg)
+        lvl = _Level(cfg)
         oracle = LruOracle(8)
         rng = np.random.default_rng(0)
         for line in rng.integers(0, 20, 2000).tolist():
@@ -66,7 +71,7 @@ class TestLruCorrectness:
 
     def test_multi_set_matches_per_set_oracles(self):
         cfg = LevelConfig(4 * 8 * 64, 8)  # 4 sets
-        lvl = memsys._Level(cfg)
+        lvl = _Level(cfg)
         oracles = [LruOracle(8) for _ in range(4)]
         rng = np.random.default_rng(1)
         for line in rng.integers(0, 200, 5000).tolist():
@@ -74,6 +79,13 @@ class TestLruCorrectness:
             if not hit:
                 lvl.fill(line)
             assert hit == oracles[line & 3].access(line)
+
+    def test_filter_single_set_l1_matches_stack_distance_oracle(self):
+        oracle = LruOracle(8)
+        lines = np.random.default_rng(0).integers(0, 20, 2000)
+        misses = sum(not oracle.access(line) for line in lines.tolist())
+        _, st = filter_to_dram(lines_trace(lines), CacheConfig(l1=LevelConfig(8 * 64, 8)))
+        assert st.demand_misses[0] == misses
 
 
 class TestFilterToDram:
@@ -135,6 +147,10 @@ class TestHwPrefetch:
         hier.access_demand(100)
         # only the next-line component may fire on the miss
         assert hier.stats.hw_prefetches_issued <= 1
+
+    def test_filter_single_access_no_stride_prefetch(self):
+        _, st = filter_to_dram(lines_trace([100]), pf=self.pf())
+        assert st.hw_prefetches_issued <= 1
 
     def test_sequential_mostly_useful(self):
         t = lines_trace(range(5000))
@@ -201,6 +217,16 @@ class TestSwPrefetch:
         assert hier.levels[1].contains(500)
         assert not hier.levels[0].contains(500)
         assert not hier.levels[2].contains(500)
+
+    @pytest.mark.parametrize("target, misses", [("L1", [0, 0, 0]), ("L2", [1, 0, 0]),
+                                                ("L3", [1, 1, 0])])
+    def test_filter_prefetch_fills_only_target(self, target, misses):
+        t = lines_trace([500, 500])
+        t.kind[0] = KIND_PREFETCH
+        out, st = filter_to_dram(t, pf=PrefetchConfig(sw_target=target))
+        assert st.demand_accesses == [1] + misses[:2]
+        assert st.demand_misses == misses
+        assert len(out) == 0
 
     def test_demand_output_excludes_prefetch_misses_by_default(self):
         t = lines_trace([1, 2, 3, 4, 5])

@@ -3,25 +3,23 @@
 Each oracle below is the straightforward per-element loop that the
 production function used to be.  Hypothesis draws inputs, and the two
 must agree exactly.  The compiled simulator core is checked the same way
-against the Python loops that stay in memsys and dramsim.
+against the Python loops in reference_models.
 """
 
 import csv
 import heapq
 import random
-import shutil
-import tempfile
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloc import _core, dramsim, memsys, reorder, sfc
+from memloc import dramsim, memsys, reorder, sfc
 from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig, quantize_rows
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
+from reference_models import _filter_reference, _simulate_reference
 
 
 def first_touch_oracle(inspected, n):
@@ -482,27 +480,16 @@ def test_kdtree_radius_matches_recursive_tree(case, pick):
 
 # The compiled core against the Python loops.
 
-needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
-@pytest.fixture(scope="module")
-def core():
-    lib = _core.load()
-    assert lib is not None, "the compiled core did not build"
-    return lib
-
-
 def filter_reference(trace, cache, pf):
     """filter_to_dram over the Python CacheHierarchy loop."""
-    keep, stats = memsys._filter_reference(
+    keep, stats = _filter_reference(
         (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64), trace.kind, cache, pf)
     return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats
 
 
 def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
-    nbanks = geom.channels * geom.ranks * geom.banks
-    return dramsim._simulate_reference(
-        *dramsim._prepare(trace, geom, scheme, arrival, arrival_gap), nbanks, timing, cap,
+    return _simulate_reference(
+        *dramsim._prepare(trace, geom, scheme, arrival, arrival_gap), geom.banks, timing, cap,
         queue_depth, True)
 
 
@@ -553,19 +540,17 @@ def line_traces(draw):
     return Trace.from_addresses(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT), kinds)
 
 
-@needs_compiler
 @settings(max_examples=300, deadline=None)
 @given(line_traces(), cache_setups())
-def test_filter_core_matches_cache_hierarchy(core, trace, setup):
+def test_filter_core_matches_cache_hierarchy(trace, setup):
     cache, pf = setup
     assert_same_filter(memsys.filter_to_dram(trace, cache, pf),
                        filter_reference(trace, cache, pf))
 
 
-@needs_compiler
 @pytest.mark.parametrize("target", memsys.LEVEL_NAMES)
 @pytest.mark.parametrize("hw", [None, memsys.StridePrefetchConfig(4, 3)])
-def test_filter_core_matches_on_a_long_trace(core, target, hw):
+def test_filter_core_matches_on_a_long_trace(target, hw):
     rng = np.random.default_rng(7)
     sweep = np.tile(np.arange(512, dtype=np.uint64) * 64, 3)  # between L1 and L2 size
     vaddr = np.concatenate([rng.integers(0, 1 << 26, 3000, dtype=np.uint64),
@@ -594,10 +579,9 @@ def dram_cases(draw):
             draw(st.integers(1, 6)), arrival, draw(st.integers(0, 8)), draw(st.integers(1, 40)))
 
 
-@needs_compiler
 @settings(max_examples=400, deadline=None)
 @given(dram_cases())
-def test_simulate_core_matches_reference(core, case):
+def test_simulate_core_matches_reference(case):
     trace, geom, timing, scheme, cap, arrival, gap, depth = case
     got = dramsim.simulate(trace, geom, timing, scheme, cap, arrival, gap, depth,
                            collect_events=True)
@@ -605,9 +589,8 @@ def test_simulate_core_matches_reference(core, case):
     assert dramsim.simulate(trace, geom, timing, scheme, cap, arrival, gap, depth).events is None
 
 
-@needs_compiler
 @pytest.mark.parametrize("cap, depth", [(1, 32), (4, 32), (10 ** 30, 10 ** 30), (3, 1)])
-def test_simulate_core_matches_on_a_long_trace(core, cap, depth):
+def test_simulate_core_matches_on_a_long_trace(cap, depth):
     rng = np.random.default_rng(11)
     trace = Trace(rng.integers(0, 1 << 30, 5000, dtype=np.uint64) & ~np.uint64(63),
                   np.cumsum(rng.integers(0, 40, 5000)), np.zeros(5000, np.uint8))
@@ -616,43 +599,3 @@ def test_simulate_core_matches_on_a_long_trace(core, cap, depth):
                            collect_events=True)
     assert_same_dram(got, simulate_reference(trace, geom, timing, "ChRaBaRoCo", cap,
                                              "from-trace", 4, depth))
-
-
-@pytest.fixture
-def hide_compiler(tmp_path, monkeypatch):
-    """Call to take `cc` off PATH and point the core at an uncached copy
-    of its source, so that the next load() cannot build it."""
-    def hide():
-        source = tmp_path / "src" / "_core.c"
-        source.parent.mkdir()
-        source.write_bytes(_core._SOURCE.read_bytes() + b"/* uncached */\n")
-        monkeypatch.setattr(_core, "_SOURCE", source)
-        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        _core.load.cache_clear()
-    yield hide
-    _core.load.cache_clear()
-
-
-def _filter_and_simulate(trace, pf):
-    dram, stats = memsys.filter_to_dram(trace, pf=pf)
-    return dram, stats, dramsim.simulate(dram, collect_events=True)
-
-
-@needs_compiler
-def test_without_a_compiler_the_reference_loops_run_and_warn_once(core, hide_compiler):
-    trace = memsys.inject_sw_prefetch(Trace.from_addresses(
-        np.random.default_rng(3).integers(0, 1 << 24, 4000, dtype=np.uint64)), 8)
-    pf = memsys.PrefetchConfig(memsys.StridePrefetchConfig())
-    want = _filter_and_simulate(trace, pf)
-    hide_compiler()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = _filter_and_simulate(trace, pf)
-        again = _filter_and_simulate(trace, pf)
-    assert _core.load() is None
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "Python reference loops" in str(caught[0].message)
-    for result in (got, again):
-        assert_same_filter(result[:2], want[:2])
-        assert_same_dram(result[2], want[2])

@@ -2,6 +2,9 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -93,6 +96,27 @@ def test_unknown_config_key_rejected(bad, key):
     config = {**BASE, **bad}
     with pytest.raises(pipeline.PipelineError, match=f"^config: unknown key {key}"):
         pipeline.run_pipeline(config)
+
+
+GATHER = {"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 300}}
+
+
+@pytest.mark.parametrize("cache", [{"l1_kb": 0}, {"l2_ways": 0}])
+def test_empty_cache_level_fails_at_filter(cache):
+    """Run in a subprocess, since a zero-set level once crashed the process."""
+    code = ("import json, sys\nfrom memloc import pipeline\n"
+            "try:\n    pipeline.run_pipeline(json.loads(sys.argv[1]))\n"
+            "except pipeline.PipelineError as e:\n    print(e)\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps({**GATHER, "cache": cache})],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("filter: capacity and associativity must be >= 1")
+
+
+def test_rows_shorter_than_a_line_fail_at_dramsim():
+    with pytest.raises(pipeline.PipelineError, match="^dramsim: row_size_bytes must be >="):
+        pipeline.run_pipeline({**GATHER, "dram": {"row_size_bytes": 32}})
 
 
 def test_unknown_variant_rejected():

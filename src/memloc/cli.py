@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dramsim, memsys, pipeline, reorder, traceio
+from . import dramsim, kernels, memsys, pipeline, reorder, traceio
 
 DEFAULTS = pipeline.DEFAULTS
 
@@ -51,7 +51,9 @@ def cmd_reorder(args) -> int:
     method = args.method
     data = reorder.load_dataset(args.dataset) if args.dataset else None
     rows = np.fromfile(args.rows, dtype="<i8") if args.rows else None
-    stride = args.row_stride or (data.shape[1] * 8 if data is not None else 64)
+    # Without a dataset the rows are taken to be the default kernel's.
+    m = DEFAULTS["kernel"]["m"] if data is None else data.shape[1]
+    stride = kernels.AddressModel.for_matrix(m, args.row_stride).row_stride_bytes
     params = {"sfc_bits": args.bits, "rcb_leaf_size": args.leaf_size,
               "block_window": args.window}
     t0 = time.perf_counter()
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--bits", type=int, default=DEFAULTS["sfc_bits"])
     r.add_argument("--leaf-size", type=int, default=DEFAULTS["rcb_leaf_size"])
     r.add_argument("--window", type=int, default=DEFAULTS["block_window"])
-    r.add_argument("--row-stride", type=int, default=0)
+    r.add_argument("--row-stride", type=int)
     r.add_argument("--out", required=True, help="output path prefix")
     r.set_defaults(func=cmd_reorder)
 

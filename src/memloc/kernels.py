@@ -2,13 +2,15 @@
 
 Each generator walks a kernel (kNN, DBSCAN-style radius queries,
 decision-tree induction, random gather) over a dataset and emits one
-read per distinct 64-byte line of every row whose features are
-examined, in examination order.  Generators also return the logical
-row sequence, which feeds the inspector-style reorderings.
+read per distinct 64-byte line of every row examination, in
+examination order; AddressModel says which lines a row covers.
+Generators also return the logical row sequence, which feeds the
+inspector-style reorderings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,54 +21,78 @@ from .traceio import KIND_READ, LINE_SIZE, PAGE_SIZE, Trace
 
 @dataclass
 class AddressModel:
-    """Virtual address layout of the feature matrix."""
+    """Where the rows of the feature matrix live.
+
+    Row r starts at virtual byte base + r * row_stride_bytes, and each
+    examination reads its first row_bytes bytes: one record per 64B line
+    they cover.  base is page-aligned, so r * row_stride_bytes // PAGE_SIZE
+    is the page the row starts on, counted from the matrix's first page.
+    "shuffle" page mapping places the pages of the matrix's `rows` rows
+    in a seeded random permutation of their frames.
+    """
 
     base: int = 0x1000_0000
     row_stride_bytes: int = 64
-    row_bytes: int = 0  # bytes examined per row; defaults to the stride
+    row_bytes: int = 0  # bytes read per examination; defaults to the stride
     page_mapping: str = "identity"  # or "shuffle"
     seed: int = 0
-    rows: int = 0  # rows in the matrix; 0: shuffle only the pages a trace touches
+    rows: int = 0  # rows in the matrix; shuffle page mapping needs it
 
     def __post_init__(self):
-        if self.base % LINE_SIZE:
-            raise ValueError("base must be line-aligned")
+        if self.base % PAGE_SIZE:
+            raise ValueError("base must be page-aligned")
         if self.row_stride_bytes < 1:
             raise ValueError("row_stride_bytes must be >= 1")
         if self.page_mapping not in ("identity", "shuffle"):
             raise ValueError(f"unknown page_mapping {self.page_mapping!r}")
+        if self.page_mapping == "shuffle" and self.rows < 1:
+            raise ValueError("shuffle page mapping needs the matrix's rows")
         if not self.row_bytes:
             self.row_bytes = self.row_stride_bytes
 
     @classmethod
-    def for_matrix(cls, m: int, **kw) -> "AddressModel":
-        return cls(row_stride_bytes=m * 8, **kw)
+    def for_matrix(cls, m: int, row_stride_bytes: int | None = None,
+                   row_bytes: int | None = None, **kw) -> "AddressModel":
+        """Rows of m float64 features, packed back to back unless a
+        stride is given; an examination reads the whole row by default."""
+        stride = m * 8 if row_stride_bytes is None else row_stride_bytes
+        return cls(row_stride_bytes=stride, row_bytes=row_bytes or m * 8, **kw)
 
 
-def rows_to_lines(rows, addr: AddressModel, full_row: bool = True) -> np.ndarray:
-    """Expand row examinations into 64B-aligned line addresses.
-
-    With full_row, every distinct line covering the row's bytes is
-    emitted per examination; otherwise only the row's first line.
-    """
+def rows_to_lines(rows, addr: AddressModel) -> np.ndarray:
+    """Expand row examinations into 64B-aligned line addresses: every
+    distinct line covering the row's row_bytes bytes, per examination."""
     rows = np.asarray(rows, dtype=np.int64)
     start = addr.base + rows * addr.row_stride_bytes
     first = start // LINE_SIZE
-    if not full_row or addr.row_bytes <= LINE_SIZE and addr.row_stride_bytes % LINE_SIZE == 0:
+    # Rows start at multiples of gcd(stride, line) inside a line, so no
+    # row crosses a line boundary when it is at most that long.
+    if addr.row_bytes <= math.gcd(addr.row_stride_bytes, LINE_SIZE):
         return (first * LINE_SIZE).astype(np.uint64)
-    last = (start + addr.row_bytes - 1) // LINE_SIZE
-    counts = last - first + 1
-    total = int(counts.sum())
-    rep_first = np.repeat(first, counts)
-    group_start = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total) - group_start
-    return ((rep_first + within) * LINE_SIZE).astype(np.uint64)
+    counts = (start + addr.row_bytes - 1) // LINE_SIZE - first + 1
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ((np.repeat(first, counts) + within) * LINE_SIZE).astype(np.uint64)
 
 
-def rows_to_trace(rows, addr: AddressModel, full_row: bool = True) -> Trace:
+def rows_to_trace(rows, addr: AddressModel) -> Trace:
     """Read trace of row examinations, at physical addresses."""
-    lines = rows_to_lines(rows, addr, full_row=full_row)
-    return Trace.from_addresses(_physical(lines, addr), KIND_READ)
+    rows = np.asarray(rows, dtype=np.int64)
+    lines = rows_to_lines(rows, addr)
+    if addr.page_mapping == "shuffle" and len(rows):
+        if rows.min() < 0 or rows.max() >= addr.rows:
+            raise ValueError(f"row outside the {addr.rows}-row matrix")
+        lines = _shuffle_pages(lines, addr)
+    return Trace.from_addresses(lines, KIND_READ)
+
+
+def _shuffle_pages(vaddr: np.ndarray, addr: AddressModel) -> np.ndarray:
+    """Map the matrix's pages through one seeded permutation of their
+    frames, keeping offsets inside pages, so every trace over the
+    matrix sees the same mapping."""
+    last = addr.base + (addr.rows - 1) * addr.row_stride_bytes + addr.row_bytes - 1
+    lo, hi = addr.base // PAGE_SIZE, last // PAGE_SIZE
+    frames = np.random.default_rng(addr.seed).permutation(hi - lo + 1).astype(np.uint64) + lo
+    return frames[(vaddr // PAGE_SIZE - lo).astype(np.int64)] * PAGE_SIZE + vaddr % PAGE_SIZE
 
 
 def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int, addr: AddressModel):
@@ -144,41 +170,19 @@ def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
 
 
 def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0):
-    """Indirect A[B[i]] reads over uniform random rows; one line per read."""
+    """Indirect A[B[i]] reads over uniform random rows, each of the
+    row's first addr.row_bytes bytes (one float64 in the pipeline)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=count, dtype=np.int64)
-    return rows_to_trace(rows, addr, full_row=False), rows
+    return rows_to_trace(rows, addr), rows
 
 
 def gen_sequential_trace(n_lines: int, addr: AddressModel) -> Trace:
     """Streaming sanity kernel: one pass of consecutive lines."""
     lines = addr.base + np.arange(n_lines, dtype=np.uint64) * LINE_SIZE
     return Trace.from_addresses(lines, KIND_READ)
-
-
-def _physical(vaddr: np.ndarray, addr: AddressModel) -> np.ndarray:
-    """Virtual-to-physical page mapping; offsets inside pages are kept.
-    "shuffle" permutes the frames of the matrix's pages (of the touched
-    pages if addr.rows is 0), so all traces over a matrix share a mapping."""
-    if addr.page_mapping == "identity" or len(vaddr) == 0:
-        return vaddr
-    page = vaddr // PAGE_SIZE
-    offset = vaddr % PAGE_SIZE
-    if addr.rows:
-        last = addr.base + (addr.rows - 1) * addr.row_stride_bytes + addr.row_bytes - 1
-        lo, hi = addr.base // PAGE_SIZE, last // PAGE_SIZE
-    else:
-        lo, hi = int(page.min()), int(page.max())
-    rng = np.random.default_rng(addr.seed)
-    frames = rng.permutation(hi - lo + 1).astype(np.uint64) + lo
-    return frames[(page - lo).astype(np.int64)] * PAGE_SIZE + offset
-
-
-def translate(trace: Trace, addr: AddressModel) -> Trace:
-    """`trace` with its addresses mapped through :func:`_physical`."""
-    return Trace(_physical(trace.vaddr, addr).copy(), trace.cycle.copy(), trace.kind.copy())
 
 
 def make_clustered(n: int, m: int, clusters: int, seed: int = 0,

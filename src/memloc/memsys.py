@@ -126,25 +126,17 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
             MemsysStats(c[0:3], c[3:6], *c[6:]))
 
 
-def inject_sw_prefetch(trace: Trace, distance: int,
-                       stream: np.ndarray | None = None) -> Trace:
-    """Insert a prefetch record before each access for the address
-    `distance` positions ahead in the demand stream.
-
-    By default the annotated stream is the trace's own demand
-    addresses (an oracle of the kernel's future accesses, standing in
-    for compiler-inserted prefetch intrinsics).
-    """
+def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
+    """Insert a prefetch record before each demand access for the demand
+    address `distance` positions ahead (an oracle of the kernel's future
+    accesses, standing in for compiler-inserted prefetch intrinsics)."""
     if distance < 1:
         raise ValueError("distance must be >= 1")
     demand_idx = np.flatnonzero(trace.kind != KIND_PREFETCH)
-    if stream is None:
-        stream = trace.vaddr[demand_idx]
-    stream = np.asarray(stream, dtype=np.uint64)
-    if distance >= len(stream):
+    if distance >= len(demand_idx):
         return Trace(trace.vaddr.copy(), trace.cycle.copy(), trace.kind.copy())
-    # Demand access j gets stream[j + distance] while that exists.
-    at = demand_idx[:len(stream) - distance]
-    return Trace(np.insert(trace.vaddr, at, stream[distance:distance + len(at)]),
+    # Demand access j gets the address of demand access j + distance.
+    at = demand_idx[:-distance]
+    return Trace(np.insert(trace.vaddr, at, trace.vaddr[demand_idx[distance:]]),
                  np.insert(trace.cycle, at, trace.cycle[at]),
                  np.insert(trace.kind, at, KIND_PREFETCH))

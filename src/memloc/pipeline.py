@@ -157,34 +157,37 @@ def build_kernel(config: dict) -> _KernelCtx:
             queries = rng.random((nq, m))
     if kind == "dtree":
         labels = (data @ rng.random(m) > 0.5 * rng.random(m).sum()).astype(np.int64)
-    stride = m * 8 if k["row_stride_bytes"] is None else int(k["row_stride_bytes"])
-    addr = kernels.AddressModel(row_stride_bytes=stride, row_bytes=m * 8,
-                                page_mapping=k["page_mapping"], seed=seed, rows=n)
+    stride = None if k["row_stride_bytes"] is None else int(k["row_stride_bytes"])
+    # A gather read A[B[i]] loads one float64 element; other kernels read whole rows.
+    addr = kernels.AddressModel.for_matrix(m, stride, 8 if kind == "gather" else None,
+                                           page_mapping=k["page_mapping"], seed=seed, rows=n)
     return _KernelCtx(kind, data, labels, queries, addr, k, seed)
 
 
 def reorder_by(method: str, cfg: dict, *, kind: str | None = None, points=None,
-               rows=None, n: int | None = None, row_stride_bytes: int = 64):
+               rows=None, n: int | None = None, row_stride_bytes: int | None = None):
     """(permutation, row sequence) that reordering `method` computes, one
     of them None, with a resolved config's parameters.
 
     rcb, hilbert and zorder permute `points`, the feature matrix, and
     zorder-comp the query set passed as `points` (map[new] = old).
     first-touch permutes the `n` rows by the inspected `rows` sequence;
-    block reorders the `rows` sequence itself.
+    block reorders the `rows` sequence itself, grouping rows by the page
+    they start on at `row_stride_bytes`.
     """
     if method not in REORDERINGS:
         raise PipelineError(f"reorder: unknown method or variant {method!r}")
     if method == "zorder-comp" and kind == "dtree":
         raise PipelineError("reorder: zorder-comp is not applicable to tree kernels")
     with _stage("reorder"):
-        if method == "block" and rows is not None:
+        if method == "block" and rows is not None and row_stride_bytes is not None:
             return None, reorder.block_by_page(rows, row_stride_bytes,
                                                window=cfg["block_window"])
         if method == "first-touch" and rows is not None and n is not None:
             return reorder.reorder_first_touch(rows, n), None
         if method in ("block", "first-touch"):
-            raise PipelineError(f"reorder: {method} needs the access row sequence and dataset")
+            what = "row stride" if method == "block" else "dataset"
+            raise PipelineError(f"reorder: {method} needs the access row sequence and {what}")
         if points is None:
             what = "a query set" if method == "zorder-comp" else "a feature matrix"
             raise PipelineError(f"reorder: {method} needs {what}" + (f" ({kind})" if kind else ""))
@@ -205,18 +208,17 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
             trace = memsys.inject_sw_prefetch(baseline[0], cfg["prefetch"]["sw_distance"])
         return lambda: trace
     rows = baseline[1] if variant in ("first-touch", "block") else None
-    perm, blocked = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=int(ctx.spec["n"]),
-                               points=ctx.queries if variant == "zorder-comp" else ctx.data,
-                               row_stride_bytes=ctx.addr.row_stride_bytes)
-    if blocked is not None:
-        return lambda: kernels.rows_to_trace(blocked, ctx.addr)
+    perm, new_rows = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=int(ctx.spec["n"]),
+                                points=ctx.queries if variant == "zorder-comp" else ctx.data,
+                                row_stride_bytes=ctx.addr.row_stride_bytes)
+    if new_rows is None and ctx.data is None:
+        # Index-only kernel: relabel rows through the inverse map.
+        new_rows = reorder.invert_permutation(perm)[rows]
+    if new_rows is not None:
+        return lambda: kernels.rows_to_trace(new_rows, ctx.addr)
     if variant == "zorder-comp":
         queries = ctx.queries[perm]
         return lambda: ctx.generate(queries=queries)[0]
-    if ctx.data is None:
-        # Index-only kernel: relabel rows through the inverse map.
-        relabelled = reorder.invert_permutation(perm)[rows]
-        return lambda: kernels.rows_to_trace(relabelled, ctx.addr, full_row=False)
     data = reorder.apply_permutation(ctx.data, perm)
     labels = None if ctx.labels is None else ctx.labels[perm]
     return lambda: ctx.generate(data=data, labels=labels)[0]

@@ -96,24 +96,21 @@ def reorder_queries_zorder(queries: np.ndarray, bits: int = DEFAULT_SFC_BITS) ->
     return reorder_sfc(queries, "zorder", bits)
 
 
-def block_by_page(
-    seq,
-    row_stride_bytes: int,
-    page_size_bytes: int = PAGE_SIZE,
-    window: int = DEFAULT_BLOCK_WINDOW,
-) -> np.ndarray:
+def block_by_page(seq, row_stride_bytes: int, window: int = DEFAULT_BLOCK_WINDOW) -> np.ndarray:
     """Group accesses by OS page inside consecutive windows.
 
     Within each window of `window` accesses, accesses are stably grouped
     by the page of their row's first byte, pages ordered by first
-    appearance.  The multiset of accesses is preserved.
+    appearance.  The matrix starts on a page boundary (AddressModel), so
+    that page is row * row_stride_bytes // PAGE_SIZE.  The multiset of
+    accesses is preserved.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     seq = np.asarray(seq, dtype=np.int64).ravel()
     if not len(seq):
         return seq.copy()
-    pages = (seq * row_stride_bytes) // page_size_bytes
+    pages = (seq * row_stride_bytes) // PAGE_SIZE
     # Sort by (window, page), keeping index order inside each group ...
     order = np.lexsort((pages, np.arange(len(seq)) // window))
     s_pages, s_windows = pages[order], order // window

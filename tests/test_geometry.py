@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from memloc import dramsim, kernels, memsys, traceio
+from memloc import dramsim, kernels, memsys, reorder, traceio
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "memloc"
 GEOMETRY_NAMES = {"LINE_SIZE", "PAGE_SIZE"}
@@ -65,6 +65,8 @@ REMOVED_KNOBS = [
     (dramsim.DramGeometry, "channels"), (dramsim.DramGeometry, "ranks"),
     (kernels.AddressModel, "line_size"), (kernels.AddressModel, "page_size"),
     (memsys.filter_to_dram, "keep_prefetch_misses"), (dramsim.simulate, "ideal"),
+    (kernels.rows_to_lines, "full_row"), (kernels.rows_to_trace, "full_row"),
+    (reorder.block_by_page, "page_size_bytes"), (memsys.inject_sw_prefetch, "stream"),
     *((gen, "issue_gap") for gen in (
         kernels.rows_to_trace, kernels.gen_knn_trace, kernels.gen_dbscan_trace,
         kernels.gen_dtree_trace, kernels.gen_gather_trace, kernels.gen_sequential_trace)),

@@ -18,6 +18,16 @@ class TestAddressModel:
         with pytest.raises(ValueError):
             AddressModel(base=100)
 
+    def test_line_aligned_base_off_a_page_rejected(self):
+        # block_by_page counts pages from the matrix's first byte.
+        with pytest.raises(ValueError, match="page-aligned"):
+            AddressModel(base=0x1000_0040)
+
+    def test_for_matrix_default_stride_packs_rows(self):
+        assert AddressModel.for_matrix(3).row_stride_bytes == 24
+        addr = AddressModel.for_matrix(3, 64, 8)
+        assert (addr.row_stride_bytes, addr.row_bytes) == (64, 8)
+
     def test_row_lines_cover_row(self):
         addr = AddressModel(row_stride_bytes=160, row_bytes=160)
         lines = kernels.rows_to_lines([1], addr)
@@ -197,31 +207,45 @@ class TestGather:
 
 
 class TestTranslate:
+    """Virtual-to-physical page translation inside rows_to_trace."""
+
+    ROWS = np.random.default_rng(2).integers(0, 4096, 2000)
+
+    def shuffled(self, seed):
+        return AddressModel(row_stride_bytes=64, page_mapping="shuffle", seed=seed, rows=4096)
+
     def test_identity_unchanged(self):
-        trace, _ = kernels.gen_gather_trace(100, 200, AddressModel(row_stride_bytes=64), 1)
-        assert kernels.translate(trace, AddressModel(row_stride_bytes=64)) == trace
+        addr = AddressModel(row_stride_bytes=64, rows=4096)
+        trace = kernels.rows_to_trace(self.ROWS, addr)
+        assert np.array_equal(trace.vaddr, kernels.rows_to_lines(self.ROWS, addr))
 
     def test_shuffle_preserves_offsets(self):
-        addr = AddressModel(row_stride_bytes=64, page_mapping="shuffle", seed=5)
-        trace, _ = kernels.gen_gather_trace(4096, 1000, addr, 2)
-        out = kernels.translate(trace, addr)
-        assert np.array_equal(out.vaddr % 4096, trace.vaddr % 4096)
+        addr = self.shuffled(5)
+        out = kernels.rows_to_trace(self.ROWS, addr)
+        assert np.array_equal(out.vaddr % 4096, kernels.rows_to_lines(self.ROWS, addr) % 4096)
 
     def test_shuffle_deterministic(self):
-        addr = AddressModel(row_stride_bytes=64, page_mapping="shuffle", seed=5)
-        trace, _ = kernels.gen_gather_trace(4096, 1000, addr, 2)
-        assert kernels.translate(trace, addr) == kernels.translate(trace, addr)
+        addr = self.shuffled(5)
+        assert kernels.rows_to_trace(self.ROWS, addr) == kernels.rows_to_trace(self.ROWS, addr)
 
     def test_shuffle_is_per_page_bijection(self):
-        addr = AddressModel(row_stride_bytes=64, page_mapping="shuffle", seed=6)
-        trace, _ = kernels.gen_gather_trace(4096, 2000, addr, 3)
-        out = kernels.translate(trace, addr)
-        vpages = trace.vaddr // 4096
-        ppages = out.vaddr // 4096
+        addr = self.shuffled(6)
+        vpages = kernels.rows_to_lines(self.ROWS, addr) // 4096
+        ppages = kernels.rows_to_trace(self.ROWS, addr).vaddr // 4096
         mapping = {}
         for v, p in zip(vpages.tolist(), ppages.tolist()):
             assert mapping.setdefault(v, p) == p
         assert len(set(mapping.values())) == len(mapping)
+
+    @pytest.mark.parametrize("row", [-1, 100, 200])
+    def test_shuffle_rejects_rows_outside_the_matrix(self, row):
+        addr = AddressModel(row_stride_bytes=64, page_mapping="shuffle", seed=5, rows=100)
+        with pytest.raises(ValueError, match="outside the 100-row matrix"):
+            kernels.rows_to_trace([0, row], addr)
+
+    def test_shuffle_needs_the_row_count(self):
+        with pytest.raises(ValueError, match="shuffle page mapping needs"):
+            AddressModel(row_stride_bytes=64, page_mapping="shuffle", seed=5)
 
 
 class TestReorderingEquivalence:

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloc import dramsim, memsys, reorder, sfc
+from memloc import dramsim, kernels, memsys, reorder, sfc
 from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig, quantize_rows
-from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
+from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
 from reference_models import _filter_reference, _simulate_reference
 
 
@@ -34,9 +34,9 @@ def first_touch_oracle(inspected, n):
     return np.concatenate([np.asarray(order, dtype=np.int64), rest]) if order else np.arange(n)
 
 
-def block_by_page_oracle(seq, row_stride_bytes, page_size_bytes, window):
+def block_by_page_oracle(seq, row_stride_bytes, window):
     seq = np.asarray(seq, dtype=np.int64).ravel()
-    pages = (seq * row_stride_bytes) // page_size_bytes
+    pages = (seq * row_stride_bytes) // PAGE_SIZE
     out = np.empty_like(seq)
     pos = 0
     for start in range(0, len(seq), window):
@@ -49,11 +49,20 @@ def block_by_page_oracle(seq, row_stride_bytes, page_size_bytes, window):
     return out
 
 
-def inject_oracle(trace, distance, stream=None):
+def rows_to_lines_oracle(rows, addr):
+    out = []
+    for r in rows:
+        start = addr.base + r * addr.row_stride_bytes
+        line = start // LINE_SIZE * LINE_SIZE
+        while line < start + addr.row_bytes:
+            out.append(line)
+            line += LINE_SIZE
+    return out
+
+
+def inject_oracle(trace, distance):
     demand_idx = np.flatnonzero(trace.kind != KIND_PREFETCH)
-    if stream is None:
-        stream = trace.vaddr[demand_idx]
-    stream = np.asarray(stream, dtype=np.uint64)
+    stream = trace.vaddr[demand_idx]
     if distance >= len(stream):
         return Trace(trace.vaddr.copy(), trace.cycle.copy(), trace.kind.copy())
     vaddr, cycle, kind = [], [], []
@@ -328,12 +337,24 @@ def test_first_touch_matches_loop(case):
 
 @settings(max_examples=200, deadline=None)
 @given(row_sequences(), st.sampled_from([8, 16, 64, 200]),
-       st.sampled_from([256, 4096]), st.integers(1, 64))
-def test_block_by_page_matches_loop(case, stride, page, window):
+       st.sampled_from([1, 16]), st.integers(1, 64))
+def test_block_by_page_matches_loop(case, stride, scale, window):
+    # scale 16 groups rows as 256-byte pages would at the unscaled stride.
     seq, _ = case
-    new = reorder.block_by_page(seq, stride, page, window)
+    new = reorder.block_by_page(seq, stride * scale, window)
     assert new.dtype == np.int64
-    assert np.array_equal(new, block_by_page_oracle(seq, stride, page, window))
+    assert np.array_equal(new, block_by_page_oracle(seq, stride * scale, window))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5000), max_size=50),
+       st.sampled_from([1, 8, 12, 16, 24, 64, 72, 100, 128, 200]),
+       st.sampled_from([1, 8, 16, 24, 64, 65, 128, 200]))
+def test_rows_to_lines_matches_loop(rows, stride, row_bytes):
+    addr = kernels.AddressModel(row_stride_bytes=stride, row_bytes=row_bytes)
+    new = kernels.rows_to_lines(rows, addr)
+    assert new.dtype == np.uint64
+    assert new.tolist() == rows_to_lines_oracle(rows, addr)
 
 
 @st.composite
@@ -346,11 +367,9 @@ def traces(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(traces(), st.integers(1, 40), st.booleans(), st.integers(0, 250))
-def test_inject_sw_prefetch_matches_loop(trace, distance, own_stream, stream_len):
-    stream = None if own_stream else np.arange(stream_len, dtype=np.uint64) * 64
-    assert memsys.inject_sw_prefetch(trace, distance, stream) == \
-        inject_oracle(trace, distance, stream)
+@given(traces(), st.integers(1, 40))
+def test_inject_sw_prefetch_matches_loop(trace, distance):
+    assert memsys.inject_sw_prefetch(trace, distance) == inject_oracle(trace, distance)
 
 
 @settings(max_examples=50, deadline=None)

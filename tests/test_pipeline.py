@@ -75,6 +75,33 @@ def test_cli_reorder_matches_pipeline(tmp_path):
         assert np.array_equal(reorder.load_permutation(tmp_path / f"{method}.perm.csv"), perm)
 
 
+def test_cli_block_without_stride_matches_pipeline(tmp_path, monkeypatch):
+    # gen writes the default kernel's 16-byte rows; reorder must block those,
+    # not 64-byte rows.
+    kernel = {"kind": "gather", "n": 5000, "count": 2000}
+    assert main(["gen", "--kind", "gather", "--n", "5000", "--count", "2000", "--seed", "1",
+                 "--out", str(tmp_path / "g")]) == 0
+    assert main(["reorder", "--method", "block", "--rows", str(tmp_path / "g.rows"),
+                 "--out", str(tmp_path / "b")]) == 0
+    replayed = []
+    real = kernels.rows_to_trace
+    monkeypatch.setattr(kernels, "rows_to_trace",
+                        lambda rows, *a, **kw: replayed.append(rows) or real(rows, *a, **kw))
+    pipeline.run_pipeline({"seed": 1, "kernel": kernel, "variants": ["block"]})
+    baseline, blocked = replayed
+    assert not np.array_equal(blocked, baseline)
+    assert np.fromfile(tmp_path / "b.rows", "<i8").tolist() == blocked.tolist()
+
+
+def test_every_gather_variant_replays_one_element_per_read():
+    # At m = 16 a row is 128 bytes, but a gather read loads one float64.
+    config = {"seed": 1, "kernel": {"kind": "gather", "n": 5000, "count": 2000, "m": 16},
+              "variants": ["baseline", "first-touch", "block", "sw-prefetch"]}
+    records = {r["variant"]: r["records"] for r in pipeline.run_pipeline(config)}
+    assert records == {"baseline": 2000, "first-touch": 2000, "block": 2000,
+                       "sw-prefetch": 2000 + 2000 - 16}
+
+
 def test_zero_queries_give_an_empty_trace():
     ctx = pipeline.build_kernel({"kernel": {"kind": "knn", "n": 100, "queries": 0}})
     trace, rows = ctx.generate()

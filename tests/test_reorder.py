@@ -177,26 +177,26 @@ class TestQueryZorder:
 class TestBlockByPage:
     def test_window_one_is_identity(self):
         seq = [5, 1, 9, 1]
-        assert reorder.block_by_page(seq, 64, 4096, window=1).tolist() == seq
+        assert reorder.block_by_page(seq, 64, window=1).tolist() == seq
 
     def test_hand_grouped(self):
-        out = reorder.block_by_page([0, 100, 1, 101], 64, 4096, window=4)
+        out = reorder.block_by_page([0, 100, 1, 101], 64, window=4)
         assert out.tolist() == [0, 1, 100, 101]
 
     def test_page_sorted_input_unchanged(self):
         seq = [0, 1, 2, 64, 65, 128]
-        assert reorder.block_by_page(seq, 64, 4096, window=6).tolist() == seq
+        assert reorder.block_by_page(seq, 64, window=6).tolist() == seq
 
     def test_multiset_preserved(self):
         rng = np.random.default_rng(10)
         seq = rng.integers(0, 500, 1000)
-        out = reorder.block_by_page(seq, 64, 4096, window=128)
+        out = reorder.block_by_page(seq, 64, window=128)
         assert sorted(out.tolist()) == sorted(seq.tolist())
 
     def test_never_more_page_transitions(self):
         rng = np.random.default_rng(11)
         seq = rng.integers(0, 300, 400)
-        out = reorder.block_by_page(seq, 64, 4096, window=100)
+        out = reorder.block_by_page(seq, 64, window=100)
         def transitions(s):
             pages = (np.asarray(s) * 64) // 4096
             return int((np.diff(pages) != 0).sum())
@@ -235,7 +235,7 @@ class TestApplyPermutation:
 @given(st.lists(st.integers(0, 30), max_size=200), st.integers(1, 64))
 @settings(max_examples=60)
 def test_block_by_page_multiset_property(seq, window):
-    out = reorder.block_by_page(seq, 128, 4096, window=window)
+    out = reorder.block_by_page(seq, 128, window=window)
     assert sorted(out.tolist()) == sorted(seq)
 
 

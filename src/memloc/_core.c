@@ -1,15 +1,17 @@
-/* Compiled core of memloc's two sequential simulators, and their only
- * implementation in the package.
+/* Compiled core of memloc's kd-tree walk and its two sequential
+ * simulators, and their only implementation in the package.
  *
+ * memloc_kdtree runs the pruned kd-tree walk behind kdtree.KdTree;
  * memloc_filter replays a trace through the three-level LRU filter that
  * memsys.filter_to_dram models; memloc_simulate runs the FR-FCFS-Cap
- * scheduler behind dramsim.simulate.  Both must give results identical
- * to the Python loops in tests/reference_models.py (CacheHierarchy and
- * _simulate_reference), which tests/test_oracles.py compares them
- * against.  _core.py compiles this file on first use and loads it with
- * ctypes; without a C compiler memloc cannot filter or simulate.
+ * scheduler behind dramsim.simulate.  All must give results identical
+ * to the Python references that tests/test_oracles.py compares them
+ * against (KdTreeOracle there, CacheHierarchy and _simulate_reference in
+ * tests/reference_models.py).  _core.py compiles this file on first use
+ * and loads it with ctypes; without a C compiler memloc cannot generate
+ * kd-tree traces, filter or simulate.
  *
- * Both functions return 0, or -1 when memory runs out.
+ * The functions return 0, or -1 when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -256,21 +258,29 @@ int memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
                     int64_t t_closed, int64_t t_conflict, int64_t max_bypass,
                     int64_t depth, int64_t *counts, uint8_t *events, uint64_t *latency)
 {
+    /* The window is a ring of entries that keep their request's bank and
+     * row, so a scan reads only the window and the open rows, and serving
+     * the oldest request moves nothing. */
+    typedef struct {
+        int64_t bank, row, arrive, bypass;
+    } entry;
+    int64_t size = 1;
+    while (size < depth)
+        size *= 2;
     int64_t *open_row = malloc(nbanks * sizeof *open_row);
-    int64_t *req = malloc(depth * sizeof *req), *bypass = malloc(depth * sizeof *bypass);
-    if (!open_row || !req || !bypass) {
+    entry *win = malloc(size * sizeof *win);
+    if (!open_row || !win) {
         free(open_row);
-        free(req);
-        free(bypass);
+        free(win);
         return -1;
     }
     memset(open_row, 0xff, nbanks * sizeof *open_row);
     unsigned __int128 lat = 0;
-    int64_t len = 0, next = 0, served = 0, t = 0;
+    int64_t head = 0, len = 0, mask = size - 1, next = 0, served = 0, t = 0;
     while (len || next < n) {
         while (next < n && len < depth && arrive[next] <= t) {
-            req[len] = next++;
-            bypass[len++] = 0;
+            win[(head + len++) & mask] = (entry){bank[next], row[next], arrive[next], 0};
+            next++;
         }
         if (!len) {
             t = arrive[next];
@@ -278,30 +288,184 @@ int memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
         }
         int64_t pick = 0;
         for (int64_t pos = 0; pos < len; pos++) {
-            if (open_row[bank[req[pos]]] == row[req[pos]]) {
+            const entry *w = &win[(head + pos) & mask];
+            if (open_row[w->bank] == w->row) {
                 pick = pos;
                 break;
             }
-            if (bypass[pos] >= max_bypass)
+            if (w->bypass >= max_bypass)
                 break;
         }
-        int64_t r = req[pick], b = bank[r];
-        memmove(req + pick, req + pick + 1, (len - 1 - pick) * sizeof *req);
-        memmove(bypass + pick, bypass + pick + 1, (len - 1 - pick) * sizeof *bypass);
+        /* Take the pick out: the requests in front of it move back one
+         * slot, each bypassed once more. */
+        entry e = win[(head + pick) & mask];
+        for (int64_t pos = pick; pos > 0; pos--) {
+            win[(head + pos) & mask] = win[(head + pos - 1) & mask];
+            win[(head + pos) & mask].bypass++;
+        }
+        head = (head + 1) & mask;
         len--;
-        for (int64_t pos = 0; pos < pick; pos++)
-            bypass[pos]++;
-        int kind = open_row[b] == row[r] ? 0 : open_row[b] == -1 ? 1 : 2;
-        open_row[b] = row[r];
-        t = (t > arrive[r] ? t : arrive[r]) + (kind == 0 ? t_hit : kind == 1 ? t_closed : t_conflict);
-        lat += (unsigned __int128)(t - arrive[r]);
-        counts[b * 3 + kind]++;
+        int kind = open_row[e.bank] == e.row ? 0 : open_row[e.bank] == -1 ? 1 : 2;
+        open_row[e.bank] = e.row;
+        t = (t > e.arrive ? t : e.arrive) + (kind == 0 ? t_hit : kind == 1 ? t_closed : t_conflict);
+        lat += (unsigned __int128)(t - e.arrive);
+        counts[e.bank * 3 + kind]++;
         events[served++] = (uint8_t)kind;
     }
     latency[0] = (uint64_t)lat;
     latency[1] = (uint64_t)(lat >> 64);
     free(open_row);
-    free(req);
-    free(bypass);
+    free(win);
+    return 0;
+}
+
+/* The rows a kd-tree walk examines, in examination order, and for radius
+ * walks whether each lay within the radius.  Grown by doubling;
+ * memloc_release frees it. */
+typedef struct {
+    int64_t *row;
+    uint8_t *hit;
+    int64_t len, cap;
+} visits;
+
+static int grow(visits *v)
+{
+    int64_t cap = v->cap ? v->cap * 2 : 4096;
+    int64_t *r = realloc(v->row, cap * sizeof *r);
+    if (r)
+        v->row = r;
+    uint8_t *h = r ? realloc(v->hit, cap) : NULL;
+    if (!h)
+        return -1;
+    v->hit = h;
+    v->cap = cap;
+    return 0;
+}
+
+static int record(visits *v, int64_t row, uint8_t hit)
+{
+    if (v->len == v->cap && grow(v))
+        return -1;
+    v->row[v->len] = row;
+    v->hit[v->len++] = hit;
+    return 0;
+}
+
+/* Whether (d2 a, row a) sits above (d2 b, row b) in the kNN max-heap: the
+ * larger d2, and on ties the smaller row, the pair a Python heap of
+ * (-d2, row) pops first. */
+static int above(double da, int64_t ra, double db, int64_t rb)
+{
+    return da > db || (da == db && ra < rb);
+}
+
+static void heap_push(double *d2, int64_t *row, int64_t size, double d, int64_t r)
+{
+    int64_t i = size;
+    while (i > 0) {
+        int64_t up = (i - 1) / 2;
+        if (!above(d, r, d2[up], row[up]))
+            break;
+        d2[i] = d2[up];
+        row[i] = row[up];
+        i = up;
+    }
+    d2[i] = d;
+    row[i] = r;
+}
+
+static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, int64_t r)
+{
+    int64_t i = 0;
+    for (int64_t c; (c = 2 * i + 1) < size; i = c) {
+        if (c + 1 < size && above(d2[c + 1], row[c + 1], d2[c], row[c]))
+            c++;
+        if (!above(d2[c], row[c], d, r))
+            break;
+        d2[i] = d2[c];
+        row[i] = row[c];
+    }
+    d2[i] = d;
+    row[i] = r;
+}
+
+/* One pruned depth-first walk per row of the nq x m query matrix, near
+ * side first, appending every examined row to `out`.  pts holds the n
+ * points in tree order, row order[p] at position p: the node of positions
+ * [lo, hi) sits at mid = lo + (hi - lo) / 2, with subtrees [lo, mid) and
+ * [mid + 1, hi), and splits on axis depth % m.  Only far sides are
+ * stacked, so a near side is never pruned.  With k >= 1 (k <= n), query
+ * q's k nearest rows are kept in the max-heap best_d2/best_row[q * k ..],
+ * and a far side whose plane is no nearer than the k-th best d2 is
+ * skipped; with k = 0, out->hit marks the visits with d2 <= r2, and a far
+ * side whose plane lies beyond r2 is skipped.  d2 is the left-to-right
+ * float64 sum of squared differences; _core.py compiles without FMA
+ * contraction, so it is the same on every host. */
+int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
+                  int64_t nq, const double *queries, int64_t k, double r2,
+                  double *best_d2, int64_t *best_row, visits *out)
+{
+    /* Frame depths rise strictly from the bottom of the stack, and no
+     * subtree of fewer than 2^63 rows is 64 levels deep. */
+    struct {
+        int64_t lo, hi, depth;
+        double plane2;
+    } stack[64];
+    if (!out->cap && grow(out))  /* so the buffers exist even with no visits */
+        return -1;
+    for (int64_t qi = 0; qi < nq; qi++) {
+        const double *q = queries + qi * m;
+        double *hd2 = best_d2 + qi * k;
+        int64_t *hrow = best_row + qi * k, found = 0, top = 1;
+        stack[0].lo = 0;
+        stack[0].hi = n;
+        stack[0].depth = 0;
+        stack[0].plane2 = 0.0;
+        while (top) {
+            top--;
+            int64_t lo = stack[top].lo, hi = stack[top].hi, depth = stack[top].depth;
+            double plane2 = stack[top].plane2;
+            if (k ? found == k && plane2 >= hd2[0] : !(plane2 <= r2))
+                continue;
+            while (lo < hi) {
+                int64_t mid = lo + (hi - lo) / 2, row = order[mid];
+                const double *p = pts + mid * m;
+                double d2 = 0.0;
+                for (int64_t j = 0; j < m; j++) {
+                    double d = p[j] - q[j];
+                    d2 += d * d;
+                }
+                if (record(out, row, !k && d2 <= r2))
+                    return -1;
+                if (k && found < k)
+                    heap_push(hd2, hrow, found++, d2, row);
+                else if (k && d2 < hd2[0])
+                    heap_replace_top(hd2, hrow, k, d2, row);
+                int64_t ax = depth % m;
+                double delta = q[ax] - p[ax];
+                stack[top].depth = ++depth;
+                stack[top].plane2 = delta * delta;
+                if (delta < 0) {
+                    stack[top].lo = mid + 1;
+                    stack[top++].hi = hi;
+                    hi = mid;
+                } else {
+                    stack[top].lo = lo;
+                    stack[top++].hi = mid;
+                    lo = mid + 1;
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+int memloc_release(visits *v)
+{
+    free(v->row);
+    free(v->hit);
+    v->row = NULL;
+    v->hit = NULL;
+    v->len = v->cap = 0;
     return 0;
 }

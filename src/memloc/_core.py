@@ -1,12 +1,13 @@
-"""Build and load the compiled simulator core, ``_core.c``, on first use.
+"""Build and load the compiled core, ``_core.c``, on first use.
 
 The library is compiled with the system C compiler into
 ``__pycache__/`` beside the source (or a per-user temporary directory
 when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
 rebuilt and an unchanged one is only loaded.  The core is memloc's only
-cache filter and DRAM scheduler, so memloc needs a C compiler (``cc``):
-when the core cannot be built or loaded, :func:`load` raises OSError.
+kd-tree walk, cache filter and DRAM scheduler, so memloc needs a C
+compiler (``cc``): when the core cannot be built or loaded, :func:`load`
+raises OSError.
 """
 
 from __future__ import annotations
@@ -22,15 +23,28 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_core.c")
-_COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+# No FMA contraction: a kd-tree d2 is the plain left-to-right float64 sum.
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _array(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
 
-_I64, _U8 = ctypes.c_int64, _array(np.uint8)
+class Visits(ctypes.Structure):
+    """memloc_kdtree's growable output: the examined rows in order and,
+    for radius walks, whether each was within the radius.  The core owns
+    the buffers; memloc_release frees them."""
+
+    _fields_ = [("row", ctypes.POINTER(ctypes.c_int64)), ("hit", ctypes.POINTER(ctypes.c_uint8)),
+                ("len", ctypes.c_int64), ("cap", ctypes.c_int64)]
+
+
+_I64, _U8, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.float64)
 _SIGNATURES = {
+    "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
+                      _F64, _array(np.int64), ctypes.POINTER(Visits)],
+    "memloc_release": [ctypes.POINTER(Visits)],
     "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
                       *[_I64] * 5, _array(np.int64)],
     "memloc_simulate": [_I64, *[_array(np.int64)] * 3, *[_I64] * 6, _array(np.int64), _U8,

@@ -1,4 +1,4 @@
-"""Implicit median kd-tree with traversal-order callbacks.
+"""Implicit median kd-tree, walked by the compiled core.
 
 The tree is one array, `order`, of row indices in tree order.  The
 subtree on positions [lo, hi) has its node at mid = lo + (hi - lo) // 2,
@@ -11,15 +11,18 @@ coordinate differences, so it is the same on every host.
 
 from __future__ import annotations
 
-import heapq
+import ctypes
+import operator
 
 import numpy as np
+
+from . import _core
 
 
 class KdTree:
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
+        if data.ndim != 2 or 0 in data.shape:
             raise ValueError("data must be a non-empty (n, m) array")
         if not np.isfinite(data).all():
             raise ValueError("data holds NaN or infinite values")
@@ -34,60 +37,59 @@ class KdTree:
             mid = group + np.bincount(group, minlength=n)[group] // 2
             group = np.where(pos < mid, group, np.minimum(pos, mid + 1))
         self.order = order
-        self._rows = order.tolist()
-        self._points = data[order].tolist()
+        self._points = data[order]  # the walk reads the points in tree order
 
-    def walk(self, query, visit, k: int | None = None, r2: float = 0.0):
-        """Pruned depth-first walk from the root, near side first, calling
-        `visit(row)` for every row whose features are read.  With `k`, the
-        k nearest rows as a heap of (-d2, row), skipping a far side whose
-        plane is no nearer than the k-th best d2; else the rows with
+    def walk(self, queries, k: int | None = None, r2: float = 0.0):
+        """One pruned depth-first walk from the root per query row, near
+        side first, in the compiled core.  Returns the examined rows of
+        all queries in examination order, and with `k` the k nearest
+        (d2, row) pairs of each query as two (queries, min(k, n)) arrays
+        in no set order, skipping a far side whose plane is no nearer
+        than the k-th best d2; else a mask of the examined rows with
         d2 <= r2, skipping a far side whose plane lies beyond r2."""
-        q = [float(v) for v in query]
-        pts, rows, m = self._points, self._rows, self.m
-        if len(q) != m:
-            raise ValueError(f"query must have {m} coordinates")
-        found: list = []
-        # Only far sides are pushed; a near side is entered directly and
-        # never pruned, even when the k-th best d2 is 0.
-        stack = [(0, len(rows), 0, 0.0)]
-        while stack:
-            lo, hi, depth, plane2 = stack.pop()
-            if k is None:
-                if not plane2 <= r2:
-                    continue
-            elif len(found) == k and plane2 >= -found[0][0]:
-                continue
-            while lo < hi:
-                mid = lo + (hi - lo) // 2
-                p, row = pts[mid], rows[mid]
-                visit(row)
-                d2 = 0.0
-                for a, b in zip(p, q):
-                    d = a - b
-                    d2 += d * d
-                if k is None:
-                    if d2 <= r2:
-                        found.append(row)
-                elif len(found) < k:
-                    heapq.heappush(found, (-d2, row))
-                elif d2 < -found[0][0]:
-                    heapq.heapreplace(found, (-d2, row))
-                ax = depth % m
-                delta = q[ax] - p[ax]
-                depth += 1
-                if delta < 0:
-                    stack.append((mid + 1, hi, depth, delta * delta))
-                    hi = mid
-                else:
-                    stack.append((lo, mid, depth, delta * delta))
-                    lo = mid + 1
-        return found
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.m:
+            raise ValueError(f"queries must be a (q, {self.m}) array")
+        if not np.isfinite(queries).all():
+            raise ValueError("queries hold NaN or infinite values")
+        if k is not None and operator.index(k) < 1:
+            raise ValueError("k must be >= 1")
+        width = 0 if k is None else min(k, len(self.order))  # k > n prunes as k = n does
+        best_d2 = np.empty((len(queries), width))
+        best_row = np.empty((len(queries), width), dtype=np.int64)
+        out = _core.Visits()
+        try:
+            if _core.load().memloc_kdtree(len(self.order), self.m, self._points, self.order,
+                                          len(queries), queries, width, float(r2), best_d2,
+                                          best_row, ctypes.byref(out)):
+                raise MemoryError("kd-tree walk: out of memory")
+            rows = np.ctypeslib.as_array(out.row, (out.len,)).copy()
+            found = (np.ctypeslib.as_array(out.hit, (out.len,)).astype(bool) if k is None
+                     else (best_d2, best_row))
+        finally:
+            _core.load().memloc_release(ctypes.byref(out))
+        return rows, found
 
     def knn(self, query: np.ndarray, k: int, visit=None):
         """The k nearest rows as sorted (d2, row) pairs."""
-        return sorted((-d, r) for d, r in self.walk(query, visit or (lambda row: None), k=k))
+        rows, (d2, best) = self.walk(self._one(query), k=k)
+        _replay(rows, visit)
+        return sorted(zip(d2[0].tolist(), best[0].tolist()))
 
     def radius(self, query: np.ndarray, radius: float, visit=None):
         """All rows within `radius`, in examination order."""
-        return self.walk(query, visit or (lambda row: None), r2=radius * radius)
+        rows, hit = self.walk(self._one(query), r2=radius * radius)
+        _replay(rows, visit)
+        return rows[hit].tolist()
+
+    def _one(self, query) -> np.ndarray:
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.m,):
+            raise ValueError(f"query must have {self.m} coordinates")
+        return query[None]
+
+
+def _replay(rows: np.ndarray, visit):
+    """Call `visit(row)` for every examined row, in examination order."""
+    for row in rows.tolist() if visit else ():
+        visit(row)

@@ -110,16 +110,8 @@ def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel):
 
 
 def _tree_trace(data, queries, addr: AddressModel, k: int | None = None, r2: float = 0.0):
-    """One KdTree.walk per query row: kNN with `k`, else radius sqrt(r2)."""
-    tree = KdTree(data)
-    queries = np.asarray(queries, dtype=np.float64)
-    if not np.isfinite(queries).all():
-        raise ValueError("queries hold NaN or infinite values")
-    rows: list = []
-    visit = rows.append
-    for q in queries.tolist():
-        tree.walk(q, visit, k, r2)
-    rows = np.asarray(rows, dtype=np.int64)
+    """One KdTree walk over all query rows: kNN with `k`, else radius sqrt(r2)."""
+    rows, _ = KdTree(data).walk(queries, k, r2)
     return rows_to_trace(rows, addr), rows
 
 

@@ -79,11 +79,21 @@ def resolve_config(config: dict, defaults: dict = DEFAULTS, prefix: str = "") ->
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise PipelineError(f"config: unknown key {prefix + unknown[0]!r}")
+    for key, value in config.items():
+        # A set row stride is a byte count; its None default means m * 8.
+        integral = _is_integer(defaults[key]) or (
+            prefix + key == "kernel.row_stride_bytes" and value is not None)
+        if integral and not _is_integer(value):
+            raise PipelineError(f"config: {prefix + key} must be an integer")
     out = {**defaults, **config}
     for key, section in defaults.items():
         if isinstance(section, dict):
             out[key] = resolve_config(config.get(key, {}), section, f"{key}.")
     return out
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def memory_config(cfg: dict):
@@ -134,32 +144,32 @@ class _KernelCtx:
 def build_kernel(config: dict) -> _KernelCtx:
     cfg = resolve_config(config)
     k = cfg["kernel"]
-    kind, seed = k["kind"], int(cfg["seed"])
+    kind, seed = k["kind"], cfg["seed"]
     if kind not in KERNELS:
         raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
     for key, low in (("k", 1), ("queries", 0)) if kind == "knn" else ():
-        if int(k[key]) < low:
+        if k[key] < low:
             raise PipelineError(f"config: kernel.{key} must be >= {low}")
-    n, m = int(k["n"]), int(k["m"])
+    n, m = k["n"], k["m"]
     rng = np.random.default_rng(seed)
     data = labels = queries = None
     if kind != "gather":
         if k["clusters"]:
-            data = kernels.make_clustered(n, m, int(k["clusters"]), seed,
+            data = kernels.make_clustered(n, m, k["clusters"], seed,
                                           layout=k["layout"], spread=k["spread"])
         else:
             data = kernels.make_uniform(n, m, seed)
     if kind == "knn":
-        nq = int(k["queries"])
+        nq = k["queries"]
         if k["clusters"] and k["queries_from_data"]:
             queries = data[rng.integers(0, n, nq)] + rng.normal(0, 0.005, (nq, m))
         else:
             queries = rng.random((nq, m))
     if kind == "dtree":
         labels = (data @ rng.random(m) > 0.5 * rng.random(m).sum()).astype(np.int64)
-    stride = None if k["row_stride_bytes"] is None else int(k["row_stride_bytes"])
     # A gather read A[B[i]] loads one float64 element; other kernels read whole rows.
-    addr = kernels.AddressModel.for_matrix(m, stride, 8 if kind == "gather" else None,
+    addr = kernels.AddressModel.for_matrix(m, k["row_stride_bytes"],
+                                           8 if kind == "gather" else None,
                                            page_mapping=k["page_mapping"], seed=seed, rows=n)
     return _KernelCtx(kind, data, labels, queries, addr, k, seed)
 
@@ -208,20 +218,34 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
             trace = memsys.inject_sw_prefetch(baseline[0], cfg["prefetch"]["sw_distance"])
         return lambda: trace
     rows = baseline[1] if variant in ("first-touch", "block") else None
-    perm, new_rows = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=int(ctx.spec["n"]),
+    perm, new_rows = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=ctx.spec["n"],
                                 points=ctx.queries if variant == "zorder-comp" else ctx.data,
                                 row_stride_bytes=ctx.addr.row_stride_bytes)
-    if new_rows is None and ctx.data is None:
-        # Index-only kernel: relabel rows through the inverse map.
-        new_rows = reorder.invert_permutation(perm)[rows]
     if new_rows is not None:
         return lambda: kernels.rows_to_trace(new_rows, ctx.addr)
     if variant == "zorder-comp":
         queries = ctx.queries[perm]
         return lambda: ctx.generate(queries=queries)[0]
+    if _relabels(ctx):
+        # The replay visits the same rows, each under its new index.
+        return lambda: kernels.rows_to_trace(reorder.invert_permutation(perm)[baseline[1]],
+                                             ctx.addr)
     data = reorder.apply_permutation(ctx.data, perm)
     labels = None if ctx.labels is None else ctx.labels[perm]
     return lambda: ctx.generate(data=data, labels=labels)[0]
+
+
+def _relabels(ctx: _KernelCtx) -> bool:
+    """Whether permuting the kernel's rows only relabels its visit
+    sequence.  So it is for the index-only gather, and for kNN when the
+    first feature column holds n distinct values: the tree's first sort
+    then meets no tie, and each later stable sort breaks its ties by the
+    order the one before left, so neither the tree nor the walk over the
+    same queries depends on the storage order.  DBSCAN's queries are its
+    own rows, and dtree's node index lists follow storage order."""
+    if ctx.data is None:
+        return True
+    return ctx.kind == "knn" and bool((np.diff(np.sort(ctx.data[:, 0])) != 0).all())
 
 
 def run_variant(ctx: _KernelCtx, variant: str, config: dict,
@@ -259,7 +283,7 @@ def run_variant(ctx: _KernelCtx, variant: str, config: dict,
 
 def run_pipeline(config: dict) -> list[dict]:
     cfg = resolve_config(config)
-    if cfg["kernel"]["kind"] == "knn" and int(cfg["kernel"]["queries"]) < 1:
+    if cfg["kernel"]["kind"] == "knn" and cfg["kernel"]["queries"] < 1:
         # memloc gen may write the empty trace; the DRAM model cannot time it.
         raise PipelineError("config: kernel.queries must be >= 1")
     ctx = build_kernel(config)

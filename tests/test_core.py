@@ -98,6 +98,14 @@ def test_without_a_compiler_every_simulator_stage_fails(source, tmp_path, monkey
     assert len(compiles) == 1
 
 
+@pytest.mark.parametrize("kernel", [{"kind": "knn", "n": 300, "queries": 20},
+                                    {"kind": "dbscan", "n": 300}])
+def test_without_a_compiler_kd_tree_generation_fails(source, tmp_path, monkeypatch, kernel):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    with pytest.raises(pipeline.PipelineError, match=r"^gen: .*needs a C compiler \(cc\)"):
+        pipeline.build_kernel({"kernel": kernel}).generate()
+
+
 SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
                    "_simulate_reference"}

@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memloc import kernels, pipeline
+from memloc.kdtree import KdTree
 from memloc.kernels import AddressModel
 from memloc.traceio import KIND_READ
 
@@ -159,6 +161,28 @@ DBSCAN = {"kind": "dbscan", "n": 300, "clusters": 6}
 def test_visit_sequence_matches_its_pinned_digest(kernel, digest):
     _, rows = pipeline.build_kernel({"seed": 3, "kernel": kernel}).generate()
     assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_visit_buffer_grows_to_every_visit():
+    # 50 all-covering queries over 2000 rows: 100k visits, far past the
+    # core's first buffer, every row once per query.
+    rng = np.random.default_rng(9)
+    rows, hit = KdTree(rng.random((2000, 3))).walk(rng.random((50, 3)), r2=3.0)
+    assert len(rows) == 100_000 and hit.all()
+    assert (np.sort(rows.reshape(50, 2000), axis=1) == np.arange(2000)).all()
+
+
+def test_tree_holds_little_more_than_its_data():
+    data = np.random.default_rng(10).random((100_000, 16))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = KdTree(data)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tree.order.shape == (100_000,)
+    assert held <= 1.5 * data.nbytes
 
 
 class TestDtree:

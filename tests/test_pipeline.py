@@ -1,5 +1,6 @@
 """The shared experiment model: config checks, golden rows, CLI parity."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -183,6 +184,12 @@ STAGE_ERRORS = {
     "nan-spread": ("gen", {"kernel": {**BASE["kernel"], "clusters": 4, "spread": float("nan")}}),
     "gather-hilbert": ("reorder", {"kernel": {"kind": "gather", "n": 300, "count": 50},
                                    "variants": ["hilbert"]}),
+    "fractional-stride": ("config", {"kernel": {"kind": "gather", "n": 50, "count": 20,
+                                                "row_stride_bytes": 64.5}}),
+    "fractional-k": ("config", {"kernel": {**BASE["kernel"], "k": 1.5}}),
+    "string-seed": ("config", {"seed": "1"}),
+    "float-cache-size": ("config", {"cache": {"l2_kb": 256.0}}),
+    "bool-cap": ("config", {"dram": {"cap": True}}),
 }
 
 
@@ -190,6 +197,18 @@ STAGE_ERRORS = {
 def test_generation_and_transformation_errors_carry_their_stage(stage, bad):
     with pytest.raises(pipeline.PipelineError, match=f"^{stage}: (?!{stage}:)"):
         pipeline.run_pipeline({**BASE, **bad})
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"kernel": {"kind": "gather", "n": 50, "count": 20, "row_stride_bytes": 64.5}},
+     "kernel.row_stride_bytes"),
+    ({"kernel": {**BASE["kernel"], "k": 1.5}}, "kernel.k"),
+    ({"rcb_leaf_size": 32.0}, "rcb_leaf_size"),
+    ({"dram": {"cap": True}}, "dram.cap"),
+])
+def test_integer_keys_take_only_integers(bad, key):
+    with pytest.raises(pipeline.PipelineError, match=f"^config: {key} must be an integer$"):
+        pipeline.build_kernel({**BASE, **bad})
 
 
 def test_missing_points_message_names_the_kernel_only_when_known():
@@ -223,6 +242,72 @@ def test_overhead_excludes_the_kernel_replay(monkeypatch):
     rows = {r["variant"]: r for r in pipeline.run_pipeline(config)}
     assert rows["baseline"]["overhead_s"] == 0
     assert rows["first-touch"]["overhead_s"] < 0.1
+
+
+def test_overhead_excludes_a_regenerated_replay(monkeypatch):
+    # kNN layouts relabel the baseline's visits, but zorder-comp walks again.
+    real, calls = kernels.gen_knn_trace, []
+
+    def slow(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "gen_knn_trace", slow)
+    (row,) = pipeline.run_pipeline({**BASE, "variants": ["zorder-comp"]})
+    assert len(calls) == 2  # the baseline and the replay
+    assert row["overhead_s"] < 0.1
+
+
+KNN_SWEEP = {"kind": "knn", "n": 6000, "m": 2, "k": 5, "queries": 400, "clusters": 32,
+             "layout": "shuffled", "row_stride_bytes": 64}
+LAYOUTS = ("hilbert", "zorder", "rcb", "first-touch")
+
+
+def _layout_replays(ctx, monkeypatch):
+    """Per layout variant: the pipeline's replay, a fresh generation over
+    the permuted data, the baseline visits relabelled, and the kNN
+    generations the replay ran."""
+    cfg = pipeline.resolve_config({"kernel": {"kind": "knn"}})
+    baseline = ctx.generate()
+    real = kernels.gen_knn_trace
+    out = {}
+    for variant in LAYOUTS:
+        calls = []
+        monkeypatch.setattr(kernels, "gen_knn_trace",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        replayed = pipeline._transform(ctx, variant, cfg, baseline)()
+        monkeypatch.setattr(kernels, "gen_knn_trace", real)
+        perm, _ = pipeline.reorder_by(variant, cfg, kind="knn", rows=baseline[1],
+                                      n=len(ctx.data), points=ctx.data)
+        fresh = ctx.generate(data=reorder.apply_permutation(ctx.data, perm))[0]
+        relabelled = kernels.rows_to_trace(reorder.invert_permutation(perm)[baseline[1]],
+                                           ctx.addr)
+        out[variant] = replayed, fresh, relabelled, len(calls)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 1000004])
+def test_knn_layouts_relabel_the_baseline_visits(seed, monkeypatch):
+    ctx = pipeline.build_kernel({"seed": seed, "kernel": KNN_SWEEP})
+    for variant, (replayed, fresh, _, calls) in _layout_replays(ctx, monkeypatch).items():
+        assert calls == 0, variant
+        assert replayed == fresh, variant
+
+
+@pytest.mark.parametrize("column, regenerated", [(0, True), (1, False)])
+def test_knn_layouts_regenerate_when_the_first_column_ties(column, regenerated, monkeypatch):
+    # Ties on the first split axis make the tree depend on storage order;
+    # later axes break their ties by the order the first sort left.
+    ctx = pipeline.build_kernel({"seed": 1, "kernel": {**KNN_SWEEP, "n": 600, "queries": 60}})
+    data = ctx.data.copy()
+    data[:, column] = data[:, column].round(2)
+    replays = _layout_replays(dataclasses.replace(ctx, data=data), monkeypatch)
+    for variant, (replayed, fresh, relabelled, calls) in replays.items():
+        assert calls == regenerated, variant
+        assert replayed == fresh, variant
+    if regenerated:  # relabelling would not have been exact
+        assert not all(relabelled == fresh for _, fresh, relabelled, _ in replays.values())
 
 
 class TestPageMapping:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import sys
 import time
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dramsim, kernels, memsys, pipeline, reorder, traceio
+from . import dramsim, memsys, pipeline, reorder, traceio
 
 DEFAULTS = pipeline.DEFAULTS
 
@@ -42,6 +43,8 @@ def cmd_gen(args) -> int:
     if ctx.labels is not None:
         _save_rows(prefix + ".labels", ctx.labels)
     _save_rows(prefix + ".rows", rows)
+    Path(prefix + ".rows.json").write_text(
+        json.dumps({"row_stride_bytes": ctx.addr.row_stride_bytes}))
     traceio.write_trace(prefix + ".trace", trace)
     print(f"{len(trace)} records")
     return 0
@@ -51,9 +54,10 @@ def cmd_reorder(args) -> int:
     method = args.method
     data = reorder.load_dataset(args.dataset) if args.dataset else None
     rows = np.fromfile(args.rows, dtype="<i8") if args.rows else None
-    # Without a dataset the rows are taken to be the default kernel's.
-    m = DEFAULTS["kernel"]["m"] if data is None else data.shape[1]
-    stride = kernels.AddressModel.for_matrix(m, args.row_stride).row_stride_bytes
+    stride, sidecar = args.row_stride, Path(f"{args.rows}.json")
+    if stride is None and args.rows and sidecar.is_file():
+        # memloc gen records the row stride of the rows it writes.
+        stride = json.loads(sidecar.read_text())["row_stride_bytes"]
     params = {"sfc_bits": args.bits, "rcb_leaf_size": args.leaf_size,
               "block_window": args.window}
     t0 = time.perf_counter()
@@ -165,6 +169,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: building it costs ~2 ms
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="memloc",
                                 description="Memory-locality trace toolkit")

@@ -124,22 +124,18 @@ def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
     return f["bank"], f["row"]
 
 
-def _prepare(trace: Trace, geom: DramGeometry, scheme: str, arrival: str,
-             arrival_gap: int):
-    """(bank, row, arrival cycle) int64 arrays of a checked request trace."""
+def _prepare(trace: Trace, arrival: str, arrival_gap: int) -> np.ndarray:
+    """The int64 arrival cycles of a checked, non-empty request trace."""
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
-    bank_arr, row_arr = _decompose_trace(trace, scheme, geom)
     if arrival == "from-trace":
-        arrive_arr = trace.cycle.astype(np.int64)
-    elif arrival == "fixed-gap":
+        return trace.cycle.astype(np.int64)
+    if arrival == "fixed-gap":
         if arrival_gap < 0:
             raise ValueError("arrival_gap must be >= 0")
-        arrive_arr = np.arange(n, dtype=np.int64) * arrival_gap
-    else:
-        raise ValueError(f"unknown arrival model {arrival!r}")
-    return bank_arr, row_arr, arrive_arr
+        return np.arange(n, dtype=np.int64) * arrival_gap
+    raise ValueError(f"unknown arrival model {arrival!r}")
 
 
 def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
@@ -156,7 +152,8 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         raise ValueError("cap must be >= 1")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
-    bank_arr, row_arr, arrive_arr = _prepare(trace, geom, scheme, arrival, arrival_gap)
+    arrive_arr = _prepare(trace, arrival, arrival_gap)
+    bank_arr, row_arr = _decompose_trace(trace, scheme, geom)
     n = len(bank_arr)
     counts = np.zeros((geom.banks, 3), dtype=np.int64)
     events = np.zeros(n, dtype=np.uint8)
@@ -178,23 +175,20 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         else None)
 
 
-def simulate_ideal(trace: Trace, geom: DramGeometry = DramGeometry(),
-                   timing: DramTiming = DramTiming(), scheme: str = "RoBaRaCoCh",
+def simulate_ideal(trace: Trace, timing: DramTiming = DramTiming(),
                    arrival: str = "from-trace", arrival_gap: int = 4) -> DramStats:
     """Every request serviced at row-hit latency; hit ratio reported as 1.
 
     All hits mean the scheduler never reorders, so the FCFS service chain
-    t_i = max(t_{i-1}, arrive_i) + t_hit has the closed form below.
+    t_i = max(t_{i-1}, arrive_i) + t_hit has the closed form below; it
+    reads the arrivals alone, not where the requests map.
     """
-    bank_arr, _, arrive_arr = _prepare(trace, geom, scheme, arrival, arrival_gap)
+    arrive_arr = _prepare(trace, arrival, arrival_gap)
     n = len(trace)
     t_hit = timing.hit
     idx = np.arange(n, dtype=np.int64)
     finish = np.maximum.accumulate(arrive_arr - t_hit * idx) + t_hit * (idx + 1)
-    return DramStats(
-        hits=n, total=n, avg_latency=float(np.mean(finish - arrive_arr)),
-        per_bank={int(b): {"hits": int(c), "misses": 0, "conflicts": 0}
-                  for b, c in enumerate(np.bincount(bank_arr)) if c})
+    return DramStats(hits=n, total=n, avg_latency=float(np.mean(finish - arrive_arr)))
 
 
 def improvement(actual: DramStats, ideal: DramStats) -> float:

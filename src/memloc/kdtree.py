@@ -69,27 +69,3 @@ class KdTree:
         finally:
             _core.load().memloc_release(ctypes.byref(out))
         return rows, found
-
-    def knn(self, query: np.ndarray, k: int, visit=None):
-        """The k nearest rows as sorted (d2, row) pairs."""
-        rows, (d2, best) = self.walk(self._one(query), k=k)
-        _replay(rows, visit)
-        return sorted(zip(d2[0].tolist(), best[0].tolist()))
-
-    def radius(self, query: np.ndarray, radius: float, visit=None):
-        """All rows within `radius`, in examination order."""
-        rows, hit = self.walk(self._one(query), r2=radius * radius)
-        _replay(rows, visit)
-        return rows[hit].tolist()
-
-    def _one(self, query) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.m,):
-            raise ValueError(f"query must have {self.m} coordinates")
-        return query[None]
-
-
-def _replay(rows: np.ndarray, visit):
-    """Call `visit(row)` for every examined row, in examination order."""
-    for row in rows.tolist() if visit else ():
-        visit(row)

@@ -116,9 +116,13 @@ def _tree_trace(data, queries, addr: AddressModel, k: int | None = None, r2: flo
 
 
 def _gini(labels: np.ndarray) -> float:
+    """1 - the sum of squared class shares, summed left to right (not by
+    the host's BLAS), so splits are the same on every host."""
     _, counts = np.unique(labels, return_counts=True)
-    p = counts / counts.sum()
-    return 1.0 - float(p @ p)
+    total = 0.0
+    for share in (counts / counts.sum()).tolist():
+        total += share * share
+    return 1.0 - total
 
 
 def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
@@ -149,10 +153,10 @@ def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
             score = (nl * _gini(sub_labels[mask])
                      + (len(idx) - nl) * _gini(sub_labels[~mask])) / len(idx)
             if best is None or score < best[0]:
-                best = (score, j, thr, mask)
+                best = (score, mask)
         if best is None or best[0] >= parent:
             return
-        _, _, _, mask = best
+        mask = best[1]
         grow(idx[mask], depth + 1)
         grow(idx[~mask], depth + 1)
 

@@ -110,9 +110,10 @@ def simulate_dram(dram_trace, cfg: dict):
     pick = lambda *keys: {k: d[k] for k in keys}  # noqa: E731
     geom = dramsim.DramGeometry(**pick("banks", "rows_per_bank", "row_size_bytes"))
     timing = dramsim.DramTiming(**pick("tCL", "tRCD", "tRP", "tBURST"))
-    kw = pick("scheme", "arrival", "arrival_gap")
-    return (dramsim.simulate(dram_trace, geom, timing, **kw, **pick("cap", "queue_depth")),
-            dramsim.simulate_ideal(dram_trace, geom, timing, **kw))
+    arrivals = pick("arrival", "arrival_gap")
+    return (dramsim.simulate(dram_trace, geom, timing, **arrivals,
+                             **pick("scheme", "cap", "queue_depth")),
+            dramsim.simulate_ideal(dram_trace, timing, **arrivals))
 
 
 @dataclass
@@ -166,7 +167,10 @@ def build_kernel(config: dict) -> _KernelCtx:
         else:
             queries = rng.random((nq, m))
     if kind == "dtree":
-        labels = (data @ rng.random(m) > 0.5 * rng.random(m).sum()).astype(np.int64)
+        dot = np.zeros(n)
+        for j, w in enumerate(rng.random(m)):  # data @ w left to right, not by BLAS
+            dot += data[:, j] * w
+        labels = (dot > 0.5 * rng.random(m).sum()).astype(np.int64)
     # A gather read A[B[i]] loads one float64 element; other kernels read whole rows.
     addr = kernels.AddressModel.for_matrix(m, k["row_stride_bytes"],
                                            8 if kind == "gather" else None,
@@ -248,15 +252,14 @@ def _relabels(ctx: _KernelCtx) -> bool:
     return ctx.kind == "knn" and bool((np.diff(np.sort(ctx.data[:, 0])) != 0).all())
 
 
-def run_variant(ctx: _KernelCtx, variant: str, config: dict,
-                baseline: tuple | None = None) -> dict:
-    """One pipeline row.  `baseline` caches (trace, rows) for reuse.
+def run_variant(ctx: _KernelCtx, variant: str, config: dict, baseline: tuple) -> dict:
+    """One pipeline row.  `baseline` is the kernel's (trace, rows), which
+    every variant starts from.
 
     overhead_s times the variant's transformation alone (the reordering
     or the prefetch injection), not the kernel replay after it.
     """
     cfg = resolve_config(config)
-    baseline = baseline or ctx.generate()
     t0 = time.perf_counter()
     replay = _transform(ctx, variant, cfg, baseline)
     overhead = 0.0 if variant == "baseline" else time.perf_counter() - t0

@@ -107,18 +107,23 @@ def block_by_page(seq, row_stride_bytes: int, window: int = DEFAULT_BLOCK_WINDOW
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    if row_stride_bytes < 1:
+        raise ValueError("row_stride_bytes must be >= 1")
     seq = np.asarray(seq, dtype=np.int64).ravel()
     if not len(seq):
         return seq.copy()
     pages = (seq * row_stride_bytes) // PAGE_SIZE
-    # Sort by (window, page), keeping index order inside each group ...
-    order = np.lexsort((pages, np.arange(len(seq)) // window))
-    s_pages, s_windows = pages[order], order // window
-    starts = np.flatnonzero(np.concatenate(
-        [[True], (s_pages[1:] != s_pages[:-1]) | (s_windows[1:] != s_windows[:-1])]))
-    # ... then order the groups by their first index, which also orders windows.
-    first = np.repeat(order[starts], np.diff(np.append(starts, len(seq))))
-    return seq[order[np.argsort(first, kind="stable")]]
+    pages -= pages.min()
+    span = int(pages.max()) + 1
+    if ((len(seq) - 1) // window + 1) * span > 2**63:
+        # The (window, page) key would wrap in int64: number the pages densely.
+        pages = np.unique(pages, return_inverse=True)[1]
+        span = int(pages.max()) + 1
+    # One group per (window, page); order each access by its group's first
+    # access, which also keeps the windows in order.
+    _, first, group = np.unique(np.arange(len(seq)) // window * span + pages,
+                                return_index=True, return_inverse=True)
+    return seq[np.argsort(first[group], kind="stable")]
 
 
 def apply_permutation(data: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -172,8 +172,8 @@ def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
 
 def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
                         cap: int, queue_depth: int, collect_events: bool) -> DramStats:
-    """The FR-FCFS-Cap loop in Python over _prepare's arrays: the
-    reference for tests."""
+    """The FR-FCFS-Cap loop in Python over _decompose_trace's bank and
+    row arrays and _prepare's arrival cycles: the reference for tests."""
     n = len(bank_arr)
     t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
     stats = DramStats(total=n, events=[] if collect_events else None)

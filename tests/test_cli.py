@@ -104,6 +104,13 @@ class TestReorder:
         blocked = np.fromfile(str(out) + ".rows", dtype="<i8")
         assert blocked.tolist() == [0, 1, 100, 101]
 
+    def test_block_rejects_a_zero_row_stride(self, tmp_path, capsys):
+        rows_path = tmp_path / "rows.bin"
+        np.array([0, 100, 1, 101], dtype="<i8").tofile(rows_path)
+        assert run(["reorder", "--method", "block", "--rows", rows_path,
+                    "--row-stride", "0", "--out", tmp_path / "blk"]) == 1
+        assert capsys.readouterr().err.startswith("memloc: reorder: row_stride_bytes")
+
 
 class TestFilterAndDram:
     def test_filter_then_dramsim(self, gather_prefix, tmp_path):

@@ -257,7 +257,10 @@ class TestInputChecks:
     def test_shared_checks_apply_to_both(self, sim):
         with pytest.raises(ValueError, match="empty"):
             sim(Trace.empty())
-        with pytest.raises(ValueError, match="scheme"):
-            sim(trace_of([1]), scheme="nope")
         with pytest.raises(ValueError, match="arrival"):
             sim(trace_of([1]), arrival="nope")
+
+    def test_unknown_scheme_rejected(self):
+        # Only simulate maps addresses; the ideal bound reads arrivals alone.
+        with pytest.raises(ValueError, match="scheme"):
+            simulate(trace_of([1]), scheme="nope")

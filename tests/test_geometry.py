@@ -70,7 +70,8 @@ REMOVED_KNOBS = [
     *((gen, "issue_gap") for gen in (
         kernels.rows_to_trace, kernels.gen_knn_trace, kernels.gen_dbscan_trace,
         kernels.gen_dtree_trace, kernels.gen_gather_trace, kernels.gen_sequential_trace)),
-    *((dramsim.simulate_ideal, name) for name in ("cap", "queue_depth", "collect_events")),
+    *((dramsim.simulate_ideal, name) for name in (
+        "cap", "queue_depth", "collect_events", "geom", "scheme")),
 ]
 
 

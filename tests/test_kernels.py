@@ -84,8 +84,8 @@ class TestKnn:
         rng = np.random.default_rng(2)
         data = rng.random((300, 3))
         q = rng.random(3)
-        from memloc.kdtree import KdTree
-        found = [r for _, r in KdTree(data).knn(q, 5)]
+        _, (_, best) = KdTree(data).walk(q[None], k=5)
+        found = best[0].tolist()
         brute = np.argsort(((data - q) ** 2).sum(1), kind="stable")[:5]
         assert sorted(found) == sorted(brute.tolist())
 
@@ -136,11 +136,8 @@ class TestDbscan:
         a = rng.uniform(0.0, 0.4, (40, 2))
         b = rng.uniform(10.0, 10.4, (40, 2))
         data = np.vstack([a, b])
-        from memloc.kdtree import KdTree
-        tree = KdTree(data)
-        for i in range(40):
-            hits = tree.radius(data[i], 0.5)
-            assert all(h < 40 for h in hits)
+        rows, hit = KdTree(data).walk(data[:40], r2=0.5 * 0.5)
+        assert all(h < 40 for h in rows[hit])
 
 
 # SHA-256 of the little-endian int64 visit sequence, recorded with the
@@ -186,6 +183,17 @@ def test_tree_holds_little_more_than_its_data():
 
 
 class TestDtree:
+    @pytest.mark.parametrize("counts", [(1, 2), (1, 4), (1, 2, 6)])
+    def test_gini_sums_left_to_right(self, counts):
+        # A BLAS dot product (fused multiply-add on some hosts) rounds
+        # these sums differently.
+        labels = np.repeat(np.arange(len(counts)), counts)
+        total = 0.0
+        for c in counts:
+            share = c / sum(counts)
+            total += share * share
+        assert kernels._gini(labels) == 1.0 - total
+
     def test_depth_one_scans_once(self):
         rng = np.random.default_rng(6)
         data = rng.random((50, 3))

@@ -49,6 +49,22 @@ def block_by_page_oracle(seq, row_stride_bytes, window):
     return out
 
 
+def block_by_page_lexsort_oracle(seq, row_stride_bytes, window):
+    """The lexsort form block_by_page had before its one-sort key."""
+    seq = np.asarray(seq, dtype=np.int64).ravel()
+    if not len(seq):
+        return seq.copy()
+    pages = (seq * row_stride_bytes) // PAGE_SIZE
+    # Sort by (window, page), keeping index order inside each group ...
+    order = np.lexsort((pages, np.arange(len(seq)) // window))
+    s_pages, s_windows = pages[order], order // window
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (s_pages[1:] != s_pages[:-1]) | (s_windows[1:] != s_windows[:-1])]))
+    # ... then order the groups by their first index, which also orders windows.
+    first = np.repeat(order[starts], np.diff(np.append(starts, len(seq))))
+    return seq[order[np.argsort(first, kind="stable")]]
+
+
 def rows_to_lines_oracle(rows, addr):
     out = []
     for r in rows:
@@ -346,6 +362,26 @@ def test_block_by_page_matches_loop(case, stride, scale, window):
     assert np.array_equal(new, block_by_page_oracle(seq, stride * scale, window))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.sampled_from([1, 3, 40, 5000, 2**40]),
+       st.integers(1, 50), st.integers(1, 4096), st.integers(0, 2**32 - 1))
+def test_block_by_page_matches_lexsort(length, rows, window, stride, seed):
+    # Few distinct rows give many repeats; 2**40 rows spread over many pages.
+    seq = np.random.default_rng(seed).integers(0, rows, length)
+    new = reorder.block_by_page(seq, stride, window)
+    assert np.array_equal(new, block_by_page_lexsort_oracle(seq, stride, window))
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_block_by_page_key_stays_exact_past_int64(window):
+    # Pages 0 and 2**51 - 1 in 9000 accesses: a (window, page) key
+    # window * 2**51 + page would wrap, and windows 8192 apart collide.
+    seq = np.resize([0, 2**51 - 1], 9000)
+    new = reorder.block_by_page(seq, 4096, window)
+    assert np.array_equal(new, block_by_page_oracle(seq, 4096, window))
+    assert np.array_equal(new, block_by_page_lexsort_oracle(seq, 4096, window))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 5000), max_size=50),
        st.sampled_from([1, 8, 12, 16, 24, 64, 72, 100, 128, 200]),
@@ -465,10 +501,21 @@ def kd_cases(draw):
     return data, queries
 
 
-def _walks(tree, query, method, arg):
+def _walks(oracle, query, method, arg):
     seen: list = []
-    found = getattr(tree, method)(query, arg, visit=seen.append)
+    found = getattr(oracle, method)(query, arg, visit=seen.append)
     return [int(r) for r in seen], found
+
+
+def _tree_walks(tree, query, method, arg):
+    """KdTree.walk over one query, as _walks reports the oracle's: the
+    visits, then the sorted (d2, row) pairs (knn) or the rows in range
+    in examination order (radius)."""
+    if method == "knn":
+        rows, (d2, best) = tree.walk(query[None], k=arg)
+        return rows.tolist(), sorted(zip(d2[0].tolist(), best[0].tolist()))
+    rows, hit = tree.walk(query[None], r2=arg * arg)
+    return rows.tolist(), rows[hit].tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -480,7 +527,7 @@ def test_kdtree_knn_matches_recursive_tree(case, pick):
     tree, oracle = KdTree(data), KdTreeOracle(data)
     assert tree.order.tolist() == oracle.in_order()
     for q in queries:
-        assert _walks(tree, q, "knn", k) == _walks(oracle, q, "knn", k)
+        assert _tree_walks(tree, q, "knn", k) == _walks(oracle, q, "knn", k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -491,7 +538,7 @@ def test_kdtree_radius_matches_recursive_tree(case, pick):
     tree, oracle = KdTree(data), KdTreeOracle(data)
     radius = pick.draw(st.sampled_from([0.0, 0.1, 0.5, 2.0 * m ** 0.5, float("inf")]))
     for q in queries:
-        got = _walks(tree, q, "radius", radius)
+        got = _tree_walks(tree, q, "radius", radius)
         assert got == _walks(oracle, q, "radius", radius)
         if radius >= 2.0 * m ** 0.5:  # covers every point: all rows, once each
             assert sorted(got[0]) == sorted(got[1]) == list(range(len(data)))
@@ -507,9 +554,9 @@ def filter_reference(trace, cache, pf):
 
 
 def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
-    return _simulate_reference(
-        *dramsim._prepare(trace, geom, scheme, arrival, arrival_gap), geom.banks, timing, cap,
-        queue_depth, True)
+    bank, row = dramsim._decompose_trace(trace, scheme, geom)
+    return _simulate_reference(bank, row, dramsim._prepare(trace, arrival, arrival_gap),
+                               geom.banks, timing, cap, queue_depth, True)
 
 
 def assert_same_filter(got, want):

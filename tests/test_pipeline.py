@@ -76,12 +76,13 @@ def test_cli_reorder_matches_pipeline(tmp_path):
         assert np.array_equal(reorder.load_permutation(tmp_path / f"{method}.perm.csv"), perm)
 
 
-def test_cli_block_without_stride_matches_pipeline(tmp_path, monkeypatch):
-    # gen writes the default kernel's 16-byte rows; reorder must block those,
-    # not 64-byte rows.
-    kernel = {"kind": "gather", "n": 5000, "count": 2000}
-    assert main(["gen", "--kind", "gather", "--n", "5000", "--count", "2000", "--seed", "1",
-                 "--out", str(tmp_path / "g")]) == 0
+@pytest.mark.parametrize("m", [2, 16])
+def test_cli_block_without_stride_matches_pipeline(tmp_path, monkeypatch, m):
+    # gen lays the rows out m * 8 bytes apart and records that stride next
+    # to them; reorder must block rows of that size, not 16- or 64-byte rows.
+    kernel = {"kind": "gather", "n": 5000, "count": 2000, "m": m}
+    assert main(["gen", "--kind", "gather", "--n", "5000", "--count", "2000", "--m", str(m),
+                 "--seed", "1", "--out", str(tmp_path / "g")]) == 0
     assert main(["reorder", "--method", "block", "--rows", str(tmp_path / "g.rows"),
                  "--out", str(tmp_path / "b")]) == 0
     replayed = []
@@ -349,6 +350,17 @@ def test_bad_dram_queue_settings_fail_fast_with_their_stage():
             pipeline.run_pipeline({**base, "dram": dram})
 
 
+def test_each_dram_trace_is_mapped_once(monkeypatch):
+    # The all-hits bound reads arrivals only; simulate alone maps addresses.
+    real, calls = dramsim._decompose_trace, []
+    monkeypatch.setattr(dramsim, "_decompose_trace",
+                        lambda *a: calls.append(1) or real(*a))
+    trace = traceio.Trace.from_addresses(np.arange(100, dtype=np.uint64) * 4096)
+    actual, ideal = pipeline.simulate_dram(trace, pipeline.resolve_config({}))
+    assert len(calls) == 1
+    assert actual.total == ideal.total == 100 and ideal.per_bank == {}
+
+
 def test_defaults_table_matches_the_library_defaults(monkeypatch):
     """pipeline.DEFAULTS repeats the library's defaults; they must not drift."""
     cfg = pipeline.resolve_config({})
@@ -360,14 +372,13 @@ def test_defaults_table_matches_the_library_defaults(monkeypatch):
     for name in ("simulate", "simulate_ideal"):
         signatures[name] = inspect.signature(getattr(dramsim, name)).parameters
 
-        def record(trace, geom, timing, _name=name, **kw):
-            calls[_name] = (geom, timing, kw)
+        def record(trace, *args, _name=name, **kw):
+            calls[_name] = (args, kw)
         monkeypatch.setattr(dramsim, name, record)
     pipeline.simulate_dram(None, cfg)
     assert set(calls) == set(signatures)
-    for name, (geom, timing, kw) in calls.items():
-        assert geom == dramsim.DramGeometry()
-        assert timing == dramsim.DramTiming()
+    for name, (args, kw) in calls.items():
         params = signatures[name]
-        assert set(kw) == set(params) - {"trace", "geom", "timing", "collect_events"}
-        assert kw == {k: params[k].default for k in kw}
+        passed = {**dict(zip(list(params)[1:], args)), **kw}
+        assert set(passed) == set(params) - {"trace", "collect_events"}
+        assert passed == {k: params[k].default for k in passed}

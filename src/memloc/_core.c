@@ -390,7 +390,8 @@ static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, i
 }
 
 /* One pruned depth-first walk per row of the nq x m query matrix, near
- * side first, appending every examined row to `out`.  pts holds the n
+ * side first, appending every examined row to `out`; query q's rows are
+ * out->row[starts[q] .. starts[q + 1]).  pts holds the n
  * points in tree order, row order[p] at position p: the node of positions
  * [lo, hi) sits at mid = lo + (hi - lo) / 2, with subtrees [lo, mid) and
  * [mid + 1, hi), and splits on axis depth % m.  Only far sides are
@@ -403,7 +404,7 @@ static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, i
  * contraction, so it is the same on every host. */
 int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
                   int64_t nq, const double *queries, int64_t k, double r2,
-                  double *best_d2, int64_t *best_row, visits *out)
+                  double *best_d2, int64_t *best_row, int64_t *starts, visits *out)
 {
     /* Frame depths rise strictly from the bottom of the stack, and no
      * subtree of fewer than 2^63 rows is 64 levels deep. */
@@ -414,6 +415,7 @@ int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
     if (!out->cap && grow(out))  /* so the buffers exist even with no visits */
         return -1;
     for (int64_t qi = 0; qi < nq; qi++) {
+        starts[qi] = out->len;
         const double *q = queries + qi * m;
         double *hd2 = best_d2 + qi * k;
         int64_t *hrow = best_row + qi * k, found = 0, top = 1;
@@ -457,6 +459,7 @@ int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
             }
         }
     }
+    starts[nq] = out->len;
     return 0;
 }
 

@@ -43,7 +43,7 @@ class Visits(ctypes.Structure):
 _I64, _U8, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.float64)
 _SIGNATURES = {
     "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
-                      _F64, _array(np.int64), ctypes.POINTER(Visits)],
+                      _F64, _array(np.int64), _array(np.int64), ctypes.POINTER(Visits)],
     "memloc_release": [ctypes.POINTER(Visits)],
     "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
                       *[_I64] * 5, _array(np.int64)],

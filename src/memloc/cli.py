@@ -28,23 +28,24 @@ def _fail(stage: str, msg: str) -> int:
     return 1
 
 
-def _save_rows(path, rows: np.ndarray):
+def _save_rows(path, rows: np.ndarray, row_stride_bytes: int):
+    """Write a row sequence (raw i64) and, in `<path>.json`, the row
+    stride its rows lie at, which block reordering reads."""
     np.asarray(rows, dtype="<i8").tofile(path)
+    Path(f"{path}.json").write_text(json.dumps({"row_stride_bytes": row_stride_bytes}))
 
 
 def cmd_gen(args) -> int:
     prefix = args.out
     kernel = {k: v for k, v in vars(args).items() if k in DEFAULTS["kernel"]}
     ctx = pipeline.build_kernel({"seed": args.seed, "kernel": kernel})
-    trace, rows = ctx.generate()
+    trace, rows, _ = ctx.generate()
     for suffix, matrix in ((".data", ctx.data), (".queries", ctx.queries)):
         if matrix is not None:
             reorder.save_dataset(prefix + suffix, matrix)
     if ctx.labels is not None:
-        _save_rows(prefix + ".labels", ctx.labels)
-    _save_rows(prefix + ".rows", rows)
-    Path(prefix + ".rows.json").write_text(
-        json.dumps({"row_stride_bytes": ctx.addr.row_stride_bytes}))
+        np.asarray(ctx.labels, dtype="<i8").tofile(prefix + ".labels")
+    _save_rows(prefix + ".rows", rows, ctx.addr.row_stride_bytes)
     traceio.write_trace(prefix + ".trace", trace)
     print(f"{len(trace)} records")
     return 0
@@ -66,7 +67,7 @@ def cmd_reorder(args) -> int:
                                         row_stride_bytes=stride)
     overhead = time.perf_counter() - t0
     if blocked is not None:
-        _save_rows(args.out + ".rows", blocked)
+        _save_rows(args.out + ".rows", blocked, stride)
     else:
         reorder.save_permutation(args.out + ".perm.csv", perm)
         reorder.save_dataset(args.out + ".data", reorder.apply_permutation(data, perm))

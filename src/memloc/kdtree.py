@@ -41,12 +41,14 @@ class KdTree:
 
     def walk(self, queries, k: int | None = None, r2: float = 0.0):
         """One pruned depth-first walk from the root per query row, near
-        side first, in the compiled core.  Returns the examined rows of
-        all queries in examination order, and with `k` the k nearest
-        (d2, row) pairs of each query as two (queries, min(k, n)) arrays
-        in no set order, skipping a far side whose plane is no nearer
-        than the k-th best d2; else a mask of the examined rows with
-        d2 <= r2, skipping a far side whose plane lies beyond r2."""
+        side first, in the compiled core.  Returns (rows, found, starts):
+        the examined rows of all queries in examination order; with `k`
+        the k nearest (d2, row) pairs of each query as two
+        (queries, min(k, n)) arrays in no set order, skipping a far side
+        whose plane is no nearer than the k-th best d2, else a mask of
+        the examined rows with d2 <= r2, skipping a far side whose plane
+        lies beyond r2; and the queries + 1 offsets where each query's
+        rows start in `rows`, the last being len(rows)."""
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.m:
             raise ValueError(f"queries must be a (q, {self.m}) array")
@@ -57,15 +59,16 @@ class KdTree:
         width = 0 if k is None else min(k, len(self.order))  # k > n prunes as k = n does
         best_d2 = np.empty((len(queries), width))
         best_row = np.empty((len(queries), width), dtype=np.int64)
+        starts = np.empty(len(queries) + 1, dtype=np.int64)
         out = _core.Visits()
         try:
             if _core.load().memloc_kdtree(len(self.order), self.m, self._points, self.order,
                                           len(queries), queries, width, float(r2), best_d2,
-                                          best_row, ctypes.byref(out)):
+                                          best_row, starts, ctypes.byref(out)):
                 raise MemoryError("kd-tree walk: out of memory")
             rows = np.ctypeslib.as_array(out.row, (out.len,)).copy()
             found = (np.ctypeslib.as_array(out.hit, (out.len,)).astype(bool) if k is None
                      else (best_d2, best_row))
         finally:
             _core.load().memloc_release(ctypes.byref(out))
-        return rows, found
+        return rows, found, starts

@@ -5,7 +5,8 @@ decision-tree induction, random gather) over a dataset and emits one
 read per distinct 64-byte line of every row examination, in
 examination order; AddressModel says which lines a row covers.
 Generators also return the logical row sequence, which feeds the
-inspector-style reorderings.
+inspector-style reorderings; the tree kernels also return where each
+iteration's rows (a query's visits, a node's row list) start in it.
 """
 
 from __future__ import annotations
@@ -96,14 +97,16 @@ def _shuffle_pages(vaddr: np.ndarray, addr: AddressModel) -> np.ndarray:
 
 
 def gen_knn_trace(data: np.ndarray, queries: np.ndarray, k: int, addr: AddressModel):
-    """kd-tree k-NN over all queries; returns (trace, row_sequence)."""
+    """kd-tree k-NN over all queries; returns (trace, row_sequence,
+    starts), query q's visits being row_sequence[starts[q]:starts[q + 1]]."""
     if not 1 <= k <= len(data):
         raise ValueError("k must be between 1 and the number of rows")
     return _tree_trace(data, queries, addr, k=k)
 
 
 def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel):
-    """Radius query around every point, DBSCAN-style neighborhood pass."""
+    """Radius query around every point, DBSCAN-style neighborhood pass;
+    returns what gen_knn_trace does, with the rows as the queries."""
     if not radius > 0:
         raise ValueError("radius must be positive")
     return _tree_trace(data, data, addr, r2=radius * radius)
@@ -111,8 +114,8 @@ def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel):
 
 def _tree_trace(data, queries, addr: AddressModel, k: int | None = None, r2: float = 0.0):
     """One KdTree walk over all query rows: kNN with `k`, else radius sqrt(r2)."""
-    rows, _ = KdTree(data).walk(queries, k, r2)
-    return rows_to_trace(rows, addr), rows
+    rows, _, starts = KdTree(data).walk(queries, k, r2)
+    return rows_to_trace(rows, addr), rows, starts
 
 
 def _gini(labels: np.ndarray) -> float:
@@ -127,15 +130,18 @@ def _gini(labels: np.ndarray) -> float:
 
 def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
                     addr: AddressModel):
-    """Greedy single-feature threshold tree; node subsets read via index lists."""
+    """Greedy single-feature threshold tree; node subsets read via index
+    lists.  Returns (trace, row_sequence, starts): the nodes' row lists,
+    each in storage order, depth first, node i's at
+    row_sequence[starts[i]:starts[i + 1]]."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels)
-    rows: list = []
+    nodes: list = []
 
     def grow(idx: np.ndarray, depth: int):
-        rows.extend(idx.tolist())
+        nodes.append(idx)
         if depth >= max_depth:
             return
         sub_labels = labels[idx]
@@ -161,8 +167,9 @@ def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
         grow(idx[~mask], depth + 1)
 
     grow(np.arange(data.shape[0], dtype=np.int64), 1)
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows_to_trace(rows, addr), rows
+    rows = np.concatenate(nodes)
+    starts = np.concatenate(([0], np.cumsum([len(idx) for idx in nodes])))
+    return rows_to_trace(rows, addr), rows, starts
 
 
 def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0):

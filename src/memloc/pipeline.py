@@ -11,6 +11,7 @@ CLI is a file-I/O shell over it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import time
@@ -126,20 +127,19 @@ class _KernelCtx:
     spec: dict
     seed: int
 
-    def generate(self, data=None, labels=None, queries=None):
-        """(trace, row_sequence) over the kernel's inputs, or reordered copies."""
-        data = self.data if data is None else data
+    def generate(self):
+        """(trace, row_sequence, starts) of the kernel over its inputs;
+        starts splits a tree kernel's rows into its iterations (queries
+        or nodes) and is None for the gather."""
         k = self.spec
         with _stage("gen"):
             if self.kind == "knn":
-                return kernels.gen_knn_trace(data, self.queries if queries is None else queries,
-                                             k["k"], self.addr)
+                return kernels.gen_knn_trace(self.data, self.queries, k["k"], self.addr)
             if self.kind == "dbscan":
-                return kernels.gen_dbscan_trace(data, k["radius"], self.addr)
+                return kernels.gen_dbscan_trace(self.data, k["radius"], self.addr)
             if self.kind == "dtree":
-                return kernels.gen_dtree_trace(data, self.labels if labels is None else labels,
-                                               k["max_depth"], self.addr)
-            return kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.seed)
+                return kernels.gen_dtree_trace(self.data, self.labels, k["max_depth"], self.addr)
+            return *kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.seed), None
 
 
 def build_kernel(config: dict) -> _KernelCtx:
@@ -214,7 +214,13 @@ def reorder_by(method: str, cfg: dict, *, kind: str | None = None, points=None,
 
 def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
     """Apply `variant`'s transformation; return a callable that replays
-    the kernel over its output and returns the trace."""
+    the kernel over its output and returns the trace.
+
+    A replay derives the variant's rows from the baseline's walk: a
+    computation reordering takes the baseline's per-query segments in
+    the new order, and a data reordering relabels the rows through the
+    inverse permutation (Ding & Kennedy, PLDI 1999).  Only a kNN or
+    DBSCAN layout over a first column with ties walks a new tree."""
     if variant == "baseline":
         return lambda: baseline[0]
     if variant == "sw-prefetch":
@@ -227,34 +233,59 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
                                 row_stride_bytes=ctx.addr.row_stride_bytes)
     if new_rows is not None:
         return lambda: kernels.rows_to_trace(new_rows, ctx.addr)
+    if ctx.kind in ("knn", "dbscan") and variant != "zorder-comp" and not _relabels(ctx):
+        permuted = dataclasses.replace(ctx, data=reorder.apply_permutation(ctx.data, perm))
+        return lambda: permuted.generate()[0]
+    return lambda: kernels.rows_to_trace(_derive(ctx.kind, variant, perm, *baseline[1:]),
+                                         ctx.addr)
+
+
+def _derive(kind: str, variant: str, perm: np.ndarray, rows: np.ndarray, starts) -> np.ndarray:
+    """The rows the kernel examines after `variant`'s permutation
+    (map[new] = old), from the baseline's rows and the starts of its
+    iterations."""
     if variant == "zorder-comp":
-        queries = ctx.queries[perm]
-        return lambda: ctx.generate(queries=queries)[0]
-    if _relabels(ctx):
-        # The replay visits the same rows, each under its new index.
-        return lambda: kernels.rows_to_trace(reorder.invert_permutation(perm)[baseline[1]],
-                                             ctx.addr)
-    data = reorder.apply_permutation(ctx.data, perm)
-    labels = None if ctx.labels is None else ctx.labels[perm]
-    return lambda: ctx.generate(data=data, labels=labels)[0]
+        # The tree is unchanged, and each query walks it on its own.
+        return _segments(rows, starts, perm)
+    inverse = reorder.invert_permutation(perm)
+    if kind == "dtree":
+        # np.median and _gini ignore order, so every node holds the same
+        # points, and its row list is in storage order.
+        return _sort_segments(inverse[rows], starts, len(perm))
+    if kind == "dbscan":
+        # DBSCAN's queries are its rows, so they move with them.
+        return inverse[_segments(rows, starts, perm)]
+    return inverse[rows]
+
+
+def _segments(rows: np.ndarray, starts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The segments rows[starts[i]:starts[i + 1]], concatenated in `order`."""
+    lengths = np.diff(starts)[order]
+    ends = np.cumsum(lengths)
+    shift = np.repeat(starts[:-1][order] - (ends - lengths), lengths)
+    return rows[np.arange(len(shift)) + shift]
+
+
+def _sort_segments(rows: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """rows, values below n, with each segment rows[starts[i]:starts[i + 1]]
+    sorted: one sort by segment * n + row."""
+    segment = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return np.sort(segment * n + rows) % n
 
 
 def _relabels(ctx: _KernelCtx) -> bool:
-    """Whether permuting the kernel's rows only relabels its visit
-    sequence.  So it is for the index-only gather, and for kNN when the
-    first feature column holds n distinct values: the tree's first sort
-    then meets no tie, and each later stable sort breaks its ties by the
-    order the one before left, so neither the tree nor the walk over the
-    same queries depends on the storage order.  DBSCAN's queries are its
-    own rows, and dtree's node index lists follow storage order."""
-    if ctx.data is None:
-        return True
-    return ctx.kind == "knn" and bool((np.diff(np.sort(ctx.data[:, 0])) != 0).all())
+    """Whether permuting a kNN or DBSCAN kernel's rows leaves its tree
+    the same over the points, so a walk from the same query point visits
+    the same points in the same order, each under its new index.  So it
+    is when the first feature column holds n distinct values: the tree's
+    first sort then meets no tie, and each later stable sort breaks its
+    ties by the order the one before left."""
+    return bool((np.diff(np.sort(ctx.data[:, 0])) != 0).all())
 
 
 def run_variant(ctx: _KernelCtx, variant: str, config: dict, baseline: tuple) -> dict:
-    """One pipeline row.  `baseline` is the kernel's (trace, rows), which
-    every variant starts from.
+    """One pipeline row.  `baseline` is the kernel's (trace, rows,
+    starts), which every variant starts from.
 
     overhead_s times the variant's transformation alone (the reordering
     or the prefetch injection), not the kernel replay after it.
@@ -263,7 +294,8 @@ def run_variant(ctx: _KernelCtx, variant: str, config: dict, baseline: tuple) ->
     t0 = time.perf_counter()
     replay = _transform(ctx, variant, cfg, baseline)
     overhead = 0.0 if variant == "baseline" else time.perf_counter() - t0
-    trace = replay()
+    with _stage("gen"):
+        trace = replay()
 
     with _stage("filter"):
         dram_trace, mstats = memsys.filter_to_dram(trace, *memory_config(cfg))

@@ -27,6 +27,7 @@ LINE_SIZE = 64  # a trace is a sequence of line accesses
 LINE_SHIFT = 6  # log2(LINE_SIZE): vaddr >> LINE_SHIFT is the line number
 PAGE_SIZE = 4096
 ISSUE_GAP = 4  # cycles between consecutive generated records
+CYCLE_MAX = 2**32 - 1  # a record's cycle is a u32
 
 KIND_READ = 0
 KIND_WRITE = 1
@@ -73,9 +74,14 @@ class Trace:
 
     @classmethod
     def from_addresses(cls, vaddr, kind=KIND_READ, issue_gap: int = ISSUE_GAP) -> "Trace":
-        """Build a trace with a fixed issue gap between records."""
+        """Build a trace with a fixed issue gap between records; a trace
+        whose last cycle would not fit the 32-bit cycle field is
+        rejected rather than wrapped."""
         vaddr = np.asarray(vaddr, dtype=np.uint64)
         n = len(vaddr)
+        if n > 1 and (n - 1) * issue_gap > CYCLE_MAX:
+            raise ValueError(f"trace too long: {n} records {issue_gap} cycles apart "
+                             f"pass the last cycle the format holds, {CYCLE_MAX}")
         cycle = (np.arange(n, dtype=np.uint64) * issue_gap).astype(np.uint32)
         kinds = np.full(n, kind, dtype=np.uint8) if np.isscalar(kind) else np.asarray(kind, np.uint8)
         return cls(vaddr, cycle, kinds)

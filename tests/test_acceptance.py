@@ -151,7 +151,7 @@ def test_criterion_4_knn_reordering():
     cache = memsys.CacheConfig(l3=memsys.LevelConfig(512 * 1024, 16))
 
     def hit_ratio(dataset, qs):
-        trace, _ = kernels.gen_knn_trace(dataset, qs, 5, addr)
+        trace, _, _ = kernels.gen_knn_trace(dataset, qs, 5, addr)
         dram, _ = memsys.filter_to_dram(trace, cache)
         return dramsim.simulate(dram).hit_ratio
 
@@ -175,7 +175,7 @@ def test_criterion_5_first_touch_dbscan():
     cache = memsys.CacheConfig(l3=memsys.LevelConfig(128 * 1024, 16))
 
     def run(dataset):
-        trace, rows = kernels.gen_dbscan_trace(dataset, 0.03, addr)
+        trace, rows, _ = kernels.gen_dbscan_trace(dataset, 0.03, addr)
         dram, _ = memsys.filter_to_dram(trace, cache)
         return dramsim.simulate(dram), rows
 

@@ -111,6 +111,17 @@ class TestReorder:
                     "--row-stride", "0", "--out", tmp_path / "blk"]) == 1
         assert capsys.readouterr().err.startswith("memloc: reorder: row_stride_bytes")
 
+    def test_block_output_can_be_blocked_again(self, tmp_path):
+        # Every .rows output records its row stride beside it.
+        assert run(["gen", "--kind", "gather", "--n", "5000", "--count", "2000", "--m", "16",
+                    "--seed", "1", "--out", tmp_path / "g"]) == 0
+        assert run(["reorder", "--method", "block", "--rows", tmp_path / "g.rows",
+                    "--out", tmp_path / "b"]) == 0
+        assert (tmp_path / "b.rows.json").read_text() == (tmp_path / "g.rows.json").read_text()
+        assert run(["reorder", "--method", "block", "--rows", tmp_path / "b.rows",
+                    "--out", tmp_path / "c"]) == 0
+        assert json.loads((tmp_path / "c.rows.json").read_text()) == {"row_stride_bytes": 128}
+
 
 class TestFilterAndDram:
     def test_filter_then_dramsim(self, gather_prefix, tmp_path):
@@ -142,6 +153,15 @@ class TestFilterAndDram:
             env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])})
         assert done.returncode == 1
         assert done.stderr == "memloc: filter: capacity and associativity must be >= 1\n"
+
+
+def test_gen_rejects_a_trace_past_the_cycle_field(tmp_path, monkeypatch, capsys):
+    real = traceio.Trace.from_addresses.__func__
+    monkeypatch.setattr(traceio.Trace, "from_addresses", classmethod(
+        lambda cls, vaddr, kind=traceio.KIND_READ, issue_gap=0: real(cls, vaddr, kind, 2**31)))
+    assert run(["gen", "--kind", "gather", "--n", "100", "--count", "3",
+                "--out", tmp_path / "g"]) == 1
+    assert capsys.readouterr().err.startswith("memloc: gen: trace too long: 3 records")
 
 
 class TestPipeline:

@@ -1,0 +1,101 @@
+"""Variants derived from the baseline walk against fresh generations.
+
+The pipeline runs a kernel once per config and derives each layout and
+query-order variant from that walk: relabelled rows, per-query segments
+in a new order, or per-node row lists relabelled and sorted.  The
+oracle here is the kernel generated again over the permuted rows or
+queries, which is what the pipeline did before.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from memloc import kernels, pipeline
+
+LAYOUTS = ("hilbert", "zorder", "rcb", "first-touch")
+CFG = pipeline.resolve_config({})
+
+
+def _derived_and_fresh(ctx, variant, regenerate):
+    """The pipeline's trace for `variant`, and `regenerate(perm)`, the
+    kernel run again under the variant's permutation."""
+    baseline = ctx.generate()
+    perm, _ = pipeline.reorder_by(variant, CFG, kind=ctx.kind, rows=baseline[1],
+                                  n=ctx.spec["n"],
+                                  points=ctx.queries if variant == "zorder-comp" else ctx.data)
+    return pipeline._transform(ctx, variant, CFG, baseline)(), regenerate(perm)
+
+
+def _kernel(kind, seed, n, m, **spec):
+    return pipeline.build_kernel({"seed": seed, "kernel": {"kind": kind, "n": n, "m": m,
+                                                          **spec}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 200), m=st.integers(1, 4),
+       max_depth=st.sampled_from([1, 5]), labels=st.sampled_from(["pure", "balanced"]),
+       decimals=st.sampled_from([None, 1]))
+def test_dtree_layouts_match_a_fresh_generation(seed, n, m, max_depth, labels, decimals):
+    ctx = _kernel("dtree", seed, n, m, max_depth=max_depth)
+    data = ctx.data if decimals is None else ctx.data.round(decimals)  # ties, duplicates
+    if labels == "pure":
+        y = np.zeros(n, dtype=np.int64)
+    else:
+        score = data @ np.random.default_rng(seed).random(m)
+        y = (score > np.median(score)).astype(np.int64)
+    ctx = dataclasses.replace(ctx, data=data, labels=y)
+    for variant in LAYOUTS:
+        derived, fresh = _derived_and_fresh(ctx, variant, lambda perm: kernels.gen_dtree_trace(
+            data[perm], y[perm], max_depth, ctx.addr)[0])
+        assert derived == fresh, variant
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 120), m=st.integers(1, 3),
+       queries=st.integers(1, 30), k_is_n=st.booleans(), tied=st.booleans())
+def test_knn_query_order_matches_a_fresh_generation(seed, n, m, queries, k_is_n, tied):
+    k = n if k_is_n else 1
+    ctx = _kernel("knn", seed, n, m, queries=queries, k=k)
+    if tied:  # the tree is not rebuilt, so ties on its first axis do not matter
+        ctx = dataclasses.replace(ctx, data=ctx.data.round(1))
+    derived, fresh = _derived_and_fresh(ctx, "zorder-comp", lambda qperm: kernels.gen_knn_trace(
+        ctx.data, ctx.queries[qperm], k, ctx.addr)[0])
+    assert derived == fresh
+
+
+def _tie(ctx, column):
+    """ctx with its data's `column` rounded to one decimal: ties there."""
+    data = ctx.data.copy()
+    data[:, column] = data[:, column].round(1)
+    return dataclasses.replace(ctx, data=data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 120), m=st.integers(1, 3),
+       radius=st.sampled_from([1e-9, 0.1, float("inf")]), tied=st.booleans())
+def test_dbscan_layouts_match_a_fresh_generation(seed, n, m, radius, tied):
+    ctx = _kernel("dbscan", seed, n, m, radius=radius)
+    ctx = _tie(ctx, 0) if tied else ctx
+    # Untied: the segments are reordered and relabelled; tied: walked again.
+    assume(tied or pipeline._relabels(ctx))
+    for variant in LAYOUTS:
+        derived, fresh = _derived_and_fresh(ctx, variant, lambda perm: kernels.gen_dbscan_trace(
+            ctx.data[perm], radius, ctx.addr)[0])
+        assert derived == fresh, variant
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 120), m=st.integers(1, 3),
+       queries=st.integers(1, 20), k_is_n=st.booleans(), tied=st.sampled_from([None, 0, -1]))
+def test_knn_layouts_match_a_fresh_generation(seed, n, m, queries, k_is_n, tied):
+    k = n if k_is_n else 1
+    ctx = _kernel("knn", seed, n, m, queries=queries, k=k)
+    ctx = ctx if tied is None else _tie(ctx, tied)
+    assume(tied == 0 or pipeline._relabels(ctx))
+    for variant in LAYOUTS:
+        derived, fresh = _derived_and_fresh(ctx, variant, lambda perm: kernels.gen_knn_trace(
+            ctx.data[perm], ctx.queries, k, ctx.addr)[0])
+        assert derived == fresh, variant

@@ -49,7 +49,7 @@ class TestKnn:
     def test_single_row_touches_its_lines(self):
         data = np.array([[0.1] * 16])
         addr = AddressModel.for_matrix(16)  # 128-byte rows
-        trace, rows = kernels.gen_knn_trace(data, np.array([[0.5] * 16]), 1, addr)
+        trace, rows, _ = kernels.gen_knn_trace(data, np.array([[0.5] * 16]), 1, addr)
         assert rows.tolist() == [0]
         assert len(trace) == 2  # ceil(128 / 64)
 
@@ -76,7 +76,7 @@ class TestKnn:
         rng = np.random.default_rng(1)
         data = rng.random((200, 2))
         q = np.vstack([rng.random((1, 2))] * 2)
-        _, rows = kernels.gen_knn_trace(data, q, 3, AddressModel.for_matrix(2))
+        _, rows, _ = kernels.gen_knn_trace(data, q, 3, AddressModel.for_matrix(2))
         half = len(rows) // 2
         assert rows[:half].tolist() == rows[half:].tolist()
 
@@ -84,7 +84,7 @@ class TestKnn:
         rng = np.random.default_rng(2)
         data = rng.random((300, 3))
         q = rng.random(3)
-        _, (_, best) = KdTree(data).walk(q[None], k=5)
+        _, (_, best), _ = KdTree(data).walk(q[None], k=5)
         found = best[0].tolist()
         brute = np.argsort(((data - q) ** 2).sum(1), kind="stable")[:5]
         assert sorted(found) == sorted(brute.tolist())
@@ -99,9 +99,9 @@ class TestKnn:
         q = data[rng.integers(0, 5000, 2000)]
         addr = AddressModel(row_stride_bytes=64, row_bytes=16)
         cache = memsys.CacheConfig(l3=memsys.LevelConfig(64 * 1024, 16))
-        t_rand, _ = kernels.gen_knn_trace(data, q, 3, addr)
+        t_rand, _, _ = kernels.gen_knn_trace(data, q, 3, addr)
         perm = reorder.reorder_queries_zorder(q)
-        t_z, _ = kernels.gen_knn_trace(data, q[perm], 3, addr)
+        t_z, _, _ = kernels.gen_knn_trace(data, q[perm], 3, addr)
         d_rand, _ = memsys.filter_to_dram(t_rand, cache)
         d_z, _ = memsys.filter_to_dram(t_z, cache)
         assert page_transitions(d_z.vaddr) < page_transitions(d_rand.vaddr)
@@ -112,8 +112,8 @@ class TestDbscan:
         rng = np.random.default_rng(4)
         data = rng.random((100, 2))
         addr = AddressModel.for_matrix(2)
-        t_small, rows_small = kernels.gen_dbscan_trace(data, 1e-9, addr)
-        t_big, rows_big = kernels.gen_dbscan_trace(data, 10.0, addr)
+        t_small, rows_small, _ = kernels.gen_dbscan_trace(data, 1e-9, addr)
+        t_big, rows_big, _ = kernels.gen_dbscan_trace(data, 10.0, addr)
         assert len(rows_small) < len(rows_big)
         # full-coverage radius examines every row for every query
         assert len(rows_big) == 100 * 100
@@ -128,7 +128,7 @@ class TestDbscan:
 
     def test_infinite_radius_visits_every_row(self):
         data = np.random.default_rng(4).random((30, 3))
-        _, rows = kernels.gen_dbscan_trace(data, np.inf, AddressModel.for_matrix(3))
+        _, rows, _ = kernels.gen_dbscan_trace(data, np.inf, AddressModel.for_matrix(3))
         assert len(rows) == 30 * 30
 
     def test_separated_clusters_stay_separate(self):
@@ -136,7 +136,7 @@ class TestDbscan:
         a = rng.uniform(0.0, 0.4, (40, 2))
         b = rng.uniform(10.0, 10.4, (40, 2))
         data = np.vstack([a, b])
-        rows, hit = KdTree(data).walk(data[:40], r2=0.5 * 0.5)
+        rows, hit, _ = KdTree(data).walk(data[:40], r2=0.5 * 0.5)
         assert all(h < 40 for h in rows[hit])
 
 
@@ -156,7 +156,7 @@ DBSCAN = {"kind": "dbscan", "n": 300, "clusters": 6}
     ({**DBSCAN, "m": 16, "radius": 0.15}, "92891f148752a14b4b5d672e54e527b3e890affaa20ff1e3f70bb79a245800b1"),
 ], ids=["knn-m2", "knn-m4", "knn-m16", "dbscan-m2", "dbscan-m4", "dbscan-m16"])
 def test_visit_sequence_matches_its_pinned_digest(kernel, digest):
-    _, rows = pipeline.build_kernel({"seed": 3, "kernel": kernel}).generate()
+    _, rows, _ = pipeline.build_kernel({"seed": 3, "kernel": kernel}).generate()
     assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
 
@@ -164,7 +164,7 @@ def test_visit_buffer_grows_to_every_visit():
     # 50 all-covering queries over 2000 rows: 100k visits, far past the
     # core's first buffer, every row once per query.
     rng = np.random.default_rng(9)
-    rows, hit = KdTree(rng.random((2000, 3))).walk(rng.random((50, 3)), r2=3.0)
+    rows, hit, _ = KdTree(rng.random((2000, 3))).walk(rng.random((50, 3)), r2=3.0)
     assert len(rows) == 100_000 and hit.all()
     assert (np.sort(rows.reshape(50, 2000), axis=1) == np.arange(2000)).all()
 
@@ -198,19 +198,19 @@ class TestDtree:
         rng = np.random.default_rng(6)
         data = rng.random((50, 3))
         labels = rng.integers(0, 2, 50)
-        _, rows = kernels.gen_dtree_trace(data, labels, 1, AddressModel.for_matrix(3))
+        _, rows, _ = kernels.gen_dtree_trace(data, labels, 1, AddressModel.for_matrix(3))
         assert rows.tolist() == list(range(50))
 
     def test_pure_root_stops(self):
         data = np.random.default_rng(7).random((30, 2))
-        _, rows = kernels.gen_dtree_trace(data, np.zeros(30, int), 5,
+        _, rows, _ = kernels.gen_dtree_trace(data, np.zeros(30, int), 5,
                                           AddressModel.for_matrix(2))
         assert rows.tolist() == list(range(30))
 
     def test_children_partition_root(self):
         data = np.arange(8, dtype=float).reshape(8, 1)
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        _, rows = kernels.gen_dtree_trace(data, labels, 2, AddressModel.for_matrix(1))
+        _, rows, _ = kernels.gen_dtree_trace(data, labels, 2, AddressModel.for_matrix(1))
         root, rest = rows[:8], rows[8:]
         assert root.tolist() == list(range(8))
         assert sorted(rest.tolist()) == list(range(8))
@@ -287,8 +287,8 @@ class TestReorderingEquivalence:
         data = rng.random((500, 2))
         q = rng.random((30, 2))
         addr = AddressModel.for_matrix(2)
-        _, rows_orig = kernels.gen_knn_trace(data, q, 4, addr)
+        _, rows_orig, _ = kernels.gen_knn_trace(data, q, 4, addr)
         perm = reorder.reorder_sfc(data, "hilbert", bits=8)
-        _, rows_new = kernels.gen_knn_trace(data[perm], q, 4, addr)
+        _, rows_new, _ = kernels.gen_knn_trace(data[perm], q, 4, addr)
         # same multiset of logical (original) rows per run
         assert sorted(perm[rows_new].tolist()) == sorted(rows_orig.tolist())

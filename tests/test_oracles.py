@@ -512,9 +512,9 @@ def _tree_walks(tree, query, method, arg):
     visits, then the sorted (d2, row) pairs (knn) or the rows in range
     in examination order (radius)."""
     if method == "knn":
-        rows, (d2, best) = tree.walk(query[None], k=arg)
+        rows, (d2, best), _ = tree.walk(query[None], k=arg)
         return rows.tolist(), sorted(zip(d2[0].tolist(), best[0].tolist()))
-    rows, hit = tree.walk(query[None], r2=arg * arg)
+    rows, hit, _ = tree.walk(query[None], r2=arg * arg)
     return rows.tolist(), rows[hit].tolist()
 
 
@@ -528,6 +528,19 @@ def test_kdtree_knn_matches_recursive_tree(case, pick):
     assert tree.order.tolist() == oracle.in_order()
     for q in queries:
         assert _tree_walks(tree, q, "knn", k) == _walks(oracle, q, "knn", k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kd_cases(), st.integers(1, 70))
+def test_kdtree_walk_starts_split_the_walk_by_query(case, k):
+    # One walk over every query is the single-query walks back to back.
+    data, queries = case
+    tree = KdTree(data)
+    for kw in ({"k": k}, {"r2": 0.1}):
+        rows, _, starts = tree.walk(queries, **kw)
+        single = [tree.walk(q[None], **kw)[0] for q in queries]
+        assert starts.tolist() == np.cumsum([0] + [len(r) for r in single]).tolist()
+        assert rows.tolist() == np.concatenate(single).tolist()
 
 
 @settings(max_examples=300, deadline=None)

@@ -49,7 +49,7 @@ def test_gen_writes_the_pipeline_kernel(kind, tmp_path):
     assert main(["gen", "--kind", kind, *GEN_CASES[kind], "--seed", "9",
                  "--out", str(prefix)]) == 0
     ctx = pipeline.build_kernel({"seed": 9, "kernel": {"kind": kind, **GEN_KERNELS[kind]}})
-    trace, rows = ctx.generate()
+    trace, rows, _ = ctx.generate()
     traceio.write_trace(tmp_path / "expected.trace", trace)
     assert Path(f"{prefix}.trace").read_bytes() == (tmp_path / "expected.trace").read_bytes()
     assert Path(f"{prefix}.rows").read_bytes() == rows.astype("<i8").tobytes()
@@ -65,7 +65,7 @@ def test_gen_writes_the_pipeline_kernel(kind, tmp_path):
 def test_cli_reorder_matches_pipeline(tmp_path):
     ctx = pipeline.build_kernel({"seed": 2, "kernel": {"kind": "dbscan", "n": 300}})
     reorder.save_dataset(tmp_path / "d", ctx.data)
-    _, rows = ctx.generate()
+    _, rows, _ = ctx.generate()
     np.asarray(rows, "<i8").tofile(tmp_path / "rows")
     cfg = pipeline.resolve_config({})
     for method in ("rcb", "hilbert", "zorder", "first-touch"):
@@ -106,7 +106,7 @@ def test_every_gather_variant_replays_one_element_per_read():
 
 def test_zero_queries_give_an_empty_trace():
     ctx = pipeline.build_kernel({"kernel": {"kind": "knn", "n": 100, "queries": 0}})
-    trace, rows = ctx.generate()
+    trace, rows, _ = ctx.generate()
     assert len(trace) == 0 and len(rows) == 0
 
 
@@ -200,6 +200,20 @@ def test_generation_and_transformation_errors_carry_their_stage(stage, bad):
         pipeline.run_pipeline({**BASE, **bad})
 
 
+@pytest.mark.parametrize("failing", [1, 2], ids=["baseline", "replay"])
+def test_a_trace_past_the_cycle_field_fails_at_gen(failing, monkeypatch):
+    real, calls = traceio.Trace.from_addresses.__func__, []
+
+    def wide_gap(cls, vaddr, kind=traceio.KIND_READ, issue_gap=0):
+        calls.append(1)  # only the `failing`-th trace built is too long
+        return real(cls, vaddr, kind, 2**31 if len(calls) == failing else 4)
+
+    monkeypatch.setattr(traceio.Trace, "from_addresses", classmethod(wide_gap))
+    with pytest.raises(pipeline.PipelineError, match="^gen: trace too long: 300 records"):
+        pipeline.run_pipeline({**GATHER, "variants": ["first-touch"]})
+    assert len(calls) == failing
+
+
 @pytest.mark.parametrize("bad, key", [
     ({"kernel": {"kind": "gather", "n": 50, "count": 20, "row_stride_bytes": 64.5}},
      "kernel.row_stride_bytes"),
@@ -246,7 +260,12 @@ def test_overhead_excludes_the_kernel_replay(monkeypatch):
 
 
 def test_overhead_excludes_a_regenerated_replay(monkeypatch):
-    # kNN layouts relabel the baseline's visits, but zorder-comp walks again.
+    # A kNN layout over a first column with ties walks a new tree.
+    ctx = pipeline.build_kernel(BASE)
+    data = ctx.data.copy()
+    data[:, 0] = data[:, 0].round(1)
+    ctx = dataclasses.replace(ctx, data=data)
+    baseline = ctx.generate()
     real, calls = kernels.gen_knn_trace, []
 
     def slow(*args, **kwargs):
@@ -255,9 +274,32 @@ def test_overhead_excludes_a_regenerated_replay(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "gen_knn_trace", slow)
-    (row,) = pipeline.run_pipeline({**BASE, "variants": ["zorder-comp"]})
-    assert len(calls) == 2  # the baseline and the replay
+    row = pipeline.run_variant(ctx, "hilbert", BASE, baseline)
+    assert len(calls) == 1  # the replay
     assert row["overhead_s"] < 0.1
+
+
+GENERATORS = ("gen_knn_trace", "gen_dbscan_trace", "gen_dtree_trace", "gen_gather_trace")
+ALL_LAYOUTS = ["hilbert", "zorder", "rcb", "first-touch", "block"]
+
+
+@pytest.mark.parametrize("kernel, variants", [
+    ({"kind": "dtree", "n": 2000, "m": 4, "max_depth": 5, "clusters": 16},
+     ["baseline", *ALL_LAYOUTS, "sw-prefetch"]),
+    ({"kind": "knn", "n": 2000, "queries": 100, "clusters": 8},
+     ["baseline", "zorder-comp", *ALL_LAYOUTS, "sw-prefetch"]),
+    ({"kind": "dbscan", "n": 1000, "radius": 0.03}, ["baseline", *ALL_LAYOUTS]),
+], ids=["dtree", "knn", "dbscan"])
+def test_each_config_generates_once(kernel, variants, monkeypatch):
+    # Every variant derives from the baseline walk; none runs the kernel again.
+    calls = []
+    for name in GENERATORS:
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    rows = pipeline.run_pipeline({"seed": 1, "kernel": kernel, "variants": variants})
+    assert [r["variant"] for r in rows] == variants
+    assert calls == [f"gen_{kernel['kind']}_trace"]
 
 
 KNN_SWEEP = {"kind": "knn", "n": 6000, "m": 2, "k": 5, "queries": 400, "clusters": 32,
@@ -281,7 +323,8 @@ def _layout_replays(ctx, monkeypatch):
         monkeypatch.setattr(kernels, "gen_knn_trace", real)
         perm, _ = pipeline.reorder_by(variant, cfg, kind="knn", rows=baseline[1],
                                       n=len(ctx.data), points=ctx.data)
-        fresh = ctx.generate(data=reorder.apply_permutation(ctx.data, perm))[0]
+        fresh = real(reorder.apply_permutation(ctx.data, perm), ctx.queries, ctx.spec["k"],
+                     ctx.addr)[0]
         relabelled = kernels.rows_to_trace(reorder.invert_permutation(perm)[baseline[1]],
                                            ctx.addr)
         out[variant] = replayed, fresh, relabelled, len(calls)
@@ -318,7 +361,7 @@ class TestPageMapping:
             "row_stride_bytes": 64, "page_mapping": mapping}})
 
     def test_shuffle_keeps_offsets_and_changes_dram_trace(self):
-        (ident, _), (shuf, _) = self.kernel("identity").generate(), self.kernel("shuffle").generate()
+        (ident, *_), (shuf, *_) = self.kernel("identity").generate(), self.kernel("shuffle").generate()
         assert np.array_equal(ident.vaddr % 4096, shuf.vaddr % 4096)
         assert not np.array_equal(ident.vaddr // 4096, shuf.vaddr // 4096)
         small = memsys.CacheConfig(l3=memsys.LevelConfig(64 * 1024, 16))

@@ -91,6 +91,15 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def test_from_addresses_rejects_a_wrapping_cycle():
+    # The last cycle, (n - 1) * issue_gap, must fit the u32 cycle field.
+    with pytest.raises(ValueError, match="^trace too long: 3 records"):
+        Trace.from_addresses(np.zeros(3, np.uint64), issue_gap=2**31)
+    trace = Trace.from_addresses(np.zeros(3, np.uint64), issue_gap=2**31 - 1)
+    assert trace.cycle.tolist() == [0, 2**31 - 1, 2**32 - 2]
+    assert len(Trace.from_addresses(np.zeros(1, np.uint64), issue_gap=2**40)) == 1
+
+
 def test_io_peak_memory_stays_near_the_file_size(tmp_path):
     """Reading and writing hold about one copy of the records, not two."""
     t = sample_trace(200_000, seed=4)

@@ -1,15 +1,18 @@
-/* Compiled core of memloc's kd-tree walk and its two sequential
- * simulators, and their only implementation in the package.
+/* Compiled core of memloc's kd-tree, its recursive coordinate bisection
+ * and its two sequential simulators, and their only implementation in
+ * the package.
  *
- * memloc_kdtree runs the pruned kd-tree walk behind kdtree.KdTree;
- * memloc_filter replays a trace through the three-level LRU filter that
- * memsys.filter_to_dram models; memloc_simulate runs the FR-FCFS-Cap
- * scheduler behind dramsim.simulate.  All must give results identical
- * to the Python references that tests/test_oracles.py compares them
- * against (KdTreeOracle there, CacheHierarchy and _simulate_reference in
- * tests/reference_models.py).  _core.py compiles this file on first use
- * and loads it with ctypes; without a C compiler memloc cannot generate
- * kd-tree traces, filter or simulate.
+ * memloc_bisect builds the median-bisection order behind kdtree.KdTree
+ * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
+ * behind KdTree; memloc_filter replays a trace through the three-level
+ * LRU filter that memsys.filter_to_dram models; memloc_simulate runs the
+ * FR-FCFS-Cap scheduler behind dramsim.simulate.  All must give results
+ * identical to the Python references that tests/test_oracles.py compares
+ * them against (KdTreeOracle there, and the two bisection oracles,
+ * CacheHierarchy and _simulate_reference in tests/reference_models.py).
+ * _core.py compiles this file on first use and loads it with ctypes;
+ * without a C compiler memloc cannot build a kd-tree or an RCB order,
+ * filter or simulate.
  *
  * The functions return 0, or -1 when memory runs out.
  */
@@ -316,6 +319,121 @@ int memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
     latency[1] = (uint64_t)(lat >> 64);
     free(open_row);
     free(win);
+    return 0;
+}
+
+/* A row and its value on the axis being sorted: the stable sort's unit. */
+typedef struct {
+    double key;
+    int64_t row;
+} keyed;
+
+/* Stable sort of a[0 .. len) by key, with tmp (len pairs) as scratch:
+ * insertion sort on runs of 16, then bottom-up merges that take the
+ * left run's pair on equal keys. */
+static void stable_sort(keyed *a, keyed *tmp, int64_t len)
+{
+    enum { RUN = 16 };
+    for (int64_t lo = 0; lo < len; lo += RUN) {
+        int64_t hi = lo + RUN < len ? lo + RUN : len;
+        for (int64_t i = lo + 1; i < hi; i++) {
+            keyed x = a[i];
+            int64_t j = i;
+            for (; j > lo && x.key < a[j - 1].key; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+    }
+    keyed *src = a, *dst = tmp;
+    for (int64_t width = RUN; width < len; width *= 2) {
+        for (int64_t lo = 0; lo < len; lo += 2 * width) {
+            int64_t mid = lo + width < len ? lo + width : len;
+            int64_t hi = lo + 2 * width < len ? lo + 2 * width : len;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi) {
+                /* Select an index, not a pair, so the compiler need not
+                 * branch on the comparison, which data make random. */
+                int right = src[j].key < src[i].key;
+                dst[k++] = src[right ? j : i];
+                j += right;
+                i += !right;
+            }
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < hi)
+                dst[k++] = src[j++];
+        }
+        keyed *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != a)
+        memcpy(a, src, len * sizeof *a);
+}
+
+/* Median bisection of the n x m row-major matrix data.  order holds n
+ * row indices (arange(n) on entry); every subtree of positions [lo, hi)
+ * with more than `leaf` rows is stably sorted by one axis and split.
+ * The kd-tree (rcb = 0) splits on axis depth % m and keeps its node at
+ * mid = lo + (hi - lo) / 2, with subtrees [lo, mid) and [mid + 1, hi).
+ * Recursive coordinate bisection (rcb = 1) splits on the axis of widest
+ * max - min spread, the lowest index on ties, into [lo, lo + (hi - lo +
+ * 1) / 2) and the rest. */
+int memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
+                  int64_t leaf, int64_t rcb)
+{
+    /* Frame depths rise strictly from the bottom of the stack, and no
+     * subtree of fewer than 2^63 rows is 64 levels deep. */
+    struct {
+        int64_t lo, hi, depth;
+    } stack[64];
+    keyed *a = malloc(n * sizeof *a), *tmp = malloc(n * sizeof *tmp);
+    double *low = malloc(2 * m * sizeof *low), *high = low + m;
+    if (!a || !tmp || !low) {
+        free(a);
+        free(tmp);
+        free(low);
+        return -1;
+    }
+    int64_t top = 1;
+    stack[0].lo = 0;
+    stack[0].hi = n;
+    stack[0].depth = 0;
+    while (top) {
+        top--;
+        int64_t lo = stack[top].lo, hi = stack[top].hi, depth = stack[top].depth;
+        while (hi - lo > leaf) {
+            int64_t len = hi - lo, ax = depth % m;
+            if (rcb) {
+                memcpy(low, data + order[lo] * m, m * sizeof *low);
+                memcpy(high, low, m * sizeof *high);
+                for (int64_t i = lo + 1; i < hi; i++) {
+                    const double *p = data + order[i] * m;
+                    for (int64_t j = 0; j < m; j++) {
+                        low[j] = p[j] < low[j] ? p[j] : low[j];
+                        high[j] = p[j] > high[j] ? p[j] : high[j];
+                    }
+                }
+                ax = 0;
+                for (int64_t j = 1; j < m; j++)
+                    if (high[j] - low[j] > high[ax] - low[ax])
+                        ax = j;
+            }
+            for (int64_t i = 0; i < len; i++)
+                a[i] = (keyed){data[order[lo + i] * m + ax], order[lo + i]};
+            stable_sort(a, tmp, len);
+            for (int64_t i = 0; i < len; i++)
+                order[lo + i] = a[i].row;
+            int64_t left = rcb ? (len + 1) / 2 : len / 2;
+            stack[top].lo = lo + left + !rcb;
+            stack[top].hi = hi;
+            stack[top++].depth = ++depth;
+            hi = lo + left;
+        }
+    }
+    free(a);
+    free(tmp);
+    free(low);
     return 0;
 }
 

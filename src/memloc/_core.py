@@ -5,9 +5,9 @@ The library is compiled with the system C compiler into
 when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
 rebuilt and an unchanged one is only loaded.  The core is memloc's only
-kd-tree walk, cache filter and DRAM scheduler, so memloc needs a C
-compiler (``cc``): when the core cannot be built or loaded, :func:`load`
-raises OSError.
+kd-tree build and walk, recursive coordinate bisection, cache filter and
+DRAM scheduler, so memloc needs a C compiler (``cc``): when the core
+cannot be built or loaded, :func:`load` raises OSError.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class Visits(ctypes.Structure):
 
 _I64, _U8, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.float64)
 _SIGNATURES = {
+    "memloc_bisect": [_I64, _I64, _F64, _array(np.int64), _I64, _I64],
     "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
                       _F64, _array(np.int64), _array(np.int64), ctypes.POINTER(Visits)],
     "memloc_release": [ctypes.POINTER(Visits)],

@@ -1,4 +1,4 @@
-"""Implicit median kd-tree, walked by the compiled core.
+"""Implicit median kd-tree, built and walked by the compiled core.
 
 The tree is one array, `order`, of row indices in tree order.  The
 subtree on positions [lo, hi) has its node at mid = lo + (hi - lo) // 2,
@@ -19,25 +19,31 @@ import numpy as np
 from . import _core
 
 
+def median_bisect(data: np.ndarray, leaf_size: int, rcb: bool) -> np.ndarray:
+    """Row indices of `data`, a C-contiguous float64 (n, m) array with
+    n, m >= 1, in median-bisection order, built by the compiled core:
+    every subtree of more than `leaf_size` rows (1 <= leaf_size <= n) is
+    stably sorted on one axis and split at its median.  The kd-tree
+    (rcb False) splits on axis depth % m around the node described
+    above; recursive coordinate bisection (rcb True) on the axis of
+    widest spread, lowest index on ties, the left half taking the
+    middle row of an odd subtree."""
+    order = np.arange(len(data), dtype=np.int64)
+    if _core.load().memloc_bisect(len(data), data.shape[1], data, order, leaf_size, rcb):
+        raise MemoryError("median bisection: out of memory")
+    return order
+
+
 class KdTree:
     def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64)
+        data = np.ascontiguousarray(data, dtype=np.float64)
         if data.ndim != 2 or 0 in data.shape:
             raise ValueError("data must be a non-empty (n, m) array")
         if not np.isfinite(data).all():
             raise ValueError("data holds NaN or infinite values")
-        n, self.m = data.shape
-        # group[p] is the first position of the subtree holding p at this
-        # depth, so one stable lexsort sorts every subtree at once.  The
-        # subtrees deeper than n.bit_length() - 2 hold one row at most.
-        order, pos = np.arange(n), np.arange(n)
-        group = np.zeros(n, dtype=np.int64)
-        for depth in range(n.bit_length() - 1):
-            order = order[np.lexsort((data[order, depth % self.m], group))]
-            mid = group + np.bincount(group, minlength=n)[group] // 2
-            group = np.where(pos < mid, group, np.minimum(pos, mid + 1))
-        self.order = order
-        self._points = data[order]  # the walk reads the points in tree order
+        self.m = data.shape[1]
+        self.order = median_bisect(data, 1, rcb=False)
+        self._points = data[self.order]  # the walk reads the points in tree order
 
     def walk(self, queries, k: int | None = None, r2: float = 0.0):
         """One pruned depth-first walk from the root per query row, near

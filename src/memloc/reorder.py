@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .kdtree import median_bisect
 from .sfc import QuantizerConfig, encode, quantize_rows
 from .traceio import PAGE_SIZE
 
@@ -54,30 +55,15 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
     (ties go to the lowest dimension index) until partitions have at
     most `leaf_size` points.  Splits are stable on equal keys.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.ndim != 2 or 0 in data.shape:
         raise ValueError("dataset must be a non-empty (n, m) array")
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
     if not np.isfinite(data).all():
         raise ValueError("data holds NaN or infinite values")
-
-    out = []
-
-    def split(idx: np.ndarray):
-        if len(idx) <= leaf_size:
-            out.append(idx)
-            return
-        pts = data[idx]
-        spread = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(spread))
-        order = np.argsort(pts[:, axis], kind="stable")
-        left = (len(idx) + 1) // 2
-        split(idx[order[:left]])
-        split(idx[order[left:]])
-
-    split(np.arange(data.shape[0], dtype=np.int64))
-    return np.concatenate(out)
+    # A leaf size past n leaves the one partition whole, and fits in int64.
+    return median_bisect(data, int(min(leaf_size, len(data))), rcb=True)
 
 
 def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:

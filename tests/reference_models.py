@@ -1,11 +1,14 @@
-"""Python reference loops of memloc's two simulators.
+"""Python reference loops of memloc's two simulators and its two
+median-bisection builders.
 
-The cache filter (CacheHierarchy, driven by _filter_reference) and the
-FR-FCFS-Cap scheduler (_simulate_reference) as plain Python loops.
-memsys.filter_to_dram and dramsim.simulate run the compiled core,
-_core.c, which must give identical results; test_oracles.py checks that,
-and test_memsys.py and test_acceptance.py drive these loops directly.
-Imported by the tests, not collected as one.
+The cache filter (CacheHierarchy, driven by _filter_reference), the
+FR-FCFS-Cap scheduler (_simulate_reference), recursive coordinate
+bisection (reorder_rcb_oracle) and the kd-tree's order
+(kdtree_order_oracle) in Python and numpy.  memsys.filter_to_dram,
+dramsim.simulate, reorder.reorder_rcb and kdtree.KdTree run the compiled
+core, _core.c, which must give identical results; test_oracles.py checks
+that, and test_memsys.py and test_acceptance.py drive the simulator
+loops directly.  Imported by the tests, not collected as one.
 """
 
 from __future__ import annotations
@@ -254,3 +257,53 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: Dram
     }
     stats.hits, stats.misses, stats.conflicts = map(sum, zip(*bank_stats.values()))
     return stats
+
+
+def reorder_rcb_oracle(data: np.ndarray, leaf_size: int) -> np.ndarray:
+    """Recursive coordinate bisection.
+
+    Splits at the lower median of the dimension with the largest spread
+    (ties go to the lowest dimension index) until partitions have at
+    most `leaf_size` points.  Splits are stable on equal keys.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ValueError("dataset must be a non-empty (n, m) array")
+    if leaf_size < 1:
+        raise ValueError("leaf_size must be >= 1")
+    if not np.isfinite(data).all():
+        raise ValueError("data holds NaN or infinite values")
+
+    out = []
+
+    def split(idx: np.ndarray):
+        if len(idx) <= leaf_size:
+            out.append(idx)
+            return
+        pts = data[idx]
+        spread = pts.max(axis=0) - pts.min(axis=0)
+        axis = int(np.argmax(spread))
+        order = np.argsort(pts[:, axis], kind="stable")
+        left = (len(idx) + 1) // 2
+        split(idx[order[:left]])
+        split(idx[order[left:]])
+
+    split(np.arange(data.shape[0], dtype=np.int64))
+    return np.concatenate(out)
+
+
+def kdtree_order_oracle(data: np.ndarray) -> np.ndarray:
+    """KdTree's `order`, built level by level with one stable lexsort per
+    depth over every subtree at once."""
+    data = np.asarray(data, dtype=np.float64)
+    n, m = data.shape
+    # group[p] is the first position of the subtree holding p at this
+    # depth, so one stable lexsort sorts every subtree at once.  The
+    # subtrees deeper than n.bit_length() - 2 hold one row at most.
+    order, pos = np.arange(n), np.arange(n)
+    group = np.zeros(n, dtype=np.int64)
+    for depth in range(n.bit_length() - 1):
+        order = order[np.lexsort((data[order, depth % m], group))]
+        mid = group + np.bincount(group, minlength=n)[group] // 2
+        group = np.where(pos < mid, group, np.minimum(pos, mid + 1))
+    return order

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memloc import _core, cli, dramsim, memsys, pipeline, traceio
+from memloc import _core, cli, dramsim, memsys, pipeline, reorder, traceio
 
 
 @pytest.fixture
@@ -104,6 +104,17 @@ def test_without_a_compiler_kd_tree_generation_fails(source, tmp_path, monkeypat
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
     with pytest.raises(pipeline.PipelineError, match=r"^gen: .*needs a C compiler \(cc\)"):
         pipeline.build_kernel({"kernel": kernel}).generate()
+
+
+def test_without_a_compiler_rcb_fails(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    dtree = {"kind": "dtree", "n": 300, "m": 3, "max_depth": 3}  # generated without the core
+    with pytest.raises(pipeline.PipelineError, match=r"^reorder: .*needs a C compiler \(cc\)"):
+        pipeline.run_pipeline({"seed": 1, "kernel": dtree, "variants": ["rcb"]})
+    reorder.save_dataset(tmp_path / "d", np.random.default_rng(1).random((50, 2)))
+    assert cli.main(["reorder", "--method", "rcb", "--dataset", str(tmp_path / "d"),
+                     "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith("memloc: reorder: the compiled simulator core")
 
 
 SRC = Path(_core.__file__).parent

@@ -2,8 +2,8 @@
 
 Each oracle below is the straightforward per-element loop that the
 production function used to be.  Hypothesis draws inputs, and the two
-must agree exactly.  The compiled simulator core is checked the same way
-against the Python loops in reference_models.
+must agree exactly.  The compiled core is checked the same way against
+the Python code in reference_models.
 """
 
 import csv
@@ -19,7 +19,12 @@ from memloc import dramsim, kernels, memsys, reorder, sfc
 from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig, quantize_rows
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
-from reference_models import _filter_reference, _simulate_reference
+from reference_models import (
+    _filter_reference,
+    _simulate_reference,
+    kdtree_order_oracle,
+    reorder_rcb_oracle,
+)
 
 
 def first_touch_oracle(inspected, n):
@@ -555,6 +560,33 @@ def test_kdtree_radius_matches_recursive_tree(case, pick):
         assert got == _walks(oracle, q, "radius", radius)
         if radius >= 2.0 * m ** 0.5:  # covers every point: all rows, once each
             assert sorted(got[0]) == sorted(got[1]) == list(range(len(data)))
+
+
+@st.composite
+def bisect_data(draw):
+    """Points on a coarse grid centred on zero (duplicates, ties, mixed
+    0.0 and -0.0) or a fine one, optionally with one constant column."""
+    n, m = draw(st.integers(1, 300)), draw(st.integers(1, 16))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 1 << 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(-levels, levels, (n, m)) / levels
+    data[(data == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+    if draw(st.booleans()):
+        data[:, rng.integers(m)] = 0.5
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(bisect_data(), st.data())
+def test_reorder_rcb_matches_recursive_oracle(data, pick):
+    leaf = pick.draw(st.integers(1, len(data) + 1))
+    assert reorder.reorder_rcb(data, leaf).tolist() == reorder_rcb_oracle(data, leaf).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bisect_data())
+def test_kdtree_order_matches_lexsort_oracle(data):
+    assert KdTree(data).order.tolist() == kdtree_order_oracle(data).tolist()
 
 
 # The compiled core against the Python loops.

@@ -200,6 +200,12 @@ def test_generation_and_transformation_errors_carry_their_stage(stage, bad):
         pipeline.run_pipeline({**BASE, **bad})
 
 
+def test_rcb_leaf_size_past_int64_keeps_the_baseline_order():
+    base, rcb = without_overhead(pipeline.run_pipeline(
+        {**BASE, "rcb_leaf_size": 10**30, "variants": ["baseline", "rcb"]}))
+    assert {**rcb, "variant": "baseline"} == base
+
+
 @pytest.mark.parametrize("failing", [1, 2], ids=["baseline", "replay"])
 def test_a_trace_past_the_cycle_field_fails_at_gen(failing, monkeypatch):
     real, calls = traceio.Trace.from_addresses.__func__, []

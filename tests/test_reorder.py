@@ -79,6 +79,14 @@ class TestRcb:
         with pytest.raises(ValueError):
             reorder.reorder_rcb(np.empty((0, 2)), 4)
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="dataset must be a non-empty"):
+            reorder.reorder_rcb(np.empty((5, 0)), 1)
+
+    def test_leaf_size_past_int64_is_identity(self):
+        data = np.random.default_rng(5).random((9, 2))
+        assert reorder.reorder_rcb(data, 10**30).tolist() == list(range(9))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_rejected(self, bad):
         data = np.random.default_rng(4).random((6, 2))

@@ -14,7 +14,10 @@
  * without a C compiler memloc cannot build a kd-tree or an RCB order,
  * filter or simulate.
  *
- * The functions return 0, or -1 when memory runs out.
+ * Every function writes its results into arrays its caller allocated and
+ * returns an int64_t: memloc_kdtree, which allocates nothing, the next
+ * query to walk (nq when it is done); the others 0, or -1 when memory
+ * runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -222,10 +225,10 @@ static int demand(hierarchy *h, int64_t line)
  * DRAM.  Records of kind `prefetch_kind` are software prefetches that
  * fill level `sw_level` only.  stats receives the 10 counters in the
  * order of the hierarchy's st. */
-int memloc_filter(int64_t n, const int64_t *lines, const uint8_t *kinds, uint8_t *keep,
-                  const int64_t *sets, const int64_t *ways, int64_t sw_level,
-                  int64_t prefetch_kind, int64_t degree, int64_t distance,
-                  int64_t page_shift, int64_t *stats)
+int64_t memloc_filter(int64_t n, const int64_t *lines, const uint8_t *kinds, uint8_t *keep,
+                      const int64_t *sets, const int64_t *ways, int64_t sw_level,
+                      int64_t prefetch_kind, int64_t degree, int64_t distance,
+                      int64_t page_shift, int64_t *stats)
 {
     hierarchy h = {.degree = degree, .distance = distance, .page_shift = page_shift,
                    .st = stats};
@@ -256,10 +259,10 @@ int memloc_filter(int64_t n, const int64_t *lines, const uint8_t *kinds, uint8_t
  * been bypassed max_bypass times.  counts[bank * 3 + kind] and events[i]
  * get the outcome, kind 0 hit, 1 closed bank, 2 conflict; latency[0..1]
  * the low and high 64 bits of the summed latencies. */
-int memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
-                    const int64_t *arrive, int64_t nbanks, int64_t t_hit,
-                    int64_t t_closed, int64_t t_conflict, int64_t max_bypass,
-                    int64_t depth, int64_t *counts, uint8_t *events, uint64_t *latency)
+int64_t memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
+                        const int64_t *arrive, int64_t nbanks, int64_t t_hit,
+                        int64_t t_closed, int64_t t_conflict, int64_t max_bypass,
+                        int64_t depth, int64_t *counts, uint8_t *events, uint64_t *latency)
 {
     /* The window is a ring of entries that keep their request's bank and
      * row, so a scan reads only the window and the open rows, and serving
@@ -379,8 +382,8 @@ static void stable_sort(keyed *a, keyed *tmp, int64_t len)
  * Recursive coordinate bisection (rcb = 1) splits on the axis of widest
  * max - min spread, the lowest index on ties, into [lo, lo + (hi - lo +
  * 1) / 2) and the rest. */
-int memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
-                  int64_t leaf, int64_t rcb)
+int64_t memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
+                      int64_t leaf, int64_t rcb)
 {
     /* Frame depths rise strictly from the bottom of the stack, and no
      * subtree of fewer than 2^63 rows is 64 levels deep. */
@@ -437,38 +440,6 @@ int memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
     return 0;
 }
 
-/* The rows a kd-tree walk examines, in examination order, and for radius
- * walks whether each lay within the radius.  Grown by doubling;
- * memloc_release frees it. */
-typedef struct {
-    int64_t *row;
-    uint8_t *hit;
-    int64_t len, cap;
-} visits;
-
-static int grow(visits *v)
-{
-    int64_t cap = v->cap ? v->cap * 2 : 4096;
-    int64_t *r = realloc(v->row, cap * sizeof *r);
-    if (r)
-        v->row = r;
-    uint8_t *h = r ? realloc(v->hit, cap) : NULL;
-    if (!h)
-        return -1;
-    v->hit = h;
-    v->cap = cap;
-    return 0;
-}
-
-static int record(visits *v, int64_t row, uint8_t hit)
-{
-    if (v->len == v->cap && grow(v))
-        return -1;
-    v->row[v->len] = row;
-    v->hit[v->len++] = hit;
-    return 0;
-}
-
 /* Whether (d2 a, row a) sits above (d2 b, row b) in the kNN max-heap: the
  * larger d2, and on ties the smaller row, the pair a Python heap of
  * (-d2, row) pops first. */
@@ -507,22 +478,27 @@ static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, i
     row[i] = r;
 }
 
-/* One pruned depth-first walk per row of the nq x m query matrix, near
- * side first, appending every examined row to `out`; query q's rows are
- * out->row[starts[q] .. starts[q + 1]).  pts holds the n
- * points in tree order, row order[p] at position p: the node of positions
- * [lo, hi) sits at mid = lo + (hi - lo) / 2, with subtrees [lo, mid) and
- * [mid + 1, hi), and splits on axis depth % m.  Only far sides are
- * stacked, so a near side is never pruned.  With k >= 1 (k <= n), query
- * q's k nearest rows are kept in the max-heap best_d2/best_row[q * k ..],
- * and a far side whose plane is no nearer than the k-th best d2 is
- * skipped; with k = 0, out->hit marks the visits with d2 <= r2, and a far
- * side whose plane lies beyond r2 is skipped.  d2 is the left-to-right
- * float64 sum of squared differences; _core.py compiles without FMA
- * contraction, so it is the same on every host. */
-int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
-                  int64_t nq, const double *queries, int64_t k, double r2,
-                  double *best_d2, int64_t *best_row, int64_t *starts, visits *out)
+/* One pruned depth-first walk per row of the nq x m query matrix from
+ * query `first` on, near side first, writing every examined row to rows
+ * (cap slots); query q's rows are rows[starts[q] .. starts[q + 1]), and
+ * starts[first] says where query `first`'s go (0 for the first call).
+ * No query examines a row twice, so before each query the walk stops
+ * when fewer than n slots are left: it sets starts[q] and returns q, the
+ * query to resume from.  It returns nq when every query is done.  pts
+ * holds the n points in tree order, row order[p] at position p: the node
+ * of positions [lo, hi) sits at mid = lo + (hi - lo) / 2, with subtrees
+ * [lo, mid) and [mid + 1, hi), and splits on axis depth % m.  Only far
+ * sides are stacked, so a near side is never pruned.  With k >= 1
+ * (k <= n), query q's k nearest rows are kept in the max-heap
+ * best_d2/best_row[q * k ..], and a far side whose plane is no nearer
+ * than the k-th best d2 is skipped; with k = 0, hit marks the visits
+ * with d2 <= r2, and a far side whose plane lies beyond r2 is skipped.
+ * d2 is the left-to-right float64 sum of squared differences; _core.py
+ * compiles without FMA contraction, so it is the same on every host. */
+int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
+                      int64_t nq, const double *queries, int64_t k, double r2,
+                      double *best_d2, int64_t *best_row, int64_t first, int64_t cap,
+                      int64_t *rows, uint8_t *hit, int64_t *starts)
 {
     /* Frame depths rise strictly from the bottom of the stack, and no
      * subtree of fewer than 2^63 rows is 64 levels deep. */
@@ -530,10 +506,11 @@ int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
         int64_t lo, hi, depth;
         double plane2;
     } stack[64];
-    if (!out->cap && grow(out))  /* so the buffers exist even with no visits */
-        return -1;
-    for (int64_t qi = 0; qi < nq; qi++) {
-        starts[qi] = out->len;
+    int64_t len = starts[first];
+    for (int64_t qi = first; qi < nq; qi++) {
+        starts[qi] = len;
+        if (cap - len < n)
+            return qi;
         const double *q = queries + qi * m;
         double *hd2 = best_d2 + qi * k;
         int64_t *hrow = best_row + qi * k, found = 0, top = 1;
@@ -555,8 +532,8 @@ int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
                     double d = p[j] - q[j];
                     d2 += d * d;
                 }
-                if (record(out, row, !k && d2 <= r2))
-                    return -1;
+                rows[len] = row;
+                hit[len++] = !k && d2 <= r2;
                 if (k && found < k)
                     heap_push(hd2, hrow, found++, d2, row);
                 else if (k && d2 < hd2[0])
@@ -577,16 +554,6 @@ int memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
             }
         }
     }
-    starts[nq] = out->len;
-    return 0;
-}
-
-int memloc_release(visits *v)
-{
-    free(v->row);
-    free(v->hit);
-    v->row = NULL;
-    v->hit = NULL;
-    v->len = v->cap = 0;
-    return 0;
+    starts[nq] = len;
+    return nq;
 }

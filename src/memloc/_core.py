@@ -8,6 +8,13 @@ rebuilt and an unchanged one is only loaded.  The core is memloc's only
 kd-tree build and walk, recursive coordinate bisection, cache filter and
 DRAM scheduler, so memloc needs a C compiler (``cc``): when the core
 cannot be built or loaded, :func:`load` raises OSError.
+
+Every core function takes int64s, doubles and C-contiguous numpy
+arrays, writes its results into arrays its caller allocated, and
+returns an int64.  A negative return means the core ran out of memory
+for its own scratch space; the loaded functions raise
+MemoryError("<function>: out of memory") for it, so callers check
+nothing.
 """
 
 from __future__ import annotations
@@ -31,26 +38,25 @@ def _array(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
 
-class Visits(ctypes.Structure):
-    """memloc_kdtree's growable output: the examined rows in order and,
-    for radius walks, whether each was within the radius.  The core owns
-    the buffers; memloc_release frees them."""
-
-    _fields_ = [("row", ctypes.POINTER(ctypes.c_int64)), ("hit", ctypes.POINTER(ctypes.c_uint8)),
-                ("len", ctypes.c_int64), ("cap", ctypes.c_int64)]
-
-
 _I64, _U8, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.float64)
 _SIGNATURES = {
     "memloc_bisect": [_I64, _I64, _F64, _array(np.int64), _I64, _I64],
     "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
-                      _F64, _array(np.int64), _array(np.int64), ctypes.POINTER(Visits)],
-    "memloc_release": [ctypes.POINTER(Visits)],
+                      _F64, _array(np.int64), _I64, _I64, _array(np.int64), _array(np.bool_),
+                      _array(np.int64)],
     "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
                       *[_I64] * 5, _array(np.int64)],
     "memloc_simulate": [_I64, *[_array(np.int64)] * 3, *[_I64] * 6, _array(np.int64), _U8,
                         _array(np.uint64)],
 }
+
+
+def _check(result, func, args):
+    """The errcheck of every core function: a negative return means the
+    core ran out of memory."""
+    if result < 0:
+        raise MemoryError(f"{func.__name__}: out of memory")
+    return result
 
 
 def _cache_dirs():
@@ -101,7 +107,8 @@ def _open():
                        "memloc needs a C compiler (cc)")
     for fn, argtypes in _SIGNATURES.items():
         getattr(lib, fn).argtypes = argtypes
-        getattr(lib, fn).restype = ctypes.c_int
+        getattr(lib, fn).restype = ctypes.c_int64
+        getattr(lib, fn).errcheck = _check
     return lib
 
 

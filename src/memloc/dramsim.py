@@ -160,10 +160,9 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
     latency = np.zeros(2, dtype=np.uint64)
     # Bypass counts and the window never exceed n, so larger caps and
     # depths act as n + 1 and n do.
-    if _core.load().memloc_simulate(n, bank_arr, row_arr, arrive_arr, geom.banks, timing.hit,
-                                    timing.closed, timing.conflict, min(cap, n + 1) - 1,
-                                    min(queue_depth, n), counts, events, latency):
-        raise MemoryError("dramsim: out of memory")
+    _core.load().memloc_simulate(n, bank_arr, row_arr, arrive_arr, geom.banks, timing.hit,
+                                 timing.closed, timing.conflict, min(cap, n + 1) - 1,
+                                 min(queue_depth, n), counts, events, latency)
     lo, hi = latency.tolist()
     hits, misses, conflicts = counts.sum(axis=0).tolist()
     return DramStats(

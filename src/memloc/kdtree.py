@@ -11,12 +11,21 @@ coordinate differences, so it is the same on every host.
 
 from __future__ import annotations
 
-import ctypes
 import operator
 
 import numpy as np
 
 from . import _core
+
+
+def feature_matrix(data) -> np.ndarray:
+    """`data` as a C-contiguous float64 (n, m) array with n, m >= 1 and
+    every value finite: the one check of every feature matrix memloc
+    builds a tree, a bisection or a curve order over."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.ndim != 2 or 0 in data.shape or not np.isfinite(data).all():
+        raise ValueError("dataset must be a non-empty (n, m) array with no NaN or infinite values")
+    return data
 
 
 def median_bisect(data: np.ndarray, leaf_size: int, rcb: bool) -> np.ndarray:
@@ -29,18 +38,13 @@ def median_bisect(data: np.ndarray, leaf_size: int, rcb: bool) -> np.ndarray:
     widest spread, lowest index on ties, the left half taking the
     middle row of an odd subtree."""
     order = np.arange(len(data), dtype=np.int64)
-    if _core.load().memloc_bisect(len(data), data.shape[1], data, order, leaf_size, rcb):
-        raise MemoryError("median bisection: out of memory")
+    _core.load().memloc_bisect(len(data), data.shape[1], data, order, leaf_size, rcb)
     return order
 
 
 class KdTree:
     def __init__(self, data: np.ndarray):
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.ndim != 2 or 0 in data.shape:
-            raise ValueError("data must be a non-empty (n, m) array")
-        if not np.isfinite(data).all():
-            raise ValueError("data holds NaN or infinite values")
+        data = feature_matrix(data)
         self.m = data.shape[1]
         self.order = median_bisect(data, 1, rcb=False)
         self._points = data[self.order]  # the walk reads the points in tree order
@@ -62,19 +66,24 @@ class KdTree:
             raise ValueError("queries hold NaN or infinite values")
         if k is not None and operator.index(k) < 1:
             raise ValueError("k must be >= 1")
-        width = 0 if k is None else min(k, len(self.order))  # k > n prunes as k = n does
-        best_d2 = np.empty((len(queries), width))
-        best_row = np.empty((len(queries), width), dtype=np.int64)
-        starts = np.empty(len(queries) + 1, dtype=np.int64)
-        out = _core.Visits()
-        try:
-            if _core.load().memloc_kdtree(len(self.order), self.m, self._points, self.order,
-                                          len(queries), queries, width, float(r2), best_d2,
-                                          best_row, starts, ctypes.byref(out)):
-                raise MemoryError("kd-tree walk: out of memory")
-            rows = np.ctypeslib.as_array(out.row, (out.len,)).copy()
-            found = (np.ctypeslib.as_array(out.hit, (out.len,)).astype(bool) if k is None
-                     else (best_d2, best_row))
-        finally:
-            _core.load().memloc_release(ctypes.byref(out))
-        return rows, found, starts
+        n, nq = len(self.order), len(queries)
+        width = 0 if k is None else min(k, n)  # k > n prunes as k = n does
+        best_d2 = np.empty((nq, width))
+        best_row = np.empty((nq, width), dtype=np.int64)
+        starts = np.zeros(nq + 1, dtype=np.int64)
+        # The core fills these from query `done` on and stops at the first
+        # query that might not fit.  They grow and shrink in place, so no
+        # copy lives beside them, and nothing may view them before the trim.
+        rows = np.empty(n + 64 * nq, dtype=np.int64)
+        hit = np.empty(len(rows), dtype=bool)
+        done = 0
+        while (done := _core.load().memloc_kdtree(
+                n, self.m, self._points, self.order, nq, queries, width, float(r2),
+                best_d2, best_row, done, len(rows), rows, hit, starts)) < nq:
+            # Room for the queries left at the mean so far, and one more
+            # query's n: more than the core had, so the walk moves on.
+            rows.resize(int(starts[done]) * nq // done + n, refcheck=False)
+            hit.resize(len(rows), refcheck=False)
+        rows.resize(int(starts[-1]), refcheck=False)
+        hit.resize(len(rows), refcheck=False)
+        return rows, hit if k is None else (best_d2, best_row), starts

@@ -29,7 +29,8 @@ class AddressModel:
     they cover.  base is page-aligned, so r * row_stride_bytes // PAGE_SIZE
     is the page the row starts on, counted from the matrix's first page.
     "shuffle" page mapping places the pages of the matrix's `rows` rows
-    in a seeded random permutation of their frames.
+    in a seeded random permutation of their frames.  A matrix whose
+    `rows` are known must end by byte 2**63.
     """
 
     base: int = 0x1000_0000
@@ -50,6 +51,9 @@ class AddressModel:
             raise ValueError("shuffle page mapping needs the matrix's rows")
         if not self.row_bytes:
             self.row_bytes = self.row_stride_bytes
+        end = self.base + (self.rows - 1) * self.row_stride_bytes + self.row_bytes
+        if self.rows and end > 2**63:  # int64 addresses would wrap onto lower rows
+            raise ValueError(f"the {self.rows}-row matrix ends past byte 2**63")
 
     @classmethod
     def for_matrix(cls, m: int, row_stride_bytes: int | None = None,
@@ -195,6 +199,8 @@ def make_clustered(n: int, m: int, clusters: int, seed: int = 0,
     layout "contiguous" keeps each cluster's rows adjacent (generation
     order); "shuffled" permutes rows to destroy layout locality.
     """
+    if spread < 0:
+        raise ValueError("spread must be >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.random((clusters, m))
     sizes = np.full(clusters, n // clusters)

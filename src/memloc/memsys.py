@@ -113,13 +113,12 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     keep = np.zeros(len(lines), dtype=np.uint8)
     counts = np.zeros(10, dtype=np.int64)
     degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
-    if _core.load().memloc_filter(
-            len(lines), lines, np.ascontiguousarray(trace.kind), keep,
-            np.array([c.num_sets for c in cache.levels], dtype=np.int64),
-            np.array([c.associativity for c in cache.levels], dtype=np.int64),
-            LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
-            degree, distance, _PAGE_LINES_SHIFT, counts):
-        raise MemoryError("cache filter: out of memory")
+    _core.load().memloc_filter(
+        len(lines), lines, np.ascontiguousarray(trace.kind), keep,
+        np.array([c.num_sets for c in cache.levels], dtype=np.int64),
+        np.array([c.associativity for c in cache.levels], dtype=np.int64),
+        LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
+        degree, distance, _PAGE_LINES_SHIFT, counts)
     keep = keep.view(bool)
     c = counts.tolist()
     return (Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]),

@@ -148,33 +148,34 @@ def build_kernel(config: dict) -> _KernelCtx:
     kind, seed = k["kind"], cfg["seed"]
     if kind not in KERNELS:
         raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
-    for key, low in (("k", 1), ("queries", 0)) if kind == "knn" else ():
+    for key, low in (("n", 1), ("m", 1), *((("k", 1), ("queries", 0)) if kind == "knn" else ())):
         if k[key] < low:
             raise PipelineError(f"config: kernel.{key} must be >= {low}")
     n, m = k["n"], k["m"]
     rng = np.random.default_rng(seed)
     data = labels = queries = None
-    if kind != "gather":
-        if k["clusters"]:
-            data = kernels.make_clustered(n, m, k["clusters"], seed,
-                                          layout=k["layout"], spread=k["spread"])
-        else:
-            data = kernels.make_uniform(n, m, seed)
-    if kind == "knn":
-        nq = k["queries"]
-        if k["clusters"] and k["queries_from_data"]:
-            queries = data[rng.integers(0, n, nq)] + rng.normal(0, 0.005, (nq, m))
-        else:
-            queries = rng.random((nq, m))
-    if kind == "dtree":
-        dot = np.zeros(n)
-        for j, w in enumerate(rng.random(m)):  # data @ w left to right, not by BLAS
-            dot += data[:, j] * w
-        labels = (dot > 0.5 * rng.random(m).sum()).astype(np.int64)
-    # A gather read A[B[i]] loads one float64 element; other kernels read whole rows.
-    addr = kernels.AddressModel.for_matrix(m, k["row_stride_bytes"],
-                                           8 if kind == "gather" else None,
-                                           page_mapping=k["page_mapping"], seed=seed, rows=n)
+    with _stage("config"):
+        if kind != "gather":
+            if k["clusters"]:
+                data = kernels.make_clustered(n, m, k["clusters"], seed,
+                                              layout=k["layout"], spread=k["spread"])
+            else:
+                data = kernels.make_uniform(n, m, seed)
+        if kind == "knn":
+            nq = k["queries"]
+            if k["clusters"] and k["queries_from_data"]:
+                queries = data[rng.integers(0, n, nq)] + rng.normal(0, 0.005, (nq, m))
+            else:
+                queries = rng.random((nq, m))
+        if kind == "dtree":
+            dot = np.zeros(n)
+            for j, w in enumerate(rng.random(m)):  # data @ w left to right, not by BLAS
+                dot += data[:, j] * w
+            labels = (dot > 0.5 * rng.random(m).sum()).astype(np.int64)
+        # A gather read A[B[i]] loads one float64 element; other kernels read whole rows.
+        addr = kernels.AddressModel.for_matrix(m, k["row_stride_bytes"],
+                                               8 if kind == "gather" else None,
+                                               page_mapping=k["page_mapping"], seed=seed, rows=n)
     return _KernelCtx(kind, data, labels, queries, addr, k, seed)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kdtree import median_bisect
+from .kdtree import feature_matrix, median_bisect
 from .sfc import QuantizerConfig, encode, quantize_rows
 from .traceio import PAGE_SIZE
 
@@ -55,13 +55,9 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
     (ties go to the lowest dimension index) until partitions have at
     most `leaf_size` points.  Splits are stable on equal keys.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.ndim != 2 or 0 in data.shape:
-        raise ValueError("dataset must be a non-empty (n, m) array")
+    data = feature_matrix(data)
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
-    if not np.isfinite(data).all():
-        raise ValueError("data holds NaN or infinite values")
     # A leaf size past n leaves the one partition whole, and fits in int64.
     return median_bisect(data, int(min(leaf_size, len(data))), rcb=True)
 
@@ -69,9 +65,7 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
 def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:
     """Stable sort of rows by ascending space-filling-curve index,
     quantizing with the dataset's own min/max bounds."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("dataset must be a non-empty (n, m) array")
+    data = feature_matrix(data)
     cfg = QuantizerConfig(data.shape[1], bits, data.min(axis=0), data.max(axis=0))
     # lexsort takes its last key as the primary one: the top code word.
     return np.lexsort(encode(list(quantize_rows(data, cfg).T), bits, curve))

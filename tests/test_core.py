@@ -1,6 +1,7 @@
 """Building, caching and loading the compiled simulator core."""
 
 import ast
+import ctypes
 import os
 import subprocess
 import sys
@@ -115,6 +116,30 @@ def test_without_a_compiler_rcb_fails(source, tmp_path, monkeypatch, capsys):
     assert cli.main(["reorder", "--method", "rcb", "--dataset", str(tmp_path / "d"),
                      "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith("memloc: reorder: the compiled simulator core")
+
+
+def test_the_core_takes_numbers_and_arrays_it_does_not_own():
+    ndpointer = np.ctypeslib.ndpointer(np.int64).__mro__[1]
+    for fn, argtypes in _core._SIGNATURES.items():
+        for t in argtypes:
+            assert t in (ctypes.c_int64, ctypes.c_double) or issubclass(t, ndpointer), (fn, t)
+        assert getattr(_core.load(), fn).restype is ctypes.c_int64
+    assert not [v for v in vars(_core).values()
+                if isinstance(v, type) and issubclass(v, ctypes.Structure)]
+    assert not hasattr(_core.load(), "memloc_release")
+    assert "memloc_release" not in _core._SOURCE.read_text()
+
+
+def test_out_of_memory_raises_memory_error_naming_the_function():
+    # 2**50 one-way sets: the level's line array alone is 8 PiB, so the
+    # allocation fails at once rather than paging anything in.
+    trace = traceio.Trace.from_addresses(np.arange(100, dtype=np.uint64) * 4096)
+    huge = memsys.CacheConfig(l3=memsys.LevelConfig(2**56, 1))
+    with pytest.raises(MemoryError, match=r"^memloc_filter: out of memory$"):
+        memsys.filter_to_dram(trace, huge)
+    with pytest.raises(pipeline.PipelineError, match=r"^filter: memloc_filter: out of memory$"):
+        pipeline.run_pipeline({"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 300},
+                               "cache": {"l3_kb": 2**46, "l3_ways": 1}})
 
 
 SRC = Path(_core.__file__).parent

@@ -36,6 +36,17 @@ class TestAddressModel:
         # row 1 spans bytes [160, 320) -> lines 2, 3, 4
         assert (lines - addr.base).tolist() == [128, 192, 256]
 
+    def test_a_matrix_past_byte_2_63_rejected(self):
+        # Row 4 of a 2**62-byte stride would wrap in int64 onto row 0's line.
+        with pytest.raises(ValueError, match=r"^the 5-row matrix ends past byte 2\*\*63$"):
+            AddressModel.for_matrix(2, 2**62, 8, rows=5)
+        base = AddressModel().base
+        with pytest.raises(ValueError, match="ends past byte"):
+            AddressModel(row_stride_bytes=2**63 - 7 - base, row_bytes=8, rows=2)
+        last = AddressModel(row_stride_bytes=2**63 - 8 - base, row_bytes=8, rows=2)
+        assert kernels.rows_to_lines([0, 1], last).tolist() == [base, 2**63 - 64]
+        assert AddressModel(row_stride_bytes=2**62).row_stride_bytes == 2**62  # rows unknown
+
     def test_addresses_line_aligned_and_in_range(self):
         addr = AddressModel(row_stride_bytes=24, row_bytes=24)
         rows = np.arange(100)
@@ -167,6 +178,25 @@ def test_visit_buffer_grows_to_every_visit():
     rows, hit, _ = KdTree(rng.random((2000, 3))).walk(rng.random((50, 3)), r2=3.0)
     assert len(rows) == 100_000 and hit.all()
     assert (np.sort(rows.reshape(50, 2000), axis=1) == np.arange(2000)).all()
+
+
+def test_a_walk_of_no_queries_is_empty():
+    tree = KdTree(np.random.default_rng(4).random((50, 3)))
+    rows, hit, starts = tree.walk(np.empty((0, 3)), r2=0.1)
+    assert rows.shape == hit.shape == (0,) and starts.tolist() == [0]
+    rows, (d2, best), starts = tree.walk(np.empty((0, 3)), k=4)
+    assert rows.shape == (0,) and d2.shape == best.shape == (0, 4) and starts.tolist() == [0]
+
+
+@pytest.mark.parametrize("queries", [1, 50], ids=["fits", "grows"])
+def test_walk_returns_arrays_that_own_their_data(queries):
+    rng = np.random.default_rng(11)
+    tree = KdTree(rng.random((2000, 3)))
+    for kw in ({"r2": 3.0}, {"r2": 0.01}, {"k": 3}):
+        rows, found, starts = tree.walk(rng.random((queries, 3)), **kw)
+        assert rows.flags.owndata and rows.dtype == np.int64 and len(rows) == starts[-1]
+        if "r2" in kw:
+            assert found.flags.owndata and found.dtype == bool and len(found) == len(rows)
 
 
 def test_tree_holds_little_more_than_its_data():

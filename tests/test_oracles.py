@@ -9,13 +9,14 @@ the Python code in reference_models.
 import csv
 import heapq
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloc import dramsim, kernels, memsys, reorder, sfc
+from memloc import _core, dramsim, kernels, memsys, reorder, sfc
 from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig, quantize_rows
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
@@ -546,6 +547,47 @@ def test_kdtree_walk_starts_split_the_walk_by_query(case, k):
         single = [tree.walk(q[None], **kw)[0] for q in queries]
         assert starts.tolist() == np.cumsum([0] + [len(r) for r in single]).tolist()
         assert rows.tolist() == np.concatenate(single).tolist()
+
+
+@st.composite
+def covering_walks(draw):
+    """Radius walks with r2 = inf, so every query examines all n rows:
+    with n >= 97 and at least 3 queries that overflows the walk's first
+    buffers (room for n + 64 visits per query)."""
+    n, m = draw(st.integers(97, 300)), draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([1, 3, 1 << 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(0, levels, (n, m)) / levels
+    return data, rng.integers(0, levels + 1, (draw(st.integers(3, 8)), m)) / levels
+
+
+def _counted_walk(tree, queries, **kw):
+    """tree.walk, and the first query of each of its calls into the core."""
+    lib, firsts = _core.load(), []
+
+    class Core:
+        def memloc_kdtree(self, *args):
+            firsts.append(args[10])
+            return lib.memloc_kdtree(*args)
+    with mock.patch.object(_core, "load", Core):
+        return tree.walk(queries, **kw), firsts
+
+
+@settings(max_examples=60, deadline=None)
+@given(covering_walks())
+def test_kdtree_walk_resumes_where_its_buffers_filled(case):
+    data, queries = case
+    tree, oracle = KdTree(data), KdTreeOracle(data)
+    (rows, hit, starts), firsts = _counted_walk(tree, queries, r2=float("inf"))
+    assert len(firsts) > 1 and firsts[0] == 0 and firsts == sorted(set(firsts))
+    single = [tree.walk(q[None], r2=float("inf")) for q in queries]
+    assert rows.tolist() == np.concatenate([r for r, _, _ in single]).tolist()
+    assert hit.tolist() == np.concatenate([h for _, h, _ in single]).tolist()
+    assert starts.tolist() == list(range(0, len(data) * len(queries) + 1, len(data)))
+    for i, q in enumerate(queries):
+        seen, in_range = _walks(oracle, q, "radius", float("inf"))
+        part = slice(starts[i], starts[i + 1])
+        assert (rows[part].tolist(), rows[part][hit[part]].tolist()) == (seen, in_range)
 
 
 @settings(max_examples=300, deadline=None)

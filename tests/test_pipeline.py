@@ -191,6 +191,16 @@ STAGE_ERRORS = {
     "string-seed": ("config", {"seed": "1"}),
     "float-cache-size": ("config", {"cache": {"l2_kb": 256.0}}),
     "bool-cap": ("config", {"dram": {"cap": True}}),
+    "m-zero": ("config", {"kernel": {"kind": "gather", "n": 50, "count": 20, "m": 0}}),
+    "negative-stride": ("config", {"kernel": {"kind": "gather", "n": 50, "count": 20,
+                                              "row_stride_bytes": -8}}),
+    "bogus-page-mapping": ("config", {"kernel": {**BASE["kernel"], "page_mapping": "bogus"}}),
+    "bogus-layout": ("config", {"kernel": {**BASE["kernel"], "clusters": 4, "layout": "bogus"}}),
+    "negative-spread": ("config", {"kernel": {**BASE["kernel"], "clusters": 4, "spread": -1.0}}),
+    "gather-n-zero": ("config", {"kernel": {"kind": "gather", "n": 0, "count": 20}}),
+    "dtree-n-zero": ("config", {"kernel": {"kind": "dtree", "n": 0}}),
+    "aliased-rows": ("config", {"kernel": {"kind": "gather", "n": 5000, "count": 2000,
+                                           "row_stride_bytes": 2**62}}),
 }
 
 
@@ -387,7 +397,8 @@ class TestPageMapping:
         assert any(v != p for v, p in mapping.items())
 
     def test_unknown_mapping_rejected(self):
-        with pytest.raises(ValueError, match="page_mapping"):
+        with pytest.raises(pipeline.PipelineError,
+                           match="^config: unknown page_mapping 'interleave'$"):
             self.kernel("interleave")
 
 

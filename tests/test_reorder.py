@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloc import reorder
+from memloc import pipeline, reorder
+from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig, morton_encode, quantize_rows
 
 
@@ -93,6 +94,30 @@ class TestRcb:
         data[3, 0] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             reorder.reorder_rcb(data, 1)
+
+
+NOT_FEATURE_MATRICES = {
+    "no-rows": np.empty((0, 2)), "no-columns": np.empty((5, 0)), "1-d": np.ones(5),
+    "3-d": np.ones((2, 2, 2)), "nan": np.array([[0.1, np.nan]] * 3),
+    "inf": np.array([[0.1, 0.2], [-np.inf, 0.3]]),
+}
+ONE_CHECK = r"^dataset must be a non-empty \(n, m\) array with no NaN or infinite values$"
+
+
+@pytest.mark.parametrize("bad", NOT_FEATURE_MATRICES.values(), ids=NOT_FEATURE_MATRICES)
+@pytest.mark.parametrize("build", [
+    KdTree, lambda d: reorder.reorder_rcb(d, 1), lambda d: reorder.reorder_sfc(d, "hilbert"),
+    lambda d: reorder.reorder_sfc(d, "zorder"), reorder.reorder_queries_zorder,
+], ids=["kdtree", "rcb", "hilbert", "zorder", "query-zorder"])
+def test_every_feature_matrix_meets_one_check(build, bad):
+    with pytest.raises(ValueError, match=ONE_CHECK):
+        build(bad)
+
+
+@pytest.mark.parametrize("method", ["rcb", "hilbert", "zorder", "zorder-comp"])
+def test_reorder_by_reports_the_check_at_reorder(method):
+    with pytest.raises(pipeline.PipelineError, match="^reorder: " + ONE_CHECK[1:]):
+        pipeline.reorder_by(method, pipeline.resolve_config({}), points=np.empty((5, 0)))
 
 
 class TestSfcReorder:

@@ -1,23 +1,25 @@
-/* Compiled core of memloc's kd-tree, its recursive coordinate bisection
- * and its two sequential simulators, and their only implementation in
- * the package.
+/* Compiled core of memloc's kd-tree, its recursive coordinate bisection,
+ * its decision-tree induction and its two sequential simulators, and
+ * their only implementation in the package.
  *
  * memloc_bisect builds the median-bisection order behind kdtree.KdTree
  * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
- * behind KdTree; memloc_filter replays a trace through the three-level
- * LRU filter that memsys.filter_to_dram models; memloc_simulate runs the
- * FR-FCFS-Cap scheduler behind dramsim.simulate.  All must give results
- * identical to the Python references that tests/test_oracles.py compares
- * them against (KdTreeOracle there, and the two bisection oracles,
+ * behind KdTree; memloc_dtree grows the decision tree behind
+ * kernels.gen_dtree_trace; memloc_filter replays a trace through the
+ * three-level LRU filter that memsys.filter_to_dram models;
+ * memloc_simulate runs the FR-FCFS-Cap scheduler behind
+ * dramsim.simulate.  All must give results identical to the Python
+ * references that tests/test_oracles.py compares them against
+ * (KdTreeOracle there, and the two bisection oracles, dtree_oracle,
  * CacheHierarchy and _simulate_reference in tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
  * without a C compiler memloc cannot build a kd-tree or an RCB order,
- * filter or simulate.
+ * grow a decision tree, filter or simulate.
  *
  * Every function writes its results into arrays its caller allocated and
  * returns an int64_t: memloc_kdtree, which allocates nothing, the next
- * query to walk (nq when it is done); the others 0, or -1 when memory
- * runs out.
+ * query to walk (nq when it is done); memloc_dtree the number of nodes;
+ * the others 0; and all but memloc_kdtree -1 when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -491,8 +493,9 @@ static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, i
  * sides are stacked, so a near side is never pruned.  With k >= 1
  * (k <= n), query q's k nearest rows are kept in the max-heap
  * best_d2/best_row[q * k ..], and a far side whose plane is no nearer
- * than the k-th best d2 is skipped; with k = 0, hit marks the visits
- * with d2 <= r2, and a far side whose plane lies beyond r2 is skipped.
+ * than the k-th best d2 is skipped, and hit is not written; with k = 0,
+ * hit (cap slots) marks the visits with d2 <= r2, and a far side whose
+ * plane lies beyond r2 is skipped.
  * d2 is the left-to-right float64 sum of squared differences; _core.py
  * compiles without FMA contraction, so it is the same on every host. */
 int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
@@ -532,8 +535,9 @@ int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *or
                     double d = p[j] - q[j];
                     d2 += d * d;
                 }
-                rows[len] = row;
-                hit[len++] = !k && d2 <= r2;
+                if (!k)
+                    hit[len] = d2 <= r2;
+                rows[len++] = row;
                 if (k && found < k)
                     heap_push(hd2, hrow, found++, d2, row);
                 else if (k && d2 < hd2[0])
@@ -556,4 +560,149 @@ int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *or
     }
     starts[nq] = len;
     return nq;
+}
+
+/* The k-th smallest of a[0 .. len) (0 <= k < len), by Hoare's selection
+ * around the median of a[l], a[k] and a[r], which moves values equal to
+ * the pivot to both sides, so ties cost no more than distinct values.  a
+ * ends partitioned around position k: nothing before it is larger,
+ * nothing after it smaller. */
+static double select_kth(double *a, int64_t len, int64_t k)
+{
+    int64_t l = 0, r = len - 1;
+    while (l < r) {
+        double lo = a[l] < a[r] ? a[l] : a[r], hi = a[l] < a[r] ? a[r] : a[l];
+        double x = a[k] < lo ? lo : a[k] > hi ? hi : a[k];
+        int64_t i = l, j = r;
+        do {
+            while (a[i] < x)
+                i++;
+            while (x < a[j])
+                j--;
+            if (i <= j) {
+                double t = a[i];
+                a[i++] = a[j];
+                a[j--] = t;
+            }
+        } while (i <= j);
+        if (j < k)
+            l = i;
+        if (k < i)
+            r = j;
+    }
+    return a[k];
+}
+
+/* 1 - the sum of squared class shares count[c] / total, summed left to
+ * right over the classes in ascending order. */
+static double gini(const int64_t *count, int64_t ncls, int64_t total)
+{
+    double sum = 0.0;
+    for (int64_t c = 0; c < ncls; c++) {
+        double share = (double)count[c] / (double)total;
+        sum += share * share;
+    }
+    return 1.0 - sum;
+}
+
+/* Greedy decision-tree induction over the n x m row-major matrix data,
+ * row r of class label[r] in [0, ncls), depth first in preorder.  idx
+ * holds the n row indices (arange(n) on entry); node i owns idx[lo .. hi)
+ * and gets bounds[2i] = lo and bounds[2i + 1] = hi, for at most cap
+ * nodes.  A node shallower than max_depth whose Gini impurity is above
+ * 0 thresholds its rows at <= each feature's median (the mean of the two
+ * middle values for an even count), and splits where both sides are
+ * non-empty and their weighted Gini (nl * g_left + nr * g_right) / len
+ * is lowest, the first feature on ties, unless that is no lower than its
+ * own.  A split partitions the node's range stably, the left side first,
+ * so idx ends as the leaves' rows in preorder, each in storage order.
+ * Returns the number of nodes, or -1 when memory runs out. */
+int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
+                     const int64_t *label, int64_t max_depth, int64_t cap, int64_t *idx,
+                     int64_t *bounds)
+{
+    /* The stack holds one pending right side per level above the node
+     * being split, then its two children: depth + 1 frames.  A node of
+     * depth d holds at most n + 1 - d rows, so one that splits is
+     * shallower than both max_depth and n. */
+    int64_t levels = max_depth < n ? max_depth : n;
+    struct frame {
+        int64_t lo, hi, depth;
+    } *stack = malloc((levels + 1) * sizeof *stack);
+    double *col = malloc(2 * n * sizeof *col), *val = col + n;
+    int64_t *lab = malloc(n * sizeof *lab), *right = malloc(n * sizeof *right);
+    int64_t *count = malloc(3 * ncls * sizeof *count), *left = count + ncls, *rest = left + ncls;
+    if (!stack || !col || !lab || !right || !count) {
+        free(stack);
+        free(col);
+        free(lab);
+        free(right);
+        free(count);
+        return -1;
+    }
+    int64_t nodes = 0, top = 1;
+    stack[0] = (struct frame){0, n, 1};
+    while (top && nodes < cap) {
+        struct frame f = stack[--top];
+        int64_t len = f.hi - f.lo, *rows = idx + f.lo;
+        bounds[2 * nodes] = f.lo;
+        bounds[2 * nodes++ + 1] = f.hi;
+        if (f.depth >= max_depth)
+            continue;
+        memset(count, 0, ncls * sizeof *count);
+        for (int64_t i = 0; i < len; i++)
+            count[lab[i] = label[rows[i]]]++;
+        double parent = gini(count, ncls, len), best = 0.0, best_thr = 0.0;
+        if (parent == 0.0)
+            continue;
+        int64_t best_j = -1;
+        for (int64_t j = 0; j < m; j++) {
+            for (int64_t i = 0; i < len; i++)
+                col[i] = data[rows[i] * m + j];
+            memcpy(val, col, len * sizeof *val);
+            double thr = select_kth(val, len, (len - 1) / 2);
+            if (len % 2 == 0) {
+                double upper = val[len / 2];
+                for (int64_t i = len / 2 + 1; i < len; i++)
+                    upper = val[i] < upper ? val[i] : upper;
+                thr = (thr + upper) / 2;
+            }
+            memset(left, 0, ncls * sizeof *left);
+            for (int64_t i = 0; i < len; i++)
+                left[lab[i]] += col[i] <= thr;
+            int64_t nl = 0;
+            for (int64_t c = 0; c < ncls; c++) {
+                nl += left[c];
+                rest[c] = count[c] - left[c];
+            }
+            if (nl == 0 || nl == len)
+                continue;
+            double score = ((double)nl * gini(left, ncls, nl)
+                            + (double)(len - nl) * gini(rest, ncls, len - nl)) / (double)len;
+            if (best_j < 0 || score < best) {
+                best = score;
+                best_j = j;
+                best_thr = thr;
+            }
+        }
+        if (best_j < 0 || best >= parent)
+            continue;
+        int64_t nl = 0, nr = 0;
+        for (int64_t i = 0; i < len; i++) {
+            int64_t row = rows[i];
+            if (data[row * m + best_j] <= best_thr)
+                rows[nl++] = row;
+            else
+                right[nr++] = row;
+        }
+        memcpy(rows + nl, right, nr * sizeof *right);
+        stack[top++] = (struct frame){f.lo + nl, f.hi, f.depth + 1};
+        stack[top++] = (struct frame){f.lo, f.lo + nl, f.depth + 1};
+    }
+    free(stack);
+    free(col);
+    free(lab);
+    free(right);
+    free(count);
+    return nodes;
 }

@@ -5,8 +5,8 @@ The library is compiled with the system C compiler into
 when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
 rebuilt and an unchanged one is only loaded.  The core is memloc's only
-kd-tree build and walk, recursive coordinate bisection, cache filter and
-DRAM scheduler, so memloc needs a C compiler (``cc``): when the core
+kd-tree build and walk, recursive coordinate bisection, decision-tree
+induction, cache filter and DRAM scheduler, so memloc needs a C compiler (``cc``): when the core
 cannot be built or loaded, :func:`load` raises OSError.
 
 Every core function takes int64s, doubles and C-contiguous numpy
@@ -44,6 +44,8 @@ _SIGNATURES = {
     "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
                       _F64, _array(np.int64), _I64, _I64, _array(np.int64), _array(np.bool_),
                       _array(np.int64)],
+    "memloc_dtree": [_I64, _I64, _F64, _I64, _array(np.int64), _I64, _I64, _array(np.int64),
+                     _array(np.int64)],
     "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
                       *[_I64] * 5, _array(np.int64)],
     "memloc_simulate": [_I64, *[_array(np.int64)] * 3, *[_I64] * 6, _array(np.int64), _U8,

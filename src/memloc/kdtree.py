@@ -74,8 +74,9 @@ class KdTree:
         # The core fills these from query `done` on and stops at the first
         # query that might not fit.  They grow and shrink in place, so no
         # copy lives beside them, and nothing may view them before the trim.
+        # Only a radius walk writes the hit mask; a kNN walk passes none.
         rows = np.empty(n + 64 * nq, dtype=np.int64)
-        hit = np.empty(len(rows), dtype=bool)
+        hit = np.empty(len(rows) if k is None else 0, dtype=bool)
         done = 0
         while (done := _core.load().memloc_kdtree(
                 n, self.m, self._points, self.order, nq, queries, width, float(r2),
@@ -83,7 +84,9 @@ class KdTree:
             # Room for the queries left at the mean so far, and one more
             # query's n: more than the core had, so the walk moves on.
             rows.resize(int(starts[done]) * nq // done + n, refcheck=False)
-            hit.resize(len(rows), refcheck=False)
+            if k is None:
+                hit.resize(len(rows), refcheck=False)
         rows.resize(int(starts[-1]), refcheck=False)
-        hit.resize(len(rows), refcheck=False)
+        if k is None:
+            hit.resize(len(rows), refcheck=False)
         return rows, hit if k is None else (best_d2, best_row), starts

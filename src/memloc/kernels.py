@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kdtree import KdTree
+from . import _core
+from .kdtree import KdTree, feature_matrix
 from .traceio import KIND_READ, LINE_SIZE, PAGE_SIZE, Trace
 
 
@@ -122,58 +123,48 @@ def _tree_trace(data, queries, addr: AddressModel, k: int | None = None, r2: flo
     return rows_to_trace(rows, addr), rows, starts
 
 
-def _gini(labels: np.ndarray) -> float:
-    """1 - the sum of squared class shares, summed left to right (not by
-    the host's BLAS), so splits are the same on every host."""
-    _, counts = np.unique(labels, return_counts=True)
-    total = 0.0
-    for share in (counts / counts.sum()).tolist():
-        total += share * share
-    return 1.0 - total
-
-
 def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
                     addr: AddressModel):
-    """Greedy single-feature threshold tree; node subsets read via index
-    lists.  Returns (trace, row_sequence, starts): the nodes' row lists,
-    each in storage order, depth first, node i's at
-    row_sequence[starts[i]:starts[i + 1]]."""
+    """Greedy single-feature threshold tree, grown by the compiled core;
+    node subsets read via index lists.  Returns (trace, row_sequence,
+    starts): the nodes' row lists, each in storage order, depth first,
+    node i's at row_sequence[starts[i]:starts[i + 1]].
+
+    A node shallower than max_depth with impure labels thresholds its
+    rows at <= each feature's median (np.median's value) and splits on
+    the feature whose two non-empty sides have the lowest weighted Gini
+    impurity (1 - the squared class shares, summed left to right over
+    the classes in ascending order), the first on ties, unless that is
+    no lower than its own."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    data = np.asarray(data, dtype=np.float64)
+    data = feature_matrix(data)
+    n, m = data.shape
     labels = np.asarray(labels)
-    nodes: list = []
-
-    def grow(idx: np.ndarray, depth: int):
-        nodes.append(idx)
-        if depth >= max_depth:
-            return
-        sub_labels = labels[idx]
-        parent = _gini(sub_labels)
-        if parent == 0.0:
-            return
-        best = None
-        for j in range(data.shape[1]):
-            col = data[idx, j]
-            thr = float(np.median(col))
-            mask = col <= thr
-            nl = int(mask.sum())
-            if nl == 0 or nl == len(idx):
-                continue
-            score = (nl * _gini(sub_labels[mask])
-                     + (len(idx) - nl) * _gini(sub_labels[~mask])) / len(idx)
-            if best is None or score < best[0]:
-                best = (score, mask)
-        if best is None or best[0] >= parent:
-            return
-        mask = best[1]
-        grow(idx[mask], depth + 1)
-        grow(idx[~mask], depth + 1)
-
-    grow(np.arange(data.shape[0], dtype=np.int64), 1)
-    rows = np.concatenate(nodes)
-    starts = np.concatenate(([0], np.cumsum([len(idx) for idx in nodes])))
+    if labels.shape != (n,):
+        raise ValueError(f"labels must be a 1-D array of {n} entries, one per row")
+    classes, codes = np.unique(labels, return_inverse=True)
+    # No path is deeper than n, and a tree of l leaves has 2l - 1 nodes.
+    depth = min(max_depth, n)
+    cap = min((1 << min(depth, 62)) - 1, 2 * n - 1)
+    idx = np.arange(n, dtype=np.int64)
+    bounds = np.empty((cap, 2), dtype=np.int64)
+    nodes = _core.load().memloc_dtree(n, m, data, len(classes), codes.astype(np.int64),
+                                      depth, cap, idx, bounds)
+    lo, hi = bounds[:nodes].T
+    starts = np.concatenate(([0], np.cumsum(hi - lo)))
+    # The core partitions node ranges of idx in place; node i's rows are
+    # what its range holds at the end, put back in storage order.
+    rows = idx[np.arange(starts[-1]) + np.repeat(lo - starts[:-1], hi - lo)]
+    rows = sort_segments(rows, starts, n)
     return rows_to_trace(rows, addr), rows, starts
+
+
+def sort_segments(rows: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """rows, values below n, with each segment rows[starts[i]:starts[i + 1]]
+    sorted: one sort by segment * n + row."""
+    segment = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return np.sort(segment * n + rows) % n
 
 
 def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0):

@@ -250,9 +250,9 @@ def _derive(kind: str, variant: str, perm: np.ndarray, rows: np.ndarray, starts)
         return _segments(rows, starts, perm)
     inverse = reorder.invert_permutation(perm)
     if kind == "dtree":
-        # np.median and _gini ignore order, so every node holds the same
-        # points, and its row list is in storage order.
-        return _sort_segments(inverse[rows], starts, len(perm))
+        # A split ignores the order of its node's rows, so every node
+        # holds the same points, and its row list is in storage order.
+        return kernels.sort_segments(inverse[rows], starts, len(perm))
     if kind == "dbscan":
         # DBSCAN's queries are its rows, so they move with them.
         return inverse[_segments(rows, starts, perm)]
@@ -265,13 +265,6 @@ def _segments(rows: np.ndarray, starts: np.ndarray, order: np.ndarray) -> np.nda
     ends = np.cumsum(lengths)
     shift = np.repeat(starts[:-1][order] - (ends - lengths), lengths)
     return rows[np.arange(len(shift)) + shift]
-
-
-def _sort_segments(rows: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
-    """rows, values below n, with each segment rows[starts[i]:starts[i + 1]]
-    sorted: one sort by segment * n + row."""
-    segment = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    return np.sort(segment * n + rows) % n
 
 
 def _relabels(ctx: _KernelCtx) -> bool:

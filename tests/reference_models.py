@@ -1,14 +1,16 @@
-"""Python reference loops of memloc's two simulators and its two
-median-bisection builders.
+"""Python reference loops of memloc's two simulators, its two
+median-bisection builders and its decision-tree induction.
 
 The cache filter (CacheHierarchy, driven by _filter_reference), the
 FR-FCFS-Cap scheduler (_simulate_reference), recursive coordinate
-bisection (reorder_rcb_oracle) and the kd-tree's order
-(kdtree_order_oracle) in Python and numpy.  memsys.filter_to_dram,
-dramsim.simulate, reorder.reorder_rcb and kdtree.KdTree run the compiled
-core, _core.c, which must give identical results; test_oracles.py checks
-that, and test_memsys.py and test_acceptance.py drive the simulator
-loops directly.  Imported by the tests, not collected as one.
+bisection (reorder_rcb_oracle), the kd-tree's order
+(kdtree_order_oracle) and the decision tree's nodes (dtree_oracle, with
+its _gini) in Python and numpy.  memsys.filter_to_dram,
+dramsim.simulate, reorder.reorder_rcb, kdtree.KdTree and
+kernels.gen_dtree_trace run the compiled core, _core.c, which must give
+identical results; test_oracles.py checks that, and test_memsys.py and
+test_acceptance.py drive the simulator loops directly.  Imported by the
+tests, not collected as one.
 """
 
 from __future__ import annotations
@@ -307,3 +309,46 @@ def kdtree_order_oracle(data: np.ndarray) -> np.ndarray:
         mid = group + np.bincount(group, minlength=n)[group] // 2
         group = np.where(pos < mid, group, np.minimum(pos, mid + 1))
     return order
+
+
+def _gini(labels: np.ndarray) -> float:
+    """1 - the sum of squared class shares, summed left to right (not by
+    the host's BLAS), so splits are the same on every host."""
+    _, counts = np.unique(labels, return_counts=True)
+    total = 0.0
+    for share in (counts / counts.sum()).tolist():
+        total += share * share
+    return 1.0 - total
+
+
+def dtree_oracle(data: np.ndarray, labels: np.ndarray, max_depth: int):
+    """(nodes, leaves): the row lists of the greedy threshold tree's
+    nodes, depth first, and of its leaves, each in storage order, grown
+    by one recursive call per node with np.median and _gini."""
+    data = np.asarray(data, dtype=np.float64)
+    labels = np.asarray(labels)
+    nodes: list = []
+    leaves: list = []
+
+    def grow(idx: np.ndarray, depth: int):
+        nodes.append(idx)
+        best = None
+        if depth < max_depth and (parent := _gini(labels[idx])) != 0.0:
+            for j in range(data.shape[1]):
+                col = data[idx, j]
+                mask = col <= float(np.median(col))
+                nl = int(mask.sum())
+                if nl == 0 or nl == len(idx):
+                    continue
+                score = (nl * _gini(labels[idx[mask]])
+                         + (len(idx) - nl) * _gini(labels[idx[~mask]])) / len(idx)
+                if best is None or score < best[0]:
+                    best = (score, mask)
+        if best is None or best[0] >= parent:
+            leaves.append(idx)
+            return
+        grow(idx[best[1]], depth + 1)
+        grow(idx[~best[1]], depth + 1)
+
+    grow(np.arange(data.shape[0], dtype=np.int64), 1)
+    return nodes, leaves

@@ -100,7 +100,8 @@ def test_without_a_compiler_every_simulator_stage_fails(source, tmp_path, monkey
 
 
 @pytest.mark.parametrize("kernel", [{"kind": "knn", "n": 300, "queries": 20},
-                                    {"kind": "dbscan", "n": 300}])
+                                    {"kind": "dbscan", "n": 300},
+                                    {"kind": "dtree", "n": 300, "m": 3, "max_depth": 3}])
 def test_without_a_compiler_kd_tree_generation_fails(source, tmp_path, monkeypatch, kernel):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
     with pytest.raises(pipeline.PipelineError, match=r"^gen: .*needs a C compiler \(cc\)"):
@@ -109,9 +110,10 @@ def test_without_a_compiler_kd_tree_generation_fails(source, tmp_path, monkeypat
 
 def test_without_a_compiler_rcb_fails(source, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-    dtree = {"kind": "dtree", "n": 300, "m": 3, "max_depth": 3}  # generated without the core
+    cfg = pipeline.resolve_config({"kernel": {"kind": "dtree"}})
+    points = np.random.default_rng(1).random((300, 3))
     with pytest.raises(pipeline.PipelineError, match=r"^reorder: .*needs a C compiler \(cc\)"):
-        pipeline.run_pipeline({"seed": 1, "kernel": dtree, "variants": ["rcb"]})
+        pipeline.reorder_by("rcb", cfg, kind="dtree", points=points)
     reorder.save_dataset(tmp_path / "d", np.random.default_rng(1).random((50, 2)))
     assert cli.main(["reorder", "--method", "rcb", "--dataset", str(tmp_path / "d"),
                      "--out", str(tmp_path / "r")]) == 1
@@ -144,7 +146,7 @@ def test_out_of_memory_raises_memory_error_naming_the_function():
 
 SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
-                   "_simulate_reference"}
+                   "_simulate_reference", "_gini", "dtree_oracle"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

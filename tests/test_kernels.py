@@ -8,6 +8,7 @@ from memloc import kernels, pipeline
 from memloc.kdtree import KdTree
 from memloc.kernels import AddressModel
 from memloc.traceio import KIND_READ
+from reference_models import _gini
 
 
 def page_transitions(vaddr):
@@ -171,6 +172,25 @@ def test_visit_sequence_matches_its_pinned_digest(kernel, digest):
     assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
 
+# SHA-256 of the little-endian int64 dtree rows and starts, recorded with
+# the recursive Python induction on uniform data with balanced labels.
+DTREE = {"kind": "dtree", "n": 600, "max_depth": 6}
+
+
+@pytest.mark.parametrize("seed, m, rows_digest, starts_digest", [
+    (1, 2, "2c97f876c78a41938e28b948f9147102286ca709c152059d027a2ff703568089",
+     "e47f4cde2e1b4ce81c8e564354521f0ecc4965c9b15797fcfa619dd7b3e865d5"),
+    (2, 4, "da17c56c1eec44afba2feb5044249913ae5542dc118d54016ec6b471694789ab",
+     "6dc1ca8e28071b5899d62dfd83ed28bd99675366f4665c1405150aea5d14a930"),
+    (0, 8, "3ea95d68c4978227392425a4445c24a5554bd263d6f93fa58d265ae44c13d9b5",
+     "4b1e50b161c03131ee46832051bc28eb0be585f82622d91d96f6b54ac32fe8aa"),
+], ids=["dtree-m2", "dtree-m4", "dtree-m8"])
+def test_dtree_nodes_match_their_pinned_digests(seed, m, rows_digest, starts_digest):
+    _, rows, starts = pipeline.build_kernel({"seed": seed, "kernel": {**DTREE, "m": m}}).generate()
+    assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == rows_digest
+    assert hashlib.sha256(starts.astype("<i8").tobytes()).hexdigest() == starts_digest
+
+
 def test_visit_buffer_grows_to_every_visit():
     # 50 all-covering queries over 2000 rows: 100k visits, far past the
     # core's first buffer, every row once per query.
@@ -222,7 +242,7 @@ class TestDtree:
         for c in counts:
             share = c / sum(counts)
             total += share * share
-        assert kernels._gini(labels) == 1.0 - total
+        assert _gini(labels) == 1.0 - total
 
     def test_depth_one_scans_once(self):
         rng = np.random.default_rng(6)
@@ -236,6 +256,23 @@ class TestDtree:
         _, rows, _ = kernels.gen_dtree_trace(data, np.zeros(30, int), 5,
                                           AddressModel.for_matrix(2))
         assert rows.tolist() == list(range(30))
+
+    @pytest.mark.parametrize("labels", [np.zeros(29, int), np.zeros(31, int),
+                                        np.zeros((30, 1), int), np.zeros((2, 15), int)],
+                             ids=["short", "long", "column", "matrix"])
+    def test_labels_must_be_one_per_row(self, labels):
+        data = np.random.default_rng(8).random((30, 2))
+        with pytest.raises(ValueError, match="^labels must be a 1-D array of 30 entries"):
+            kernels.gen_dtree_trace(data, labels, 3, AddressModel.for_matrix(2))
+
+    def test_depth_past_int64_grows_the_whole_tree(self):
+        rng = np.random.default_rng(12)
+        data, labels = rng.random((40, 3)), rng.integers(0, 3, 40)
+        addr = AddressModel.for_matrix(3)
+        _, rows, starts = kernels.gen_dtree_trace(data, labels, 40, addr)
+        _, deep_rows, deep_starts = kernels.gen_dtree_trace(data, labels, 10**30, addr)
+        assert len(starts) > 20
+        assert deep_rows.tolist() == rows.tolist() and deep_starts.tolist() == starts.tolist()
 
     def test_children_partition_root(self):
         data = np.arange(8, dtype=float).reshape(8, 1)

@@ -23,6 +23,7 @@ from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trac
 from reference_models import (
     _filter_reference,
     _simulate_reference,
+    dtree_oracle,
     kdtree_order_oracle,
     reorder_rcb_oracle,
 )
@@ -588,6 +589,72 @@ def test_kdtree_walk_resumes_where_its_buffers_filled(case):
         seen, in_range = _walks(oracle, q, "radius", float("inf"))
         part = slice(starts[i], starts[i + 1])
         assert (rows[part].tolist(), rows[part][hit[part]].tolist()) == (seen, in_range)
+
+
+@settings(max_examples=30, deadline=None)
+@given(covering_walks())
+def test_a_knn_walk_passes_the_core_no_hit_mask(case):
+    # k = n finds every row, so each query examines all n of them, and
+    # the walk's first buffers overflow as the covering radius walks' do.
+    data, queries = case
+    tree, lib, masks = KdTree(data), _core.load(), []
+
+    class Core:
+        def memloc_kdtree(self, *args):
+            masks.append(len(args[13]))
+            return lib.memloc_kdtree(*args)
+    with mock.patch.object(_core, "load", Core):
+        rows, _, _ = tree.walk(queries, k=len(data))
+    assert len(masks) > 1 and set(masks) == {0}
+    single = [tree.walk(q[None], k=len(data))[0] for q in queries]
+    assert rows.tolist() == np.concatenate(single).tolist()
+
+
+@st.composite
+def dtree_cases(draw):
+    """Feature matrices with ties (values rounded to a few levels),
+    duplicate rows, constant columns and -0.0 beside 0.0, labels of one
+    to four classes with scattered values, and depths from a stump to
+    deeper than n.  Values one ulp apart or near the largest double make
+    the mean of an even node's two middle values round up to the upper
+    one or overflow, so only np.median's (a + b) / 2 splits as it does."""
+    n, m = draw(st.integers(1, 300)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 5, 1 << 20]))
+    steps = rng.integers(-levels, levels + 1, (n, m))
+    data = draw(st.sampled_from([steps / levels, 1.0 + steps * 2.0**-52, steps / levels * 1e308]))
+    if draw(st.booleans()):
+        data[:, draw(st.integers(0, m - 1))] = draw(st.sampled_from([0.0, 0.25]))
+    data[data == 0.0] = np.where(rng.random((data == 0.0).sum()) < 0.5, -0.0, 0.0)
+    if draw(st.booleans()):
+        data = data[rng.integers(0, max(1, n // 3), n)]  # duplicate rows
+    values = np.array(draw(st.sampled_from([[7], [0, 1], [-3, 4, 11], [11, -3, 4, 2]])))
+    labels = values[rng.integers(0, len(values), n)]
+    if draw(st.booleans()):  # labels that follow the data, so trees grow deep
+        labels = values[(data > 0).sum(axis=1) % len(values)]
+    return data, labels, draw(st.sampled_from([1, 5, n + 1, 10**30]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dtree_cases())
+def test_dtree_core_matches_recursive_induction(case):
+    data, labels, max_depth = case
+    lib, calls = _core.load(), []
+
+    class Core:
+        def memloc_dtree(self, *args):
+            calls.append(args)
+            return lib.memloc_dtree(*args)
+    with mock.patch.object(_core, "load", Core):
+        _, rows, starts = kernels.gen_dtree_trace(data, labels, max_depth,
+                                                  kernels.AddressModel.for_matrix(data.shape[1]))
+    with np.errstate(over="ignore"):  # np.median of values near the largest double
+        nodes, leaves = dtree_oracle(data, labels, max_depth)
+    assert starts.tolist() == np.cumsum([0] + [len(idx) for idx in nodes]).tolist()
+    assert rows.tolist() == np.concatenate(nodes).tolist()
+    # The core's index array ends as the leaves' rows in preorder, each in
+    # storage order: its partitions are stable.
+    assert len(calls) == 1 and calls[0][7].tolist() == np.concatenate(leaves).tolist()
 
 
 @settings(max_examples=300, deadline=None)

@@ -199,6 +199,8 @@ STAGE_ERRORS = {
     "negative-spread": ("config", {"kernel": {**BASE["kernel"], "clusters": 4, "spread": -1.0}}),
     "gather-n-zero": ("config", {"kernel": {"kind": "gather", "n": 0, "count": 20}}),
     "dtree-n-zero": ("config", {"kernel": {"kind": "dtree", "n": 0}}),
+    "dtree-nan-data": ("gen", {"kernel": {"kind": "dtree", "n": 300, "clusters": 4,
+                                          "spread": float("nan")}}),
     "aliased-rows": ("config", {"kernel": {"kind": "gather", "n": 5000, "count": 2000,
                                            "row_stride_bytes": 2**62}}),
 }

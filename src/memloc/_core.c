@@ -4,14 +4,15 @@
  *
  * memloc_bisect builds the median-bisection order behind kdtree.KdTree
  * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
- * behind KdTree; memloc_dtree grows the decision tree behind
- * kernels.gen_dtree_trace; memloc_filter replays a trace through the
- * three-level LRU filter that memsys.filter_to_dram models;
- * memloc_simulate runs the FR-FCFS-Cap scheduler behind
- * dramsim.simulate.  All must give results identical to the Python
- * references that tests/test_oracles.py compares them against
- * (KdTreeOracle there, and the two bisection oracles, dtree_oracle,
- * CacheHierarchy and _simulate_reference in tests/reference_models.py).
+ * behind KdTree and reports only the rows it examines; memloc_dtree
+ * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
+ * replays a trace through the three-level LRU filter that
+ * memsys.filter_to_dram models; memloc_simulate runs the FR-FCFS-Cap
+ * scheduler behind dramsim.simulate.  All must give results identical
+ * to the Python references that tests/test_oracles.py compares them
+ * against (KdTreeOracle there, and the two bisection oracles,
+ * dtree_oracle, CacheHierarchy and _simulate_reference in
+ * tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
  * without a C compiler memloc cannot build a kd-tree or an RCB order,
  * grow a decision tree, filter or simulate.
@@ -442,42 +443,34 @@ int64_t memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
     return 0;
 }
 
-/* Whether (d2 a, row a) sits above (d2 b, row b) in the kNN max-heap: the
- * larger d2, and on ties the smaller row, the pair a Python heap of
- * (-d2, row) pops first. */
-static int above(double da, int64_t ra, double db, int64_t rb)
-{
-    return da > db || (da == db && ra < rb);
-}
-
-static void heap_push(double *d2, int64_t *row, int64_t size, double d, int64_t r)
+/* The kNN heap: best[0 .. size) holds the smallest d2 seen so far in a
+ * max-heap, the k-th best on top.  Which of two equal d2 sits higher
+ * changes no value in it, so the walk's prune and accept do not depend
+ * on it. */
+static void heap_push(double *best, int64_t size, double d)
 {
     int64_t i = size;
     while (i > 0) {
         int64_t up = (i - 1) / 2;
-        if (!above(d, r, d2[up], row[up]))
+        if (!(d > best[up]))
             break;
-        d2[i] = d2[up];
-        row[i] = row[up];
+        best[i] = best[up];
         i = up;
     }
-    d2[i] = d;
-    row[i] = r;
+    best[i] = d;
 }
 
-static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, int64_t r)
+static void heap_replace_top(double *best, int64_t size, double d)
 {
     int64_t i = 0;
     for (int64_t c; (c = 2 * i + 1) < size; i = c) {
-        if (c + 1 < size && above(d2[c + 1], row[c + 1], d2[c], row[c]))
+        if (c + 1 < size && best[c + 1] > best[c])
             c++;
-        if (!above(d2[c], row[c], d, r))
+        if (!(best[c] > d))
             break;
-        d2[i] = d2[c];
-        row[i] = row[c];
+        best[i] = best[c];
     }
-    d2[i] = d;
-    row[i] = r;
+    best[i] = d;
 }
 
 /* One pruned depth-first walk per row of the nq x m query matrix from
@@ -491,17 +484,16 @@ static void heap_replace_top(double *d2, int64_t *row, int64_t size, double d, i
  * of positions [lo, hi) sits at mid = lo + (hi - lo) / 2, with subtrees
  * [lo, mid) and [mid + 1, hi), and splits on axis depth % m.  Only far
  * sides are stacked, so a near side is never pruned.  With k >= 1
- * (k <= n), query q's k nearest rows are kept in the max-heap
- * best_d2/best_row[q * k ..], and a far side whose plane is no nearer
- * than the k-th best d2 is skipped, and hit is not written; with k = 0,
- * hit (cap slots) marks the visits with d2 <= r2, and a far side whose
- * plane lies beyond r2 is skipped.
+ * (k <= n), each query keeps the k best d2 in the max-heap best (k
+ * slots, reused by every query) and skips a far side whose plane is no
+ * nearer than the k-th best d2; with k = 0 it skips a far side whose
+ * plane lies beyond r2, and computes no d2.
  * d2 is the left-to-right float64 sum of squared differences; _core.py
  * compiles without FMA contraction, so it is the same on every host. */
 int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *order,
                       int64_t nq, const double *queries, int64_t k, double r2,
-                      double *best_d2, int64_t *best_row, int64_t first, int64_t cap,
-                      int64_t *rows, uint8_t *hit, int64_t *starts)
+                      double *best, int64_t first, int64_t cap, int64_t *rows,
+                      int64_t *starts)
 {
     /* Frame depths rise strictly from the bottom of the stack, and no
      * subtree of fewer than 2^63 rows is 64 levels deep. */
@@ -515,8 +507,7 @@ int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *or
         if (cap - len < n)
             return qi;
         const double *q = queries + qi * m;
-        double *hd2 = best_d2 + qi * k;
-        int64_t *hrow = best_row + qi * k, found = 0, top = 1;
+        int64_t found = 0, top = 1;
         stack[0].lo = 0;
         stack[0].hi = n;
         stack[0].depth = 0;
@@ -525,23 +516,23 @@ int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *or
             top--;
             int64_t lo = stack[top].lo, hi = stack[top].hi, depth = stack[top].depth;
             double plane2 = stack[top].plane2;
-            if (k ? found == k && plane2 >= hd2[0] : !(plane2 <= r2))
+            if (k ? found == k && plane2 >= best[0] : !(plane2 <= r2))
                 continue;
             while (lo < hi) {
-                int64_t mid = lo + (hi - lo) / 2, row = order[mid];
+                int64_t mid = lo + (hi - lo) / 2;
                 const double *p = pts + mid * m;
-                double d2 = 0.0;
-                for (int64_t j = 0; j < m; j++) {
-                    double d = p[j] - q[j];
-                    d2 += d * d;
+                rows[len++] = order[mid];
+                if (k) {
+                    double d2 = 0.0;
+                    for (int64_t j = 0; j < m; j++) {
+                        double d = p[j] - q[j];
+                        d2 += d * d;
+                    }
+                    if (found < k)
+                        heap_push(best, found++, d2);
+                    else if (d2 < best[0])
+                        heap_replace_top(best, k, d2);
                 }
-                if (!k)
-                    hit[len] = d2 <= r2;
-                rows[len++] = row;
-                if (k && found < k)
-                    heap_push(hd2, hrow, found++, d2, row);
-                else if (k && d2 < hd2[0])
-                    heap_replace_top(hd2, hrow, k, d2, row);
                 int64_t ax = depth % m;
                 double delta = q[ax] - p[ax];
                 stack[top].depth = ++depth;

@@ -42,8 +42,7 @@ _I64, _U8, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.float64)
 _SIGNATURES = {
     "memloc_bisect": [_I64, _I64, _F64, _array(np.int64), _I64, _I64],
     "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
-                      _F64, _array(np.int64), _I64, _I64, _array(np.int64), _array(np.bool_),
-                      _array(np.int64)],
+                      _F64, _I64, _I64, _array(np.int64), _array(np.int64)],
     "memloc_dtree": [_I64, _I64, _F64, _I64, _array(np.int64), _I64, _I64, _array(np.int64),
                      _array(np.int64)],
     "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),

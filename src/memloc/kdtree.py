@@ -3,10 +3,11 @@
 The tree is one array, `order`, of row indices in tree order.  The
 subtree on positions [lo, hi) has its node at mid = lo + (hi - lo) // 2,
 its left subtree on [lo, mid) and its right subtree on [mid + 1, hi),
-and splits on axis depth % m, ties kept in their earlier order.  Queries
-report every row whose features are examined, in examination order.
-The squared distance d2 is the left-to-right float64 sum of squared
-coordinate differences, so it is the same on every host.
+and splits on axis depth % m, ties kept in their earlier order.  A walk
+reports only the rows whose features it examines, in examination order,
+not the neighbours found.  A kNN walk keeps the k best squared distances
+d2, each the left-to-right float64 sum of squared coordinate
+differences, so the same on every host; a radius walk computes no d2.
 """
 
 from __future__ import annotations
@@ -51,14 +52,12 @@ class KdTree:
 
     def walk(self, queries, k: int | None = None, r2: float = 0.0):
         """One pruned depth-first walk from the root per query row, near
-        side first, in the compiled core.  Returns (rows, found, starts):
-        the examined rows of all queries in examination order; with `k`
-        the k nearest (d2, row) pairs of each query as two
-        (queries, min(k, n)) arrays in no set order, skipping a far side
-        whose plane is no nearer than the k-th best d2, else a mask of
-        the examined rows with d2 <= r2, skipping a far side whose plane
-        lies beyond r2; and the queries + 1 offsets where each query's
-        rows start in `rows`, the last being len(rows)."""
+        side first, in the compiled core.  Returns (rows, starts): the
+        examined rows of all queries in examination order, and the
+        queries + 1 offsets where each query's rows start in `rows`, the
+        last being len(rows).  With `k` a walk skips a far side whose
+        plane is no nearer than the k-th best d2 so far, else one whose
+        plane lies beyond r2 (>= 0, and may be infinite)."""
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.m:
             raise ValueError(f"queries must be a (q, {self.m}) array")
@@ -66,27 +65,22 @@ class KdTree:
             raise ValueError("queries hold NaN or infinite values")
         if k is not None and operator.index(k) < 1:
             raise ValueError("k must be >= 1")
+        r2 = float(r2)
+        if not r2 >= 0.0:
+            raise ValueError("r2 must be >= 0")
         n, nq = len(self.order), len(queries)
-        width = 0 if k is None else min(k, n)  # k > n prunes as k = n does
-        best_d2 = np.empty((nq, width))
-        best_row = np.empty((nq, width), dtype=np.int64)
+        best = np.empty(0 if k is None else min(k, n))  # k > n prunes as k = n does
         starts = np.zeros(nq + 1, dtype=np.int64)
-        # The core fills these from query `done` on and stops at the first
-        # query that might not fit.  They grow and shrink in place, so no
-        # copy lives beside them, and nothing may view them before the trim.
-        # Only a radius walk writes the hit mask; a kNN walk passes none.
+        # The core fills rows from query `done` on and stops at the first
+        # query that might not fit.  It grows and shrinks in place, so no
+        # copy lives beside it, and nothing may view it before the trim.
         rows = np.empty(n + 64 * nq, dtype=np.int64)
-        hit = np.empty(len(rows) if k is None else 0, dtype=bool)
         done = 0
         while (done := _core.load().memloc_kdtree(
-                n, self.m, self._points, self.order, nq, queries, width, float(r2),
-                best_d2, best_row, done, len(rows), rows, hit, starts)) < nq:
+                n, self.m, self._points, self.order, nq, queries, len(best), r2,
+                best, done, len(rows), rows, starts)) < nq:
             # Room for the queries left at the mean so far, and one more
             # query's n: more than the core had, so the walk moves on.
             rows.resize(int(starts[done]) * nq // done + n, refcheck=False)
-            if k is None:
-                hit.resize(len(rows), refcheck=False)
         rows.resize(int(starts[-1]), refcheck=False)
-        if k is None:
-            hit.resize(len(rows), refcheck=False)
-        return rows, hit if k is None else (best_d2, best_row), starts
+        return rows, starts

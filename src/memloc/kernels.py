@@ -119,7 +119,7 @@ def gen_dbscan_trace(data: np.ndarray, radius: float, addr: AddressModel):
 
 def _tree_trace(data, queries, addr: AddressModel, k: int | None = None, r2: float = 0.0):
     """One KdTree walk over all query rows: kNN with `k`, else radius sqrt(r2)."""
-    rows, _, starts = KdTree(data).walk(queries, k, r2)
+    rows, starts = KdTree(data).walk(queries, k, r2)
     return rows_to_trace(rows, addr), rows, starts
 
 

@@ -86,6 +86,9 @@ def resolve_config(config: dict, defaults: dict = DEFAULTS, prefix: str = "") ->
             prefix + key == "kernel.row_stride_bytes" and value is not None)
         if integral and not _is_integer(value):
             raise PipelineError(f"config: {prefix + key} must be an integer")
+        if prefix + key == "variants" and not (
+                isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+            raise PipelineError("config: variants must be a list of variant names")
     out = {**defaults, **config}
     for key, section in defaults.items():
         if isinstance(section, dict):

@@ -9,6 +9,7 @@ from memloc.kdtree import KdTree
 from memloc.kernels import AddressModel
 from memloc.traceio import KIND_READ
 from reference_models import _gini
+from test_oracles import KdTreeOracle
 
 
 def page_transitions(vaddr):
@@ -93,13 +94,16 @@ class TestKnn:
         assert rows[:half].tolist() == rows[half:].tolist()
 
     def test_finds_true_neighbors(self):
+        # The walk's visits are the oracle's, and the oracle finds the 5
+        # nearest rows.
         rng = np.random.default_rng(2)
         data = rng.random((300, 3))
         q = rng.random(3)
-        _, (_, best), _ = KdTree(data).walk(q[None], k=5)
-        found = best[0].tolist()
+        seen: list = []
+        found = KdTreeOracle(data).knn(q, 5, visit=seen.append)
         brute = np.argsort(((data - q) ** 2).sum(1), kind="stable")[:5]
-        assert sorted(found) == sorted(brute.tolist())
+        assert sorted(r for _, r in found) == sorted(brute.tolist())
+        assert KdTree(data).walk(q[None], k=5)[0].tolist() == seen
 
     def test_zorder_queries_fewer_page_transitions(self):
         # Every query restarts at the tree root, so raw-trace transition
@@ -148,8 +152,9 @@ class TestDbscan:
         a = rng.uniform(0.0, 0.4, (40, 2))
         b = rng.uniform(10.0, 10.4, (40, 2))
         data = np.vstack([a, b])
-        rows, hit, _ = KdTree(data).walk(data[:40], r2=0.5 * 0.5)
-        assert all(h < 40 for h in rows[hit])
+        oracle, seen = KdTreeOracle(data), []
+        assert all(h < 40 for q in data[:40] for h in oracle.radius(q, 0.5, visit=seen.append))
+        assert KdTree(data).walk(data[:40], r2=0.5 * 0.5)[0].tolist() == seen
 
 
 # SHA-256 of the little-endian int64 visit sequence, recorded with the
@@ -195,17 +200,24 @@ def test_visit_buffer_grows_to_every_visit():
     # 50 all-covering queries over 2000 rows: 100k visits, far past the
     # core's first buffer, every row once per query.
     rng = np.random.default_rng(9)
-    rows, hit, _ = KdTree(rng.random((2000, 3))).walk(rng.random((50, 3)), r2=3.0)
-    assert len(rows) == 100_000 and hit.all()
+    rows, _ = KdTree(rng.random((2000, 3))).walk(rng.random((50, 3)), r2=3.0)
+    assert len(rows) == 100_000
     assert (np.sort(rows.reshape(50, 2000), axis=1) == np.arange(2000)).all()
 
 
 def test_a_walk_of_no_queries_is_empty():
     tree = KdTree(np.random.default_rng(4).random((50, 3)))
-    rows, hit, starts = tree.walk(np.empty((0, 3)), r2=0.1)
-    assert rows.shape == hit.shape == (0,) and starts.tolist() == [0]
-    rows, (d2, best), starts = tree.walk(np.empty((0, 3)), k=4)
-    assert rows.shape == (0,) and d2.shape == best.shape == (0, 4) and starts.tolist() == [0]
+    for kw in ({"r2": 0.1}, {"k": 4}):
+        rows, starts = tree.walk(np.empty((0, 3)), **kw)
+        assert rows.shape == (0,) and starts.tolist() == [0]
+
+
+@pytest.mark.parametrize("r2", [-1.0, np.nan])
+def test_walk_rejects_a_negative_or_nan_r2(r2):
+    tree = KdTree(np.random.default_rng(4).random((50, 3)))
+    with pytest.raises(ValueError, match="r2 must be >= 0"):
+        tree.walk(np.random.default_rng(5).random((3, 3)), r2=r2)
+    assert len(tree.walk(np.zeros((3, 3)), r2=np.inf)[0]) == 3 * 50
 
 
 @pytest.mark.parametrize("queries", [1, 50], ids=["fits", "grows"])
@@ -213,10 +225,8 @@ def test_walk_returns_arrays_that_own_their_data(queries):
     rng = np.random.default_rng(11)
     tree = KdTree(rng.random((2000, 3)))
     for kw in ({"r2": 3.0}, {"r2": 0.01}, {"k": 3}):
-        rows, found, starts = tree.walk(rng.random((queries, 3)), **kw)
+        rows, starts = tree.walk(rng.random((queries, 3)), **kw)
         assert rows.flags.owndata and rows.dtype == np.int64 and len(rows) == starts[-1]
-        if "r2" in kw:
-            assert found.flags.owndata and found.dtype == bool and len(found) == len(rows)
 
 
 def test_tree_holds_little_more_than_its_data():

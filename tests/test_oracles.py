@@ -515,14 +515,10 @@ def _walks(oracle, query, method, arg):
 
 
 def _tree_walks(tree, query, method, arg):
-    """KdTree.walk over one query, as _walks reports the oracle's: the
-    visits, then the sorted (d2, row) pairs (knn) or the rows in range
-    in examination order (radius)."""
-    if method == "knn":
-        rows, (d2, best), _ = tree.walk(query[None], k=arg)
-        return rows.tolist(), sorted(zip(d2[0].tolist(), best[0].tolist()))
-    rows, hit, _ = tree.walk(query[None], r2=arg * arg)
-    return rows.tolist(), rows[hit].tolist()
+    """The visits of KdTree.walk over one query, as _walks reports the
+    oracle's first."""
+    rows, _ = tree.walk(query[None], **({"k": arg} if method == "knn" else {"r2": arg * arg}))
+    return rows.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -534,20 +530,43 @@ def test_kdtree_knn_matches_recursive_tree(case, pick):
     tree, oracle = KdTree(data), KdTreeOracle(data)
     assert tree.order.tolist() == oracle.in_order()
     for q in queries:
-        assert _tree_walks(tree, q, "knn", k) == _walks(oracle, q, "knn", k)
+        assert _tree_walks(tree, q, "knn", k) == _walks(oracle, q, "knn", k)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kd_cases(), st.data())
+def test_kdtree_oracle_finds_what_brute_force_finds(case, pick):
+    # KdTree.walk reports visits alone; the tests above pin them to the
+    # oracle's, whose k nearest and in-range rows are checked here.
+    data, queries = case
+    n = len(data)
+    oracle = KdTreeOracle(data)
+    k = pick.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    radius = pick.draw(st.sampled_from([0.0, 0.1, 0.5, float("inf")]))
+    for q in queries:
+        d2 = [oracle._d2(r, q) for r in range(n)]
+        best = _walks(oracle, q, "knn", k)[1]
+        assert [d for d, _ in best] == sorted(d2)[:k]
+        assert all(d == d2[r] for d, r in best) and len({r for _, r in best}) == k
+        in_range = _walks(oracle, q, "radius", radius)[1]
+        assert sorted(in_range) == [r for r in range(n) if d2[r] <= radius * radius]
 
 
 @settings(max_examples=100, deadline=None)
 @given(kd_cases(), st.integers(1, 70))
 def test_kdtree_walk_starts_split_the_walk_by_query(case, k):
-    # One walk over every query is the single-query walks back to back.
+    # One walk over every query is the single-query walks back to back,
+    # and starts splits it into the oracle's walks.
     data, queries = case
-    tree = KdTree(data)
-    for kw in ({"k": k}, {"r2": 0.1}):
-        rows, _, starts = tree.walk(queries, **kw)
+    tree, oracle = KdTree(data), KdTreeOracle(data)
+    for kw, method, arg in (({"k": k}, "knn", min(k, len(data))),
+                            ({"r2": 0.5 * 0.5}, "radius", 0.5)):
+        rows, starts = tree.walk(queries, **kw)
         single = [tree.walk(q[None], **kw)[0] for q in queries]
         assert starts.tolist() == np.cumsum([0] + [len(r) for r in single]).tolist()
         assert rows.tolist() == np.concatenate(single).tolist()
+        for i, q in enumerate(queries):
+            assert rows[starts[i]:starts[i + 1]].tolist() == _walks(oracle, q, method, arg)[0]
 
 
 @st.composite
@@ -568,7 +587,7 @@ def _counted_walk(tree, queries, **kw):
 
     class Core:
         def memloc_kdtree(self, *args):
-            firsts.append(args[10])
+            firsts.append(args[9])
             return lib.memloc_kdtree(*args)
     with mock.patch.object(_core, "load", Core):
         return tree.walk(queries, **kw), firsts
@@ -579,16 +598,14 @@ def _counted_walk(tree, queries, **kw):
 def test_kdtree_walk_resumes_where_its_buffers_filled(case):
     data, queries = case
     tree, oracle = KdTree(data), KdTreeOracle(data)
-    (rows, hit, starts), firsts = _counted_walk(tree, queries, r2=float("inf"))
+    (rows, starts), firsts = _counted_walk(tree, queries, r2=float("inf"))
     assert len(firsts) > 1 and firsts[0] == 0 and firsts == sorted(set(firsts))
-    single = [tree.walk(q[None], r2=float("inf")) for q in queries]
-    assert rows.tolist() == np.concatenate([r for r, _, _ in single]).tolist()
-    assert hit.tolist() == np.concatenate([h for _, h, _ in single]).tolist()
+    single = [tree.walk(q[None], r2=float("inf"))[0] for q in queries]
+    assert rows.tolist() == np.concatenate(single).tolist()
     assert starts.tolist() == list(range(0, len(data) * len(queries) + 1, len(data)))
     for i, q in enumerate(queries):
-        seen, in_range = _walks(oracle, q, "radius", float("inf"))
-        part = slice(starts[i], starts[i + 1])
-        assert (rows[part].tolist(), rows[part][hit[part]].tolist()) == (seen, in_range)
+        seen = _walks(oracle, q, "radius", float("inf"))[0]
+        assert rows[starts[i]:starts[i + 1]].tolist() == seen
 
 
 @settings(max_examples=30, deadline=None)
@@ -601,10 +618,10 @@ def test_a_knn_walk_passes_the_core_no_hit_mask(case):
 
     class Core:
         def memloc_kdtree(self, *args):
-            masks.append(len(args[13]))
+            masks.append(sum(isinstance(a, np.ndarray) and a.dtype == bool for a in args))
             return lib.memloc_kdtree(*args)
     with mock.patch.object(_core, "load", Core):
-        rows, _, _ = tree.walk(queries, k=len(data))
+        rows, _ = tree.walk(queries, k=len(data))
     assert len(masks) > 1 and set(masks) == {0}
     single = [tree.walk(q[None], k=len(data))[0] for q in queries]
     assert rows.tolist() == np.concatenate(single).tolist()
@@ -666,9 +683,9 @@ def test_kdtree_radius_matches_recursive_tree(case, pick):
     radius = pick.draw(st.sampled_from([0.0, 0.1, 0.5, 2.0 * m ** 0.5, float("inf")]))
     for q in queries:
         got = _tree_walks(tree, q, "radius", radius)
-        assert got == _walks(oracle, q, "radius", radius)
+        assert got == _walks(oracle, q, "radius", radius)[0]
         if radius >= 2.0 * m ** 0.5:  # covers every point: all rows, once each
-            assert sorted(got[0]) == sorted(got[1]) == list(range(len(data)))
+            assert sorted(got) == list(range(len(data)))
 
 
 @st.composite

@@ -153,6 +153,14 @@ def test_unknown_variant_rejected():
         pipeline.run_pipeline({**BASE, "variants": ["hilbret"]})
 
 
+@pytest.mark.parametrize("variants", ["baseline", ["baseline", 3], {"baseline": 1}])
+def test_variants_must_be_a_list_of_names(variants):
+    # A string would run as one variant per character, after generating.
+    with pytest.raises(pipeline.PipelineError,
+                       match="^config: variants must be a list of variant names$"):
+        pipeline.run_pipeline({**BASE, "variants": variants})
+
+
 def test_section_must_be_an_object():
     with pytest.raises(pipeline.PipelineError, match="^config: cache must be an object"):
         pipeline.run_pipeline({**BASE, "cache": 512})

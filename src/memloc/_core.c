@@ -1,6 +1,7 @@
 /* Compiled core of memloc's kd-tree, its recursive coordinate bisection,
- * its decision-tree induction and its two sequential simulators, and
- * their only implementation in the package.
+ * its decision-tree induction, its space-filling-curve row order and its
+ * two sequential simulators, and their only implementation in the
+ * package.
  *
  * memloc_bisect builds the median-bisection order behind kdtree.KdTree
  * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
@@ -8,19 +9,23 @@
  * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
  * replays a trace through the three-level LRU filter that
  * memsys.filter_to_dram models; memloc_simulate runs the FR-FCFS-Cap
- * scheduler behind dramsim.simulate.  All must give results identical
- * to the Python references that tests/test_oracles.py compares them
- * against (KdTreeOracle there, and the two bisection oracles,
- * dtree_oracle, CacheHierarchy and _simulate_reference in
+ * scheduler behind dramsim.simulate; memloc_quantize is the grid
+ * quantiser behind sfc.quantize_rows, and memloc_sfc encodes and
+ * radix-sorts the rows for reorder.reorder_sfc.  All must give results
+ * identical to the Python references that tests/test_oracles.py
+ * compares them against (KdTreeOracle there, sfc.encode and the
+ * bit-loop codecs, and the two bisection oracles, dtree_oracle,
+ * quantize_rows_oracle, CacheHierarchy and _simulate_reference in
  * tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
- * without a C compiler memloc cannot build a kd-tree or an RCB order,
- * grow a decision tree, filter or simulate.
+ * without a C compiler memloc cannot build a kd-tree, an RCB or SFC
+ * order, grow a decision tree, filter or simulate.
  *
  * Every function writes its results into arrays its caller allocated and
  * returns an int64_t: memloc_kdtree, which allocates nothing, the next
  * query to walk (nq when it is done); memloc_dtree the number of nodes;
- * the others 0; and all but memloc_kdtree -1 when memory runs out.
+ * the others 0; and all but memloc_kdtree and memloc_quantize -1 when
+ * memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -696,4 +701,169 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
     free(right);
     free(count);
     return nodes;
+}
+
+/* Quantise the n x m row-major matrix data onto the grid: coordinate j
+ * of a row is floor((x - lo[j]) / span[j] * top + 0.5), clamped to
+ * [0, ceiling], and 0 on an axis whose span is 0.  The caller's
+ * ceiling is an integer, so for a positive value below it the floor is
+ * the truncating cast, and a NaN, which no finite input makes, would
+ * give 0. */
+int64_t memloc_quantize(int64_t n, int64_t m, const double *data, const double *lo,
+                        const double *span, double top, double ceiling, uint64_t *grid)
+{
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < m; j++) {
+            double v = span[j] > 0 ? (data[i * m + j] - lo[j]) / span[j] * top + 0.5 : 0.0;
+            grid[i * m + j] = v > 0 ? (uint64_t)(v < ceiling ? v : ceiling) : 0;
+        }
+    return 0;
+}
+
+/* The code pass works on blocks of rows, one axis at a time: axis j of
+ * a block is WORDS words, each holding the coordinates of several rows
+ * in lanes of `width` bits (the smallest of 8, 16, 32 and 64 that holds
+ * `bits`), row l * WORDS + q in lane l of word q.  Every loop over a
+ * block's words has the same fixed count and no branches, so the
+ * compiler runs words side by side, and a narrow grid moves many rows
+ * per word.  `one` has bit 0 of every lane set. */
+enum { WORDS = 64 };
+
+/* Skilling's exchange at bit k between axis 0 and axis i: in each lane
+ * whose bit k of axis i is set, invert axis 0's low k bits, and in each
+ * other lane swap them with axis i's.  (c - (c >> k) is a lane's low k
+ * bits where c holds its bit k.) */
+static void exchange(uint64_t *restrict x0, uint64_t *restrict xi, int64_t k, uint64_t one)
+{
+    uint64_t low = (one << k) - one;
+    for (int q = 0; q < WORDS; q++) {
+        uint64_t c = xi[q] & one << k, invert = c - (c >> k);
+        uint64_t t = (x0[q] ^ xi[q]) & (low ^ invert);
+        x0[q] ^= invert | t;
+        xi[q] ^= t;
+    }
+}
+
+static void xor_into(uint64_t *restrict x, const uint64_t *restrict y)
+{
+    for (int q = 0; q < WORDS; q++)
+        x[q] ^= y[q];
+}
+
+/* Skilling's axes-to-transpose step (AIP Conf. Proc. 707, 2004) on the
+ * m axes of a block, axis i at x[i * WORDS ..], as sfc._axes_to_transpose
+ * does it on one row: the exchanges, then the Gray code. */
+static void hilbert_transpose(uint64_t *x, int64_t m, int64_t bits, uint64_t one)
+{
+    uint64_t t[WORDS] = {0};
+    for (int64_t k = bits - 1; k > 0; k--) {
+        /* Axis 0's exchange with itself only inverts. */
+        for (int q = 0; q < WORDS; q++) {
+            uint64_t c = x[q] & one << k;
+            x[q] ^= c - (c >> k);
+        }
+        for (int64_t i = 1; i < m; i++)
+            exchange(x, x + i * WORDS, k, one);
+    }
+    for (int64_t i = 1; i < m; i++)
+        xor_into(x + i * WORDS, x + (i - 1) * WORDS);
+    const uint64_t *last = x + (m - 1) * WORDS;
+    for (int64_t k = bits - 1; k > 0; k--)
+        for (int q = 0; q < WORDS; q++) {
+            uint64_t c = last[q] & one << k;
+            t[q] ^= c - (c >> k);
+        }
+    for (int64_t i = 0; i < m; i++)
+        xor_into(x + i * WORDS, t);
+}
+
+/* Bit b of each word of the axis xj into bit s of the row in out. */
+static void pack_bit(uint64_t *restrict out, const uint64_t *restrict xj, int64_t b, int64_t s)
+{
+    for (int q = 0; q < WORDS; q++)
+        out[q] |= (xj[q] >> b & 1) << s;
+}
+
+/* Space-filling-curve codes of the n rows of the n x m grid (bits <= 64
+ * bits per axis, above which a coordinate's bits are ignored) and their
+ * stable order.  words is the ceil(m * bits / 64) x n code-word matrix,
+ * least significant word first: bit k of axis j is code bit k * m + j
+ * of the Morton code, and of the Hilbert code (hilbert = 1) bit
+ * k * m + m - 1 - j of Skilling's transpose, sfc.encode's layout.  order
+ * gets the rows by ascending code, equal codes in row order, by an LSD
+ * radix sort over the code's 8-bit digits that skips a digit all rows
+ * share.  All scratch is allocated before anything is written. */
+int64_t memloc_sfc(int64_t n, int64_t m, const uint64_t *grid, int64_t bits, int64_t hilbert,
+                   uint64_t *words, int64_t *order)
+{
+    int64_t nwords = (m * bits + 63) / 64, digits = (m * bits + 7) / 8;
+    int64_t width = bits <= 8 ? 8 : bits <= 16 ? 16 : bits <= 32 ? 32 : 64;
+    int64_t lanes = 64 / width, rows = WORDS * lanes;
+    uint64_t mask = bits < 64 ? ((uint64_t)1 << bits) - 1 : ~(uint64_t)0, one = 0;
+    for (int64_t l = 0; l < lanes; l++)
+        one |= (uint64_t)1 << l * width;
+    uint64_t *x = malloc((m * WORDS + nwords * rows) * sizeof *x), *acc = x + m * WORDS;
+    int64_t *count = calloc(digits * 256, sizeof *count);
+    int64_t *tmp = malloc((n ? n : 1) * sizeof *tmp);
+    if (!x || !count || !tmp) {
+        free(x);
+        free(count);
+        free(tmp);
+        return -1;
+    }
+    for (int64_t r0 = 0; r0 < n; r0 += rows) {
+        /* Lanes past the last row stay 0 and are never stored. */
+        int64_t len = n - r0 < rows ? n - r0 : rows;
+        memset(x, 0, m * WORDS * sizeof *x);
+        for (int64_t r = 0; r < len; r++)
+            for (int64_t j = 0; j < m; j++)
+                x[j * WORDS + r % WORDS] |= (grid[(r0 + r) * m + j] & mask) << r / WORDS * width;
+        if (hilbert)
+            hilbert_transpose(x, m, bits, one);
+        memset(acc, 0, nwords * rows * sizeof *acc);
+        for (int64_t j = 0; j < m; j++)
+            for (int64_t k = 0, pos = hilbert ? m - 1 - j : j; k < bits; k++, pos += m)
+                for (int64_t l = 0; l < lanes; l++)
+                    pack_bit(acc + pos / 64 * rows + l * WORDS, x + j * WORDS, l * width + k,
+                             pos % 64);
+        for (int64_t w = 0; w < nwords; w++)
+            memcpy(words + w * n + r0, acc + w * rows, len * sizeof *words);
+    }
+    /* Digit d is bits 8 (d % 8) .. of word d / 8; count every digit's
+     * values in one read of the words. */
+    for (int64_t d = 0; d < digits; d += 8) {
+        const uint64_t *key = words + d / 8 * n;
+        int64_t top = digits - d < 8 ? digits - d : 8;
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t e = 0; e < top; e++)
+                count[(d + e) * 256 + (key[i] >> 8 * e & 255)]++;
+    }
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    int64_t *src = order, *dst = tmp;
+    for (int64_t d = 0; d < digits && n; d++) {
+        int64_t *start = count + d * 256;
+        const uint64_t *key = words + d / 8 * n;
+        int s = d % 8 * 8;
+        if (start[key[0] >> s & 255] == n)
+            continue;  /* every row has this digit: the pass would keep the order */
+        for (int64_t v = 0, sum = 0; v < 256; v++) {
+            int64_t c = start[v];
+            start[v] = sum;
+            sum += c;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            int64_t row = src[i];
+            dst[start[key[row] >> s & 255]++] = row;
+        }
+        int64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != order)
+        memcpy(order, src, n * sizeof *order);
+    free(x);
+    free(count);
+    free(tmp);
+    return 0;
 }

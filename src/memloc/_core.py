@@ -6,8 +6,9 @@ when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
 rebuilt and an unchanged one is only loaded.  The core is memloc's only
 kd-tree build and walk, recursive coordinate bisection, decision-tree
-induction, cache filter and DRAM scheduler, so memloc needs a C compiler (``cc``): when the core
-cannot be built or loaded, :func:`load` raises OSError.
+induction, SFC quantiser and row order, cache filter and DRAM
+scheduler, so memloc needs a C compiler (``cc``): when the core cannot
+be built or loaded, :func:`load` raises OSError.
 
 Every core function takes int64s, doubles and C-contiguous numpy
 arrays, writes its results into arrays its caller allocated, and
@@ -30,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_core.c")
-# No FMA contraction: a kd-tree d2 is the plain left-to-right float64 sum.
+# No FMA contraction: a kd-tree d2 is the plain left-to-right float64 sum,
+# and a grid coordinate rounds (x - lo) / span * top before adding 0.5.
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -38,7 +40,7 @@ def _array(dtype):
     return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
 
-_I64, _U8, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.float64)
+_I64, _U8, _U64, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.uint64), _array(np.float64)
 _SIGNATURES = {
     "memloc_bisect": [_I64, _I64, _F64, _array(np.int64), _I64, _I64],
     "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
@@ -48,7 +50,9 @@ _SIGNATURES = {
     "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
                       *[_I64] * 5, _array(np.int64)],
     "memloc_simulate": [_I64, *[_array(np.int64)] * 3, *[_I64] * 6, _array(np.int64), _U8,
-                        _array(np.uint64)],
+                        _U64],
+    "memloc_quantize": [_I64, _I64, _F64, _F64, _F64, ctypes.c_double, ctypes.c_double, _U64],
+    "memloc_sfc": [_I64, _I64, _U64, _I64, _I64, _U64, _array(np.int64)],
 }
 
 

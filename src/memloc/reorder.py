@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _core
 from .kdtree import feature_matrix, median_bisect
-from .sfc import QuantizerConfig, encode, quantize_rows
+from .sfc import QuantizerConfig, quantize_rows
 from .traceio import PAGE_SIZE
 
 DEFAULT_SFC_BITS = 10
@@ -64,11 +65,22 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
 
 def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:
     """Stable sort of rows by ascending space-filling-curve index,
-    quantizing with the dataset's own min/max bounds."""
+    quantizing with the dataset's own min/max bounds.
+
+    The compiled core quantizes the rows (memloc_quantize), then encodes
+    them and radix-sorts their codes in one call (memloc_sfc)."""
+    if curve not in ("hilbert", "zorder"):
+        raise ValueError(f"unknown curve {curve!r}")
     data = feature_matrix(data)
-    cfg = QuantizerConfig(data.shape[1], bits, data.min(axis=0), data.max(axis=0))
-    # lexsort takes its last key as the primary one: the top code word.
-    return np.lexsort(encode(list(quantize_rows(data, cfg).T), bits, curve))
+    # numpy reduces a narrow row-major matrix along axis 0 a row at a
+    # time; the transposed copy reduces each axis in one contiguous run.
+    axes = data.T.copy()
+    cfg = QuantizerConfig(data.shape[1], bits, axes.min(axis=1), axes.max(axis=1))
+    grid = quantize_rows(data, cfg)
+    words = np.empty((-(-cfg.code_bits // 64), len(grid)), dtype=np.uint64)
+    order = np.empty(len(grid), dtype=np.int64)
+    _core.load().memloc_sfc(len(grid), cfg.dims, grid, bits, curve == "hilbert", words, order)
+    return order
 
 
 def reorder_queries_zorder(queries: np.ndarray, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:

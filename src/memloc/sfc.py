@@ -5,18 +5,26 @@ the least significant bit of each d-bit group.  Hilbert codes use the
 Gray-code transpose construction, so consecutive indices always differ
 by exactly 1 in exactly one coordinate.  Codes may be up to 128 bits
 wide.  One encoder and one decoder serve both curves, on Python ints
-(the scalar API) and on uint64 columns (every row of a grid at once).
+of any width (the scalar API) or uint64 columns.
+
+The row path runs in the compiled core: quantize_rows is its
+memloc_quantize, and reorder.reorder_sfc encodes and orders the rows
+with memloc_sfc, in the same bit layout as `encode`, which the tests
+hold it to.  The core is loaded on the first call, not on import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _core
+
 MAX_CODE_BITS = 128
-MAX_GRID_BITS = 64  # grid coordinates are uint64 columns
+MAX_GRID_BITS = 64  # grid coordinates are uint64
 _WORD_MASK = (1 << 64) - 1
 
 
@@ -44,8 +52,12 @@ class QuantizerConfig:
         if len(lo) != self.dims or len(hi) != self.dims:
             raise ValueError("lo/hi must have length dims")
         for l, h in zip(lo, hi):
+            if not (math.isfinite(l) and math.isfinite(h)):
+                raise ValueError("lo/hi must be finite")
             if h < l:
                 raise ValueError("hi must be >= lo in every dimension")
+            if not math.isfinite(float(h) - float(l)):
+                raise ValueError("hi - lo must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -71,25 +83,23 @@ def quantize(point, cfg: QuantizerConfig):
 
 
 def quantize_rows(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Vectorized quantize over an (n, d) array; returns (n, d) uint64."""
-    data = np.asarray(data, dtype=np.float64)
+    """Vectorized quantize over an (n, d) array; returns (n, d) uint64.
+
+    The compiled core's memloc_quantize does the arithmetic."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != cfg.dims:
         raise ValueError(f"expected an (n, {cfg.dims}) array")
     if not np.isfinite(data).all():
         raise ValueError("data holds NaN or infinite values")
     if cfg.bits > MAX_GRID_BITS:
         raise ValueError(f"bits = {cfg.bits} exceeds the {MAX_GRID_BITS}-bit grid columns")
-    lo = np.array(cfg.lo)
-    hi = np.array(cfg.hi)
-    span = hi - lo
-    top = cfg.grid_side - 1
+    lo = np.array(cfg.lo, dtype=np.float64)
+    span = np.array(cfg.hi, dtype=np.float64) - lo
+    top = float(cfg.grid_side - 1)
     # Above 53 bits float64 rounds `top` up to 2^bits: clip below that.
-    ceiling = min(float(top), np.nextafter(float(cfg.grid_side), 0))
-    out = np.zeros(data.shape, dtype=np.uint64)
-    live = span > 0
-    if live.any():
-        scaled = np.floor((data[:, live] - lo[live]) / span[live] * top + 0.5)
-        out[:, live] = np.clip(scaled, 0, ceiling).astype(np.uint64)
+    ceiling = min(top, np.nextafter(float(cfg.grid_side), 0))
+    out = np.empty(data.shape, dtype=np.uint64)
+    _core.load().memloc_quantize(len(data), cfg.dims, data, lo, span, top, ceiling, out)
     return out
 
 

@@ -1,14 +1,15 @@
 """Python reference loops of memloc's two simulators, its two
-median-bisection builders and its decision-tree induction.
+median-bisection builders, its decision-tree induction and its grid
+quantiser.
 
 The cache filter (CacheHierarchy, driven by _filter_reference), the
 FR-FCFS-Cap scheduler (_simulate_reference), recursive coordinate
 bisection (reorder_rcb_oracle), the kd-tree's order
-(kdtree_order_oracle) and the decision tree's nodes (dtree_oracle, with
-its _gini) in Python and numpy.  memsys.filter_to_dram,
-dramsim.simulate, reorder.reorder_rcb, kdtree.KdTree and
-kernels.gen_dtree_trace run the compiled core, _core.c, which must give
-identical results; test_oracles.py checks that, and test_memsys.py and
+(kdtree_order_oracle), the decision tree's nodes (dtree_oracle, with
+its _gini) and the SFC grid (quantize_rows_oracle) in Python and numpy.
+memsys.filter_to_dram, dramsim.simulate, reorder.reorder_rcb,
+kdtree.KdTree, kernels.gen_dtree_trace and sfc.quantize_rows run the
+compiled core, _core.c, which must give identical results; test_oracles.py checks that, and test_memsys.py and
 test_acceptance.py drive the simulator loops directly.  Imported by the
 tests, not collected as one.
 """
@@ -27,6 +28,7 @@ from memloc.memsys import (
     PrefetchConfig,
     StridePrefetchConfig,
 )
+from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH
 
 
@@ -352,3 +354,21 @@ def dtree_oracle(data: np.ndarray, labels: np.ndarray, max_depth: int):
 
     grow(np.arange(data.shape[0], dtype=np.int64), 1)
     return nodes, leaves
+
+
+def quantize_rows_oracle(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """sfc.quantize_rows as numpy: floor((x - lo) / span * top + 0.5)
+    clamped to the grid, and 0 on an axis of span 0.  Above 53 bits
+    float64 rounds `top` up to 2^bits, so the clamp stays below that."""
+    data = np.asarray(data, dtype=np.float64)
+    lo = np.array(cfg.lo, dtype=np.float64)
+    span = np.array(cfg.hi, dtype=np.float64) - lo
+    top = cfg.grid_side - 1
+    ceiling = min(float(top), np.nextafter(float(cfg.grid_side), 0))
+    out = np.zeros(data.shape, dtype=np.uint64)
+    live = span > 0
+    if live.any():
+        with np.errstate(over="ignore"):  # x - lo may overflow to +-inf: clamped
+            scaled = np.floor((data[:, live] - lo[live]) / span[live] * top + 0.5)
+        out[:, live] = np.clip(scaled, 0, ceiling).astype(np.uint64)
+    return out

@@ -81,6 +81,13 @@ class TestReorder:
                 rows = list(csv.DictReader(f))
             assert float(rows[0]["overhead_s"]) > 0
 
+    def test_sfc_bounds_past_float64_fail_at_reorder(self, tmp_path, capsys):
+        # max - min overflows: no grid can hold these rows.
+        reorder.save_dataset(tmp_path / "wide", np.array([[-1e308], [1e308], [0.0], [5e307]]))
+        assert run(["reorder", "--method", "hilbert", "--dataset", tmp_path / "wide",
+                    "--out", tmp_path / "w"]) == 1
+        assert capsys.readouterr().err.startswith("memloc: reorder: hi - lo must be finite")
+
     def test_zorder_comp_rejected_for_tree_kernel(self, dataset, tmp_path):
         rc = run(["reorder", "--method", "zorder-comp", "--kernel", "dtree",
                   "--dataset", dataset, "--out", tmp_path / "x"])

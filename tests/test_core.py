@@ -108,14 +108,15 @@ def test_without_a_compiler_kd_tree_generation_fails(source, tmp_path, monkeypat
         pipeline.build_kernel({"kernel": kernel}).generate()
 
 
-def test_without_a_compiler_rcb_fails(source, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("method", ["rcb", "hilbert", "zorder"])
+def test_without_a_compiler_point_reorderings_fail(source, tmp_path, monkeypatch, capsys, method):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
     cfg = pipeline.resolve_config({"kernel": {"kind": "dtree"}})
     points = np.random.default_rng(1).random((300, 3))
     with pytest.raises(pipeline.PipelineError, match=r"^reorder: .*needs a C compiler \(cc\)"):
-        pipeline.reorder_by("rcb", cfg, kind="dtree", points=points)
+        pipeline.reorder_by(method, cfg, kind="dtree", points=points)
     reorder.save_dataset(tmp_path / "d", np.random.default_rng(1).random((50, 2)))
-    assert cli.main(["reorder", "--method", "rcb", "--dataset", str(tmp_path / "d"),
+    assert cli.main(["reorder", "--method", method, "--dataset", str(tmp_path / "d"),
                      "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith("memloc: reorder: the compiled simulator core")
 
@@ -144,9 +145,20 @@ def test_out_of_memory_raises_memory_error_naming_the_function():
                                "cache": {"l3_kb": 2**46, "l3_ways": 1}})
 
 
+def test_sfc_allocates_its_scratch_before_writing():
+    # 2**60 rows: the radix sort's 8 EiB of scratch cannot be allocated,
+    # and the caller's arrays, far smaller, are left as they were.
+    grid = np.zeros((4, 2), dtype=np.uint64)
+    words = np.full((1, 4), 7, dtype=np.uint64)
+    order = np.full(4, 7, dtype=np.int64)
+    with pytest.raises(MemoryError, match=r"^memloc_sfc: out of memory$"):
+        _core.load().memloc_sfc(2**60, 2, grid, 10, 1, words, order)
+    assert words.tolist() == [[7] * 4] and order.tolist() == [7] * 4
+
+
 SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
-                   "_simulate_reference", "_gini", "dtree_oracle"}
+                   "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

@@ -13,18 +13,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memloc import _core, dramsim, kernels, memsys, reorder, sfc
 from memloc.kdtree import KdTree
-from memloc.sfc import QuantizerConfig, quantize_rows
+from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
 from reference_models import (
     _filter_reference,
     _simulate_reference,
     dtree_oracle,
     kdtree_order_oracle,
+    quantize_rows_oracle,
     reorder_rcb_oracle,
 )
 
@@ -248,7 +249,7 @@ def reorder_sfc_oracle(data, curve, bits):
     data = np.asarray(data, dtype=np.float64)
     cfg = QuantizerConfig(data.shape[1], bits, tuple(data.min(axis=0)), tuple(data.max(axis=0)))
     encode = morton_encode_oracle if curve == "zorder" else hilbert_encode_oracle
-    codes = [encode(row, cfg) for row in quantize_rows(data, cfg).tolist()]
+    codes = [encode(row, cfg) for row in quantize_rows_oracle(data, cfg).tolist()]
     return np.asarray(sorted(range(len(codes)), key=codes.__getitem__), dtype=np.int64)
 
 
@@ -467,31 +468,103 @@ def test_sfc_codecs_match_bit_loops_at_full_width(d, b):
         assert sfc.hilbert_decode(code, cfg) == hilbert_decode_oracle(code, cfg)
 
 
+def core_sfc(grid_rows: np.ndarray, bits: int, curve: str):
+    """memloc_sfc's code words and order of the (n, d) uint64 grid."""
+    n, d = grid_rows.shape
+    words = np.empty((-(-d * bits // 64), n), dtype=np.uint64)
+    order = np.empty(n, dtype=np.int64)
+    _core.load().memloc_sfc(n, d, np.ascontiguousarray(grid_rows), bits, curve == "hilbert",
+                            words, order)
+    return words, order
+
+
 @settings(max_examples=100, deadline=None)
-@given(grids(), st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from(["hilbert", "zorder"]))
-def test_column_codec_matches_bit_loops(grid, n, seed, curve):
+@given(grids(), st.one_of(st.integers(1, 30), st.integers(500, 1100)), st.integers(0, 2**32 - 1),
+       st.integers(0, 1), st.sampled_from(["hilbert", "zorder"]))
+def test_column_codec_matches_bit_loops(grid, n, seed, coarse, curve):
+    """The column codec against the bit loops on the first 30 rows, and
+    memloc_sfc against the column codec and a stable lexsort of its words
+    on all of them: past 500 rows the core encodes several blocks in
+    every lane width.  Coarse grids repeat codes, so order ties."""
     d, b = grid
     cfg = QuantizerConfig(d, b)
     cols = np.random.default_rng(seed).integers(0, 1 << b, (d, n), dtype=np.uint64)
+    if coarse:
+        cols &= np.uint64(3)
     words = sfc.encode(list(cols), b, curve)
     oracle = morton_encode_oracle if curve == "zorder" else hilbert_encode_oracle
-    for r in range(n):
+    for r in range(min(n, 30)):
         code = sum(int(w[r]) << 64 * i for i, w in enumerate(words))
         assert code == oracle(tuple(int(c) for c in cols[:, r]), cfg)
     assert np.array_equal(np.array(sfc.decode(words, d, b, curve)), cols)
+    core_words, order = core_sfc(cols.T, b, curve)
+    assert np.array_equal(core_words, np.array(words))
+    # lexsort takes its last key as the primary one: the top code word.
+    assert np.array_equal(order, np.lexsort(words))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 64), st.integers(1, 120),
+@given(st.sampled_from([1, 2, 3, 4, 5, 8, 16]), st.integers(1, 64), st.integers(1, 330),
        st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 1, 2]), st.sampled_from(["hilbert", "zorder"]))
 def test_reorder_sfc_matches_key_sort(d, bits, n, seed, decimals, curve):
-    bits = min(bits, 128 // d)
+    bits = min(bits, 128 // d)  # d = 5 gives codes of 5 * 13 = 65 bits, across two words
     data = np.random.default_rng(seed).normal(0, 3, (n, d))
     if decimals is not None:
         data = data.round(decimals)  # coarse values: ties and degenerate axes
     perm = reorder.reorder_sfc(data, curve, bits)
     assert perm.dtype == np.int64
     assert np.array_equal(perm, reorder_sfc_oracle(data, curve, bits))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def quantizer_cases(draw):
+    """A config of 1-64 bits and 1-4 axes, each axis ordinary, degenerate
+    or of subnormal span, and rows of values in and around the bounds,
+    -0.0, and values far enough out that x - lo overflows."""
+    bits = draw(st.integers(1, 64))
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, min(4, 128 // bits)))):
+        kind = draw(st.sampled_from(["wide", "unit", "degenerate", "subnormal"]))
+        if kind == "wide":
+            a, b = sorted([draw(FINITE), draw(FINITE)])
+            if not np.isfinite(b - a):
+                a, b = a / 2, b / 2
+        elif kind == "unit":
+            a = draw(st.sampled_from([0.0, -0.0, -1.0, 3.5]))
+            b = a + 1.0
+        elif kind == "degenerate":
+            a = b = draw(st.sampled_from([0.0, -0.0, 1e308, -7.25]))
+        else:
+            a = draw(st.sampled_from([0.0, -0.0, 5e-324, -1e-310]))
+            b = a + draw(st.floats(5e-324, 2e-308))
+        lo.append(a)
+        hi.append(b)
+    cfg = QuantizerConfig(len(lo), bits, tuple(lo), tuple(hi))
+    near = [v for a, b in zip(lo, hi) for v in (a, b, a + (b - a) / 2, -0.0, 1e308, -1e308)]
+    value = st.one_of(FINITE, st.sampled_from(near))
+    rows = draw(st.lists(st.lists(value, min_size=len(lo), max_size=len(lo)), min_size=1,
+                         max_size=20))
+    return cfg, np.array(rows, dtype=np.float64)
+
+
+def _one_point(bits, lo, hi, point):
+    return QuantizerConfig(1, bits, (lo,), (hi,)), np.array([[point]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(quantizer_cases())
+@example(_one_point(10, 1e308, 1.5e308, -1e308))   # x - lo overflows to -inf: grid 0
+@example(_one_point(64, -1e308, -5e307, 1e308))    # x - lo overflows to +inf: the top cell
+@example(_one_point(54, 0.0, 5e-324, 1.0))         # subnormal span: the quotient overflows
+@example(_one_point(3, 0.0, 1.0, 0.5))             # a half rounds up
+def test_core_quantizer_matches_numpy(case):
+    cfg, data = case
+    expect = quantize_rows_oracle(data, cfg)
+    assert np.array_equal(sfc.quantize_rows(data, cfg), expect)
+    assert sfc.quantize(data[0], cfg) == tuple(int(v) for v in expect[0])
 
 
 @st.composite

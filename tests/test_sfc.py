@@ -1,10 +1,12 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memloc import reorder
 from memloc.sfc import (
     QuantizerConfig,
     hilbert_decode,
@@ -201,8 +203,21 @@ class TestConfig:
             QuantizerConfig(17, 8)
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig(1, 4, (1.0,), (0.0,))
+        inf, nan = float("inf"), float("nan")
+        for lo, hi, match in [((1.0,), (0.0,), "hi must be >= lo"),
+                              ((-inf,), (inf,), "finite"), ((0.0,), (inf,), "finite"),
+                              ((nan,), (1.0,), "finite"), ((0.0, 0.0), (1.0, nan), "finite"),
+                              ((-1e308,), (1e308,), "hi - lo must be finite"),
+                              ((np.float64(-1e308),), (np.float64(1e308),), "hi - lo")]:
+            with pytest.raises(ValueError, match=match):
+                QuantizerConfig(len(lo), 4, lo, hi)
+
+    def test_reorder_sfc_rejects_bounds_it_cannot_quantize(self):
+        data = np.array([[-1e308], [1e308], [0.0], [5e307]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(ValueError, match="hi - lo must be finite"):
+                reorder.reorder_sfc(data, "hilbert")
 
     def test_bits_positive(self):
         with pytest.raises(ValueError):

@@ -1,31 +1,35 @@
 /* Compiled core of memloc's kd-tree, its recursive coordinate bisection,
- * its decision-tree induction, its space-filling-curve row order and its
- * two sequential simulators, and their only implementation in the
- * package.
+ * its decision-tree induction, its space-filling-curve row order, its
+ * page blocking, its software-prefetch injection and its two sequential
+ * simulators, and their only implementation in the package.
  *
  * memloc_bisect builds the median-bisection order behind kdtree.KdTree
  * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
  * behind KdTree and reports only the rows it examines; memloc_dtree
  * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
  * replays a trace through the three-level LRU filter that
- * memsys.filter_to_dram models; memloc_simulate runs the FR-FCFS-Cap
- * scheduler behind dramsim.simulate; memloc_quantize is the grid
- * quantiser behind sfc.quantize_rows, and memloc_sfc encodes and
- * radix-sorts the rows for reorder.reorder_sfc.  All must give results
+ * memsys.filter_to_dram models; memloc_inject inserts the prefetch
+ * records of memsys.inject_sw_prefetch; memloc_simulate runs the
+ * FR-FCFS-Cap scheduler behind dramsim.simulate; memloc_quantize is the
+ * grid quantiser behind sfc.quantize_rows, memloc_sfc encodes and
+ * radix-sorts the rows for reorder.reorder_sfc, and memloc_block groups
+ * the rows of reorder.block_by_page by page.  All must give results
  * identical to the Python references that tests/test_oracles.py
  * compares them against (KdTreeOracle there, sfc.encode and the
- * bit-loop codecs, and the two bisection oracles, dtree_oracle,
- * quantize_rows_oracle, CacheHierarchy and _simulate_reference in
- * tests/reference_models.py).
+ * bit-loop codecs, the two block_by_page oracles and inject_oracle, and
+ * the two bisection oracles, dtree_oracle, quantize_rows_oracle,
+ * CacheHierarchy and _simulate_reference in tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
  * without a C compiler memloc cannot build a kd-tree, an RCB or SFC
- * order, grow a decision tree, filter or simulate.
+ * order, grow a decision tree, block rows by page, inject prefetches,
+ * filter or simulate.
  *
  * Every function writes its results into arrays its caller allocated and
  * returns an int64_t: memloc_kdtree, which allocates nothing, the next
  * query to walk (nq when it is done); memloc_dtree the number of nodes;
- * the others 0; and all but memloc_kdtree and memloc_quantize -1 when
- * memory runs out.
+ * memloc_inject, which allocates nothing, the number of records written;
+ * the others 0; and all but memloc_kdtree, memloc_quantize and
+ * memloc_inject -1 when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -259,6 +263,38 @@ int64_t memloc_filter(int64_t n, const int64_t *lines, const uint8_t *kinds, uin
         level_free(&h.lv[k]);
     table_free(&h.pages);
     return rc ? -1 : 0;
+}
+
+/* Copy the n records to the out arrays, putting before each demand
+ * record (kind other than prefetch_kind) a record of that kind for the
+ * address of the demand record `distance` demands ahead, at the demand
+ * record's cycle; demands with fewer than `distance` demands after them
+ * get none.  A look-ahead index walks the demands once, `distance`
+ * ahead of the copy.  Returns the number of records written, which the
+ * caller sized the out arrays for: n + max(demands - distance, 0). */
+int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
+                      const uint8_t *kind, int64_t distance, int64_t prefetch_kind,
+                      uint64_t *out_vaddr, uint32_t *out_cycle, uint8_t *out_kind)
+{
+    int64_t ahead = -1, o = 0;
+    for (int64_t d = 0; d <= distance && ahead < n; d++)
+        do
+            ahead++;
+        while (ahead < n && kind[ahead] == prefetch_kind);
+    for (int64_t i = 0; i < n; i++) {
+        if (kind[i] != prefetch_kind && ahead < n) {
+            out_vaddr[o] = vaddr[ahead];
+            out_cycle[o] = cycle[i];
+            out_kind[o++] = (uint8_t)prefetch_kind;
+            do
+                ahead++;
+            while (ahead < n && kind[ahead] == prefetch_kind);
+        }
+        out_vaddr[o] = vaddr[i];
+        out_cycle[o] = cycle[i];
+        out_kind[o++] = kind[i];
+    }
+    return o;
 }
 
 /* FR-FCFS-Cap over n requests (bank, row, arrival cycle).  The window
@@ -865,5 +901,63 @@ int64_t memloc_sfc(int64_t n, int64_t m, const uint64_t *grid, int64_t bits, int
     free(x);
     free(count);
     free(tmp);
+    return 0;
+}
+
+/* One slot of the page table of memloc_block: the page, the window it
+ * was seen in (+1, so a zeroed slot is free in every window) and its
+ * group in that window. */
+typedef struct {
+    int64_t page, stamp, group;
+} page_slot;
+
+/* Group the n rows of seq by page inside consecutive windows of
+ * `window` >= 1 rows (the caller bounds it, and the scratch, by n): out
+ * gets each window's rows grouped by pages[i], the groups in order of
+ * their first row and the rows of a group in their order in seq.  A
+ * window's pages are numbered by an open-addressing table whose slots
+ * carry the window they were written in, so no window clears it; its
+ * rows are then counted per group and scattered stably.  All scratch,
+ * O(window), is allocated before anything is written. */
+int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_t window,
+                     int64_t *out)
+{
+    int bits = 1;  /* at least 2 * window slots, so probe chains stay short */
+    while (bits < 62 && (int64_t)1 << (bits - 1) < window)
+        bits++;
+    uint64_t mask = ((uint64_t)1 << bits) - 1;
+    page_slot *table = calloc((size_t)1 << bits, sizeof *table);
+    int64_t *group = calloc(window, sizeof *group);
+    int64_t *start = calloc(window, sizeof *start);
+    if (!table || !group || !start) {
+        free(table);
+        free(group);
+        free(start);
+        return -1;
+    }
+    for (int64_t w0 = 0, stamp = 1; w0 < n; w0 += window, stamp++) {
+        int64_t len = n - w0 < window ? n - w0 : window, groups = 0;
+        for (int64_t i = 0; i < len; i++) {
+            int64_t page = pages[w0 + i];
+            uint64_t h = (uint64_t)page * 0x9e3779b97f4a7c15u >> (64 - bits);
+            while (table[h].stamp == stamp && table[h].page != page)
+                h = (h + 1) & mask;
+            if (table[h].stamp != stamp)
+                table[h] = (page_slot){page, stamp, groups++};
+            group[i] = table[h].group;
+            start[group[i]]++;
+        }
+        for (int64_t g = 0, sum = w0; g < groups; g++) {
+            int64_t c = start[g];
+            start[g] = sum;
+            sum += c;
+        }
+        for (int64_t i = 0; i < len; i++)
+            out[start[group[i]]++] = seq[w0 + i];
+        memset(start, 0, groups * sizeof *start);
+    }
+    free(table);
+    free(group);
+    free(start);
     return 0;
 }

@@ -6,9 +6,9 @@ when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
 rebuilt and an unchanged one is only loaded.  The core is memloc's only
 kd-tree build and walk, recursive coordinate bisection, decision-tree
-induction, SFC quantiser and row order, cache filter and DRAM
-scheduler, so memloc needs a C compiler (``cc``): when the core cannot
-be built or loaded, :func:`load` raises OSError.
+induction, SFC quantiser and row order, page blocking, prefetch
+injection, cache filter and DRAM scheduler, so memloc needs a C compiler
+(``cc``): when the core cannot be built or loaded, :func:`load` raises OSError.
 
 Every core function takes int64s, doubles and C-contiguous numpy
 arrays, writes its results into arrays its caller allocated, and
@@ -53,6 +53,9 @@ _SIGNATURES = {
                         _U64],
     "memloc_quantize": [_I64, _I64, _F64, _F64, _F64, ctypes.c_double, ctypes.c_double, _U64],
     "memloc_sfc": [_I64, _I64, _U64, _I64, _I64, _U64, _array(np.int64)],
+    "memloc_inject": [_I64, _U64, _array(np.uint32), _U8, _I64, _I64, _U64, _array(np.uint32),
+                      _U8],
+    "memloc_block": [_I64, *[_array(np.int64)] * 2, _I64, _array(np.int64)],
 }
 
 

@@ -5,9 +5,9 @@ hierarchy is non-inclusive with fill-on-miss along the lookup path.
 A per-page stride prefetcher (with next-line behavior on misses)
 models the default hardware prefetching into L2; software prefetch
 records fill only their target level and are never counted as demand.
-filter_to_dram runs the model in the compiled core (_core.c), which
-needs a C compiler; tests/reference_models.py holds the Python loop the
-tests compare it against.
+filter_to_dram runs the model and inject_sw_prefetch inserts those
+records in the compiled core (_core.c), which needs a C compiler; the
+Python loops the tests compare them against live in tests/.
 """
 
 from __future__ import annotations
@@ -131,11 +131,12 @@ def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
     accesses, standing in for compiler-inserted prefetch intrinsics)."""
     if distance < 1:
         raise ValueError("distance must be >= 1")
-    demand_idx = np.flatnonzero(trace.kind != KIND_PREFETCH)
-    if distance >= len(demand_idx):
-        return Trace(trace.vaddr.copy(), trace.cycle.copy(), trace.kind.copy())
-    # Demand access j gets the address of demand access j + distance.
-    at = demand_idx[:-distance]
-    return Trace(np.insert(trace.vaddr, at, trace.vaddr[demand_idx[distance:]]),
-                 np.insert(trace.cycle, at, trace.cycle[at]),
-                 np.insert(trace.kind, at, KIND_PREFETCH))
+    kind = np.ascontiguousarray(trace.kind)
+    n = len(kind)
+    size = n + max(n - int(np.count_nonzero(kind == KIND_PREFETCH)) - distance, 0)
+    out = Trace(np.empty(size, np.uint64), np.empty(size, np.uint32), np.empty(size, np.uint8))
+    # A distance past n + 1 injects nothing either, and fits in int64.
+    _core.load().memloc_inject(n, np.ascontiguousarray(trace.vaddr),
+                               np.ascontiguousarray(trace.cycle), kind, min(distance, n + 1),
+                               KIND_PREFETCH, out.vaddr, out.cycle, out.kind)
+    return out

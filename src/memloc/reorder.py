@@ -93,29 +93,25 @@ def block_by_page(seq, row_stride_bytes: int, window: int = DEFAULT_BLOCK_WINDOW
 
     Within each window of `window` accesses, accesses are stably grouped
     by the page of their row's first byte, pages ordered by first
-    appearance.  The matrix starts on a page boundary (AddressModel), so
-    that page is row * row_stride_bytes // PAGE_SIZE.  The multiset of
-    accesses is preserved.
+    appearance (memloc_block, in one pass per window).  The matrix starts
+    on a page boundary (AddressModel), so that page is
+    row * row_stride_bytes // PAGE_SIZE, and that byte must lie in
+    [-2**63, 2**63).  The multiset of accesses is preserved.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if row_stride_bytes < 1:
-        raise ValueError("row_stride_bytes must be >= 1")
+    if not 1 <= row_stride_bytes < 2**63:
+        raise ValueError("row_stride_bytes must be >= 1 and below 2**63")
     seq = np.asarray(seq, dtype=np.int64).ravel()
     if not len(seq):
         return seq.copy()
-    pages = (seq * row_stride_bytes) // PAGE_SIZE
-    pages -= pages.min()
-    span = int(pages.max()) + 1
-    if ((len(seq) - 1) // window + 1) * span > 2**63:
-        # The (window, page) key would wrap in int64: number the pages densely.
-        pages = np.unique(pages, return_inverse=True)[1]
-        span = int(pages.max()) + 1
-    # One group per (window, page); order each access by its group's first
-    # access, which also keeps the windows in order.
-    _, first, group = np.unique(np.arange(len(seq)) // window * span + pages,
-                                return_index=True, return_inverse=True)
-    return seq[np.argsort(first[group], kind="stable")]
+    lo, hi = int(seq.min()) * row_stride_bytes, int(seq.max()) * row_stride_bytes
+    if lo < -2**63 or hi >= 2**63:  # int64 would wrap them onto other pages
+        raise ValueError(f"rows start at bytes {lo} to {hi}, outside [-2**63, 2**63)")
+    out = np.empty_like(seq)
+    _core.load().memloc_block(len(seq), seq, (seq * row_stride_bytes) // PAGE_SIZE,
+                              min(window, len(seq)), out)
+    return out
 
 
 def apply_permutation(data: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -118,6 +118,16 @@ class TestReorder:
                     "--row-stride", "0", "--out", tmp_path / "blk"]) == 1
         assert capsys.readouterr().err.startswith("memloc: reorder: row_stride_bytes")
 
+    def test_block_rejects_rows_past_byte_2_63(self, tmp_path, capsys):
+        # Row 2**58 starts at byte 2**64, which int64 would wrap to page 0.
+        rows_path = tmp_path / "rows.bin"
+        np.array([2**58, 2**58 + 64, 1, 2**58 + 1], dtype="<i8").tofile(rows_path)
+        assert run(["reorder", "--method", "block", "--rows", rows_path,
+                    "--row-stride", "64", "--out", tmp_path / "blk"]) == 1
+        assert capsys.readouterr().err.startswith(f"memloc: reorder: rows start at bytes 64 "
+                                                  f"to {(2**58 + 64) * 64}, outside")
+        assert not (tmp_path / "blk.rows").exists()
+
     def test_block_output_can_be_blocked_again(self, tmp_path):
         # Every .rows output records its row stride beside it.
         assert run(["gen", "--kind", "gather", "--n", "5000", "--count", "2000", "--m", "16",

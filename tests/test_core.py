@@ -99,6 +99,25 @@ def test_without_a_compiler_every_simulator_stage_fails(source, tmp_path, monkey
     assert len(compiles) == 1
 
 
+def test_without_a_compiler_blocking_and_prefetch_injection_fail(source, tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    trace = traceio.Trace.from_addresses(np.arange(100, dtype=np.uint64) * 4096)
+    no_cc = r"No such file or directory: 'cc'.*needs a C compiler \(cc\)"
+    with pytest.raises(OSError, match=no_cc):
+        reorder.block_by_page(np.arange(100), 64)
+    with pytest.raises(OSError, match=no_cc):
+        memsys.inject_sw_prefetch(trace, 4)
+    traceio.write_trace(tmp_path / "t.trace", trace)
+    np.arange(100, dtype="<i8").tofile(tmp_path / "r.rows")
+    for stage, argv in (("reorder", ["reorder", "--method", "block", "--rows",
+                                     str(tmp_path / "r.rows"), "--row-stride", "64"]),
+                        ("prefetch", ["prefetch", "--trace", str(tmp_path / "t.trace")])):
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"memloc: {stage}: the compiled simulator core")
+    assert list(tmp_path.glob("o*")) == []
+
+
 @pytest.mark.parametrize("kernel", [{"kind": "knn", "n": 300, "queries": 20},
                                     {"kind": "dbscan", "n": 300},
                                     {"kind": "dtree", "n": 300, "m": 3, "max_depth": 3}])
@@ -156,9 +175,20 @@ def test_sfc_allocates_its_scratch_before_writing():
     assert words.tolist() == [[7] * 4] and order.tolist() == [7] * 4
 
 
+def test_block_allocates_its_scratch_before_writing():
+    # A 2**60-row window: its page table and group buffers cannot be
+    # allocated, and the caller's arrays, far smaller, are left as they were.
+    seq = np.arange(4, dtype=np.int64)
+    out = np.full(4, 7, dtype=np.int64)
+    with pytest.raises(MemoryError, match=r"^memloc_block: out of memory$"):
+        _core.load().memloc_block(2**60, seq, seq, 2**60, out)
+    assert out.tolist() == [7] * 4 and seq.tolist() == [0, 1, 2, 3]
+
+
 SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
-                   "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle"}
+                   "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle",
+                   "block_by_page_oracle", "block_by_page_lexsort_oracle", "inject_oracle"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

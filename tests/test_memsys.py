@@ -182,7 +182,9 @@ class TestHwPrefetch:
 class TestSwPrefetch:
     def test_distance_beyond_stream_unchanged(self):
         t = lines_trace([1, 2, 3])
-        assert inject_sw_prefetch(t, 10) == t
+        for distance in (10, 2**70):  # the core takes an int64 distance
+            out = inject_sw_prefetch(t, distance)
+            assert out == t and out.vaddr is not t.vaddr
 
     def test_injects_future_addresses(self):
         t = lines_trace([10, 20, 30, 40])

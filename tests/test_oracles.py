@@ -380,10 +380,37 @@ def test_block_by_page_matches_lexsort(length, rows, window, stride, seed):
     assert np.array_equal(new, block_by_page_lexsort_oracle(seq, stride, window))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4095), st.sampled_from([1, 2, 3, 2**40]),
+       st.sampled_from([8, 64, 4096]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_by_page_matches_loop_over_full_windows(full, extra, pages, stride, negative,
+                                                      seed):
+    # Several full default windows and a partial one.  A few distinct
+    # pages give each window a few large groups, all probing the same
+    # slots; 2**40 pages make nearly every row its own group.
+    rows = pages * PAGE_SIZE // stride
+    seq = np.random.default_rng(seed).integers(-rows if negative else 0, rows,
+                                               full * reorder.DEFAULT_BLOCK_WINDOW + extra)
+    new = reorder.block_by_page(seq, stride)
+    assert np.array_equal(new, block_by_page_oracle(seq, stride, reorder.DEFAULT_BLOCK_WINDOW))
+    assert np.array_equal(new, block_by_page_lexsort_oracle(seq, stride,
+                                                            reorder.DEFAULT_BLOCK_WINDOW))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_sequences(), st.sampled_from([8, 64, 4096]), st.integers(1, 2**70))
+@example(([0, 100, 1, 101], 102), 64, 2**70)  # the core takes an int64 window
+def test_block_by_page_window_past_the_sequence_is_one_window(case, stride, more):
+    seq, _ = case
+    new = reorder.block_by_page(seq, stride, len(seq) + more)
+    assert np.array_equal(new, block_by_page_oracle(seq, stride, max(len(seq), 1)))
+
+
 @pytest.mark.parametrize("window", [1, 3])
 def test_block_by_page_key_stays_exact_past_int64(window):
-    # Pages 0 and 2**51 - 1 in 9000 accesses: a (window, page) key
-    # window * 2**51 + page would wrap, and windows 8192 apart collide.
+    # Pages 0 and 2**51 - 1 alternate over 9000 accesses, some 3000
+    # windows: pages 2**51 apart stay apart, and each window's groups
+    # stay in it, though every window reuses the core's page table.
     seq = np.resize([0, 2**51 - 1], 9000)
     new = reorder.block_by_page(seq, 4096, window)
     assert np.array_equal(new, block_by_page_oracle(seq, 4096, window))

@@ -226,6 +226,20 @@ class TestBlockByPage:
         out = reorder.block_by_page(seq, 64, window=128)
         assert sorted(out.tolist()) == sorted(seq.tolist())
 
+    def test_rows_past_byte_2_63_rejected(self):
+        # 2**58 * 64 wraps to 0 in int64, which put row 1 in row 2**58's group.
+        outside = r"rows start at bytes 64 to \d+, outside \[-2\*\*63, 2\*\*63\)"
+        with pytest.raises(ValueError, match=outside):
+            reorder.block_by_page([2**58, 2**58 + 64, 1, 2**58 + 1], 64, 4)
+        with pytest.raises(ValueError, match="outside"):
+            reorder.block_by_page([0, -(2**57) - 1], 64, 4)
+        last = 2**63 // 64 - 1  # the last row that starts below byte 2**63
+        assert reorder.block_by_page([last, 0, last], 64, 4).tolist() == [last, last, 0]
+        with pytest.raises(ValueError, match="outside"):
+            reorder.block_by_page([last + 1], 64, 4)
+        with pytest.raises(ValueError, match="row_stride_bytes must be >= 1 and below 2"):
+            reorder.block_by_page([0, 0], 2**70, 4)  # numpy would raise OverflowError
+
     def test_never_more_page_transitions(self):
         rng = np.random.default_rng(11)
         seq = rng.integers(0, 300, 400)

@@ -27,9 +27,10 @@
  * Every function writes its results into arrays its caller allocated and
  * returns an int64_t: memloc_kdtree, which allocates nothing, the next
  * query to walk (nq when it is done); memloc_dtree the number of nodes;
- * memloc_inject, which allocates nothing, the number of records written;
- * the others 0; and all but memloc_kdtree, memloc_quantize and
- * memloc_inject -1 when memory runs out.
+ * memloc_inject, which allocates nothing, the number of records its
+ * output holds, of which it writes no more than its capacity, as
+ * snprintf does; the others 0; and all but memloc_kdtree,
+ * memloc_quantize and memloc_inject -1 when memory runs out.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -270,11 +271,14 @@ int64_t memloc_filter(int64_t n, const int64_t *lines, const uint8_t *kinds, uin
  * address of the demand record `distance` demands ahead, at the demand
  * record's cycle; demands with fewer than `distance` demands after them
  * get none.  A look-ahead index walks the demands once, `distance`
- * ahead of the copy.  Returns the number of records written, which the
- * caller sized the out arrays for: n + max(demands - distance, 0). */
+ * ahead of the copy.  Writes the first `capacity` output records at
+ * most, reading vaddr and cycle for those alone, and returns the number
+ * of all of them, so a call with capacity 0 and empty vaddr and cycle
+ * sizes the out arrays of the next. */
 int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
                       const uint8_t *kind, int64_t distance, int64_t prefetch_kind,
-                      uint64_t *out_vaddr, uint32_t *out_cycle, uint8_t *out_kind)
+                      int64_t capacity, uint64_t *out_vaddr, uint32_t *out_cycle,
+                      uint8_t *out_kind)
 {
     int64_t ahead = -1, o = 0;
     for (int64_t d = 0; d <= distance && ahead < n; d++)
@@ -283,16 +287,22 @@ int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
         while (ahead < n && kind[ahead] == prefetch_kind);
     for (int64_t i = 0; i < n; i++) {
         if (kind[i] != prefetch_kind && ahead < n) {
-            out_vaddr[o] = vaddr[ahead];
-            out_cycle[o] = cycle[i];
-            out_kind[o++] = (uint8_t)prefetch_kind;
+            if (o < capacity) {
+                out_vaddr[o] = vaddr[ahead];
+                out_cycle[o] = cycle[i];
+                out_kind[o] = (uint8_t)prefetch_kind;
+            }
+            o++;
             do
                 ahead++;
             while (ahead < n && kind[ahead] == prefetch_kind);
         }
-        out_vaddr[o] = vaddr[i];
-        out_cycle[o] = cycle[i];
-        out_kind[o++] = kind[i];
+        if (o < capacity) {
+            out_vaddr[o] = vaddr[i];
+            out_cycle[o] = cycle[i];
+            out_kind[o] = kind[i];
+        }
+        o++;
     }
     return o;
 }

@@ -53,8 +53,8 @@ _SIGNATURES = {
                         _U64],
     "memloc_quantize": [_I64, _I64, _F64, _F64, _F64, ctypes.c_double, ctypes.c_double, _U64],
     "memloc_sfc": [_I64, _I64, _U64, _I64, _I64, _U64, _array(np.int64)],
-    "memloc_inject": [_I64, _U64, _array(np.uint32), _U8, _I64, _I64, _U64, _array(np.uint32),
-                      _U8],
+    "memloc_inject": [_I64, _U64, _array(np.uint32), _U8, _I64, _I64, _I64, _U64,
+                      _array(np.uint32), _U8],
     "memloc_block": [_I64, *[_array(np.int64)] * 2, _I64, _array(np.int64)],
 }
 

@@ -132,11 +132,14 @@ def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
     if distance < 1:
         raise ValueError("distance must be >= 1")
     kind = np.ascontiguousarray(trace.kind)
-    n = len(kind)
-    size = n + max(n - int(np.count_nonzero(kind == KIND_PREFETCH)) - distance, 0)
-    out = Trace(np.empty(size, np.uint64), np.empty(size, np.uint32), np.empty(size, np.uint8))
+    n, none = len(kind), Trace.empty()
     # A distance past n + 1 injects nothing either, and fits in int64.
+    distance = min(distance, n + 1)
+    # With capacity 0 the core reads the kinds alone and returns the output's size.
+    size = _core.load().memloc_inject(n, none.vaddr, none.cycle, kind, distance, KIND_PREFETCH,
+                                      0, none.vaddr, none.cycle, none.kind)
+    out = Trace(np.empty(size, np.uint64), np.empty(size, np.uint32), np.empty(size, np.uint8))
     _core.load().memloc_inject(n, np.ascontiguousarray(trace.vaddr),
-                               np.ascontiguousarray(trace.cycle), kind, min(distance, n + 1),
-                               KIND_PREFETCH, out.vaddr, out.cycle, out.kind)
+                               np.ascontiguousarray(trace.cycle), kind, distance,
+                               KIND_PREFETCH, size, out.vaddr, out.cycle, out.kind)
     return out

@@ -11,7 +11,6 @@ CLI is a file-I/O shell over it.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import time
@@ -223,8 +222,9 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
     A replay derives the variant's rows from the baseline's walk: a
     computation reordering takes the baseline's per-query segments in
     the new order, and a data reordering relabels the rows through the
-    inverse permutation (Ding & Kennedy, PLDI 1999).  Only a kNN or
-    DBSCAN layout over a first column with ties walks a new tree."""
+    inverse permutation (Ding & Kennedy, PLDI 1999).  A layout keeps the
+    baseline's tree even where ties would make one built over the moved
+    rows differ, so it changes where rows live, not which are examined."""
     if variant == "baseline":
         return lambda: baseline[0]
     if variant == "sw-prefetch":
@@ -237,9 +237,6 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
                                 row_stride_bytes=ctx.addr.row_stride_bytes)
     if new_rows is not None:
         return lambda: kernels.rows_to_trace(new_rows, ctx.addr)
-    if ctx.kind in ("knn", "dbscan") and variant != "zorder-comp" and not _relabels(ctx):
-        permuted = dataclasses.replace(ctx, data=reorder.apply_permutation(ctx.data, perm))
-        return lambda: permuted.generate()[0]
     return lambda: kernels.rows_to_trace(_derive(ctx.kind, variant, perm, *baseline[1:]),
                                          ctx.addr)
 
@@ -268,16 +265,6 @@ def _segments(rows: np.ndarray, starts: np.ndarray, order: np.ndarray) -> np.nda
     ends = np.cumsum(lengths)
     shift = np.repeat(starts[:-1][order] - (ends - lengths), lengths)
     return rows[np.arange(len(shift)) + shift]
-
-
-def _relabels(ctx: _KernelCtx) -> bool:
-    """Whether permuting a kNN or DBSCAN kernel's rows leaves its tree
-    the same over the points, so a walk from the same query point visits
-    the same points in the same order, each under its new index.  So it
-    is when the first feature column holds n distinct values: the tree's
-    first sort then meets no tie, and each later stable sort breaks its
-    ties by the order the one before left."""
-    return bool((np.diff(np.sort(ctx.data[:, 0])) != 0).all())
 
 
 def run_variant(ctx: _KernelCtx, variant: str, config: dict, baseline: tuple) -> dict:

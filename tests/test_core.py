@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_oracles import inject_oracle
 
 from memloc import _core, cli, dramsim, memsys, pipeline, reorder, traceio
 
@@ -183,6 +184,22 @@ def test_block_allocates_its_scratch_before_writing():
     with pytest.raises(MemoryError, match=r"^memloc_block: out of memory$"):
         _core.load().memloc_block(2**60, seq, seq, 2**60, out)
     assert out.tolist() == [7] * 4 and seq.tolist() == [0, 1, 2, 3]
+
+
+def test_inject_writes_no_more_than_its_capacity():
+    # As snprintf does: the core fills what fits, leaves the element past
+    # it alone and returns the size of the whole output.
+    trace = traceio.Trace(np.arange(12, dtype=np.uint64) * 64, np.arange(12) * 4,
+                          np.array([0, 2, 0, 0, 1, 2, 2, 0, 1, 0, 0, 0], np.uint8))
+    expected = inject_oracle(trace, 3)
+    size = len(expected)
+    args = (len(trace), trace.vaddr, trace.cycle, trace.kind, 3, traceio.KIND_PREFETCH)
+    for capacity in (0, size - 1):
+        out = [np.full(size, 7, np.uint64), np.full(size, 7, np.uint32), np.full(size, 7, np.uint8)]
+        assert _core.load().memloc_inject(*args, capacity, *out) == size
+        assert [a[capacity:].tolist() for a in out] == [[7] * (size - capacity)] * 3
+        assert traceio.Trace(*(a[:capacity] for a in out)) == traceio.Trace(
+            *(a[:capacity] for a in (expected.vaddr, expected.cycle, expected.kind)))
 
 
 SRC = Path(_core.__file__).parent

@@ -1,32 +1,36 @@
-"""Variants derived from the baseline walk against fresh generations.
+"""Variants derived from the baseline walk against independent references.
 
-The pipeline runs a kernel once per config and derives each layout and
+The pipeline runs a kernel once per config and derives every layout and
 query-order variant from that walk: relabelled rows, per-query segments
-in a new order, or per-node row lists relabelled and sorted.  The
-oracle here is the kernel generated again over the permuted rows or
-queries, which is what the pipeline did before.
+in a new order, or per-node row lists relabelled and sorted.  Where the
+tree does not depend on the storage order, the reference is the kernel
+generated again over the permuted rows or queries.  Where it does (ties
+in the first feature column of a kNN or DBSCAN config), a layout still
+keeps the baseline's walk, and the reference is KdTreeOracle walked over
+the original data and relabelled through the inverse permutation.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracles import KdTreeOracle
 
-from memloc import kernels, pipeline
+from memloc import kernels, pipeline, reorder
 
 LAYOUTS = ("hilbert", "zorder", "rcb", "first-touch")
 CFG = pipeline.resolve_config({})
 
 
-def _derived_and_fresh(ctx, variant, regenerate):
-    """The pipeline's trace for `variant`, and `regenerate(perm)`, the
-    kernel run again under the variant's permutation."""
+def _derived_and_expected(ctx, variant, expected):
+    """The pipeline's trace for `variant`, and `expected(perm)` under the
+    variant's permutation."""
     baseline = ctx.generate()
     perm, _ = pipeline.reorder_by(variant, CFG, kind=ctx.kind, rows=baseline[1],
                                   n=ctx.spec["n"],
                                   points=ctx.queries if variant == "zorder-comp" else ctx.data)
-    return pipeline._transform(ctx, variant, CFG, baseline)(), regenerate(perm)
+    return pipeline._transform(ctx, variant, CFG, baseline)(), expected(perm)
 
 
 def _kernel(kind, seed, n, m, **spec):
@@ -48,7 +52,7 @@ def test_dtree_layouts_match_a_fresh_generation(seed, n, m, max_depth, labels, d
         y = (score > np.median(score)).astype(np.int64)
     ctx = dataclasses.replace(ctx, data=data, labels=y)
     for variant in LAYOUTS:
-        derived, fresh = _derived_and_fresh(ctx, variant, lambda perm: kernels.gen_dtree_trace(
+        derived, fresh = _derived_and_expected(ctx, variant, lambda perm: kernels.gen_dtree_trace(
             data[perm], y[perm], max_depth, ctx.addr)[0])
         assert derived == fresh, variant
 
@@ -61,7 +65,7 @@ def test_knn_query_order_matches_a_fresh_generation(seed, n, m, queries, k_is_n,
     ctx = _kernel("knn", seed, n, m, queries=queries, k=k)
     if tied:  # the tree is not rebuilt, so ties on its first axis do not matter
         ctx = dataclasses.replace(ctx, data=ctx.data.round(1))
-    derived, fresh = _derived_and_fresh(ctx, "zorder-comp", lambda qperm: kernels.gen_knn_trace(
+    derived, fresh = _derived_and_expected(ctx, "zorder-comp", lambda qperm: kernels.gen_knn_trace(
         ctx.data, ctx.queries[qperm], k, ctx.addr)[0])
     assert derived == fresh
 
@@ -73,18 +77,36 @@ def _tie(ctx, column):
     return dataclasses.replace(ctx, data=data)
 
 
+def _oracle_segments(data, queries, walk):
+    """Per query, the rows `walk(tree, query, visit)` visits in
+    KdTreeOracle's tree over `data`."""
+    tree, segments = KdTreeOracle(data), []
+    for q in queries:
+        segments.append([])
+        walk(tree, q, segments[-1].append)
+    return segments
+
+
+def _relabelled(ctx, perm, segments):
+    """The trace of `segments`' rows under their new indices after perm."""
+    rows = np.array([r for seg in segments for r in seg], dtype=np.int64)
+    return kernels.rows_to_trace(reorder.invert_permutation(perm)[rows], ctx.addr)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31), n=st.integers(1, 120), m=st.integers(1, 3),
        radius=st.sampled_from([1e-9, 0.1, float("inf")]), tied=st.booleans())
 def test_dbscan_layouts_match_a_fresh_generation(seed, n, m, radius, tied):
     ctx = _kernel("dbscan", seed, n, m, radius=radius)
-    ctx = _tie(ctx, 0) if tied else ctx
-    # Untied: the segments are reordered and relabelled; tied: walked again.
-    assume(tied or pipeline._relabels(ctx))
+    if tied:  # the baseline's segments, taken in the new row order and relabelled
+        ctx = _tie(ctx, 0)
+        segments = _oracle_segments(ctx.data, ctx.data, lambda tree, q, visit: tree.radius(
+            q, radius, visit))
     for variant in LAYOUTS:
-        derived, fresh = _derived_and_fresh(ctx, variant, lambda perm: kernels.gen_dbscan_trace(
-            ctx.data[perm], radius, ctx.addr)[0])
-        assert derived == fresh, variant
+        derived, expected = _derived_and_expected(ctx, variant, lambda perm: (
+            _relabelled(ctx, perm, [segments[i] for i in perm]) if tied
+            else kernels.gen_dbscan_trace(ctx.data[perm], radius, ctx.addr)[0]))
+        assert derived == expected, variant
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,8 +116,12 @@ def test_knn_layouts_match_a_fresh_generation(seed, n, m, queries, k_is_n, tied)
     k = n if k_is_n else 1
     ctx = _kernel("knn", seed, n, m, queries=queries, k=k)
     ctx = ctx if tied is None else _tie(ctx, tied)
-    assume(tied == 0 or pipeline._relabels(ctx))
+    first_column_tied = tied is not None and tied % m == 0  # column -1 is column 0 at m = 1
+    if first_column_tied:  # the baseline's visits, relabelled
+        segments = _oracle_segments(ctx.data, ctx.queries, lambda tree, q, visit: tree.knn(
+            q, k, visit))
     for variant in LAYOUTS:
-        derived, fresh = _derived_and_fresh(ctx, variant, lambda perm: kernels.gen_knn_trace(
-            ctx.data[perm], ctx.queries, k, ctx.addr)[0])
-        assert derived == fresh, variant
+        derived, expected = _derived_and_expected(ctx, variant, lambda perm: (
+            _relabelled(ctx, perm, segments) if first_column_tied
+            else kernels.gen_knn_trace(ctx.data[perm], ctx.queries, k, ctx.addr)[0]))
+        assert derived == expected, variant

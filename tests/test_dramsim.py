@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memloc import dramsim
 from memloc.dramsim import (
@@ -199,6 +201,33 @@ class TestIdeal:
         # only the first activation differs
         delta = (TIMING.closed - TIMING.hit) / 100
         assert actual.avg_latency == pytest.approx(ideal.avg_latency + delta)
+
+
+class _OneLatency(DramTiming):
+    """A closed bank and a conflict take the row-hit latency too."""
+
+    closed = conflict = DramTiming.hit
+
+
+@settings(max_examples=200, deadline=None)
+@given(requests=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 60)),
+                         min_size=1, max_size=200),
+       arrival=st.sampled_from(["from-trace", "fixed-gap"]), arrival_gap=st.integers(0, 40),
+       cap=st.integers(1, 8), queue_depth=st.integers(1, 40), tCL=st.integers(1, 30),
+       tBURST=st.integers(1, 8))
+def test_ideal_is_the_scheduler_with_one_latency(requests, arrival, arrival_gap, cap,
+                                                 queue_depth, tCL, tBURST):
+    # The scheduler is work-conserving, so with one service time the set
+    # of completion times does not depend on the service order.  At most
+    # 200 requests of at most 38 cycles keep the latency sums far below
+    # 2**53, so both averages are the exactly rounded quotient.
+    banks, rows, gaps = (np.array(column, np.uint64) for column in zip(*requests))
+    vaddr = (rows * GEOM.banks + banks) * GEOM.columns_per_row * 64
+    t = Trace(vaddr, np.cumsum(gaps), np.zeros(len(vaddr), np.uint8))
+    timing = _OneLatency(tCL=tCL, tBURST=tBURST)
+    arrivals = {"arrival": arrival, "arrival_gap": arrival_gap}
+    actual = simulate(t, timing=timing, cap=cap, queue_depth=queue_depth, **arrivals)
+    assert actual.avg_latency == simulate_ideal(t, timing, **arrivals).avg_latency
 
 
 class TestImprovement:

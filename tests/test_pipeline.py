@@ -285,21 +285,21 @@ def test_overhead_excludes_the_kernel_replay(monkeypatch):
     assert rows["first-touch"]["overhead_s"] < 0.1
 
 
-def test_overhead_excludes_a_regenerated_replay(monkeypatch):
-    # A kNN layout over a first column with ties walks a new tree.
+def test_overhead_excludes_the_derived_replay(monkeypatch):
+    # A kNN layout over a first column with ties relabels the baseline walk too.
     ctx = pipeline.build_kernel(BASE)
     data = ctx.data.copy()
     data[:, 0] = data[:, 0].round(1)
     ctx = dataclasses.replace(ctx, data=data)
     baseline = ctx.generate()
-    real, calls = kernels.gen_knn_trace, []
+    real, calls = kernels.rows_to_trace, []
 
     def slow(*args, **kwargs):
         calls.append(1)
         time.sleep(0.2)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "gen_knn_trace", slow)
+    monkeypatch.setattr(kernels, "rows_to_trace", slow)
     row = pipeline.run_variant(ctx, "hilbert", BASE, baseline)
     assert len(calls) == 1  # the replay
     assert row["overhead_s"] < 0.1
@@ -309,20 +309,38 @@ GENERATORS = ("gen_knn_trace", "gen_dbscan_trace", "gen_dtree_trace", "gen_gathe
 ALL_LAYOUTS = ["hilbert", "zorder", "rcb", "first-touch", "block"]
 
 
-@pytest.mark.parametrize("kernel, variants", [
+def _first_column_rounded(make):
+    """`make`, a dataset maker, with column 0 of its data rounded to 2 decimals."""
+    def tied(*args, **kwargs):
+        data = make(*args, **kwargs)
+        data[:, 0] = data[:, 0].round(2)
+        return data
+    return tied
+
+
+KNN_CONFIG = {"kind": "knn", "n": 2000, "queries": 100, "clusters": 8}
+DBSCAN_CONFIG = {"kind": "dbscan", "n": 1000, "radius": 0.03}
+
+
+@pytest.mark.parametrize("kernel, variants, tied", [
     ({"kind": "dtree", "n": 2000, "m": 4, "max_depth": 5, "clusters": 16},
-     ["baseline", *ALL_LAYOUTS, "sw-prefetch"]),
-    ({"kind": "knn", "n": 2000, "queries": 100, "clusters": 8},
-     ["baseline", "zorder-comp", *ALL_LAYOUTS, "sw-prefetch"]),
-    ({"kind": "dbscan", "n": 1000, "radius": 0.03}, ["baseline", *ALL_LAYOUTS]),
-], ids=["dtree", "knn", "dbscan"])
-def test_each_config_generates_once(kernel, variants, monkeypatch):
-    # Every variant derives from the baseline walk; none runs the kernel again.
+     ["baseline", *ALL_LAYOUTS, "sw-prefetch"], False),
+    (KNN_CONFIG, ["baseline", "zorder-comp", *ALL_LAYOUTS, "sw-prefetch"], False),
+    (DBSCAN_CONFIG, ["baseline", *ALL_LAYOUTS], False),
+    (KNN_CONFIG, ["baseline", *ALL_LAYOUTS], True),
+    (DBSCAN_CONFIG, ["baseline", *ALL_LAYOUTS], True),
+], ids=["dtree", "knn", "dbscan", "knn-tied", "dbscan-tied"])
+def test_each_config_generates_once(kernel, variants, tied, monkeypatch):
+    # Every variant derives from the baseline walk; none runs the kernel
+    # again, not even over ties in the first column.
     calls = []
     for name in GENERATORS:
         real = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, lambda *a, _real=real, _name=name, **kw:
                             calls.append(_name) or _real(*a, **kw))
+    if tied:
+        for name in ("make_uniform", "make_clustered"):
+            monkeypatch.setattr(kernels, name, _first_column_rounded(getattr(kernels, name)))
     rows = pipeline.run_pipeline({"seed": 1, "kernel": kernel, "variants": variants})
     assert [r["variant"] for r in rows] == variants
     assert calls == [f"gen_{kernel['kind']}_trace"]
@@ -365,18 +383,18 @@ def test_knn_layouts_relabel_the_baseline_visits(seed, monkeypatch):
         assert replayed == fresh, variant
 
 
-@pytest.mark.parametrize("column, regenerated", [(0, True), (1, False)])
-def test_knn_layouts_regenerate_when_the_first_column_ties(column, regenerated, monkeypatch):
-    # Ties on the first split axis make the tree depend on storage order;
-    # later axes break their ties by the order the first sort left.
+@pytest.mark.parametrize("column", [0, 1])
+def test_knn_layouts_relabel_when_the_first_column_ties(column, monkeypatch):
+    # A layout keeps the baseline's walk even where ties on the first
+    # split axis would make a tree built over the moved rows differ.
     ctx = pipeline.build_kernel({"seed": 1, "kernel": {**KNN_SWEEP, "n": 600, "queries": 60}})
     data = ctx.data.copy()
     data[:, column] = data[:, column].round(2)
     replays = _layout_replays(dataclasses.replace(ctx, data=data), monkeypatch)
     for variant, (replayed, fresh, relabelled, calls) in replays.items():
-        assert calls == regenerated, variant
-        assert replayed == fresh, variant
-    if regenerated:  # relabelling would not have been exact
+        assert calls == 0, variant
+        assert replayed == relabelled, variant
+    if column == 0:  # a fresh tree would have examined other rows
         assert not all(relabelled == fresh for _, fresh, relabelled, _ in replays.values())
 
 

@@ -10,15 +10,18 @@
  * replays a trace through the three-level LRU filter that
  * memsys.filter_to_dram models; memloc_inject inserts the prefetch
  * records of memsys.inject_sw_prefetch; memloc_simulate runs the
- * FR-FCFS-Cap scheduler behind dramsim.simulate; memloc_quantize is the
- * grid quantiser behind sfc.quantize_rows, memloc_sfc encodes and
+ * FR-FCFS-Cap scheduler behind dramsim.simulate, and also times
+ * dramsim.simulate_ideal's all-row-hit bound over one bank, one row,
+ * one window slot and one latency; memloc_quantize is the grid
+ * quantiser behind sfc.quantize_rows, memloc_sfc encodes and
  * radix-sorts the rows for reorder.reorder_sfc, and memloc_block groups
  * the rows of reorder.block_by_page by page.  All must give results
- * identical to the Python references that tests/test_oracles.py
- * compares them against (KdTreeOracle there, sfc.encode and the
- * bit-loop codecs, the two block_by_page oracles and inject_oracle, and
- * the two bisection oracles, dtree_oracle, quantize_rows_oracle,
- * CacheHierarchy and _simulate_reference in tests/reference_models.py).
+ * identical to the Python references that tests/test_oracles.py and
+ * tests/test_dramsim.py compare them against (KdTreeOracle there,
+ * sfc.encode and the bit-loop codecs, the two block_by_page oracles and
+ * inject_oracle, and the two bisection oracles, dtree_oracle,
+ * quantize_rows_oracle, CacheHierarchy, _simulate_reference and, for
+ * the bound, the closed form ideal_oracle in tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
  * without a C compiler memloc cannot build a kd-tree, an RCB or SFC
  * order, grow a decision tree, block rows by page, inject prefetches,

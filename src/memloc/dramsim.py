@@ -6,9 +6,9 @@ The scheduler is FR-FCFS-Cap: oldest row-hit-ready request first,
 falling back to strict oldest-first once the globally oldest request
 has exhausted its bypass budget (cap=1 degenerates to FCFS).  Service
 latencies: hit tCL+tBURST, closed bank tRCD+tCL+tBURST, conflict
-tRP+tRCD+tCL+tBURST.  simulate runs the scheduler in the compiled core
-(_core.c), which needs a C compiler; tests/reference_models.py holds
-the Python loop the tests compare it against.
+tRP+tRCD+tCL+tBURST.  simulate runs it in the compiled core (_core.c,
+which needs a C compiler), simulate_ideal too with one row, one slot and
+one latency; tests/reference_models.py holds their Python references.
 """
 
 from __future__ import annotations
@@ -124,18 +124,33 @@ def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
     return f["bank"], f["row"]
 
 
-def _prepare(trace: Trace, arrival: str, arrival_gap: int) -> np.ndarray:
-    """The int64 arrival cycles of a checked, non-empty request trace."""
+def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_arr, row_arr, nbanks: int,
+              latencies: tuple, cap: int, queue_depth: int):
+    """(per-bank hit/closed/conflict counts, kinds in service order, mean
+    latency) of the compiled scheduler over a checked trace's arrivals."""
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
-    if arrival == "from-trace":
-        return trace.cycle.astype(np.int64)
-    if arrival == "fixed-gap":
-        if arrival_gap < 0:
-            raise ValueError("arrival_gap must be >= 0")
-        return np.arange(n, dtype=np.int64) * arrival_gap
-    raise ValueError(f"unknown arrival model {arrival!r}")
+    if arrival not in ("from-trace", "fixed-gap"):
+        raise ValueError(f"unknown arrival model {arrival!r}")
+    if arrival == "fixed-gap" and arrival_gap < 0:
+        raise ValueError("arrival_gap must be >= 0")
+    from_trace = arrival == "from-trace"
+    # In Python ints: the clock never passes the last arrival plus n services.
+    last = int(trace.cycle.max()) if from_trace else (n - 1) * arrival_gap
+    if last + n * max(latencies) >= 1 << 63:
+        raise ValueError("arrival_gap or timing runs the DRAM clock past 2**63 cycles")
+    arrive_arr = (trace.cycle.astype(np.int64) if from_trace
+                  else np.arange(n, dtype=np.int64) * arrival_gap)
+    counts = np.zeros((nbanks, 3), dtype=np.int64)
+    events = np.zeros(n, dtype=np.uint8)
+    latency = np.zeros(2, dtype=np.uint64)
+    # Bypass counts and the window never exceed n, so larger caps and
+    # depths act as n + 1 and n do.
+    _core.load().memloc_simulate(n, bank_arr, row_arr, arrive_arr, nbanks, *latencies,
+                                 min(cap, n + 1) - 1, min(queue_depth, n), counts, events, latency)
+    lo, hi = latency.tolist()
+    return counts, events, (hi << 64 | lo) / n
 
 
 def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
@@ -152,22 +167,11 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         raise ValueError("cap must be >= 1")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
-    arrive_arr = _prepare(trace, arrival, arrival_gap)
-    bank_arr, row_arr = _decompose_trace(trace, scheme, geom)
-    n = len(bank_arr)
-    counts = np.zeros((geom.banks, 3), dtype=np.int64)
-    events = np.zeros(n, dtype=np.uint8)
-    latency = np.zeros(2, dtype=np.uint64)
-    # Bypass counts and the window never exceed n, so larger caps and
-    # depths act as n + 1 and n do.
-    _core.load().memloc_simulate(n, bank_arr, row_arr, arrive_arr, geom.banks, timing.hit,
-                                 timing.closed, timing.conflict, min(cap, n + 1) - 1,
-                                 min(queue_depth, n), counts, events, latency)
-    lo, hi = latency.tolist()
-    hits, misses, conflicts = counts.sum(axis=0).tolist()
+    counts, events, avg_latency = _schedule(
+        trace, arrival, arrival_gap, *_decompose_trace(trace, scheme, geom), geom.banks,
+        (timing.hit, timing.closed, timing.conflict), cap, queue_depth)
     return DramStats(
-        hits=hits, misses=misses, conflicts=conflicts, total=n,
-        avg_latency=(hi << 64 | lo) / n,
+        *counts.sum(axis=0).tolist(), total=len(trace), avg_latency=avg_latency,
         per_bank={int(b): dict(zip(("hits", "misses", "conflicts"), counts[b].tolist()))
                   for b in np.flatnonzero(counts.any(axis=1))},
         events=list(events.tobytes().translate(_EVENT_CHARS).decode()) if collect_events
@@ -178,16 +182,13 @@ def simulate_ideal(trace: Trace, timing: DramTiming = DramTiming(),
                    arrival: str = "from-trace", arrival_gap: int = 4) -> DramStats:
     """Every request serviced at row-hit latency; hit ratio reported as 1.
 
-    All hits mean the scheduler never reorders, so the FCFS service chain
-    t_i = max(t_{i-1}, arrive_i) + t_hit has the closed form below; it
-    reads the arrivals alone, not where the requests map.
+    The scheduler with one row, one slot and one latency serves the oldest
+    request first, t_i = max(t_{i-1}, arrive_i) + t_hit; it maps no address.
     """
-    arrive_arr = _prepare(trace, arrival, arrival_gap)
-    n = len(trace)
-    t_hit = timing.hit
-    idx = np.arange(n, dtype=np.int64)
-    finish = np.maximum.accumulate(arrive_arr - t_hit * idx) + t_hit * (idx + 1)
-    return DramStats(hits=n, total=n, avg_latency=float(np.mean(finish - arrive_arr)))
+    zeros = np.zeros(len(trace), dtype=np.int64)
+    _, _, avg_latency = _schedule(trace, arrival, arrival_gap, zeros, zeros, 1,
+                                  (timing.hit,) * 3, 1, 1)
+    return DramStats(hits=len(trace), total=len(trace), avg_latency=avg_latency)
 
 
 def improvement(actual: DramStats, ideal: DramStats) -> float:

@@ -1,15 +1,17 @@
-"""Python reference loops of memloc's two simulators, its two
-median-bisection builders, its decision-tree induction and its grid
-quantiser.
+"""Python reference loops of memloc's two simulators, the closed form of
+its all-row-hit DRAM bound, its two median-bisection builders, its
+decision-tree induction and its grid quantiser.
 
 The cache filter (CacheHierarchy, driven by _filter_reference), the
-FR-FCFS-Cap scheduler (_simulate_reference), recursive coordinate
-bisection (reorder_rcb_oracle), the kd-tree's order
-(kdtree_order_oracle), the decision tree's nodes (dtree_oracle, with
-its _gini) and the SFC grid (quantize_rows_oracle) in Python and numpy.
-memsys.filter_to_dram, dramsim.simulate, reorder.reorder_rcb,
-kdtree.KdTree, kernels.gen_dtree_trace and sfc.quantize_rows run the
-compiled core, _core.c, which must give identical results; test_oracles.py checks that, and test_memsys.py and
+FR-FCFS-Cap scheduler (_simulate_reference), the all-hit bound
+(ideal_oracle), recursive coordinate bisection (reorder_rcb_oracle),
+the kd-tree's order (kdtree_order_oracle), the decision tree's nodes
+(dtree_oracle, with its _gini) and the SFC grid (quantize_rows_oracle)
+in Python and numpy.  memsys.filter_to_dram, dramsim.simulate,
+dramsim.simulate_ideal, reorder.reorder_rcb, kdtree.KdTree,
+kernels.gen_dtree_trace and sfc.quantize_rows run the compiled core,
+_core.c, which must give identical results; test_oracles.py and
+test_dramsim.py check that, and test_memsys.py and
 test_acceptance.py drive the simulator loops directly.  Imported by the
 tests, not collected as one.
 """
@@ -29,7 +31,7 @@ from memloc.memsys import (
     StridePrefetchConfig,
 )
 from memloc.sfc import QuantizerConfig
-from memloc.traceio import KIND_PREFETCH
+from memloc.traceio import KIND_PREFETCH, Trace
 
 
 class _Level:
@@ -180,7 +182,7 @@ def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
 def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
                         cap: int, queue_depth: int, collect_events: bool) -> DramStats:
     """The FR-FCFS-Cap loop in Python over _decompose_trace's bank and
-    row arrays and _prepare's arrival cycles: the reference for tests."""
+    row arrays and arrival_cycles: the reference for tests."""
     n = len(bank_arr)
     t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
     stats = DramStats(total=n, events=[] if collect_events else None)
@@ -261,6 +263,27 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: Dram
     }
     stats.hits, stats.misses, stats.conflicts = map(sum, zip(*bank_stats.values()))
     return stats
+
+
+def arrival_cycles(trace: Trace, arrival: str, arrival_gap: int) -> np.ndarray:
+    """The int64 arrival cycles the simulators read: the record cycles,
+    or one request every `arrival_gap` cycles from cycle 0."""
+    if arrival == "from-trace":
+        return trace.cycle.astype(np.int64)
+    return np.arange(len(trace), dtype=np.int64) * arrival_gap
+
+
+def ideal_oracle(trace: Trace, timing: DramTiming, arrival: str, arrival_gap: int) -> float:
+    """simulate_ideal's mean latency in closed form.  All hits mean the
+    scheduler never reorders, so the FCFS service chain
+    t_i = max(t_{i-1}, arrive_i) + t_hit has the closed form below; it
+    reads the arrivals alone, not where the requests map."""
+    arrive_arr = arrival_cycles(trace, arrival, arrival_gap)
+    n = len(trace)
+    t_hit = timing.hit
+    idx = np.arange(n, dtype=np.int64)
+    finish = np.maximum.accumulate(arrive_arr - t_hit * idx) + t_hit * (idx + 1)
+    return float(np.mean(finish - arrive_arr))
 
 
 def reorder_rcb_oracle(data: np.ndarray, leaf_size: int) -> np.ndarray:

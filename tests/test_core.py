@@ -205,7 +205,8 @@ def test_inject_writes_no_more_than_its_capacity():
 SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
                    "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle",
-                   "block_by_page_oracle", "block_by_page_lexsort_oracle", "inject_oracle"}
+                   "block_by_page_oracle", "block_by_page_lexsort_oracle", "inject_oracle",
+                   "ideal_oracle"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

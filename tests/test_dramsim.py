@@ -15,6 +15,7 @@ from memloc.dramsim import (
     simulate_ideal,
 )
 from memloc.traceio import Trace
+from reference_models import ideal_oracle
 
 GEOM = DramGeometry()
 TIMING = DramTiming()
@@ -227,7 +228,8 @@ def test_ideal_is_the_scheduler_with_one_latency(requests, arrival, arrival_gap,
     timing = _OneLatency(tCL=tCL, tBURST=tBURST)
     arrivals = {"arrival": arrival, "arrival_gap": arrival_gap}
     actual = simulate(t, timing=timing, cap=cap, queue_depth=queue_depth, **arrivals)
-    assert actual.avg_latency == simulate_ideal(t, timing, **arrivals).avg_latency
+    ideal = simulate_ideal(t, timing, **arrivals).avg_latency
+    assert actual.avg_latency == ideal == ideal_oracle(t, timing, arrival, arrival_gap)
 
 
 class TestImprovement:
@@ -279,8 +281,12 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("sim", [simulate, simulate_ideal])
     def test_negative_arrival_gap_rejected(self, sim):
-        with pytest.raises(ValueError, match="arrival_gap"):
-            sim(trace_of([1, 2, 3]), arrival="fixed-gap", arrival_gap=-50)
+        # Rejected too: a gap or a latency that would run the int64 clock past 2**63.
+        for gap in (-50, 2**62, 2**63):
+            with pytest.raises(ValueError, match="arrival_gap"):
+                sim(trace_of([1, 2, 3]), arrival="fixed-gap", arrival_gap=gap)
+        with pytest.raises(ValueError, match="timing"):
+            sim(trace_of([1, 2, 3]), timing=DramTiming(tCL=2**62))
 
     @pytest.mark.parametrize("sim", [simulate, simulate_ideal])
     def test_shared_checks_apply_to_both(self, sim):

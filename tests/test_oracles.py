@@ -23,6 +23,7 @@ from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trac
 from reference_models import (
     _filter_reference,
     _simulate_reference,
+    arrival_cycles,
     dtree_oracle,
     kdtree_order_oracle,
     quantize_rows_oracle,
@@ -826,7 +827,7 @@ def filter_reference(trace, cache, pf):
 
 def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
     bank, row = dramsim._decompose_trace(trace, scheme, geom)
-    return _simulate_reference(bank, row, dramsim._prepare(trace, arrival, arrival_gap),
+    return _simulate_reference(bank, row, arrival_cycles(trace, arrival, arrival_gap),
                                geom.banks, timing, cap, queue_depth, True)
 
 

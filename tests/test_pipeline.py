@@ -433,7 +433,9 @@ class TestPageMapping:
 def test_bad_dram_queue_settings_fail_fast_with_their_stage():
     base = {"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 200}}
     for dram, what in (({"queue_depth": 0}, "queue_depth"),
-                       ({"arrival": "fixed-gap", "arrival_gap": -50}, "arrival_gap")):
+                       ({"arrival": "fixed-gap", "arrival_gap": -50}, "arrival_gap"),
+                       ({"arrival": "fixed-gap", "arrival_gap": 2**62}, "arrival_gap"),
+                       ({"tCL": 2**62}, "arrival_gap or timing")):
         with pytest.raises(pipeline.PipelineError, match=f"^dramsim: {what}"):
             pipeline.run_pipeline({**base, "dram": dram})
 
@@ -447,6 +449,10 @@ def test_each_dram_trace_is_mapped_once(monkeypatch):
     actual, ideal = pipeline.simulate_dram(trace, pipeline.resolve_config({}))
     assert len(calls) == 1
     assert actual.total == ideal.total == 100 and ideal.per_bank == {}
+    # Nor does the bound call dramsim.simulate, so a wrapper of that
+    # attribute sees one call per actual run.
+    monkeypatch.setattr(dramsim, "simulate", lambda *a, **k: pytest.fail("simulate called"))
+    assert dramsim.simulate_ideal(trace) == ideal and len(calls) == 1
 
 
 def test_defaults_table_matches_the_library_defaults(monkeypatch):

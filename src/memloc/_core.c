@@ -7,12 +7,16 @@
  * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
  * behind KdTree and reports only the rows it examines; memloc_dtree
  * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
- * replays a trace through the three-level LRU filter that
- * memsys.filter_to_dram models; memloc_inject inserts the prefetch
- * records of memsys.inject_sw_prefetch; memloc_simulate runs the
- * FR-FCFS-Cap scheduler behind dramsim.simulate, and also times
- * dramsim.simulate_ideal's all-row-hit bound over one bank, one row,
- * one window slot and one latency; memloc_quantize is the grid
+ * replays a trace's vaddr column through the three-level LRU filter that
+ * memsys.filter_to_dram models, each set a ring in recency order;
+ * memloc_inject inserts the prefetch records of
+ * memsys.inject_sw_prefetch; memloc_simulate runs the FR-FCFS-Cap
+ * scheduler behind dramsim.simulate over a trace's vaddr and cycle
+ * columns, mapping each request to its bank and row by the shifts and
+ * masks dramsim derives from the scheme, and also times
+ * dramsim.simulate_ideal's all-row-hit bound, whose masks of 0 put
+ * every request on one bank and one row, with one window slot and one
+ * latency; memloc_quantize is the grid
  * quantiser behind sfc.quantize_rows, memloc_sfc encodes and
  * radix-sorts the rows for reorder.reorder_sfc, and memloc_block groups
  * the rows of reorder.block_by_page by page.  All must give results
@@ -20,8 +24,9 @@
  * tests/test_dramsim.py compare them against (KdTreeOracle there,
  * sfc.encode and the bit-loop codecs, the two block_by_page oracles and
  * inject_oracle, and the two bisection oracles, dtree_oracle,
- * quantize_rows_oracle, CacheHierarchy, _simulate_reference and, for
- * the bound, the closed form ideal_oracle in tests/reference_models.py).
+ * quantize_rows_oracle, CacheHierarchy, _simulate_reference over
+ * _decompose_trace's mapping and, for the bound, the closed form
+ * ideal_oracle in tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
  * without a C compiler memloc cannot build a kd-tree, an RCB or SFC
  * order, grow a decision tree, block rows by page, inject prefetches,
@@ -39,70 +44,98 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* One set-associative LRU level.  Within a set, ways are in recency
- * order, MRU last, as in the Python lists of the reference _Level. */
+/* One set-associative LRU level.  Each set is a ring of `ways` tags in
+ * recency order: the LRU way at the set's head, the MRU way just before
+ * it (the last way when head is 0).  A fill overwrites the way at head
+ * and advances head, so it moves nothing.  A tag is its line with the
+ * sign bit flipped, line ^ INT64_MIN, so a way never filled, which calloc
+ * zeroed, holds the tag of line INT64_MIN, and no line is INT64_MIN:
+ * trace lines lie in [0, 2^58), and a stride prefetch moves a line by
+ * less than a page's 64 lines times StridePrefetchConfig's bound of 2^56
+ * on degree + distance, so it stays above -2^62.  Unfilled ways sit at
+ * the LRU end of the ring, so fills use them first.  Only L2 keeps
+ * per-way prefetch flags: the helpers take them as `pf`, NULL for L1 and
+ * L3, so each call compiles to its own code. */
 typedef struct {
-    int64_t *line;  /* sets * ways lines */
-    uint8_t *pf;    /* per way: HW-prefetched and not yet demand-hit */
-    int64_t *used;  /* ways in use per set */
+    int64_t *tag;   /* sets * ways tags */
+    int64_t *head;  /* per set: its LRU way */
+    uint8_t *pf;    /* L2 only, per way: HW-prefetched and not yet demand-hit */
     int64_t ways, mask;
 } level;
 
-static int level_init(level *lv, int64_t sets, int64_t ways)
+static int level_init(level *lv, int64_t sets, int64_t ways, int flags)
 {
     lv->ways = ways;
     lv->mask = sets - 1;
-    lv->line = malloc(sets * ways * sizeof *lv->line);
-    lv->pf = calloc(sets * ways, 1);
-    lv->used = calloc(sets, sizeof *lv->used);
-    return lv->line && lv->pf && lv->used ? 0 : -1;
+    lv->tag = calloc(sets * ways, sizeof *lv->tag);
+    lv->head = calloc(sets, sizeof *lv->head);
+    lv->pf = flags ? calloc(sets * ways, 1) : NULL;
+    return lv->tag && lv->head && (lv->pf || !flags) ? 0 : -1;
 }
 
 static void level_free(level *lv)
 {
-    free(lv->line);
+    free(lv->tag);
+    free(lv->head);
     free(lv->pf);
-    free(lv->used);
 }
 
-/* Hit: move the line to MRU and return its way index; miss: -1. */
-static int64_t lookup(level *lv, int64_t line)
+/* Hit: move the line to MRU and return the index of its way; miss: -1.
+ * Every way is compared, with no early exit, so the loop's length does
+ * not depend on where the line is.  A hit in [0, end), the newer run,
+ * which ends at MRU (end is head, or ways when head is 0), moves the
+ * tags after it down one, and the line takes the MRU way, end - 1; a hit
+ * in [head, ways), the older run, moves the tags before it up one, and
+ * the line takes the way at head, which becomes MRU as head advances.
+ * Always inlined, so a NULL pf drops the flag moves from the call's
+ * code. */
+static inline __attribute__((always_inline)) int64_t lookup(level *lv, uint8_t *pf,
+                                                             int64_t line)
 {
-    int64_t base = (line & lv->mask) * lv->ways, n = lv->used[line & lv->mask];
-    for (int64_t i = 0; i < n; i++) {
-        if (lv->line[base + i] != line)
-            continue;
-        uint8_t pf = lv->pf[base + i];
-        memmove(lv->line + base + i, lv->line + base + i + 1, (n - 1 - i) * sizeof *lv->line);
-        memmove(lv->pf + base + i, lv->pf + base + i + 1, n - 1 - i);
-        lv->line[base + n - 1] = line;
-        lv->pf[base + n - 1] = pf;
-        return base + n - 1;
+    int64_t set = line & lv->mask, w = lv->ways, base = set * w, *t = lv->tag + base;
+    int64_t tag = line ^ INT64_MIN, h = lv->head[set], end = h ? h : w, p = -1;
+    for (int64_t q = 0; q < w; q++)
+        p = t[q] == tag ? q : p;
+    if (p < 0)
+        return -1;
+    uint8_t flag = pf ? pf[base + p] : 0;
+    if (p < end) {
+        for (; p < end - 1; p++) {
+            t[p] = t[p + 1];
+            if (pf)
+                pf[base + p] = pf[base + p + 1];
+        }
+    } else {
+        for (; p > h; p--) {
+            t[p] = t[p - 1];
+            if (pf)
+                pf[base + p] = pf[base + p - 1];
+        }
+        lv->head[set] = h + 1 == w ? 0 : h + 1;
     }
-    return -1;
+    t[p] = tag;
+    if (pf)
+        pf[base + p] = flag;
+    return base + p;
 }
 
-static int contains(const level *lv, int64_t line)
+static inline int contains(const level *lv, int64_t line)
 {
-    int64_t base = (line & lv->mask) * lv->ways, n = lv->used[line & lv->mask];
-    for (int64_t i = 0; i < n; i++)
-        if (lv->line[base + i] == line)
+    const int64_t *t = lv->tag + (line & lv->mask) * lv->ways;
+    for (int64_t p = 0; p < lv->ways; p++)
+        if (t[p] == (line ^ INT64_MIN))
             return 1;
     return 0;
 }
 
-/* Insert as MRU, evicting the LRU way (and its flag) when the set is full. */
-static void fill(level *lv, int64_t line, uint8_t pf)
+/* Insert as MRU over the LRU way (an unfilled one while the set has one). */
+static inline void fill(level *lv, uint8_t *pf, int64_t line, uint8_t flag)
 {
-    int64_t set = line & lv->mask, base = set * lv->ways, n = lv->used[set];
-    if (n >= lv->ways) {
-        n = lv->ways - 1;
-        memmove(lv->line + base, lv->line + base + 1, n * sizeof *lv->line);
-        memmove(lv->pf + base, lv->pf + base + 1, n);
-    }
-    lv->line[base + n] = line;
-    lv->pf[base + n] = pf;
-    lv->used[set] = n + 1;
+    int64_t set = line & lv->mask, h = lv->head[set];
+    lv->tag[set * lv->ways + h] = line ^ INT64_MIN;
+    if (pf)
+        pf[set * lv->ways + h] = flag;
+    lv->head[set] = h + 1 == lv->ways ? 0 : h + 1;
 }
 
 /* The stride prefetcher's page table: open addressing, doubled at half load. */
@@ -169,9 +202,10 @@ typedef struct {
 
 static void hw_prefetch(hierarchy *h, int64_t line)
 {
-    if (!contains(&h->lv[1], line)) {
+    level *l2 = &h->lv[1];
+    if (!contains(l2, line)) {
         h->st[6]++;
-        fill(&h->lv[1], line, 1);
+        fill(l2, l2->pf, line, 1);
     }
 }
 
@@ -204,15 +238,16 @@ static int observe(hierarchy *h, int64_t line, int l2_miss)
 /* One demand access: 1 when it misses every level, 0 when not, -1 on no memory. */
 static int demand(hierarchy *h, int64_t line)
 {
+    level *l1 = &h->lv[0], *l2 = &h->lv[1], *l3 = &h->lv[2];
     int64_t *st = h->st;
     st[0]++;
-    if (lookup(&h->lv[0], line) >= 0)
+    if (lookup(l1, NULL, line) >= 0)
         return 0;
     st[3]++;
     st[1]++;
-    int64_t way = lookup(&h->lv[1], line);
-    if (way >= 0 && h->lv[1].pf[way]) {
-        h->lv[1].pf[way] = 0;
+    int64_t way = lookup(l2, l2->pf, line);
+    if (way >= 0 && l2->pf[way]) {
+        l2->pf[way] = 0;
         st[7]++;
     }
     if (way < 0)
@@ -220,45 +255,51 @@ static int demand(hierarchy *h, int64_t line)
     if (h->degree && observe(h, line, way < 0))
         return -1;
     if (way >= 0) {
-        fill(&h->lv[0], line, 0);
+        fill(l1, NULL, line, 0);
         return 0;
     }
     st[2]++;
-    if (lookup(&h->lv[2], line) >= 0) {
-        fill(&h->lv[1], line, 0);
-        fill(&h->lv[0], line, 0);
+    if (lookup(l3, NULL, line) >= 0) {
+        fill(l2, l2->pf, line, 0);
+        fill(l1, NULL, line, 0);
         return 0;
     }
     st[5]++;
-    fill(&h->lv[2], line, 0);
-    fill(&h->lv[1], line, 0);
-    fill(&h->lv[0], line, 0);
+    fill(l3, NULL, line, 0);
+    fill(l2, l2->pf, line, 0);
+    fill(l1, NULL, line, 0);
     st[9]++;
     return 1;
 }
 
-/* Filter n line numbers; keep[i] = 1 for the demand accesses that reach
+/* Filter the n records of vaddr, each the line vaddr >> line_shift,
+ * which memsys's line_shift of 6 keeps below 2^58, as the levels' tags
+ * need: no line, prefetches included, may be INT64_MIN, the line of an
+ * unfilled way's tag 0.  keep[i] = 1 for the demand accesses that reach
  * DRAM.  Records of kind `prefetch_kind` are software prefetches that
  * fill level `sw_level` only.  stats receives the 10 counters in the
- * order of the hierarchy's st. */
-int64_t memloc_filter(int64_t n, const int64_t *lines, const uint8_t *kinds, uint8_t *keep,
-                      const int64_t *sets, const int64_t *ways, int64_t sw_level,
-                      int64_t prefetch_kind, int64_t degree, int64_t distance,
-                      int64_t page_shift, int64_t *stats)
+ * order of the hierarchy's st.  The levels are calloc'd, so a large
+ * cache pages in only the sets the trace touches. */
+int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
+                      const uint8_t *kinds, uint8_t *keep, const int64_t *sets,
+                      const int64_t *ways, int64_t sw_level, int64_t prefetch_kind,
+                      int64_t degree, int64_t distance, int64_t page_shift, int64_t *stats)
 {
     hierarchy h = {.degree = degree, .distance = distance, .page_shift = page_shift,
                    .st = stats};
     int rc = 0;
     for (int k = 0; k < 3; k++)
-        rc |= level_init(&h.lv[k], sets[k], ways[k]);
+        rc |= level_init(&h.lv[k], sets[k], ways[k], k == 1);
     rc |= table_init(&h.pages, 1024);
+    level *sw = &h.lv[sw_level];
     for (int64_t i = 0; i < n && !rc; i++) {
+        int64_t line = (int64_t)(vaddr[i] >> line_shift);
         if (kinds[i] == prefetch_kind) {
             stats[8]++;
-            if (lookup(&h.lv[sw_level], lines[i]) < 0)
-                fill(&h.lv[sw_level], lines[i], 0);
+            if (lookup(sw, sw->pf, line) < 0)
+                fill(sw, sw->pf, line, 0);
         } else {
-            int r = demand(&h, lines[i]);
+            int r = demand(&h, line);
             keep[i] = r > 0;
             rc = r < 0;
         }
@@ -310,16 +351,20 @@ int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
     return o;
 }
 
-/* FR-FCFS-Cap over n requests (bank, row, arrival cycle).  The window
- * holds the `depth` oldest arrived requests in arrival order; the oldest
- * row hit is served first unless an older request in front of it has
- * been bypassed max_bypass times.  counts[bank * 3 + kind] and events[i]
- * get the outcome, kind 0 hit, 1 closed bank, 2 conflict; latency[0..1]
- * the low and high 64 bits of the summed latencies. */
-int64_t memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
-                        const int64_t *arrive, int64_t nbanks, int64_t t_hit,
-                        int64_t t_closed, int64_t t_conflict, int64_t max_bypass,
-                        int64_t depth, int64_t *counts, uint8_t *events, uint64_t *latency)
+/* FR-FCFS-Cap over the n requests of vaddr.  Request i arrives at
+ * cycle[i] when gap < 0 and at i * gap when not, and is on bank
+ * vaddr[i] >> bank_shift & bank_mask, row vaddr[i] >> row_shift &
+ * row_mask, mapped as it enters the window.  The window holds the
+ * `depth` oldest arrived requests in arrival order; the oldest row hit
+ * is served first unless an older request in front of it has been
+ * bypassed max_bypass times.  counts[bank * 3 + kind] and events[i] get
+ * the outcome, kind 0 hit, 1 closed bank, 2 conflict; latency[0..1] the
+ * low and high 64 bits of the summed latencies. */
+int64_t memloc_simulate(int64_t n, const uint64_t *vaddr, const uint32_t *cycle, int64_t gap,
+                        int64_t bank_shift, int64_t bank_mask, int64_t row_shift,
+                        int64_t row_mask, int64_t nbanks, int64_t t_hit, int64_t t_closed,
+                        int64_t t_conflict, int64_t max_bypass, int64_t depth, int64_t *counts,
+                        uint8_t *events, uint64_t *latency)
 {
     /* The window is a ring of entries that keep their request's bank and
      * row, so a scan reads only the window and the open rows, and serving
@@ -340,13 +385,17 @@ int64_t memloc_simulate(int64_t n, const int64_t *bank, const int64_t *row,
     memset(open_row, 0xff, nbanks * sizeof *open_row);
     unsigned __int128 lat = 0;
     int64_t head = 0, len = 0, mask = size - 1, next = 0, served = 0, t = 0;
+    int64_t at = n && gap < 0 ? cycle[0] : 0;  /* request next's arrival */
     while (len || next < n) {
-        while (next < n && len < depth && arrive[next] <= t) {
-            win[(head + len++) & mask] = (entry){bank[next], row[next], arrive[next], 0};
+        while (next < n && len < depth && at <= t) {
+            uint64_t a = vaddr[next];
+            win[(head + len++) & mask] = (entry){(int64_t)(a >> bank_shift) & bank_mask,
+                                                 (int64_t)(a >> row_shift) & row_mask, at, 0};
             next++;
+            at = next == n ? 0 : gap < 0 ? cycle[next] : next * gap;
         }
         if (!len) {
-            t = arrive[next];
+            t = at;
             continue;
         }
         int64_t pick = 0;

@@ -47,9 +47,9 @@ _SIGNATURES = {
                       _F64, _I64, _I64, _array(np.int64), _array(np.int64)],
     "memloc_dtree": [_I64, _I64, _F64, _I64, _array(np.int64), _I64, _I64, _array(np.int64),
                      _array(np.int64)],
-    "memloc_filter": [_I64, _array(np.int64), _U8, _U8, _array(np.int64), _array(np.int64),
+    "memloc_filter": [_I64, _U64, _I64, _U8, _U8, _array(np.int64), _array(np.int64),
                       *[_I64] * 5, _array(np.int64)],
-    "memloc_simulate": [_I64, *[_array(np.int64)] * 3, *[_I64] * 6, _array(np.int64), _U8,
+    "memloc_simulate": [_I64, _U64, _array(np.uint32), *[_I64] * 11, _array(np.int64), _U8,
                         _U64],
     "memloc_quantize": [_I64, _I64, _F64, _F64, _F64, ctypes.c_double, ctypes.c_double, _U64],
     "memloc_sfc": [_I64, _I64, _U64, _I64, _I64, _U64, _array(np.int64)],

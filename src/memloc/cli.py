@@ -80,12 +80,13 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    trace = traceio.read_trace(args.trace)
     cfg = pipeline.resolve_config({
         "cache": {"l1_kb": args.l1_kb, "l2_kb": args.l2_kb, "l3_kb": args.l3_kb},
         "prefetch": {"hw": args.hw_prefetch, "hw_degree": args.hw_degree,
                      "sw_target": args.sw_target}})
-    dram_trace, stats = memsys.filter_to_dram(trace, *pipeline.memory_config(cfg))
+    # No name holds the input trace, so it is freed before the output is written.
+    dram_trace, stats = memsys.filter_to_dram(traceio.read_trace(args.trace),
+                                              *pipeline.memory_config(cfg))
     traceio.write_trace(args.out, dram_trace)
     with open(args.stats, "w", newline="") as f:
         w = csv.writer(f)
@@ -121,9 +122,10 @@ def cmd_dramsim(args) -> int:
 
 def cmd_prefetch(args) -> int:
     trace = traceio.read_trace(args.trace)
-    out = memsys.inject_sw_prefetch(trace, args.distance)
+    n, out = len(trace), memsys.inject_sw_prefetch(trace, args.distance)
+    del trace  # freed before the output is written
     traceio.write_trace(args.out, out)
-    print(f"{len(out)} records ({len(out) - len(trace)} prefetches injected)")
+    print(f"{len(out)} records ({len(out) - n} prefetches injected)")
     return 0
 
 

@@ -9,6 +9,9 @@ latencies: hit tCL+tBURST, closed bank tRCD+tCL+tBURST, conflict
 tRP+tRCD+tCL+tBURST.  simulate runs it in the compiled core (_core.c,
 which needs a C compiler), simulate_ideal too with one row, one slot and
 one latency; tests/reference_models.py holds their Python references.
+The core reads the trace's vaddr and cycle columns and maps each request
+as it enters the scheduler's window, with the bank and row shifts and
+masks that simulate derives from the scheme once per trace.
 """
 
 from __future__ import annotations
@@ -95,16 +98,15 @@ class DramStats:
         return self.hits / self.total if self.total else 0.0
 
 
-def _fields(line, scheme: str, geom: DramGeometry) -> dict:
-    """Split a line number (int or int64 array) into the scheme's fields."""
+def _fields(scheme: str, geom: DramGeometry) -> dict:
+    """name -> (shift, mask) of the scheme's fields: a field of address a
+    is a >> shift & mask."""
     if scheme not in _FIELD_ORDER:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    bits = geom.field_bits()
-    out = {}
+    bits, shift, out = geom.field_bits(), LINE_SHIFT, {}
     for name in _FIELD_ORDER[scheme]:
-        w = bits[name]
-        out[name] = line & ((1 << w) - 1)
-        line >>= w
+        out[name] = (shift, (1 << bits[name]) - 1)
+        shift += bits[name]
     return out
 
 
@@ -114,20 +116,28 @@ def map_address(paddr: int, scheme: str, geom: DramGeometry = DramGeometry()):
 
     Addresses beyond the geometry's capacity wrap modulo capacity.
     """
-    f = _fields(int(paddr) >> LINE_SHIFT, scheme, geom)
+    f = {name: int(paddr) >> shift & mask for name, (shift, mask) in _fields(scheme, geom).items()}
     return (0, 0, f["bank"], f["row"], f["column"])
 
 
-def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
-    """Vectorized (bank, row) arrays."""
-    f = _fields((trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64), scheme, geom)
-    return f["bank"], f["row"]
+def _bank_row(scheme: str, geom: DramGeometry) -> tuple:
+    """(bank shift, bank mask, row shift, row mask) with which the core maps
+    a trace's requests as map_address does.  A vaddr has 64 bits, so a
+    mask keeps the bits below 64 - shift alone, which fit an int64, and a
+    field above them all is (0, 0)."""
+    fields, out = _fields(scheme, geom), ()
+    for name in ("bank", "row"):
+        shift, mask = fields[name]
+        mask &= (1 << max(64 - shift, 0)) - 1
+        out += (shift, mask) if mask else (0, 0)
+    return out
 
 
-def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_arr, row_arr, nbanks: int,
+def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_row: tuple, nbanks: int,
               latencies: tuple, cap: int, queue_depth: int):
     """(per-bank hit/closed/conflict counts, kinds in service order, mean
-    latency) of the compiled scheduler over a checked trace's arrivals."""
+    latency) of the compiled scheduler over a checked trace's arrivals,
+    its requests mapped by bank_row's shifts and masks."""
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
@@ -140,15 +150,16 @@ def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_arr, row_arr, n
     last = int(trace.cycle.max()) if from_trace else (n - 1) * arrival_gap
     if last + n * max(latencies) >= 1 << 63:
         raise ValueError("arrival_gap or timing runs the DRAM clock past 2**63 cycles")
-    arrive_arr = (trace.cycle.astype(np.int64) if from_trace
-                  else np.arange(n, dtype=np.int64) * arrival_gap)
     counts = np.zeros((nbanks, 3), dtype=np.int64)
     events = np.zeros(n, dtype=np.uint8)
     latency = np.zeros(2, dtype=np.uint64)
     # Bypass counts and the window never exceed n, so larger caps and
-    # depths act as n + 1 and n do.
-    _core.load().memloc_simulate(n, bank_arr, row_arr, arrive_arr, nbanks, *latencies,
-                                 min(cap, n + 1) - 1, min(queue_depth, n), counts, events, latency)
+    # depths act as n + 1 and n do.  A gap of -1 takes arrivals from cycles.
+    _core.load().memloc_simulate(n, np.ascontiguousarray(trace.vaddr),
+                                 np.ascontiguousarray(trace.cycle),
+                                 -1 if from_trace else arrival_gap, *bank_row, nbanks,
+                                 *latencies, min(cap, n + 1) - 1, min(queue_depth, n), counts,
+                                 events, latency)
     lo, hi = latency.tolist()
     return counts, events, (hi << 64 | lo) / n
 
@@ -168,7 +179,7 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
     counts, events, avg_latency = _schedule(
-        trace, arrival, arrival_gap, *_decompose_trace(trace, scheme, geom), geom.banks,
+        trace, arrival, arrival_gap, _bank_row(scheme, geom), geom.banks,
         (timing.hit, timing.closed, timing.conflict), cap, queue_depth)
     return DramStats(
         *counts.sum(axis=0).tolist(), total=len(trace), avg_latency=avg_latency,
@@ -183,10 +194,10 @@ def simulate_ideal(trace: Trace, timing: DramTiming = DramTiming(),
     """Every request serviced at row-hit latency; hit ratio reported as 1.
 
     The scheduler with one row, one slot and one latency serves the oldest
-    request first, t_i = max(t_{i-1}, arrive_i) + t_hit; it maps no address.
+    request first, t_i = max(t_{i-1}, arrive_i) + t_hit; its masks of 0 put
+    every request on bank 0, row 0, so it maps no address.
     """
-    zeros = np.zeros(len(trace), dtype=np.int64)
-    _, _, avg_latency = _schedule(trace, arrival, arrival_gap, zeros, zeros, 1,
+    _, _, avg_latency = _schedule(trace, arrival, arrival_gap, (0, 0, 0, 0), 1,
                                   (timing.hit,) * 3, 1, 1)
     return DramStats(hits=len(trace), total=len(trace), avg_latency=avg_latency)
 

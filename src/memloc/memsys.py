@@ -7,7 +7,10 @@ models the default hardware prefetching into L2; software prefetch
 records fill only their target level and are never counted as demand.
 filter_to_dram runs the model and inject_sw_prefetch inserts those
 records in the compiled core (_core.c), which needs a C compiler; the
-Python loops the tests compare them against live in tests/.
+Python loops the tests compare them against live in tests/.  The core
+reads the trace's vaddr and kind columns as they are (a strided column
+is copied once) and keeps each cache set as a ring in recency order, so
+a fill moves no way.
 """
 
 from __future__ import annotations
@@ -109,12 +112,12 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     that miss every level.
     """
     trace.validate()
-    lines = (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
-    keep = np.zeros(len(lines), dtype=np.uint8)
+    keep = np.zeros(len(trace), dtype=np.uint8)
     counts = np.zeros(10, dtype=np.int64)
     degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
     _core.load().memloc_filter(
-        len(lines), lines, np.ascontiguousarray(trace.kind), keep,
+        len(trace), np.ascontiguousarray(trace.vaddr), LINE_SHIFT,
+        np.ascontiguousarray(trace.kind), keep,
         np.array([c.num_sets for c in cache.levels], dtype=np.int64),
         np.array([c.associativity for c in cache.levels], dtype=np.int64),
         LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,

@@ -3,7 +3,8 @@ its all-row-hit DRAM bound, its two median-bisection builders, its
 decision-tree induction and its grid quantiser.
 
 The cache filter (CacheHierarchy, driven by _filter_reference), the
-FR-FCFS-Cap scheduler (_simulate_reference), the all-hit bound
+FR-FCFS-Cap scheduler (_simulate_reference, over _decompose_trace's
+bank and row arrays), the all-hit bound
 (ideal_oracle), recursive coordinate bisection (reorder_rcb_oracle),
 the kd-tree's order (kdtree_order_oracle), the decision tree's nodes
 (dtree_oracle, with its _gini) and the SFC grid (quantize_rows_oracle)
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from memloc.dramsim import DramStats, DramTiming
+from memloc.dramsim import _FIELD_ORDER, DramGeometry, DramStats, DramTiming
 from memloc.memsys import (
     _PAGE_LINES_SHIFT,
     LEVEL_NAMES,
@@ -31,7 +32,7 @@ from memloc.memsys import (
     StridePrefetchConfig,
 )
 from memloc.sfc import QuantizerConfig
-from memloc.traceio import KIND_PREFETCH, Trace
+from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
 
 
 class _Level:
@@ -177,6 +178,18 @@ def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
         elif demand(line):
             keep[i] = True
     return keep, hier.stats
+
+
+def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
+    """(bank, row) int64 arrays of a trace's lines, the scheme's fields
+    taken from the LSB up: the scheduler reference's address mapping."""
+    line = (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
+    bits, fields = geom.field_bits(), {}
+    for name in _FIELD_ORDER[scheme]:
+        width = min(bits[name], 63)  # lines have 58 bits: a wider field takes them all
+        fields[name] = line & ((1 << width) - 1)
+        line = line >> width
+    return fields["bank"], fields["row"]
 
 
 def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,

@@ -81,11 +81,13 @@ class TestLruCorrectness:
             assert hit == oracles[line & 3].access(line)
 
     def test_filter_single_set_l1_matches_stack_distance_oracle(self):
-        oracle = LruOracle(8)
         lines = np.random.default_rng(0).integers(0, 20, 2000)
-        misses = sum(not oracle.access(line) for line in lines.tolist())
-        _, st = filter_to_dram(lines_trace(lines), CacheConfig(l1=LevelConfig(8 * 64, 8)))
-        assert st.demand_misses[0] == misses
+        for ways in (8, 1):
+            oracle = LruOracle(ways)
+            misses = sum(not oracle.access(line) for line in lines.tolist())
+            _, st = filter_to_dram(lines_trace(lines),
+                                   CacheConfig(l1=LevelConfig(ways * 64, ways)))
+            assert st.demand_misses[0] == misses
 
 
 class TestFilterToDram:

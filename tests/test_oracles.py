@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memloc import _core, dramsim, kernels, memsys, reorder, sfc
+from memloc import _core, dramsim, kernels, memsys, reorder, sfc, traceio
 from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
 from reference_models import (
+    _decompose_trace,
     _filter_reference,
     _simulate_reference,
     arrival_cycles,
@@ -826,7 +827,7 @@ def filter_reference(trace, cache, pf):
 
 
 def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
-    bank, row = dramsim._decompose_trace(trace, scheme, geom)
+    bank, row = _decompose_trace(trace, scheme, geom)
     return _simulate_reference(bank, row, arrival_cycles(trace, arrival, arrival_gap),
                                geom.banks, timing, cap, queue_depth, True)
 
@@ -851,11 +852,14 @@ def assert_same_dram(got, want):
 
 @st.composite
 def cache_setups(draw):
-    """Tiny caches (1-4 sets, 2-4 ways), HW prefetch on or off, any SW target."""
+    """Tiny caches (1-4 sets, 1-4 ways), HW prefetch on or off (its degree
+    + distance up to the 2**56 bound, so prefetch lines reach past
+    +-2**61), any SW target."""
     levels = [memsys.LevelConfig(draw(st.sampled_from([1, 2, 4])) * ways * 64, ways)
-              for ways in draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))]
-    hw = draw(st.one_of(st.none(), st.builds(memsys.StridePrefetchConfig,
-                                              st.integers(1, 4), st.integers(1, 4))))
+              for ways in draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))]
+    degree = draw(st.integers(1, 4))
+    distance = draw(st.sampled_from([1, 2, 3, 4, (1 << 56) - degree]))
+    hw = draw(st.sampled_from([None, memsys.StridePrefetchConfig(degree, distance)]))
     return memsys.CacheConfig(*levels), memsys.PrefetchConfig(hw, draw(st.sampled_from(
         memsys.LEVEL_NAMES)))
 
@@ -864,7 +868,8 @@ def cache_setups(draw):
 def line_traces(draw):
     """Strided runs over a few pages, ascending and descending (down to
     line 0, so stride prefetches go negative), then revisits of earlier
-    lines, mixed with SW prefetches."""
+    lines, mixed with SW prefetches; on some draws all moved up to just
+    below the last line, 2**58 - 1, so vaddrs near 2**64."""
     lines = []
     for _ in range(draw(st.integers(1, 12))):
         start = draw(st.integers(0, 3)) * 64 + draw(st.integers(0, 12))
@@ -873,6 +878,8 @@ def line_traces(draw):
                                          stride or 1) if line >= 0]
     lines = lines or [0]
     lines += draw(st.lists(st.sampled_from(lines), max_size=60))
+    top = draw(st.sampled_from([0, 0, (1 << 58) - 256]))
+    lines = [line + top for line in lines]
     kinds = draw(st.lists(st.sampled_from([0, 0, 0, 1, KIND_PREFETCH]),
                           min_size=len(lines), max_size=len(lines)))
     return Trace.from_addresses(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT), kinds)
@@ -888,7 +895,7 @@ def test_filter_core_matches_cache_hierarchy(trace, setup):
 
 @pytest.mark.parametrize("target", memsys.LEVEL_NAMES)
 @pytest.mark.parametrize("hw", [None, memsys.StridePrefetchConfig(4, 3)])
-def test_filter_core_matches_on_a_long_trace(target, hw):
+def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     rng = np.random.default_rng(7)
     sweep = np.tile(np.arange(512, dtype=np.uint64) * 64, 3)  # between L1 and L2 size
     vaddr = np.concatenate([rng.integers(0, 1 << 26, 3000, dtype=np.uint64),
@@ -897,17 +904,27 @@ def test_filter_core_matches_on_a_long_trace(target, hw):
     cache = memsys.CacheConfig(memsys.LevelConfig(4096, 4), memsys.LevelConfig(16384, 8),
                                memsys.LevelConfig(65536, 16))
     pf = memsys.PrefetchConfig(hw, target)
-    assert_same_filter(memsys.filter_to_dram(trace, cache, pf), filter_reference(trace, cache, pf))
+    got = memsys.filter_to_dram(trace, cache, pf)
+    assert_same_filter(got, filter_reference(trace, cache, pf))
+    # A trace read from a file, whose columns are strided views, gives the same.
+    traceio.write_trace(tmp_path / "t.trace", trace)
+    read = traceio.read_trace(tmp_path / "t.trace")
+    assert not read.vaddr.flags.c_contiguous and not read.kind.flags.c_contiguous
+    assert_same_filter(memsys.filter_to_dram(read, cache, pf), got)
 
 
 @st.composite
 def dram_cases(draw):
     """Requests on a tiny geometry (1-4 banks, 4 rows of 2 lines), so
-    rows collide; bursty cycles and every scheduler setting."""
-    geom = dramsim.DramGeometry(banks=draw(st.sampled_from([1, 2, 4])), rows_per_bank=4,
-                                row_size_bytes=128)
+    rows collide, or on one whose rows or columns take more bits than a
+    vaddr has; lines past the capacity, on some draws near the last line,
+    2**58 - 1; bursty cycles and every scheduler setting."""
+    rows, row_bytes = draw(st.sampled_from([(4, 128), (4, 128), (2**70, 128), (4, 2**70)]))
+    geom = dramsim.DramGeometry(banks=draw(st.sampled_from([1, 2, 4])), rows_per_bank=rows,
+                                row_size_bytes=row_bytes)
     n = draw(st.integers(1, 80))
-    lines = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+    top = draw(st.sampled_from([0, 0, 1 << 20, (1 << 58) - 64]))
+    lines = [top + line for line in draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))]
     gaps = draw(st.lists(st.sampled_from([0, 0, 1, 4, 30]), min_size=n, max_size=n))
     trace = Trace(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT),
                   np.cumsum(gaps, dtype=np.int64), np.zeros(n, np.uint8))
@@ -928,7 +945,7 @@ def test_simulate_core_matches_reference(case):
 
 
 @pytest.mark.parametrize("cap, depth", [(1, 32), (4, 32), (10 ** 30, 10 ** 30), (3, 1)])
-def test_simulate_core_matches_on_a_long_trace(cap, depth):
+def test_simulate_core_matches_on_a_long_trace(cap, depth, tmp_path):
     rng = np.random.default_rng(11)
     trace = Trace(rng.integers(0, 1 << 30, 5000, dtype=np.uint64) & ~np.uint64(63),
                   np.cumsum(rng.integers(0, 40, 5000)), np.zeros(5000, np.uint8))
@@ -937,3 +954,12 @@ def test_simulate_core_matches_on_a_long_trace(cap, depth):
                            collect_events=True)
     assert_same_dram(got, simulate_reference(trace, geom, timing, "ChRaBaRoCo", cap,
                                              "from-trace", 4, depth))
+    # A trace read from a file, whose columns are strided views, gives the same.
+    traceio.write_trace(tmp_path / "t.trace", trace)
+    read = traceio.read_trace(tmp_path / "t.trace")
+    assert not read.vaddr.flags.c_contiguous and not read.cycle.flags.c_contiguous
+    assert_same_dram(dramsim.simulate(read, geom, timing, "ChRaBaRoCo", cap, "from-trace", 4,
+                                      depth, collect_events=True), got)
+    for arrival in ("from-trace", "fixed-gap"):
+        assert dramsim.simulate_ideal(read, timing, arrival) == dramsim.simulate_ideal(
+            trace, timing, arrival)

@@ -441,10 +441,10 @@ def test_bad_dram_queue_settings_fail_fast_with_their_stage():
 
 
 def test_each_dram_trace_is_mapped_once(monkeypatch):
-    # The all-hits bound reads arrivals only; simulate alone maps addresses.
-    real, calls = dramsim._decompose_trace, []
-    monkeypatch.setattr(dramsim, "_decompose_trace",
-                        lambda *a: calls.append(1) or real(*a))
+    # The all-hits bound reads arrivals only; simulate alone derives the
+    # shifts and masks that map addresses.
+    real, calls = dramsim._bank_row, []
+    monkeypatch.setattr(dramsim, "_bank_row", lambda *a: calls.append(1) or real(*a))
     trace = traceio.Trace.from_addresses(np.arange(100, dtype=np.uint64) * 4096)
     actual, ideal = pipeline.simulate_dram(trace, pipeline.resolve_config({}))
     assert len(calls) == 1

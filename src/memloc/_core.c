@@ -8,7 +8,8 @@
  * behind KdTree and reports only the rows it examines; memloc_dtree
  * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
  * replays a trace's vaddr column through the three-level LRU filter that
- * memsys.filter_to_dram models, each set a ring in recency order;
+ * memsys.filter_to_dram models, each set a ring in recency order, and
+ * reports the level that served each record;
  * memloc_inject inserts the prefetch records of
  * memsys.inject_sw_prefetch; memloc_simulate runs the FR-FCFS-Cap
  * scheduler behind dramsim.simulate over a trace's vaddr and cycle
@@ -197,14 +198,14 @@ typedef struct {
     level lv[3];
     table pages;
     int64_t degree, distance, page_shift;  /* degree 0: no HW prefetcher */
-    int64_t *st;  /* accesses[3], misses[3], hw issued, hw useful, sw seen, dram */
+    int64_t *st;  /* HW prefetches issued, HW prefetches useful */
 } hierarchy;
 
 static void hw_prefetch(hierarchy *h, int64_t line)
 {
     level *l2 = &h->lv[1];
     if (!contains(l2, line)) {
-        h->st[6]++;
+        h->st[0]++;
         fill(l2, l2->pf, line, 1);
     }
 }
@@ -235,53 +236,41 @@ static int observe(hierarchy *h, int64_t line, int l2_miss)
     return 0;
 }
 
-/* One demand access: 1 when it misses every level, 0 when not, -1 on no memory. */
+/* One demand access: the level that served it (3 for DRAM), -1 on no memory. */
 static int demand(hierarchy *h, int64_t line)
 {
     level *l1 = &h->lv[0], *l2 = &h->lv[1], *l3 = &h->lv[2];
-    int64_t *st = h->st;
-    st[0]++;
     if (lookup(l1, NULL, line) >= 0)
         return 0;
-    st[3]++;
-    st[1]++;
     int64_t way = lookup(l2, l2->pf, line);
     if (way >= 0 && l2->pf[way]) {
         l2->pf[way] = 0;
-        st[7]++;
+        h->st[1]++;
     }
-    if (way < 0)
-        st[4]++;
     if (h->degree && observe(h, line, way < 0))
         return -1;
     if (way >= 0) {
         fill(l1, NULL, line, 0);
-        return 0;
+        return 1;
     }
-    st[2]++;
-    if (lookup(l3, NULL, line) >= 0) {
-        fill(l2, l2->pf, line, 0);
-        fill(l1, NULL, line, 0);
-        return 0;
-    }
-    st[5]++;
-    fill(l3, NULL, line, 0);
+    int dram = lookup(l3, NULL, line) < 0;
+    if (dram)
+        fill(l3, NULL, line, 0);
     fill(l2, l2->pf, line, 0);
     fill(l1, NULL, line, 0);
-    st[9]++;
-    return 1;
+    return 2 + dram;
 }
 
 /* Filter the n records of vaddr, each the line vaddr >> line_shift,
  * which memsys's line_shift of 6 keeps below 2^58, as the levels' tags
  * need: no line, prefetches included, may be INT64_MIN, the line of an
- * unfilled way's tag 0.  keep[i] = 1 for the demand accesses that reach
- * DRAM.  Records of kind `prefetch_kind` are software prefetches that
- * fill level `sw_level` only.  stats receives the 10 counters in the
- * order of the hierarchy's st.  The levels are calloc'd, so a large
- * cache pages in only the sets the trace touches. */
+ * unfilled way's tag 0.  served[i] = 0-2 when an L1-L3 hit serves the
+ * demand access i, 3 when DRAM does, and 4 when record i is of kind
+ * `prefetch_kind`, a software prefetch that fills level `sw_level` only.
+ * stats receives the hierarchy's 2 counters, st.  The levels are
+ * calloc'd, so a large cache pages in only the sets the trace touches. */
 int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
-                      const uint8_t *kinds, uint8_t *keep, const int64_t *sets,
+                      const uint8_t *kinds, uint8_t *served, const int64_t *sets,
                       const int64_t *ways, int64_t sw_level, int64_t prefetch_kind,
                       int64_t degree, int64_t distance, int64_t page_shift, int64_t *stats)
 {
@@ -295,12 +284,12 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
     for (int64_t i = 0; i < n && !rc; i++) {
         int64_t line = (int64_t)(vaddr[i] >> line_shift);
         if (kinds[i] == prefetch_kind) {
-            stats[8]++;
+            served[i] = 4;
             if (lookup(sw, sw->pf, line) < 0)
                 fill(sw, sw->pf, line, 0);
         } else {
             int r = demand(&h, line);
-            keep[i] = r > 0;
+            served[i] = (uint8_t)r;
             rc = r < 0;
         }
     }

@@ -9,8 +9,9 @@ filter_to_dram runs the model and inject_sw_prefetch inserts those
 records in the compiled core (_core.c), which needs a C compiler; the
 Python loops the tests compare them against live in tests/.  The core
 reads the trace's vaddr and kind columns as they are (a strided column
-is copied once) and keeps each cache set as a ring in recency order, so
-a fill moves no way.
+is copied once), keeps each cache set as a ring in recency order, so a
+fill moves no way, and reports the level that served each record, from
+which filter_to_dram takes the DRAM trace and all but the HW counters.
 """
 
 from __future__ import annotations
@@ -104,6 +105,21 @@ class MemsysStats:
         return self.demand_misses[level] / acc if acc else 0.0
 
 
+def _levels(trace: Trace, cache: CacheConfig, pf: PrefetchConfig):
+    """The compiled filter's level per record (see memloc_filter) and [HW issued, HW useful]."""
+    level = np.empty(len(trace), dtype=np.uint8)
+    hw = np.zeros(2, dtype=np.int64)
+    degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
+    _core.load().memloc_filter(
+        len(trace), np.ascontiguousarray(trace.vaddr), LINE_SHIFT,
+        np.ascontiguousarray(trace.kind), level,
+        np.array([c.num_sets for c in cache.levels], dtype=np.int64),
+        np.array([c.associativity for c in cache.levels], dtype=np.int64),
+        LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
+        degree, distance, _PAGE_LINES_SHIFT, hw)
+    return level, hw.tolist()
+
+
 def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
                    pf: PrefetchConfig = PrefetchConfig()):
     """Simulate the hierarchy; return (dram_trace, stats).
@@ -112,20 +128,12 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     that miss every level.
     """
     trace.validate()
-    keep = np.zeros(len(trace), dtype=np.uint8)
-    counts = np.zeros(10, dtype=np.int64)
-    degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
-    _core.load().memloc_filter(
-        len(trace), np.ascontiguousarray(trace.vaddr), LINE_SHIFT,
-        np.ascontiguousarray(trace.kind), keep,
-        np.array([c.num_sets for c in cache.levels], dtype=np.int64),
-        np.array([c.associativity for c in cache.levels], dtype=np.int64),
-        LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
-        degree, distance, _PAGE_LINES_SHIFT, counts)
-    keep = keep.view(bool)
-    c = counts.tolist()
+    level, hw = _levels(trace, cache, pf)
+    l2, l3, dram, sw = (int(np.count_nonzero(level == k)) for k in range(1, 5))
+    misses = [l2 + l3 + dram, l3 + dram, dram]  # a level's misses are the next one's accesses
+    keep = level == 3
     return (Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]),
-            MemsysStats(c[0:3], c[3:6], *c[6:]))
+            MemsysStats([len(level) - sw, *misses[:2]], misses, *hw, sw, dram))
 
 
 def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:

@@ -15,7 +15,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,6 +114,9 @@ def simulate_dram(dram_trace, cfg: dict):
     geom = dramsim.DramGeometry(**pick("banks", "rows_per_bank", "row_size_bytes"))
     timing = dramsim.DramTiming(**pick("tCL", "tRCD", "tRP", "tBURST"))
     arrivals = pick("arrival", "arrival_gap")
+    # One contiguous copy of each strided column (read_trace's) serves both runs.
+    dram_trace = replace(dram_trace, vaddr=np.ascontiguousarray(dram_trace.vaddr),
+                         cycle=np.ascontiguousarray(dram_trace.cycle))
     return (dramsim.simulate(dram_trace, geom, timing, **arrivals,
                              **pick("scheme", "cap", "queue_depth")),
             dramsim.simulate_ideal(dram_trace, timing, **arrivals))

@@ -2,19 +2,19 @@
 its all-row-hit DRAM bound, its two median-bisection builders, its
 decision-tree induction and its grid quantiser.
 
-The cache filter (CacheHierarchy, driven by _filter_reference), the
-FR-FCFS-Cap scheduler (_simulate_reference, over _decompose_trace's
-bank and row arrays), the all-hit bound
-(ideal_oracle), recursive coordinate bisection (reorder_rcb_oracle),
-the kd-tree's order (kdtree_order_oracle), the decision tree's nodes
-(dtree_oracle, with its _gini) and the SFC grid (quantize_rows_oracle)
-in Python and numpy.  memsys.filter_to_dram, dramsim.simulate,
-dramsim.simulate_ideal, reorder.reorder_rcb, kdtree.KdTree,
-kernels.gen_dtree_trace and sfc.quantize_rows run the compiled core,
-_core.c, which must give identical results; test_oracles.py and
-test_dramsim.py check that, and test_memsys.py and
-test_acceptance.py drive the simulator loops directly.  Imported by the
-tests, not collected as one.
+The cache filter (CacheHierarchy, driven by _filter_reference, which
+reports the level that served each record and keeps its own counters),
+the FR-FCFS-Cap scheduler (_simulate_reference, over _decompose_trace's
+bank and row arrays), the all-hit bound (ideal_oracle), recursive
+coordinate bisection (reorder_rcb_oracle), the kd-tree's order
+(kdtree_order_oracle), the decision tree's nodes (dtree_oracle, with
+its _gini) and the SFC grid (quantize_rows_oracle) in Python and numpy.
+memsys.filter_to_dram, dramsim.simulate, dramsim.simulate_ideal,
+reorder.reorder_rcb, kdtree.KdTree, kernels.gen_dtree_trace and
+sfc.quantize_rows run the compiled core, _core.c, which must give
+identical results; test_oracles.py and test_dramsim.py check that, and
+test_memsys.py and test_acceptance.py drive the simulator loops
+directly.  Imported by the tests, not collected as one.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ class CacheHierarchy:
         if victim is not None:
             self.pf_lines.discard(victim)  # evicted unused -> stays useless
 
-    def access_demand(self, line: int) -> bool:
-        """Returns True when the access misses all levels (reaches DRAM)."""
+    def access_demand(self, line: int) -> int:
+        """Returns the level that served the access: 0-2 for L1-L3, 3 for DRAM."""
         st = self.stats
         st.demand_accesses[0] += 1
         if self.levels[0].lookup(line):
-            return False
+            return 0
         st.demand_misses[0] += 1
         st.demand_accesses[1] += 1
         l2_hit = self.levels[1].lookup(line)
@@ -139,18 +139,18 @@ class CacheHierarchy:
                     self._fill_l2(pline, prefetched=True)
         if l2_hit:
             self.levels[0].fill(line)
-            return False
+            return 1
         st.demand_accesses[2] += 1
         if self.levels[2].lookup(line):
             self._fill_l2(line, prefetched=False)
             self.levels[0].fill(line)
-            return False
+            return 2
         st.demand_misses[2] += 1
         self.levels[2].fill(line)
         self._fill_l2(line, prefetched=False)
         self.levels[0].fill(line)
         st.dram_demand_accesses += 1
-        return True
+        return 3
 
     def access_prefetch(self, line: int) -> bool:
         """Software prefetch: fills only the target level; not demand."""
@@ -166,18 +166,21 @@ class CacheHierarchy:
 
 def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
                       pf: PrefetchConfig):
-    """(keep mask, stats) of the Python loop over CacheHierarchy: the
-    reference for tests."""
+    """(level per record, stats) of the Python loop over CacheHierarchy:
+    the reference for tests.  A demand record's level is the one that
+    served it (3 for DRAM), a prefetch record's 4; the stats are the
+    hierarchy's own counters, not derived from the levels."""
     hier = CacheHierarchy(cache, pf)
-    keep = np.zeros(len(lines), dtype=bool)
     demand = hier.access_demand
     prefetch = hier.access_prefetch
+    level = np.empty(len(lines), dtype=np.uint8)
     for i, (line, kind) in enumerate(zip(lines.tolist(), kinds.tolist())):
         if kind == KIND_PREFETCH:
             prefetch(line)
-        elif demand(line):
-            keep[i] = True
-    return keep, hier.stats
+            level[i] = 4
+        else:
+            level[i] = demand(line)
+    return level, hier.stats
 
 
 def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):

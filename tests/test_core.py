@@ -202,6 +202,27 @@ def test_inject_writes_no_more_than_its_capacity():
             *(a[:capacity] for a in (expected.vaddr, expected.cycle, expected.kind)))
 
 
+def test_filter_writes_every_level_and_two_counters():
+    # A counter written past the caller's two slots would corrupt the heap
+    # silently; here it would land on the sentinel.  A random walk over 400
+    # lines, repeated, then a sweep, software prefetched into L3 with the
+    # HW prefetcher on, is served at every level.
+    rng = np.random.default_rng(3)
+    lines = np.concatenate([np.tile(rng.integers(0, 400, 200), 20), np.arange(600)])
+    trace = memsys.inject_sw_prefetch(
+        traceio.Trace.from_addresses(lines.astype(np.uint64) * 64), 4)
+    level = np.full(len(trace), 7, np.uint8)
+    stats = np.array([0, 0, 7], np.int64)
+    sets_and_ways = np.array([4, 8, 16], np.int64)
+    _core.load().memloc_filter(len(trace), trace.vaddr, traceio.LINE_SHIFT, trace.kind, level,
+                               sets_and_ways, sets_and_ways, 2, traceio.KIND_PREFETCH, 2, 1,
+                               memsys._PAGE_LINES_SHIFT, stats)
+    counts = np.bincount(level)  # no sentinel left, and each of levels 0-4 seen
+    assert len(counts) == 5 and counts.min() > 0
+    assert (level == 4).tolist() == (trace.kind == traceio.KIND_PREFETCH).tolist()
+    assert stats[0] > stats[1] > 0 and stats[2] == 7
+
+
 SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
                    "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle",

@@ -9,6 +9,7 @@ from memloc.memsys import (
     LevelConfig,
     PrefetchConfig,
     StridePrefetchConfig,
+    _levels,
     filter_to_dram,
     inject_sw_prefetch,
 )
@@ -227,10 +228,13 @@ class TestSwPrefetch:
     def test_filter_prefetch_fills_only_target(self, target, misses):
         t = lines_trace([500, 500])
         t.kind[0] = KIND_PREFETCH
-        out, st = filter_to_dram(t, pf=PrefetchConfig(sw_target=target))
+        pf = PrefetchConfig(sw_target=target)
+        out, st = filter_to_dram(t, pf=pf)
         assert st.demand_accesses == [1] + misses[:2]
         assert st.demand_misses == misses
         assert len(out) == 0
+        # The prefetch record is level 4; the target level serves the demand access.
+        assert _levels(t, CacheConfig(), pf)[0].tolist() == [4, sum(misses)]
 
     def test_demand_output_excludes_prefetch_misses_by_default(self):
         t = lines_trace([1, 2, 3, 4, 5])

@@ -819,11 +819,17 @@ def test_kdtree_order_matches_lexsort_oracle(data):
 
 # The compiled core against the Python loops.
 
+def filter_core(trace, cache, pf):
+    """filter_to_dram's (DRAM trace, stats) and the core's level per record."""
+    return (*memsys.filter_to_dram(trace, cache, pf), memsys._levels(trace, cache, pf)[0])
+
+
 def filter_reference(trace, cache, pf):
-    """filter_to_dram over the Python CacheHierarchy loop."""
-    keep, stats = _filter_reference(
+    """filter_core over the Python CacheHierarchy loop."""
+    level, stats = _filter_reference(
         (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64), trace.kind, cache, pf)
-    return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats
+    keep = level == 3
+    return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats, level
 
 
 def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
@@ -833,8 +839,9 @@ def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, q
 
 
 def assert_same_filter(got, want):
-    (dram, stats), (dram_ref, stats_ref) = got, want
+    (dram, stats, level), (dram_ref, stats_ref, level_ref) = got, want
     assert dram == dram_ref
+    assert level.tolist() == level_ref.tolist()
     assert vars(stats) == vars(stats_ref)
     for value in (*stats.demand_accesses, *stats.demand_misses, stats.hw_prefetches_issued,
                   stats.hw_prefetches_useful, stats.sw_prefetches_seen,
@@ -889,8 +896,7 @@ def line_traces(draw):
 @given(line_traces(), cache_setups())
 def test_filter_core_matches_cache_hierarchy(trace, setup):
     cache, pf = setup
-    assert_same_filter(memsys.filter_to_dram(trace, cache, pf),
-                       filter_reference(trace, cache, pf))
+    assert_same_filter(filter_core(trace, cache, pf), filter_reference(trace, cache, pf))
 
 
 @pytest.mark.parametrize("target", memsys.LEVEL_NAMES)
@@ -904,13 +910,13 @@ def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     cache = memsys.CacheConfig(memsys.LevelConfig(4096, 4), memsys.LevelConfig(16384, 8),
                                memsys.LevelConfig(65536, 16))
     pf = memsys.PrefetchConfig(hw, target)
-    got = memsys.filter_to_dram(trace, cache, pf)
+    got = filter_core(trace, cache, pf)
     assert_same_filter(got, filter_reference(trace, cache, pf))
     # A trace read from a file, whose columns are strided views, gives the same.
     traceio.write_trace(tmp_path / "t.trace", trace)
     read = traceio.read_trace(tmp_path / "t.trace")
     assert not read.vaddr.flags.c_contiguous and not read.kind.flags.c_contiguous
-    assert_same_filter(memsys.filter_to_dram(read, cache, pf), got)
+    assert_same_filter(filter_core(read, cache, pf), got)
 
 
 @st.composite

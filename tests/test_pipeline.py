@@ -445,9 +445,16 @@ def test_each_dram_trace_is_mapped_once(monkeypatch):
     # shifts and masks that map addresses.
     real, calls = dramsim._bank_row, []
     monkeypatch.setattr(dramsim, "_bank_row", lambda *a: calls.append(1) or real(*a))
-    trace = traceio.Trace.from_addresses(np.arange(100, dtype=np.uint64) * 4096)
+    # Columns strided as read_trace's are copied once, for both runs.
+    schedule, traces = dramsim._schedule, []
+    monkeypatch.setattr(dramsim, "_schedule", lambda t, *a: traces.append(t) or schedule(t, *a))
+    rec = np.zeros(100, traceio.RECORD_DTYPE)
+    rec["vaddr"] = np.arange(100) * 4096
+    rec["cycle"] = np.arange(100) * 4
+    trace = traceio.Trace(rec["vaddr"], rec["cycle"], rec["kind"])
     actual, ideal = pipeline.simulate_dram(trace, pipeline.resolve_config({}))
-    assert len(calls) == 1
+    assert len(calls) == 1 and traces[0] is traces[1]
+    assert traces[0].vaddr.flags.c_contiguous and traces[0].cycle.flags.c_contiguous
     assert actual.total == ideal.total == 100 and ideal.per_bank == {}
     # Nor does the bound call dramsim.simulate, so a wrapper of that
     # attribute sees one call per actual run.
@@ -469,7 +476,7 @@ def test_defaults_table_matches_the_library_defaults(monkeypatch):
         def record(trace, *args, _name=name, **kw):
             calls[_name] = (args, kw)
         monkeypatch.setattr(dramsim, name, record)
-    pipeline.simulate_dram(None, cfg)
+    pipeline.simulate_dram(traceio.Trace.empty(), cfg)
     assert set(calls) == set(signatures)
     for name, (args, kw) in calls.items():
         params = signatures[name]

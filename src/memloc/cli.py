@@ -1,8 +1,11 @@
 """Command-line driver.
 
 Subcommands: gen, reorder, filter, dramsim, prefetch, pipeline,
-report.  Exit code is 0 on success; failures print a stage-tagged
-message to stderr and exit nonzero.
+report.  The stage subcommands read one pipeline config (`--config`);
+a flag that is given overrides the key its dest names (`--l3-kb` sets
+`cache.l3_kb`), so a chain of stages reproduces a pipeline's `baseline`
+and `sw-prefetch` rows.  Exit code is 0 on success; failures print a
+stage-tagged message to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -20,12 +23,25 @@ import numpy as np
 
 from . import dramsim, memsys, pipeline, reorder, traceio
 
-DEFAULTS = pipeline.DEFAULTS
-
 
 def _fail(stage: str, msg: str) -> int:
     print(f"memloc: {stage}: {msg}", file=sys.stderr)
     return 1
+
+
+def _config(args) -> dict:
+    """The resolved config of a stage call: the `--config` document with
+    each given flag set at the key its dest names ("cache.l3_kb")."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or (section or key) not in pipeline.DEFAULTS:
+            continue
+        # A section that is not an object is left for resolve_config to reject.
+        target = doc.setdefault(section, {}) if section and isinstance(doc, dict) else doc
+        if isinstance(target, dict):
+            target[key] = value
+    return pipeline.resolve_config(doc)
 
 
 def _save_rows(path, rows: np.ndarray, row_stride_bytes: int):
@@ -36,9 +52,7 @@ def _save_rows(path, rows: np.ndarray, row_stride_bytes: int):
 
 
 def cmd_gen(args) -> int:
-    prefix = args.out
-    kernel = {k: v for k, v in vars(args).items() if k in DEFAULTS["kernel"]}
-    ctx = pipeline.build_kernel({"seed": args.seed, "kernel": kernel})
+    prefix, ctx = args.out, pipeline.build_kernel(_config(args))
     trace, rows, _ = ctx.generate()
     for suffix, matrix in ((".data", ctx.data), (".queries", ctx.queries)):
         if matrix is not None:
@@ -52,17 +66,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reorder(args) -> int:
-    method = args.method
+    method, cfg = args.method, _config(args)
     data = reorder.load_dataset(args.dataset) if args.dataset else None
     rows = np.fromfile(args.rows, dtype="<i8") if args.rows else None
-    stride, sidecar = args.row_stride, Path(f"{args.rows}.json")
+    stride, sidecar = cfg["kernel"]["row_stride_bytes"], Path(f"{args.rows}.json")
     if stride is None and args.rows and sidecar.is_file():
         # memloc gen records the row stride of the rows it writes.
         stride = json.loads(sidecar.read_text())["row_stride_bytes"]
-    params = {"sfc_bits": args.bits, "rcb_leaf_size": args.leaf_size,
-              "block_window": args.window}
     t0 = time.perf_counter()
-    perm, blocked = pipeline.reorder_by(method, params, kind=args.kernel, points=data,
+    perm, blocked = pipeline.reorder_by(method, cfg, kind=cfg["kernel"]["kind"], points=data,
                                         rows=rows, n=None if data is None else len(data),
                                         row_stride_bytes=stride)
     overhead = time.perf_counter() - t0
@@ -80,10 +92,7 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    cfg = pipeline.resolve_config({
-        "cache": {"l1_kb": args.l1_kb, "l2_kb": args.l2_kb, "l3_kb": args.l3_kb},
-        "prefetch": {"hw": args.hw_prefetch, "hw_degree": args.hw_degree,
-                     "sw_target": args.sw_target}})
+    cfg = _config(args)
     # No name holds the input trace, so it is freed before the output is written.
     dram_trace, stats = memsys.filter_to_dram(traceio.read_trace(args.trace),
                                               *pipeline.memory_config(cfg))
@@ -102,12 +111,11 @@ def cmd_filter(args) -> int:
 
 
 def cmd_dramsim(args) -> int:
-    trace = traceio.read_trace(args.trace)
-    stats, ideal = pipeline.simulate_dram(trace, pipeline.resolve_config(
-        {"dram": {"scheme": args.scheme, "cap": args.cap, "arrival": args.arrival}}))
+    cfg = _config(args)
+    stats, ideal = pipeline.simulate_dram(traceio.read_trace(args.trace), cfg)
     header = ["trace", "scheme", "cap", "hits", "misses", "conflicts",
               "hit_ratio", "avg_latency", "ideal_latency", "improvement_pct"]
-    row = [args.trace, args.scheme, args.cap, stats.hits, stats.misses,
+    row = [args.trace, cfg["dram"]["scheme"], cfg["dram"]["cap"], stats.hits, stats.misses,
            stats.conflicts, f"{stats.hit_ratio:.6f}", f"{stats.avg_latency:.4f}",
            f"{ideal.avg_latency:.4f}", f"{dramsim.improvement(stats, ideal):.4f}"]
     new = not Path(args.stats).exists()
@@ -121,8 +129,8 @@ def cmd_dramsim(args) -> int:
 
 
 def cmd_prefetch(args) -> int:
-    trace = traceio.read_trace(args.trace)
-    n, out = len(trace), memsys.inject_sw_prefetch(trace, args.distance)
+    distance, trace = _config(args)["prefetch"]["sw_distance"], traceio.read_trace(args.trace)
+    n, out = len(trace), memsys.inject_sw_prefetch(trace, distance)
     del trace  # freed before the output is written
     traceio.write_trace(args.out, out)
     print(f"{len(out)} records ({len(out) - n} prefetches injected)")
@@ -178,59 +186,51 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Memory-locality trace toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    kd = DEFAULTS["kernel"]
-    g = sub.add_parser("gen", help="generate a dataset and kernel trace")
-    g.add_argument("--kind", required=True, choices=pipeline.KERNELS)
-    g.add_argument("--n", type=int, required=True)
-    for name, typ in (("m", int), ("k", int), ("queries", int), ("radius", float),
-                      ("max_depth", int), ("count", int), ("clusters", int)):
-        g.add_argument("--" + name.replace("_", "-"), type=typ, default=kd[name])
-    g.add_argument("--layout", choices=["contiguous", "shuffled"], default=kd["layout"])
-    g.add_argument("--row-stride", dest="row_stride_bytes", type=int,
-                   default=kd["row_stride_bytes"])
-    g.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    g.add_argument("--out", required=True, help="output path prefix")
-    g.set_defaults(func=cmd_gen)
+    def stage(name, func, help, *paths):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--config", help="pipeline config JSON; given flags override its keys")
+        for path in paths:
+            sp.add_argument(path, required=True)
+        sp.set_defaults(func=func)
+        return sp
 
-    r = sub.add_parser("reorder", help="build and apply a reordering")
+    # Each flag's dest is the config key it overrides; None leaves the key unset.
+    g = stage("gen", cmd_gen, "generate a dataset and kernel trace")
+    g.add_argument("--kind", dest="kernel.kind", choices=pipeline.KERNELS)
+    for name, typ in (("n", int), ("m", int), ("k", int), ("queries", int), ("radius", float),
+                      ("max_depth", int), ("count", int), ("clusters", int)):
+        g.add_argument("--" + name.replace("_", "-"), dest="kernel." + name, type=typ)
+    g.add_argument("--layout", dest="kernel.layout", choices=["contiguous", "shuffled"])
+    g.add_argument("--row-stride", dest="kernel.row_stride_bytes", type=int)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--out", required=True, help="output path prefix")
+
+    r = stage("reorder", cmd_reorder, "build and apply a reordering")
     r.add_argument("--method", required=True, choices=pipeline.REORDERINGS)
     r.add_argument("--dataset", help="dataset path (raw f64 + .json sidecar)")
     r.add_argument("--rows", help="access row sequence (raw i64)")
-    r.add_argument("--kernel", help="kernel kind, for applicability checks")
-    r.add_argument("--bits", type=int, default=DEFAULTS["sfc_bits"])
-    r.add_argument("--leaf-size", type=int, default=DEFAULTS["rcb_leaf_size"])
-    r.add_argument("--window", type=int, default=DEFAULTS["block_window"])
-    r.add_argument("--row-stride", type=int)
+    r.add_argument("--kernel", dest="kernel.kind", help="kernel kind, for applicability checks")
+    r.add_argument("--bits", dest="sfc_bits", type=int)
+    r.add_argument("--leaf-size", dest="rcb_leaf_size", type=int)
+    r.add_argument("--window", dest="block_window", type=int)
+    r.add_argument("--row-stride", dest="kernel.row_stride_bytes", type=int)
     r.add_argument("--out", required=True, help="output path prefix")
-    r.set_defaults(func=cmd_reorder)
 
-    f = sub.add_parser("filter", help="filter a trace through the cache hierarchy")
-    f.add_argument("--trace", required=True)
-    f.add_argument("--out", required=True)
-    f.add_argument("--stats", required=True)
+    f = stage("filter", cmd_filter, "filter a trace through the cache hierarchy",
+              "--trace", "--out", "--stats")
     for level in ("l1_kb", "l2_kb", "l3_kb"):
-        f.add_argument("--" + level.replace("_", "-"), type=int,
-                       default=DEFAULTS["cache"][level])
-    f.add_argument("--hw-prefetch", action="store_true")
-    f.add_argument("--hw-degree", type=int, default=DEFAULTS["prefetch"]["hw_degree"])
-    f.add_argument("--sw-target", default=DEFAULTS["prefetch"]["sw_target"],
-                   choices=memsys.LEVEL_NAMES)
-    f.set_defaults(func=cmd_filter)
+        f.add_argument("--" + level.replace("_", "-"), dest="cache." + level, type=int)
+    f.add_argument("--hw-prefetch", dest="prefetch.hw", action="store_true", default=None)
+    f.add_argument("--hw-degree", dest="prefetch.hw_degree", type=int)
+    f.add_argument("--sw-target", dest="prefetch.sw_target", choices=memsys.LEVEL_NAMES)
 
-    d = sub.add_parser("dramsim", help="simulate DRAM over a trace")
-    d.add_argument("--trace", required=True)
-    d.add_argument("--stats", required=True)
-    d.add_argument("--scheme", default=DEFAULTS["dram"]["scheme"], choices=dramsim.SCHEMES)
-    d.add_argument("--cap", type=int, default=DEFAULTS["dram"]["cap"])
-    d.add_argument("--arrival", default=DEFAULTS["dram"]["arrival"],
-                   choices=["from-trace", "fixed-gap"])
-    d.set_defaults(func=cmd_dramsim)
+    d = stage("dramsim", cmd_dramsim, "simulate DRAM over a trace", "--trace", "--stats")
+    d.add_argument("--scheme", dest="dram.scheme", choices=dramsim.SCHEMES)
+    d.add_argument("--cap", dest="dram.cap", type=int)
+    d.add_argument("--arrival", dest="dram.arrival", choices=["from-trace", "fixed-gap"])
 
-    pf = sub.add_parser("prefetch", help="inject software prefetch records")
-    pf.add_argument("--trace", required=True)
-    pf.add_argument("--out", required=True)
-    pf.add_argument("--distance", type=int, default=DEFAULTS["prefetch"]["sw_distance"])
-    pf.set_defaults(func=cmd_prefetch)
+    pf = stage("prefetch", cmd_prefetch, "inject software prefetch records", "--trace", "--out")
+    pf.add_argument("--distance", dest="prefetch.sw_distance", type=int)
 
     pl = sub.add_parser("pipeline", help="run experiment configs end to end")
     pl.add_argument("--config", nargs="+", required=True)

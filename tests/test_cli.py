@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memloc import pipeline, reorder, traceio
+from memloc import cli, pipeline, reorder, traceio
 from memloc.cli import main, render_report
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_pipeline.json").read_text())
 
 
 def run(argv):
@@ -55,6 +57,16 @@ class TestGen:
                     "--max-depth", "3", "--out", tmp_path / "dt"]) == 0
         assert len(traceio.read_trace(tmp_path / "db.trace")) > 0
         assert len(traceio.read_trace(tmp_path / "dt.trace")) > 0
+
+    @pytest.mark.parametrize("config", [None, {"seed": 2, "kernel": {"n": 100}}])
+    def test_missing_kind_fails_at_config(self, tmp_path, capsys, config):
+        argv = ["gen", "--n", "100", "--out", tmp_path / "g"]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv += ["--config", tmp_path / "c.json"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == \
+            f"memloc: config: kernel.kind must be one of {pipeline.KERNELS}\n"
 
 
 class TestReorder:
@@ -326,3 +338,115 @@ class TestPipelineJobs:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("memloc: pipeline: --jobs")
         assert pools == []
+
+
+DTREE = next(c["config"] for c in GOLDEN if c["config"]["kernel"]["kind"] == "dtree")
+
+
+def stage_argv(stage, d, *extra):
+    """`stage` with its required arguments and then `extra`.  No input
+    file under `d` exists, so a config error must come before a read."""
+    required = {
+        "gen": ["--out", d / "o"],
+        "reorder": ["--method", "block", "--rows", d / "r", "--out", d / "o"],
+        "prefetch": ["--trace", d / "t", "--out", d / "o"],
+        "filter": ["--trace", d / "t", "--out", d / "o", "--stats", d / "s"],
+        "dramsim": ["--trace", d / "t", "--stats", d / "s"],
+    }
+    return [stage, *required[stage], *extra]
+
+
+class TestStageConfig:
+    @pytest.mark.parametrize("stage, text, flags, err", [
+        ("filter", '{"cache": 512}', ["--l3-kb", "64"], "config: cache must be an object\n"),
+        ("dramsim", '{"dram": null}', ["--cap", "2"], "config: dram must be an object\n"),
+        ("gen", "[1, 2]", ["--kind", "gather"], "config: the config must be an object\n"),
+        ("prefetch", '"x"', ["--distance", "4"], "config: the config must be an object\n"),
+        ("reorder", '{"kernel": {"kind": "knn", "rows": 9}}', ["--window", "8"],
+         "config: unknown key 'kernel.rows'\n"),
+        ("filter", None, ["--l3-kb", "64"],
+         "filter: [Errno 2] No such file or directory: '{config}'\n"),
+        ("dramsim", "{", [], "dramsim: Expecting property name"),
+        ("gen", "", ["--kind", "gather"], "gen: Expecting value"),
+    ], ids=["section-not-object", "null-section", "list-document", "string-document",
+            "unknown-key", "missing-file", "unparsable", "empty-file"])
+    def test_bad_config_fails_with_its_stage(self, tmp_path, capsys, stage, text, flags, err):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert run(stage_argv(stage, tmp_path, "--config", path, *flags)) == 1
+        assert capsys.readouterr().err.startswith("memloc: " + err.format(config=path))
+
+    @pytest.mark.parametrize("stage, config, flags, expected", [
+        ("filter", {"cache": {"l2_kb": 32, "l3_kb": 512}}, ["--l3-kb", "64"],
+         {"cache.l3_kb": 64, "cache.l2_kb": 32, "cache.l1_kb": 32}),
+        ("filter", {"prefetch": {"hw": True, "hw_distance": 3}}, ["--hw-degree", "4"],
+         {"prefetch.hw": True, "prefetch.hw_distance": 3, "prefetch.hw_degree": 4}),
+        ("prefetch", {"prefetch": {"sw_distance": 4}}, ["--distance", "8"],
+         {"prefetch.sw_distance": 8}),
+        ("dramsim", DTREE, ["--cap", "4"],
+         {"dram.cap": 4, "dram.arrival": "fixed-gap", "dram.arrival_gap": 30}),
+        ("gen", {"seed": 4, "kernel": {"kind": "knn", "n": 50}}, ["--n", "70"],
+         {"seed": 4, "kernel.kind": "knn", "kernel.n": 70}),
+        ("reorder", {"sfc_bits": 5, "kernel": {"row_stride_bytes": 32}}, ["--bits", "7"],
+         {"sfc_bits": 7, "kernel.row_stride_bytes": 32}),
+    ])
+    def test_a_flag_overrides_only_the_key_it_names(self, tmp_path, stage, config, flags,
+                                                     expected):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = stage_argv(stage, tmp_path, "--config", tmp_path / "c.json", *flags)
+        cfg = cli._config(cli.build_parser().parse_args([str(a) for a in argv]))
+        for path, value in expected.items():
+            section, _, key = path.rpartition(".")
+            assert (cfg[section] if section else cfg)[key] == value
+
+    def test_flags_beat_the_config_end_to_end(self, gather_prefix, tmp_path):
+        trace = f"{gather_prefix}.trace"
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"cache": {"l3_kb": 512}, "prefetch": {"sw_distance": 4}}))
+        (tmp_path / "c64.json").write_text(json.dumps({"cache": {"l3_kb": 64}}))
+        assert run(["prefetch", "--config", tmp_path / "c.json", "--trace", trace,
+                    "--distance", "8", "--out", tmp_path / "pf"]) == 0
+        assert (traceio.read_trace(tmp_path / "pf").kind == 2).sum() == 10000 - 8
+        for name, argv in (("flag", ["--config", tmp_path / "c.json", "--l3-kb", "64"]),
+                           ("c64", ["--config", tmp_path / "c64.json"]),
+                           ("c512", ["--config", tmp_path / "c.json"])):
+            assert run(["filter", *argv, "--trace", trace, "--out", tmp_path / f"{name}.dram",
+                        "--stats", tmp_path / f"{name}.csv"]) == 0
+        flag = (tmp_path / "flag.dram").read_bytes()
+        assert flag == (tmp_path / "c64.dram").read_bytes()
+        assert flag != (tmp_path / "c512.dram").read_bytes()
+
+
+def chain_row(case, tmp_path, variant):
+    """The pipeline row fields a gen -> prefetch -> filter -> dramsim
+    chain run with the case's config reports for `variant`."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(case["config"]))
+    trace = tmp_path / ("g.trace" if variant == "baseline" else "pf.trace")
+    stats = {name: tmp_path / f"{variant}.{name}.csv" for name in ("filter", "dram")}
+    assert run(["gen", "--config", config, "--out", tmp_path / "g"]) == 0
+    if variant == "sw-prefetch":
+        assert run(["prefetch", "--config", config, "--trace", tmp_path / "g.trace",
+                    "--out", trace]) == 0
+    assert run(["filter", "--config", config, "--trace", trace, "--out", tmp_path / "d.trace",
+                "--stats", stats["filter"]]) == 0
+    assert run(["dramsim", "--config", config, "--trace", tmp_path / "d.trace",
+                "--stats", stats["dram"]]) == 0
+    (dram,) = pipeline.read_csv(stats["dram"])
+    levels = {r["level"]: r for r in pipeline.read_csv(stats["filter"])}
+    return {"records": len(traceio.read_trace(trace)),
+            "dram_requests": sum(int(dram[k]) for k in ("hits", "misses", "conflicts")),
+            **{k: float(dram[k]) for k in ("hit_ratio", "avg_latency", "ideal_latency",
+                                           "improvement_pct")},
+            "l2_miss_ratio": float(levels["L2"]["miss_ratio"]),
+            "useless_prefetch_fraction": float(levels["useless_fraction"]["demand_accesses"])}
+
+
+@pytest.mark.parametrize("variant", ["baseline", "sw-prefetch"])
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["config"]["kernel"]["kind"] for c in GOLDEN])
+def test_chain_reproduces_the_golden_rows(case, variant, tmp_path):
+    """A stage chain run with a pipeline's config gives that pipeline's row."""
+    (row,) = (r for r in case["rows"] if r["variant"] == variant)
+    got = chain_row(case, tmp_path, variant)
+    assert got == {k: row[k] for k in got}

@@ -1,10 +1,13 @@
 /* Compiled core of memloc's kd-tree, its recursive coordinate bisection,
- * its decision-tree induction, its space-filling-curve row order, its
- * page blocking, its software-prefetch injection and its two sequential
- * simulators, and their only implementation in the package.
+ * its first-touch order, its decision-tree induction, its
+ * space-filling-curve row order, its page blocking, its software-prefetch
+ * injection and its two sequential simulators, and their only
+ * implementation in the package.
  *
  * memloc_bisect builds the median-bisection order behind kdtree.KdTree
- * and reorder.reorder_rcb; memloc_kdtree runs the pruned kd-tree walk
+ * and reorder.reorder_rcb by selection, sorting only RCB's leaves;
+ * memloc_first_touch orders the rows of reorder.reorder_first_touch by
+ * first touch in one pass; memloc_kdtree runs the pruned kd-tree walk
  * behind KdTree and reports only the rows it examines; memloc_dtree
  * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
  * replays a trace's vaddr column through the three-level LRU filter that
@@ -23,15 +26,16 @@
  * the rows of reorder.block_by_page by page.  All must give results
  * identical to the Python references that tests/test_oracles.py and
  * tests/test_dramsim.py compare them against (KdTreeOracle there,
- * sfc.encode and the bit-loop codecs, the two block_by_page oracles and
- * inject_oracle, and the two bisection oracles, dtree_oracle,
+ * sfc.encode and the bit-loop codecs, first_touch_oracle, the two
+ * block_by_page oracles and inject_oracle, and the two bisection
+ * oracles, dtree_oracle,
  * quantize_rows_oracle, CacheHierarchy, _simulate_reference over
  * _decompose_trace's mapping and, for the bound, the closed form
  * ideal_oracle in tests/reference_models.py).
  * _core.py compiles this file on first use and loads it with ctypes;
- * without a C compiler memloc cannot build a kd-tree, an RCB or SFC
- * order, grow a decision tree, block rows by page, inject prefetches,
- * filter or simulate.
+ * without a C compiler memloc cannot build a kd-tree, an RCB,
+ * first-touch or SFC order, grow a decision tree, block rows by page,
+ * inject prefetches, filter or simulate.
  *
  * Every function writes its results into arrays its caller allocated and
  * returns an int64_t: memloc_kdtree, which allocates nothing, the next
@@ -420,16 +424,44 @@ int64_t memloc_simulate(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
     return 0;
 }
 
-/* A row and its value on the axis being sorted: the stable sort's unit. */
+/* A row and its value on the split axis of the subtree it lies in. */
 typedef struct {
     double key;
     int64_t row;
 } keyed;
 
-/* Stable sort of a[0 .. len) by key, with tmp (len pairs) as scratch:
- * insertion sort on runs of 16, then bottom-up merges that take the
- * left run's pair on equal keys. */
-static void stable_sort(keyed *a, keyed *tmp, int64_t len)
+/* The order that a stable sort on the split axis at depth d would give
+ * a subtree.  Before that sort the subtree holds its rows in its
+ * parent's sorted order, and the root holds them by row index, so the
+ * sort orders rows by their value on path[d], then on path[d - 1], ...,
+ * path[0] (the ancestors' split axes, nearest first), then by row: a
+ * total order, under which -0.0 and 0.0 are equal values. */
+typedef struct {
+    const double *data;
+    int64_t m, depth;
+    const int64_t *path;
+} rank;
+
+/* x before y among rows whose keys are equal: by the ancestors' axes. */
+static __attribute__((noinline)) int tied_before(const rank *c, int64_t x, int64_t y)
+{
+    const double *p = c->data + x * c->m, *q = c->data + y * c->m;
+    for (int64_t d = c->depth - 1; d >= 0; d--)
+        if (p[c->path[d]] != q[c->path[d]])
+            return p[c->path[d]] < q[c->path[d]];
+    return x < y;
+}
+
+static inline int before(const rank *c, const keyed *x, const keyed *y)
+{
+    if (x->key != y->key)
+        return x->key < y->key;
+    return tied_before(c, x->row, y->row);
+}
+
+/* Sort a[0 .. len) by rank c, with tmp (len pairs) as scratch:
+ * insertion sort on runs of 16, then bottom-up merges. */
+static void sort_ranked(const rank *c, keyed *a, keyed *tmp, int64_t len)
 {
     enum { RUN = 16 };
     for (int64_t lo = 0; lo < len; lo += RUN) {
@@ -437,7 +469,7 @@ static void stable_sort(keyed *a, keyed *tmp, int64_t len)
         for (int64_t i = lo + 1; i < hi; i++) {
             keyed x = a[i];
             int64_t j = i;
-            for (; j > lo && x.key < a[j - 1].key; j--)
+            for (; j > lo && before(c, &x, &a[j - 1]); j--)
                 a[j] = a[j - 1];
             a[j] = x;
         }
@@ -451,7 +483,7 @@ static void stable_sort(keyed *a, keyed *tmp, int64_t len)
             while (i < mid && j < hi) {
                 /* Select an index, not a pair, so the compiler need not
                  * branch on the comparison, which data make random. */
-                int right = src[j].key < src[i].key;
+                int right = before(c, &src[j], &src[i]);
                 dst[k++] = src[right ? j : i];
                 j += right;
                 i += !right;
@@ -469,30 +501,108 @@ static void stable_sort(keyed *a, keyed *tmp, int64_t len)
         memcpy(a, src, len * sizeof *a);
 }
 
-/* Median bisection of the n x m row-major matrix data.  order holds n
- * row indices (arange(n) on entry); every subtree of positions [lo, hi)
- * with more than `leaf` rows is stably sorted by one axis and split.
- * The kd-tree (rcb = 0) splits on axis depth % m and keeps its node at
- * mid = lo + (hi - lo) / 2, with subtrees [lo, mid) and [mid + 1, hi).
- * Recursive coordinate bisection (rcb = 1) splits on the axis of widest
- * max - min spread, the lowest index on ties, into [lo, lo + (hi - lo +
- * 1) / 2) and the rest. */
+/* Move the pair of rank k (0 <= k < len) by c to a[k], the pairs
+ * ranked below it before it and the rest after it: Hoare's FIND around
+ * the median of the pairs at the quartiles and the middle, with runs of
+ * up to 16 pairs insertion-sorted.  As in Musser's introselect, a range
+ * that is still not narrowed after 2 log2(len) partitions is sorted
+ * instead, so no input takes quadratic time. */
+static void select_ranked(const rank *c, keyed *a, keyed *tmp, int64_t len, int64_t k)
+{
+    int64_t l = 0, r = len - 1, budget = 0;
+    for (int64_t left = len; left > 1; left >>= 1)
+        budget += 2;
+    while (r - l >= 16) {
+        if (budget-- == 0) {
+            sort_ranked(c, a + l, tmp, r - l + 1);
+            return;
+        }
+        keyed *u = &a[l + (r - l) / 4], *v = &a[l + (r - l) / 2], *w = &a[r - (r - l) / 4];
+        if (before(c, v, u)) {
+            keyed *t = u;
+            u = v;
+            v = t;
+        }
+        keyed *p = before(c, w, v) ? (before(c, w, u) ? u : w) : v, x = *p;
+        *p = a[r];
+        /* Partition a[l .. r) into tmp, the pairs ranked below x from its
+         * front and the others from its back.  Each pair is stored at
+         * both ends, so no branch and no load waits on the comparison;
+         * the slot that is not its own is overwritten later. */
+        int64_t below = 0, above = r - l;
+        for (int64_t i = l; i < r; i++) {
+            int lt = before(c, &a[i], &x);
+            tmp[below] = a[i];
+            tmp[above] = a[i];
+            below += lt;
+            above -= !lt;
+        }
+        tmp[below] = x;
+        memcpy(a + l, tmp, (r - l + 1) * sizeof *a);
+        int64_t s = l + below;
+        if (k < s)
+            r = s - 1;
+        else if (k > s)
+            l = s + 1;
+        else
+            return;
+    }
+    sort_ranked(c, a + l, tmp, r - l + 1);
+}
+
+/* The axis of widest max - min spread over the rows of a[0 .. len),
+ * the lowest on ties: one axis at a time, so its bounds stay in
+ * registers. */
+static int64_t widest_axis(const double *data, int64_t m, const keyed *a, int64_t len)
+{
+    int64_t ax = 0;
+    double widest = 0.0;
+    for (int64_t j = 0; j < m; j++) {
+        double low = data[a[0].row * m + j], high = low;
+        for (int64_t i = 1; i < len; i++) {
+            double v = data[a[i].row * m + j];
+            low = v < low ? v : low;
+            high = v > high ? v : high;
+        }
+        if (j == 0 || high - low > widest) {
+            widest = high - low;
+            ax = j;
+        }
+    }
+    return ax;
+}
+
+/* Median bisection of the n x m row-major matrix data into order, which
+ * gets the n row indices.  The result is that of stably sorting every
+ * subtree of positions [lo, hi) with more than `leaf` rows by one axis,
+ * starting from row order, and splitting it.  The kd-tree (rcb = 0)
+ * splits on axis depth % m and keeps its node at mid = lo + (hi - lo) /
+ * 2, with subtrees [lo, mid) and [mid + 1, hi).  Recursive coordinate
+ * bisection (rcb = 1) splits on the axis of widest max - min spread,
+ * the lowest index on ties, into [lo, lo + (hi - lo + 1) / 2) and the
+ * rest.  Only the rows each side gets and, in a leaf, their order fix
+ * that result, so a split selects the pair of its rank (select_ranked)
+ * and only a leaf of two rows or more is sorted, by its parent's rank. */
 int64_t memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
                       int64_t leaf, int64_t rcb)
 {
     /* Frame depths rise strictly from the bottom of the stack, and no
-     * subtree of fewer than 2^63 rows is 64 levels deep. */
+     * subtree of fewer than 2^63 rows is 64 levels deep.  path[d] is the
+     * split axis at depth d on the way to the subtree being split; a
+     * frame's ancestors are all shallower than every frame above it, so
+     * their axes stay in place until it is popped. */
     struct {
         int64_t lo, hi, depth;
     } stack[64];
+    int64_t path[64];
     keyed *a = malloc(n * sizeof *a), *tmp = malloc(n * sizeof *tmp);
-    double *low = malloc(2 * m * sizeof *low), *high = low + m;
-    if (!a || !tmp || !low) {
+    if (!a || !tmp) {
         free(a);
         free(tmp);
-        free(low);
         return -1;
     }
+    for (int64_t i = 0; i < n; i++)
+        a[i].row = i;
     int64_t top = 1;
     stack[0].lo = 0;
     stack[0].hi = n;
@@ -501,37 +611,25 @@ int64_t memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
         top--;
         int64_t lo = stack[top].lo, hi = stack[top].hi, depth = stack[top].depth;
         while (hi - lo > leaf) {
-            int64_t len = hi - lo, ax = depth % m;
-            if (rcb) {
-                memcpy(low, data + order[lo] * m, m * sizeof *low);
-                memcpy(high, low, m * sizeof *high);
-                for (int64_t i = lo + 1; i < hi; i++) {
-                    const double *p = data + order[i] * m;
-                    for (int64_t j = 0; j < m; j++) {
-                        low[j] = p[j] < low[j] ? p[j] : low[j];
-                        high[j] = p[j] > high[j] ? p[j] : high[j];
-                    }
-                }
-                ax = 0;
-                for (int64_t j = 1; j < m; j++)
-                    if (high[j] - low[j] > high[ax] - low[ax])
-                        ax = j;
-            }
-            for (int64_t i = 0; i < len; i++)
-                a[i] = (keyed){data[order[lo + i] * m + ax], order[lo + i]};
-            stable_sort(a, tmp, len);
-            for (int64_t i = 0; i < len; i++)
-                order[lo + i] = a[i].row;
+            int64_t len = hi - lo, ax = rcb ? widest_axis(data, m, a + lo, len) : depth % m;
+            for (int64_t i = lo; i < hi; i++)
+                a[i].key = data[a[i].row * m + ax];
+            path[depth] = ax;
             int64_t left = rcb ? (len + 1) / 2 : len / 2;
+            select_ranked(&(rank){data, m, depth, path}, a + lo, tmp, len, left);
             stack[top].lo = lo + left + !rcb;
             stack[top].hi = hi;
             stack[top++].depth = ++depth;
             hi = lo + left;
         }
+        /* A leaf keeps its parent's order; its keys are its parent's. */
+        if (depth && hi - lo > 1)
+            sort_ranked(&(rank){data, m, depth - 1, path}, a + lo, tmp, hi - lo);
     }
+    for (int64_t i = 0; i < n; i++)
+        order[i] = a[i].row;
     free(a);
     free(tmp);
-    free(low);
     return 0;
 }
 
@@ -952,6 +1050,28 @@ int64_t memloc_sfc(int64_t n, int64_t m, const uint64_t *grid, int64_t bits, int
     free(x);
     free(count);
     free(tmp);
+    return 0;
+}
+
+/* The rows of [0, n) in order of first touch in seq[0 .. len), whose
+ * rows the caller checked to lie in [0, n), then the rows seq never
+ * touches, ascending, into out (n slots): one pass with a seen byte per
+ * row, and one over the bytes. */
+int64_t memloc_first_touch(int64_t len, const int64_t *seq, int64_t n, int64_t *out)
+{
+    uint8_t *seen = calloc(n ? n : 1, 1); /* calloc(0) may return NULL */
+    if (!seen)
+        return -1;
+    int64_t k = 0;
+    for (int64_t i = 0; i < len; i++)
+        if (!seen[seq[i]]) {
+            seen[seq[i]] = 1;
+            out[k++] = seq[i];
+        }
+    for (int64_t row = 0; row < n; row++)
+        if (!seen[row])
+            out[k++] = row;
+    free(seen);
     return 0;
 }
 

@@ -5,10 +5,11 @@ The library is compiled with the system C compiler into
 when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
 rebuilt and an unchanged one is only loaded.  The core is memloc's only
-kd-tree build and walk, recursive coordinate bisection, decision-tree
-induction, SFC quantiser and row order, page blocking, prefetch
-injection, cache filter and DRAM scheduler, so memloc needs a C compiler
-(``cc``): when the core cannot be built or loaded, :func:`load` raises OSError.
+kd-tree build and walk, recursive coordinate bisection, first-touch
+order, decision-tree induction, SFC quantiser and row order, page
+blocking, prefetch injection, cache filter and DRAM scheduler, so memloc
+needs a C compiler (``cc``): when the core cannot be built or loaded,
+:func:`load` raises OSError.
 
 Every core function takes int64s, doubles and C-contiguous numpy
 arrays, writes its results into arrays its caller allocated, and
@@ -56,6 +57,7 @@ _SIGNATURES = {
     "memloc_inject": [_I64, _U64, _array(np.uint32), _U8, _I64, _I64, _I64, _U64,
                       _array(np.uint32), _U8],
     "memloc_block": [_I64, *[_array(np.int64)] * 2, _I64, _array(np.int64)],
+    "memloc_first_touch": [_I64, _array(np.int64), _I64, _array(np.int64)],
 }
 
 
@@ -126,3 +128,11 @@ def load():
     if isinstance(lib, OSError):
         raise lib.with_traceback(None)  # drop the last raise's frames
     return lib
+
+
+def prepare() -> None:
+    """Build or load the core now, so that a timer started after this
+    call times none of that.  A core that cannot be built raises
+    nothing here: :func:`load` raises its OSError in the stage that
+    needs the core."""
+    _open()

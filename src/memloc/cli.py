@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dramsim, memsys, pipeline, reorder, traceio
+from . import _core, dramsim, memsys, pipeline, reorder, traceio
 
 
 def _fail(stage: str, msg: str) -> int:
@@ -73,6 +73,7 @@ def cmd_reorder(args) -> int:
     if stride is None and args.rows and sidecar.is_file():
         # memloc gen records the row stride of the rows it writes.
         stride = json.loads(sidecar.read_text())["row_stride_bytes"]
+    _core.prepare()  # a first build or load of the core is not the reordering's overhead
     t0 = time.perf_counter()
     perm, blocked = pipeline.reorder_by(method, cfg, kind=cfg["kernel"]["kind"], points=data,
                                         rows=rows, n=None if data is None else len(data),

@@ -31,14 +31,16 @@ def feature_matrix(data) -> np.ndarray:
 
 def median_bisect(data: np.ndarray, leaf_size: int, rcb: bool) -> np.ndarray:
     """Row indices of `data`, a C-contiguous float64 (n, m) array with
-    n, m >= 1, in median-bisection order, built by the compiled core:
-    every subtree of more than `leaf_size` rows (1 <= leaf_size <= n) is
-    stably sorted on one axis and split at its median.  The kd-tree
-    (rcb False) splits on axis depth % m around the node described
-    above; recursive coordinate bisection (rcb True) on the axis of
-    widest spread, lowest index on ties, the left half taking the
-    middle row of an odd subtree."""
-    order = np.arange(len(data), dtype=np.int64)
+    n, m >= 1, in median-bisection order: the order that stably sorting
+    every subtree of more than `leaf_size` rows (1 <= leaf_size <= n) on
+    one axis and splitting it at its median gives, starting from row
+    order.  The kd-tree (rcb False) splits on axis depth % m around the
+    node described above; recursive coordinate bisection (rcb True) on
+    the axis of widest spread, lowest index on ties, the left half
+    taking the middle row of an odd subtree.  The compiled core finds
+    each split by selection on the order those sorts imply, and sorts
+    only the leaves of two rows or more."""
+    order = np.empty(len(data), dtype=np.int64)
     _core.load().memloc_bisect(len(data), data.shape[1], data, order, leaf_size, rcb)
     return order
 

@@ -196,8 +196,8 @@ def make_clustered(n: int, m: int, clusters: int, seed: int = 0,
     centers = rng.random((clusters, m))
     sizes = np.full(clusters, n // clusters)
     sizes[: n % clusters] += 1
-    parts = [centers[c] + rng.normal(0.0, spread, (sizes[c], m)) for c in range(clusters)]
-    data = np.vstack(parts)
+    data = rng.normal(0.0, spread, (n, m))
+    data += np.repeat(centers, sizes, axis=0)
     if layout == "shuffled":
         data = data[rng.permutation(n)]
     elif layout != "contiguous":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dramsim, kernels, memsys, reorder
+from . import _core, dramsim, kernels, memsys, reorder
 
 CSV_FIELDS = [
     "config_hash", "variant", "records", "dram_requests",
@@ -85,6 +85,8 @@ def resolve_config(config: dict, defaults: dict = DEFAULTS, prefix: str = "") ->
             prefix + key == "kernel.row_stride_bytes" and value is not None)
         if integral and not _is_integer(value):
             raise PipelineError(f"config: {prefix + key} must be an integer")
+        if prefix + key == "kernel.kind" and value is not None and value not in KERNELS:
+            raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
         if prefix + key == "variants" and not (
                 isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
             raise PipelineError("config: variants must be a list of variant names")
@@ -278,6 +280,7 @@ def run_variant(ctx: _KernelCtx, variant: str, config: dict, baseline: tuple) ->
     or the prefetch injection), not the kernel replay after it.
     """
     cfg = resolve_config(config)
+    _core.prepare()  # a first build or load of the core is not the variant's overhead
     t0 = time.perf_counter()
     replay = _transform(ctx, variant, cfg, baseline)
     overhead = 0.0 if variant == "baseline" else time.perf_counter() - t0

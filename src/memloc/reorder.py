@@ -38,15 +38,16 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 def reorder_first_touch(inspected, n: int) -> np.ndarray:
     """Order rows by first occurrence in the inspected access sequence.
 
-    Rows never touched are appended in ascending original order.
+    Rows never touched are appended in ascending original order.  The
+    compiled core does both in one pass over the sequence and one over
+    the rows (memloc_first_touch), with no sort.
     """
-    inspected = np.asarray(inspected, dtype=np.int64).ravel()
+    inspected = np.ascontiguousarray(inspected, dtype=np.int64).ravel()
     if inspected.size and (inspected.min() < 0 or inspected.max() >= n):
         raise ValueError("access index out of range")
-    touched, first = np.unique(inspected, return_index=True)
-    seen = np.zeros(n, dtype=bool)
-    seen[touched] = True
-    return np.concatenate([touched[np.argsort(first)], np.flatnonzero(~seen)])
+    order = np.empty(n, dtype=np.int64)
+    _core.load().memloc_first_touch(len(inspected), inspected, len(order), order)
+    return order
 
 
 def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:

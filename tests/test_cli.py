@@ -368,8 +368,13 @@ class TestStageConfig:
          "filter: [Errno 2] No such file or directory: '{config}'\n"),
         ("dramsim", "{", [], "dramsim: Expecting property name"),
         ("gen", "", ["--kind", "gather"], "gen: Expecting value"),
+        ("reorder", "{}", ["--kernel", "svm"],
+         f"config: kernel.kind must be one of {pipeline.KERNELS}\n"),
+        ("filter", '{"kernel": {"kind": "svm"}}', [],
+         f"config: kernel.kind must be one of {pipeline.KERNELS}\n"),
     ], ids=["section-not-object", "null-section", "list-document", "string-document",
-            "unknown-key", "missing-file", "unparsable", "empty-file"])
+            "unknown-key", "missing-file", "unparsable", "empty-file", "unknown-kind-flag",
+            "unknown-kind-config"])
     def test_bad_config_fails_with_its_stage(self, tmp_path, capsys, stage, text, flags, err):
         path = tmp_path / "c.json"
         if text is not None:

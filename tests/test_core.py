@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,17 @@ def test_without_a_compiler_blocking_and_prefetch_injection_fail(source, tmp_pat
     assert list(tmp_path.glob("o*")) == []
 
 
+def test_without_a_compiler_first_touch_fails(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    with pytest.raises(OSError, match=r"No such file or directory: 'cc'.*needs a C compiler"):
+        reorder.reorder_first_touch([1, 0], 2)
+    reorder.save_dataset(tmp_path / "d", np.zeros((2, 1)))
+    np.array([1, 0], dtype="<i8").tofile(tmp_path / "r.rows")
+    assert cli.main(["reorder", "--method", "first-touch", "--dataset", str(tmp_path / "d"),
+                     "--rows", str(tmp_path / "r.rows"), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("memloc: reorder: the compiled simulator core")
+
+
 @pytest.mark.parametrize("kernel", [{"kind": "knn", "n": 300, "queries": 20},
                                     {"kind": "dbscan", "n": 300},
                                     {"kind": "dtree", "n": 300, "m": 3, "max_depth": 3}])
@@ -139,6 +151,41 @@ def test_without_a_compiler_point_reorderings_fail(source, tmp_path, monkeypatch
     assert cli.main(["reorder", "--method", method, "--dataset", str(tmp_path / "d"),
                      "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith("memloc: reorder: the compiled simulator core")
+
+
+@pytest.fixture
+def slow_build(monkeypatch):
+    """No core loaded yet, and a build that takes 0.3 s more; yields the
+    builds made."""
+    real, builds = _core._build, []
+
+    def build():
+        builds.append(1)
+        time.sleep(0.3)
+        return real()
+    monkeypatch.setattr(_core, "_build", build)
+    _core._open.cache_clear()
+    yield builds
+    _core._open.cache_clear()
+
+
+def test_reorder_overhead_excludes_loading_the_core(slow_build, tmp_path):
+    reorder.save_dataset(tmp_path / "d", np.random.default_rng(1).random((50, 2)))
+    assert cli.main(["reorder", "--method", "rcb", "--dataset", str(tmp_path / "d"),
+                     "--out", str(tmp_path / "r")]) == 0
+    assert slow_build == [1]
+    header, row = (tmp_path / "r.overhead.csv").read_text().splitlines()
+    assert header == "method,overhead_s" and float(row.split(",")[1]) < 0.1
+
+
+@pytest.mark.parametrize("variant", ["first-touch", "block", "sw-prefetch"])
+def test_variant_overhead_excludes_loading_the_core(slow_build, variant):
+    # A gather kernel generates its trace without the core.
+    config = {"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 300}}
+    ctx = pipeline.build_kernel(config)
+    row = pipeline.run_variant(ctx, variant, config, ctx.generate())
+    assert slow_build == [1]
+    assert row["overhead_s"] < 0.1
 
 
 def test_the_core_takes_numbers_and_arrays_it_does_not_own():
@@ -186,6 +233,15 @@ def test_block_allocates_its_scratch_before_writing():
     assert out.tolist() == [7] * 4 and seq.tolist() == [0, 1, 2, 3]
 
 
+def test_first_touch_allocates_its_scratch_before_writing():
+    # 2**60 rows: their seen bytes cannot be allocated.
+    seq = np.arange(4, dtype=np.int64)
+    out = np.full(4, 7, dtype=np.int64)
+    with pytest.raises(MemoryError, match=r"^memloc_first_touch: out of memory$"):
+        _core.load().memloc_first_touch(4, seq, 2**60, out)
+    assert out.tolist() == [7] * 4
+
+
 def test_inject_writes_no_more_than_its_capacity():
     # As snprintf does: the core fills what fits, leaves the element past
     # it alone and returns the size of the whole output.
@@ -227,7 +283,7 @@ SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
                    "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle",
                    "block_by_page_oracle", "block_by_page_lexsort_oracle", "inject_oracle",
-                   "ideal_oracle"}
+                   "ideal_oracle", "first_touch_oracle"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

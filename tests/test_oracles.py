@@ -817,6 +817,84 @@ def test_kdtree_order_matches_lexsort_oracle(data):
     assert KdTree(data).order.tolist() == kdtree_order_oracle(data).tolist()
 
 
+def select_killer(n: int, k: int) -> np.ndarray:
+    """n distinct values in [0, 1) on which memloc_bisect's selection of
+    rank k narrows its range by a few rows per partition: McIlroy's
+    adversary ("A killer adversary for quicksort", SP&E 1999) played
+    against a model of its pivot choice (the median of the rows at the
+    quartiles and the middle) and its partition (the rows below the
+    pivot from the front, the rest from the back), so the core runs out
+    of partitions and sorts."""
+    gas, val, frozen, candidate = n, [n] * n, 0, 0
+
+    def before(x, y):
+        nonlocal frozen, candidate
+        if val[x] == gas and val[y] == gas:
+            val[x if x == candidate else y] = frozen
+            frozen += 1
+        if val[x] == gas:
+            candidate = x
+        elif val[y] == gas:
+            candidate = y
+        return val[x] < val[y]
+
+    a, lo, hi = list(range(n)), 0, n - 1
+    while hi - lo >= 16:
+        u, v, w = lo + (hi - lo) // 4, lo + (hi - lo) // 2, hi - (hi - lo) // 4
+        if before(a[v], a[u]):
+            u, v = v, u
+        p = (u if before(a[w], a[u]) else w) if before(a[w], a[v]) else v
+        x, a[p] = a[p], a[hi]
+        below, above = [], []
+        for t in a[lo:hi]:
+            (below if before(t, x) else above).append(t)
+        a[lo:hi + 1] = below + [x] + above[::-1]
+        s = lo + len(below)
+        if s == k:
+            break
+        lo, hi = (lo, s - 1) if k < s else (s + 1, hi)
+    for i in range(n):
+        if val[i] == gas:
+            val[i], frozen = frozen, frozen + 1
+    return np.asarray(val) / n
+
+
+def knn_scale_data(kind: str, n: int) -> np.ndarray:
+    """Inputs whose ties and runs a random draw of up to 300 rows never
+    reaches.  The grid has three columns, so that ties on the split axis
+    fall to two others, in an order that matters."""
+    rng = np.random.default_rng(n)
+    up = np.arange(n) / n
+    pipe = np.minimum(up, up[::-1])
+    if kind == "sorted":
+        return np.column_stack([up, 2 * up])
+    if kind == "reversed":
+        return np.column_stack([up, 2 * up])[::-1].copy()
+    if kind == "equal-column":
+        return np.column_stack([np.full(n, 0.5), rng.random(n)])
+    if kind == "two-values":
+        return rng.choice([0.25, 0.75], (n, 2))
+    if kind == "organ-pipe":
+        return np.column_stack([pipe, np.roll(pipe, n // 3)])
+    if kind == "grid":
+        data = rng.integers(-3, 3, (n, 3)) / 3
+        data[(data == 0) & (rng.random((n, 3)) < 0.5)] = -0.0
+        return data
+    # For even n the roots of the kd-tree and of RCB (whose widest axis
+    # is column 0) both select rank n / 2 on column 0.
+    return np.column_stack([select_killer(n, n // 2), rng.random(n) / 4])
+
+
+@pytest.mark.parametrize("n", [1000, 4096])
+@pytest.mark.parametrize("kind", ["sorted", "reversed", "equal-column", "two-values",
+                                  "organ-pipe", "grid", "killer"])
+def test_bisection_matches_the_oracles_at_knn_scale(kind, n):
+    data = knn_scale_data(kind, n)
+    assert KdTree(data).order.tolist() == kdtree_order_oracle(data).tolist()
+    for leaf in (1, 32, n):
+        assert reorder.reorder_rcb(data, leaf).tolist() == reorder_rcb_oracle(data, leaf).tolist()
+
+
 # The compiled core against the Python loops.
 
 def filter_core(trace, cache, pf):

@@ -155,8 +155,7 @@ def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_row: tuple, nba
     latency = np.zeros(2, dtype=np.uint64)
     # Bypass counts and the window never exceed n, so larger caps and
     # depths act as n + 1 and n do.  A gap of -1 takes arrivals from cycles.
-    _core.load().memloc_simulate(n, np.ascontiguousarray(trace.vaddr),
-                                 np.ascontiguousarray(trace.cycle),
+    _core.load().memloc_simulate(n, trace.vaddr, trace.cycle,
                                  -1 if from_trace else arrival_gap, *bank_row, nbanks,
                                  *latencies, min(cap, n + 1) - 1, min(queue_depth, n), counts,
                                  events, latency)

@@ -8,10 +8,10 @@ records fill only their target level and are never counted as demand.
 filter_to_dram runs the model and inject_sw_prefetch inserts those
 records in the compiled core (_core.c), which needs a C compiler; the
 Python loops the tests compare them against live in tests/.  The core
-reads the trace's vaddr and kind columns as they are (a strided column
-is copied once), keeps each cache set as a ring in recency order, so a
-fill moves no way, and reports the level that served each record, from
-which filter_to_dram takes the DRAM trace and all but the HW counters.
+reads the trace's vaddr and kind columns as they are, keeps each cache
+set as a ring in recency order, so a fill moves no way, and reports the
+level that served each record, from which filter_to_dram takes the DRAM
+trace and all but the HW counters.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def _levels(trace: Trace, cache: CacheConfig, pf: PrefetchConfig):
     hw = np.zeros(2, dtype=np.int64)
     degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
     _core.load().memloc_filter(
-        len(trace), np.ascontiguousarray(trace.vaddr), LINE_SHIFT,
-        np.ascontiguousarray(trace.kind), level,
+        len(trace), trace.vaddr, LINE_SHIFT, trace.kind, level,
         np.array([c.num_sets for c in cache.levels], dtype=np.int64),
         np.array([c.associativity for c in cache.levels], dtype=np.int64),
         LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
@@ -142,15 +141,13 @@ def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
     accesses, standing in for compiler-inserted prefetch intrinsics)."""
     if distance < 1:
         raise ValueError("distance must be >= 1")
-    kind = np.ascontiguousarray(trace.kind)
-    n, none = len(kind), Trace.empty()
+    n, none = len(trace), Trace.empty()
     # A distance past n + 1 injects nothing either, and fits in int64.
     distance = min(distance, n + 1)
     # With capacity 0 the core reads the kinds alone and returns the output's size.
-    size = _core.load().memloc_inject(n, none.vaddr, none.cycle, kind, distance, KIND_PREFETCH,
-                                      0, none.vaddr, none.cycle, none.kind)
+    size = _core.load().memloc_inject(n, none.vaddr, none.cycle, trace.kind, distance,
+                                      KIND_PREFETCH, 0, none.vaddr, none.cycle, none.kind)
     out = Trace(np.empty(size, np.uint64), np.empty(size, np.uint32), np.empty(size, np.uint8))
-    _core.load().memloc_inject(n, np.ascontiguousarray(trace.vaddr),
-                               np.ascontiguousarray(trace.cycle), kind, distance,
-                               KIND_PREFETCH, size, out.vaddr, out.cycle, out.kind)
+    _core.load().memloc_inject(n, trace.vaddr, trace.cycle, trace.kind, distance, KIND_PREFETCH,
+                               size, out.vaddr, out.cycle, out.kind)
     return out

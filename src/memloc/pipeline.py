@@ -15,7 +15,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +116,6 @@ def simulate_dram(dram_trace, cfg: dict):
     geom = dramsim.DramGeometry(**pick("banks", "rows_per_bank", "row_size_bytes"))
     timing = dramsim.DramTiming(**pick("tCL", "tRCD", "tRP", "tBURST"))
     arrivals = pick("arrival", "arrival_gap")
-    # One contiguous copy of each strided column (read_trace's) serves both runs.
-    dram_trace = replace(dram_trace, vaddr=np.ascontiguousarray(dram_trace.vaddr),
-                         cycle=np.ascontiguousarray(dram_trace.cycle))
     return (dramsim.simulate(dram_trace, geom, timing, **arrivals,
                              **pick("scheme", "cap", "queue_depth")),
             dramsim.simulate_ideal(dram_trace, timing, **arrivals))
@@ -131,8 +128,12 @@ class _KernelCtx:
     labels: np.ndarray | None
     queries: np.ndarray | None
     addr: kernels.AddressModel
-    spec: dict
-    seed: int
+    cfg: dict  # the resolved config
+    config_hash: str  # of the config as given, which every row echoes
+
+    @property
+    def spec(self) -> dict:
+        return self.cfg["kernel"]
 
     def generate(self):
         """(trace, row_sequence, starts) of the kernel over its inputs;
@@ -146,11 +147,13 @@ class _KernelCtx:
                 return kernels.gen_dbscan_trace(self.data, k["radius"], self.addr)
             if self.kind == "dtree":
                 return kernels.gen_dtree_trace(self.data, self.labels, k["max_depth"], self.addr)
-            return *kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.seed), None
+            return *kernels.gen_gather_trace(k["n"], k["count"], self.addr, self.cfg["seed"]), None
 
 
-def build_kernel(config: dict) -> _KernelCtx:
-    cfg = resolve_config(config)
+def build_kernel(config: dict, cfg: dict | None = None) -> _KernelCtx:
+    """The kernel inputs of `config`; `cfg` is its resolved form, when the
+    caller has resolved it already."""
+    cfg = resolve_config(config) if cfg is None else cfg
     k = cfg["kernel"]
     kind, seed = k["kind"], cfg["seed"]
     if kind not in KERNELS:
@@ -183,7 +186,7 @@ def build_kernel(config: dict) -> _KernelCtx:
         addr = kernels.AddressModel.for_matrix(m, k["row_stride_bytes"],
                                                8 if kind == "gather" else None,
                                                page_mapping=k["page_mapping"], seed=seed, rows=n)
-    return _KernelCtx(kind, data, labels, queries, addr, k, seed)
+    return _KernelCtx(kind, data, labels, queries, addr, cfg, config_hash(config))
 
 
 def reorder_by(method: str, cfg: dict, *, kind: str | None = None, points=None,
@@ -272,27 +275,26 @@ def _segments(rows: np.ndarray, starts: np.ndarray, order: np.ndarray) -> np.nda
     return rows[np.arange(len(shift)) + shift]
 
 
-def run_variant(ctx: _KernelCtx, variant: str, config: dict, baseline: tuple) -> dict:
+def run_variant(ctx: _KernelCtx, variant: str, baseline: tuple) -> dict:
     """One pipeline row.  `baseline` is the kernel's (trace, rows,
     starts), which every variant starts from.
 
     overhead_s times the variant's transformation alone (the reordering
     or the prefetch injection), not the kernel replay after it.
     """
-    cfg = resolve_config(config)
     _core.prepare()  # a first build or load of the core is not the variant's overhead
     t0 = time.perf_counter()
-    replay = _transform(ctx, variant, cfg, baseline)
+    replay = _transform(ctx, variant, ctx.cfg, baseline)
     overhead = 0.0 if variant == "baseline" else time.perf_counter() - t0
     with _stage("gen"):
         trace = replay()
 
     with _stage("filter"):
-        dram_trace, mstats = memsys.filter_to_dram(trace, *memory_config(cfg))
+        dram_trace, mstats = memsys.filter_to_dram(trace, *memory_config(ctx.cfg))
     with _stage("dramsim"):
-        actual, ideal = simulate_dram(dram_trace, cfg)
+        actual, ideal = simulate_dram(dram_trace, ctx.cfg)
     return {
-        "config_hash": config_hash(config),
+        "config_hash": ctx.config_hash,
         "variant": variant,
         "records": len(trace),
         "dram_requests": actual.total,
@@ -311,9 +313,9 @@ def run_pipeline(config: dict) -> list[dict]:
     if cfg["kernel"]["kind"] == "knn" and cfg["kernel"]["queries"] < 1:
         # memloc gen may write the empty trace; the DRAM model cannot time it.
         raise PipelineError("config: kernel.queries must be >= 1")
-    ctx = build_kernel(config)
+    ctx = build_kernel(config, cfg)
     baseline = ctx.generate()
-    return [run_variant(ctx, variant, config, baseline=baseline) for variant in cfg["variants"]]
+    return [run_variant(ctx, variant, baseline=baseline) for variant in cfg["variants"]]
 
 
 def write_csv(path, rows: list[dict]):

@@ -36,6 +36,8 @@ KIND_PREFETCH = 2
 RECORD_DTYPE = np.dtype(
     [("vaddr", "<u8"), ("cycle", "<u4"), ("kind", "u1"), ("pad", "3u1")]
 )
+_COLUMNS = ("vaddr", "cycle", "kind")
+BLOCK_RECORDS = 16384  # records read_trace and write_trace move through one block
 
 
 class TraceFormatError(ValueError):
@@ -44,16 +46,16 @@ class TraceFormatError(ValueError):
 
 @dataclass
 class Trace:
-    """In-memory access trace backed by parallel numpy arrays."""
+    """In-memory access trace backed by parallel C-contiguous numpy arrays."""
 
     vaddr: np.ndarray
     cycle: np.ndarray
     kind: np.ndarray
 
     def __post_init__(self):
-        self.vaddr = np.asarray(self.vaddr, dtype=np.uint64)
-        self.cycle = np.asarray(self.cycle, dtype=np.uint32)
-        self.kind = np.asarray(self.kind, dtype=np.uint8)
+        self.vaddr = np.ascontiguousarray(self.vaddr, dtype=np.uint64)
+        self.cycle = np.ascontiguousarray(self.cycle, dtype=np.uint32)
+        self.kind = np.ascontiguousarray(self.kind, dtype=np.uint8)
         if not (len(self.vaddr) == len(self.cycle) == len(self.kind)):
             raise TraceFormatError("vaddr/cycle/kind length mismatch")
 
@@ -83,7 +85,7 @@ class Trace:
             raise ValueError(f"trace too long: {n} records {issue_gap} cycles apart "
                              f"pass the last cycle the format holds, {CYCLE_MAX}")
         cycle = (np.arange(n, dtype=np.uint64) * issue_gap).astype(np.uint32)
-        kinds = np.full(n, kind, dtype=np.uint8) if np.isscalar(kind) else np.asarray(kind, np.uint8)
+        kinds = np.full(n, kind, dtype=np.uint8) if np.isscalar(kind) else kind
         return cls(vaddr, cycle, kinds)
 
     def validate(self):
@@ -96,19 +98,20 @@ class Trace:
 def write_trace(path, trace: Trace):
     trace.validate()
     n = len(trace)
-    rec = np.zeros(n, dtype=RECORD_DTYPE)
-    rec["vaddr"] = trace.vaddr
-    rec["cycle"] = trace.cycle
-    rec["kind"] = trace.kind
     header = MAGIC + struct.pack("<B", VERSION) + b"\x00" * 4 + struct.pack("<Q", n)
     assert len(header) == HEADER_SIZE
+    block = np.zeros(min(n, BLOCK_RECORDS), dtype=RECORD_DTYPE)  # its pad bytes stay zero
     with open(path, "wb") as f:
         f.write(header)
-        rec.tofile(f)
+        for lo in range(0, n, BLOCK_RECORDS):
+            rec = block[:n - lo]
+            for name in _COLUMNS:
+                rec[name] = getattr(trace, name)[lo:lo + len(rec)]
+            f.write(rec)
 
 
 def read_trace(path) -> Trace:
-    """The trace in `path`; its columns are views of one record array."""
+    """The trace in `path`, read one record block at a time into its columns."""
     with open(path, "rb") as f:
         header = f.read(HEADER_SIZE)
         if len(header) < HEADER_SIZE or header[:4] != MAGIC:
@@ -121,7 +124,13 @@ def read_trace(path) -> Trace:
         size = os.fstat(f.fileno()).st_size
         if size != expected:
             raise TraceFormatError(f"{path}: size {size} != {expected} for {count} records")
-        rec = np.fromfile(f, dtype=RECORD_DTYPE, count=count)
-    trace = Trace(rec["vaddr"], rec["cycle"], rec["kind"])
+        trace = Trace(*(np.empty(count, RECORD_DTYPE[name]) for name in _COLUMNS))
+        block = np.empty(min(count, BLOCK_RECORDS), dtype=RECORD_DTYPE)
+        for lo in range(0, count, BLOCK_RECORDS):
+            rec = block[:count - lo]
+            if f.readinto(rec) != rec.nbytes:
+                raise TraceFormatError(f"{path}: truncated at record {lo}")
+            for name in _COLUMNS:
+                getattr(trace, name)[lo:lo + len(rec)] = rec[name]
     trace.validate()
     return trace

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,28 @@ class TestFilterAndDram:
             env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])})
         assert done.returncode == 1
         assert done.stderr == "memloc: filter: capacity and associativity must be >= 1\n"
+
+    def test_stage_peak_memory_stays_near_the_input_size(self, tmp_path):
+        """Each stage holds its input's 13-byte columns and what it builds,
+        not a record array or a second copy of a column: on a gather that
+        misses L3, prefetch builds two records per input record, and
+        filter and dramsim about one column set each."""
+        g = tmp_path / "g"
+        assert run(["gen", "--kind", "gather", "--n", "4000000", "--count", "200000",
+                    "--seed", "1", "--row-stride", "64", "--out", g]) == 0
+        trace, dram = f"{g}.trace", tmp_path / "g.dram"
+        for argv, bound in (
+                (["prefetch", "--trace", trace, "--out", tmp_path / "pf.trace"], 2.6),
+                (["filter", "--trace", trace, "--l3-kb", "512", "--out", dram,
+                  "--stats", tmp_path / "f.csv"], 1.85),
+                (["dramsim", "--trace", dram, "--stats", tmp_path / "d.csv"], 1.1)):
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * os.path.getsize(argv[2]), argv[0]
 
 
 def test_gen_rejects_a_trace_past_the_cycle_field(tmp_path, monkeypatch, capsys):

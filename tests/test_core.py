@@ -183,7 +183,7 @@ def test_variant_overhead_excludes_loading_the_core(slow_build, variant):
     # A gather kernel generates its trace without the core.
     config = {"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 300}}
     ctx = pipeline.build_kernel(config)
-    row = pipeline.run_variant(ctx, variant, config, ctx.generate())
+    row = pipeline.run_variant(ctx, variant, ctx.generate())
     assert slow_build == [1]
     assert row["overhead_s"] < 0.1
 
@@ -197,6 +197,33 @@ def test_the_core_takes_numbers_and_arrays_it_does_not_own():
     assert not [v for v in vars(_core).values()
                 if isinstance(v, type) and issubclass(v, ctypes.Structure)]
     assert not hasattr(_core.load(), "memloc_release")
+
+
+def test_stages_pass_a_read_traces_own_columns_to_the_core(tmp_path, monkeypatch):
+    """read_trace's columns are contiguous already, so no stage copies one
+    on its way into the core."""
+    path, vaddr = tmp_path / "t.trace", np.arange(500, dtype=np.uint64) * 4096
+    traceio.write_trace(path, traceio.Trace.from_addresses(vaddr))
+    trace = traceio.read_trace(path)
+    lib, passed = _core.load(), []
+
+    class Spy:
+        def __getattr__(self, name):
+            def call(*args):
+                passed.append((name, {c for c in ("vaddr", "cycle", "kind")
+                                      if any(a is getattr(trace, c) for a in args)}))
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(_core, "load", Spy)
+    memsys.filter_to_dram(trace)
+    memsys.inject_sw_prefetch(trace, 4)
+    dramsim.simulate(trace)
+    dramsim.simulate_ideal(trace)
+    assert passed == [("memloc_filter", {"vaddr", "kind"}), ("memloc_inject", {"kind"}),
+                      ("memloc_inject", {"vaddr", "cycle", "kind"}),
+                      ("memloc_simulate", {"vaddr", "cycle"}),
+                      ("memloc_simulate", {"vaddr", "cycle"})]
     assert "memloc_release" not in _core._SOURCE.read_text()
 
 

@@ -990,10 +990,10 @@ def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     pf = memsys.PrefetchConfig(hw, target)
     got = filter_core(trace, cache, pf)
     assert_same_filter(got, filter_reference(trace, cache, pf))
-    # A trace read from a file, whose columns are strided views, gives the same.
+    # A trace read from a file, whose columns are contiguous, gives the same.
     traceio.write_trace(tmp_path / "t.trace", trace)
     read = traceio.read_trace(tmp_path / "t.trace")
-    assert not read.vaddr.flags.c_contiguous and not read.kind.flags.c_contiguous
+    assert read.vaddr.flags.c_contiguous and read.kind.flags.c_contiguous
     assert_same_filter(filter_core(read, cache, pf), got)
 
 
@@ -1038,10 +1038,10 @@ def test_simulate_core_matches_on_a_long_trace(cap, depth, tmp_path):
                            collect_events=True)
     assert_same_dram(got, simulate_reference(trace, geom, timing, "ChRaBaRoCo", cap,
                                              "from-trace", 4, depth))
-    # A trace read from a file, whose columns are strided views, gives the same.
+    # A trace read from a file, whose columns are contiguous, gives the same.
     traceio.write_trace(tmp_path / "t.trace", trace)
     read = traceio.read_trace(tmp_path / "t.trace")
-    assert not read.vaddr.flags.c_contiguous and not read.cycle.flags.c_contiguous
+    assert read.vaddr.flags.c_contiguous and read.cycle.flags.c_contiguous
     assert_same_dram(dramsim.simulate(read, geom, timing, "ChRaBaRoCo", cap, "from-trace", 4,
                                       depth, collect_events=True), got)
     for arrival in ("from-trace", "fixed-gap"):

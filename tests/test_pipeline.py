@@ -271,6 +271,22 @@ def test_config_hash_covers_the_raw_config():
     assert pipeline.config_hash(BASE) != pipeline.config_hash(pipeline.resolve_config(BASE))
 
 
+def test_a_run_resolves_and_hashes_its_config_once(monkeypatch):
+    resolve, digest, calls = pipeline.resolve_config, pipeline.config_hash, []
+
+    def counted_resolve(config, *section):
+        if not section:  # a section resolves in a nested call with its defaults and prefix
+            calls.append("resolve")
+        return resolve(config, *section)
+
+    monkeypatch.setattr(pipeline, "resolve_config", counted_resolve)
+    monkeypatch.setattr(pipeline, "config_hash", lambda c: calls.append("hash") or digest(c))
+    config = {**BASE, "variants": ["baseline", "hilbert", "rcb", "sw-prefetch"]}
+    rows = pipeline.run_pipeline(config)
+    assert sorted(calls) == ["hash", "resolve"]
+    assert {r["config_hash"] for r in rows} == {digest(config)}
+
+
 def test_overhead_excludes_the_kernel_replay(monkeypatch):
     real = kernels.gen_knn_trace
 
@@ -300,7 +316,7 @@ def test_overhead_excludes_the_derived_replay(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "rows_to_trace", slow)
-    row = pipeline.run_variant(ctx, "hilbert", BASE, baseline)
+    row = pipeline.run_variant(ctx, "hilbert", baseline)
     assert len(calls) == 1  # the replay
     assert row["overhead_s"] < 0.1
 
@@ -445,7 +461,7 @@ def test_each_dram_trace_is_mapped_once(monkeypatch):
     # shifts and masks that map addresses.
     real, calls = dramsim._bank_row, []
     monkeypatch.setattr(dramsim, "_bank_row", lambda *a: calls.append(1) or real(*a))
-    # Columns strided as read_trace's are copied once, for both runs.
+    # Both runs get the one trace, whose columns Trace made contiguous.
     schedule, traces = dramsim._schedule, []
     monkeypatch.setattr(dramsim, "_schedule", lambda t, *a: traces.append(t) or schedule(t, *a))
     rec = np.zeros(100, traceio.RECORD_DTYPE)

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,21 +102,55 @@ def test_from_addresses_rejects_a_wrapping_cycle():
 
 
 def test_io_peak_memory_stays_near_the_file_size(tmp_path):
-    """Reading and writing hold about one copy of the records, not two."""
+    """Reading holds the 13-byte columns and one record block, writing
+    one block: neither holds the whole file as records."""
     t = sample_trace(200_000, seed=4)
     path = tmp_path / "big.trace"
     write_peak = _peak_bytes(traceio.write_trace, path, t)
     size = path.stat().st_size
     read_peak = _peak_bytes(traceio.read_trace, path)
-    assert write_peak <= 1.25 * size
-    assert read_peak <= 1.25 * size
+    assert write_peak <= 0.25 * size
+    assert read_peak <= 1.0 * size
 
 
-def test_read_columns_view_one_record_array(tmp_path):
-    path = tmp_path / "v.trace"
-    traceio.write_trace(path, sample_trace(10, seed=5))
-    t = traceio.read_trace(path)
-    assert t.vaddr.base is not None and t.vaddr.base is t.cycle.base is t.kind.base
+def _assert_columns(t):
+    for name, dtype in (("vaddr", np.uint64), ("cycle", np.uint32), ("kind", np.uint8)):
+        column = getattr(t, name)
+        assert column.dtype == dtype and column.flags.c_contiguous, name
+
+
+def test_columns_are_contiguous_and_blocks_round_trip(tmp_path):
+    rec = np.zeros(10, traceio.RECORD_DTYPE)
+    rec["vaddr"], rec["cycle"] = np.arange(10) * 64, np.arange(10)
+    strided = (np.arange(20, dtype=np.uint64)[::2], np.arange(10, dtype=np.uint32),
+               np.zeros((10, 2), np.uint8)[:, 1])
+    for views in (Trace(rec["vaddr"], rec["cycle"], rec["kind"]), Trace(*strided)):
+        _assert_columns(views)
+        assert views.vaddr.flags.owndata and views.kind.flags.owndata
+    _assert_columns(Trace([64, 128], [0, 4], [0, 1]))
+    _assert_columns(Trace(np.arange(3, dtype=np.int64), np.arange(3.0), np.zeros(3, np.int32)))
+    b = traceio.BLOCK_RECORDS
+    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        t, path = sample_trace(n, seed=n), tmp_path / f"{n}.trace"
+        traceio.write_trace(path, t)
+        read = traceio.read_trace(path)
+        _assert_columns(read)
+        assert read == t
+        rec = np.zeros(n, traceio.RECORD_DTYPE)
+        rec["vaddr"], rec["cycle"], rec["kind"] = t.vaddr, t.cycle, t.kind
+        assert path.read_bytes()[traceio.HEADER_SIZE:] == rec.tobytes()
+
+
+def test_a_file_that_shrinks_after_its_size_check_is_rejected(tmp_path, monkeypatch):
+    b, path = traceio.BLOCK_RECORDS, tmp_path / "s.trace"
+    traceio.write_trace(path, sample_trace(b + 5, seed=7))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-16])
+    # The size check passes, so the last block's read comes up short.
+    stat = SimpleNamespace(st_size=size)
+    monkeypatch.setattr(traceio, "os", SimpleNamespace(fstat=lambda fd: stat))
+    with pytest.raises(traceio.TraceFormatError, match=f"truncated at record {b}$"):
+        traceio.read_trace(path)
 
 
 def test_size_mismatch_with_header_count_rejected(tmp_path):

@@ -9,10 +9,12 @@
  * memloc_first_touch orders the rows of reorder.reorder_first_touch by
  * first touch in one pass; memloc_kdtree runs the pruned kd-tree walk
  * behind KdTree and reports only the rows it examines; memloc_dtree
- * grows the decision tree behind kernels.gen_dtree_trace; memloc_filter
- * replays a trace's vaddr column through the three-level LRU filter that
- * memsys.filter_to_dram models, each set a ring in recency order, and
- * reports the level that served each record;
+ * grows the decision tree behind kernels.gen_dtree_trace, its medians
+ * selected as memloc_bisect's are; memloc_filter replays a trace's vaddr
+ * column through the three-level LRU filter that memsys.filter_to_dram
+ * models, each set a ring in recency order, with its stride prefetcher's
+ * state in the page table memloc_block also uses, and reports the level
+ * that served each record;
  * memloc_inject inserts the prefetch records of
  * memsys.inject_sw_prefetch; memloc_simulate runs the FR-FCFS-Cap
  * scheduler behind dramsim.simulate over a trace's vaddr and cycle
@@ -143,64 +145,66 @@ static inline void fill(level *lv, uint8_t *pf, int64_t line, uint8_t flag)
     lv->head[set] = h + 1 == lv->ways ? 0 : h + 1;
 }
 
-/* The stride prefetcher's page table: open addressing, doubled at half load. */
+/* A map from pages to two int64s, a and b, by linear probing from the top
+ * `bits` bits of page * 2^64 / golden ratio (Knuth's multiplicative hashing,
+ * TAOCP vol. 3, 6.4), so pages 2^k apart get different home slots.  A slot
+ * is live while its stamp equals the table's: a free slot's stamp is -1, a
+ * table's starts at 0, and raising it frees every slot at once. */
 typedef struct {
-    int64_t *page, *last, *stride;  /* page -1 marks a free slot */
-    int64_t size, count;
-} table;
+    int64_t page, stamp, a, b;
+} page_slot;
 
-static int table_init(table *t, int64_t size)
+typedef struct {
+    page_slot *slots;
+    int64_t bits, stamp, count;  /* count: live slots */
+} page_table;
+
+/* 2^bits free slots, or NULL, filled with 0xff rather than calloc'd: find
+ * reads a slot before claim writes it, and a fresh calloc'd page read first
+ * faults again when written (a zero fill would be compiled into calloc). */
+static page_slot *new_slots(int64_t bits)
 {
-    t->size = size;
-    t->count = 0;
-    t->page = malloc(size * sizeof *t->page);
-    t->last = malloc(size * sizeof *t->last);
-    t->stride = malloc(size * sizeof *t->stride);
-    if (!t->page || !t->last || !t->stride)
-        return -1;
-    memset(t->page, 0xff, size * sizeof *t->page);
-    return 0;
+    size_t n = (size_t)1 << bits;
+    page_slot *s = n <= SIZE_MAX / sizeof *s ? malloc(n * sizeof *s) : NULL;
+    return s ? memset(s, 0xff, n * sizeof *s) : NULL;
 }
 
-static void table_free(table *t)
+/* The page's slot, or the free slot where it would go. */
+static page_slot *find(const page_table *t, int64_t page)
 {
-    free(t->page);
-    free(t->last);
-    free(t->stride);
+    uint64_t mask = ((uint64_t)1 << t->bits) - 1;
+    uint64_t i = (uint64_t)page * 0x9e3779b97f4a7c15u >> (64 - t->bits);
+    while (t->slots[i].stamp == t->stamp && t->slots[i].page != page)
+        i = (i + 1) & mask;
+    return &t->slots[i];
 }
 
-static int64_t slot(const table *t, int64_t page)
+/* Fill the free slot s, which find returned for page, and double the
+ * table at half load, rehashing only its live slots; a doubling moves
+ * every slot, so s and any other slot pointer is stale after it.  -1 when
+ * memory runs out. */
+static int claim(page_table *t, page_slot *s, int64_t page, int64_t a, int64_t b)
 {
-    uint64_t i = ((uint64_t)page * 0x9e3779b97f4a7c15u) & (uint64_t)(t->size - 1);
-    while (t->page[i] != -1 && t->page[i] != page)
-        i = (i + 1) & (uint64_t)(t->size - 1);
-    return (int64_t)i;
-}
-
-static int table_grow(table *t)
-{
-    table old = *t;
-    if (table_init(t, old.size * 2)) {
-        table_free(t);
-        *t = old;
+    int64_t size = (int64_t)1 << t->bits;
+    *s = (page_slot){page, t->stamp, a, b};
+    if (++t->count * 2 <= size)
+        return 0;
+    page_slot *old = t->slots;
+    if (!(t->slots = new_slots(t->bits + 1))) {
+        t->slots = old;
         return -1;
     }
-    for (int64_t i = 0; i < old.size; i++) {
-        if (old.page[i] == -1)
-            continue;
-        int64_t j = slot(t, old.page[i]);
-        t->page[j] = old.page[i];
-        t->last[j] = old.last[i];
-        t->stride[j] = old.stride[i];
-    }
-    t->count = old.count;
-    table_free(&old);
+    t->bits++;
+    for (int64_t i = 0; i < size; i++)
+        if (old[i].stamp == t->stamp)
+            *find(t, old[i].page) = old[i];
+    free(old);
     return 0;
 }
 
 typedef struct {
     level lv[3];
-    table pages;
+    page_table pages;  /* per page: its last line (a) and stride (b) */
     int64_t degree, distance, page_shift;  /* degree 0: no HW prefetcher */
     int64_t *st;  /* HW prefetches issued, HW prefetches useful */
 } hierarchy;
@@ -219,21 +223,17 @@ static void hw_prefetch(hierarchy *h, int64_t line)
  * same-page deltas are equal, and the next line on an L2 miss. */
 static int observe(hierarchy *h, int64_t line, int l2_miss)
 {
-    table *t = &h->pages;
-    int64_t page = line >> h->page_shift, i = slot(t, page);
-    if (t->page[i] == page) {
-        int64_t delta = line - t->last[i];
-        if (delta != 0 && delta == t->stride[i])
+    int64_t page = line >> h->page_shift;
+    page_slot *s = find(&h->pages, page);
+    if (s->stamp == h->pages.stamp) {
+        int64_t delta = line - s->a;
+        if (delta != 0 && delta == s->b)
             for (int64_t k = 1; k <= h->degree; k++)
                 hw_prefetch(h, line + delta * (h->distance + k - 1));
-        t->last[i] = line;
-        t->stride[i] = delta;
-    } else {
-        t->page[i] = page;
-        t->last[i] = line;
-        t->stride[i] = 0;
-        if (++t->count * 2 > t->size && table_grow(t))
-            return -1;
+        s->a = line;
+        s->b = delta;
+    } else if (claim(&h->pages, s, page, line, 0)) {
+        return -1;
     }
     if (l2_miss)
         hw_prefetch(h, line + 1);
@@ -278,12 +278,11 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
                       const int64_t *ways, int64_t sw_level, int64_t prefetch_kind,
                       int64_t degree, int64_t distance, int64_t page_shift, int64_t *stats)
 {
-    hierarchy h = {.degree = degree, .distance = distance, .page_shift = page_shift,
-                   .st = stats};
-    int rc = 0;
+    hierarchy h = {.pages = {new_slots(10), 10, 0, 0}, .degree = degree,
+                   .distance = distance, .page_shift = page_shift, .st = stats};
+    int rc = !h.pages.slots;
     for (int k = 0; k < 3; k++)
         rc |= level_init(&h.lv[k], sets[k], ways[k], k == 1);
-    rc |= table_init(&h.pages, 1024);
     level *sw = &h.lv[sw_level];
     for (int64_t i = 0; i < n && !rc; i++) {
         int64_t line = (int64_t)(vaddr[i] >> line_shift);
@@ -299,7 +298,7 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
     }
     for (int k = 0; k < 3; k++)
         level_free(&h.lv[k]);
-    table_free(&h.pages);
+    free(h.pages.slots);
     return rc ? -1 : 0;
 }
 
@@ -424,7 +423,7 @@ int64_t memloc_simulate(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
     return 0;
 }
 
-/* A row and its value on the split axis of the subtree it lies in. */
+/* A row (in memloc_dtree, a position in a node) and its split value. */
 typedef struct {
     double key;
     int64_t row;
@@ -743,37 +742,6 @@ int64_t memloc_kdtree(int64_t n, int64_t m, const double *pts, const int64_t *or
     return nq;
 }
 
-/* The k-th smallest of a[0 .. len) (0 <= k < len), by Hoare's selection
- * around the median of a[l], a[k] and a[r], which moves values equal to
- * the pivot to both sides, so ties cost no more than distinct values.  a
- * ends partitioned around position k: nothing before it is larger,
- * nothing after it smaller. */
-static double select_kth(double *a, int64_t len, int64_t k)
-{
-    int64_t l = 0, r = len - 1;
-    while (l < r) {
-        double lo = a[l] < a[r] ? a[l] : a[r], hi = a[l] < a[r] ? a[r] : a[l];
-        double x = a[k] < lo ? lo : a[k] > hi ? hi : a[k];
-        int64_t i = l, j = r;
-        do {
-            while (a[i] < x)
-                i++;
-            while (x < a[j])
-                j--;
-            if (i <= j) {
-                double t = a[i];
-                a[i++] = a[j];
-                a[j--] = t;
-            }
-        } while (i <= j);
-        if (j < k)
-            l = i;
-        if (k < i)
-            r = j;
-    }
-    return a[k];
-}
-
 /* 1 - the sum of squared class shares count[c] / total, summed left to
  * right over the classes in ascending order. */
 static double gini(const int64_t *count, int64_t ncls, int64_t total)
@@ -810,12 +778,12 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
     struct frame {
         int64_t lo, hi, depth;
     } *stack = malloc((levels + 1) * sizeof *stack);
-    double *col = malloc(2 * n * sizeof *col), *val = col + n;
+    keyed *a = malloc(2 * n * sizeof *a), *tmp = a + n;
     int64_t *lab = malloc(n * sizeof *lab), *right = malloc(n * sizeof *right);
     int64_t *count = malloc(3 * ncls * sizeof *count), *left = count + ncls, *rest = left + ncls;
-    if (!stack || !col || !lab || !right || !count) {
+    if (!stack || !a || !lab || !right || !count) {
         free(stack);
-        free(col);
+        free(a);
         free(lab);
         free(right);
         free(count);
@@ -838,19 +806,22 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
             continue;
         int64_t best_j = -1;
         for (int64_t j = 0; j < m; j++) {
+            /* Ranked by value, then position: the pair of rank k holds
+             * the k-th smallest value. */
             for (int64_t i = 0; i < len; i++)
-                col[i] = data[rows[i] * m + j];
-            memcpy(val, col, len * sizeof *val);
-            double thr = select_kth(val, len, (len - 1) / 2);
+                a[i] = (keyed){data[rows[i] * m + j], i};
+            int64_t k = (len - 1) / 2;
+            select_ranked(&(rank){data, m, 0, NULL}, a, tmp, len, k);
+            double thr = a[k].key;
             if (len % 2 == 0) {
-                double upper = val[len / 2];
-                for (int64_t i = len / 2 + 1; i < len; i++)
-                    upper = val[i] < upper ? val[i] : upper;
+                double upper = a[k + 1].key;
+                for (int64_t i = k + 2; i < len; i++)
+                    upper = a[i].key < upper ? a[i].key : upper;
                 thr = (thr + upper) / 2;
             }
             memset(left, 0, ncls * sizeof *left);
             for (int64_t i = 0; i < len; i++)
-                left[lab[i]] += col[i] <= thr;
+                left[lab[a[i].row]] += a[i].key <= thr;
             int64_t nl = 0;
             for (int64_t c = 0; c < ncls; c++) {
                 nl += left[c];
@@ -881,7 +852,7 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
         stack[top++] = (struct frame){f.lo, f.lo + nl, f.depth + 1};
     }
     free(stack);
-    free(col);
+    free(a);
     free(lab);
     free(right);
     free(count);
@@ -1075,47 +1046,36 @@ int64_t memloc_first_touch(int64_t len, const int64_t *seq, int64_t n, int64_t *
     return 0;
 }
 
-/* One slot of the page table of memloc_block: the page, the window it
- * was seen in (+1, so a zeroed slot is free in every window) and its
- * group in that window. */
-typedef struct {
-    int64_t page, stamp, group;
-} page_slot;
-
 /* Group the n rows of seq by page inside consecutive windows of
  * `window` >= 1 rows (the caller bounds it, and the scratch, by n): out
  * gets each window's rows grouped by pages[i], the groups in order of
  * their first row and the rows of a group in their order in seq.  A
- * window's pages are numbered by an open-addressing table whose slots
- * carry the window they were written in, so no window clears it; its
- * rows are then counted per group and scattered stably.  All scratch,
- * O(window), is allocated before anything is written. */
+ * window numbers its pages in a page table, each page's group in a, and
+ * the next window frees them all by raising the stamp, so none clears
+ * it; its rows are then counted per group and scattered stably.  All
+ * scratch, O(window), is allocated before anything is written. */
 int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_t window,
                      int64_t *out)
 {
-    int bits = 1;  /* at least 2 * window slots, so probe chains stay short */
+    int bits = 1;  /* >= 2 * window slots: no window fills half, so none doubles them */
     while (bits < 62 && (int64_t)1 << (bits - 1) < window)
         bits++;
-    uint64_t mask = ((uint64_t)1 << bits) - 1;
-    page_slot *table = calloc((size_t)1 << bits, sizeof *table);
+    page_table t = {new_slots(bits), bits, 0, 0};
     int64_t *group = calloc(window, sizeof *group);
     int64_t *start = calloc(window, sizeof *start);
-    if (!table || !group || !start) {
-        free(table);
+    if (!t.slots || !group || !start) {
+        free(t.slots);
         free(group);
         free(start);
         return -1;
     }
-    for (int64_t w0 = 0, stamp = 1; w0 < n; w0 += window, stamp++) {
+    for (int64_t w0 = 0; w0 < n; w0 += window, t.stamp++, t.count = 0) {
         int64_t len = n - w0 < window ? n - w0 : window, groups = 0;
         for (int64_t i = 0; i < len; i++) {
-            int64_t page = pages[w0 + i];
-            uint64_t h = (uint64_t)page * 0x9e3779b97f4a7c15u >> (64 - bits);
-            while (table[h].stamp == stamp && table[h].page != page)
-                h = (h + 1) & mask;
-            if (table[h].stamp != stamp)
-                table[h] = (page_slot){page, stamp, groups++};
-            group[i] = table[h].group;
+            page_slot *s = find(&t, pages[w0 + i]);
+            if (s->stamp != t.stamp)
+                claim(&t, s, pages[w0 + i], groups++, 0);
+            group[i] = s->a;
             start[group[i]]++;
         }
         for (int64_t g = 0, sum = w0; g < groups; g++) {
@@ -1127,7 +1087,7 @@ int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_
             out[start[group[i]]++] = seq[w0 + i];
         memset(start, 0, groups * sizeof *start);
     }
-    free(table);
+    free(t.slots);
     free(group);
     free(start);
     return 0;

@@ -4,7 +4,8 @@ The library is compiled with the system C compiler into
 ``__pycache__/`` beside the source (or a per-user temporary directory
 when that is not writable), under a name keyed by the SHA-256 of the
 source, the compiler command and the platform, so an edited source is
-rebuilt and an unchanged one is only loaded.  The core is memloc's only
+rebuilt and an unchanged one is only loaded.  A build in ``__pycache__/``
+removes the older builds there.  The core is memloc's only
 kd-tree build and walk, recursive coordinate bisection, first-touch
 order, decision-tree induction, SFC quantiser and row order, page
 blocking, prefetch injection, cache filter and DRAM scheduler, so memloc
@@ -103,6 +104,10 @@ def _build() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if directory == _SOURCE.parent / "__pycache__":  # other checkouts share the temp dir
+            for stale in directory.glob("_core-*.so"):
+                if stale != lib:
+                    stale.unlink(missing_ok=True)  # a process that loaded it keeps its mapping
         return lib
     raise OSError("no writable directory for the compiled core")
 

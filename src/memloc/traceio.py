@@ -84,7 +84,9 @@ class Trace:
         if n > 1 and (n - 1) * issue_gap > CYCLE_MAX:
             raise ValueError(f"trace too long: {n} records {issue_gap} cycles apart "
                              f"pass the last cycle the format holds, {CYCLE_MAX}")
-        cycle = (np.arange(n, dtype=np.uint64) * issue_gap).astype(np.uint32)
+        cycle = np.arange(n, dtype=np.uint32)
+        if n > 1:  # then the check above keeps issue_gap and every product in u32
+            cycle *= issue_gap
         kinds = np.full(n, kind, dtype=np.uint8) if np.isscalar(kind) else kind
         return cls(vaddr, cycle, kinds)
 

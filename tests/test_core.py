@@ -59,6 +59,17 @@ def test_an_edited_source_is_rebuilt(source):
     second = _loaded()
     assert len(compiles) == 2
     assert second != first and second.exists()
+    assert list(second.parent.glob("_core-*.so")) == [second]  # the old build is pruned
+
+
+def test_the_source_compiles_without_warnings(tmp_path):
+    # -Wunused-function among them, so a static helper left dead fails
+    # here.  GCC checks for unused functions only when it compiles, not
+    # under -fsyntax-only, so this builds a library of its own.
+    done = subprocess.run([*_core._COMPILE, "-Wall", "-Wextra", "-Werror", "-o",
+                           str(tmp_path / "core.so"), str(_core._SOURCE)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_an_unwritable_cache_falls_back_to_a_private_temp_dir(source):

@@ -362,10 +362,12 @@ def test_first_touch_matches_loop(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(row_sequences(), st.sampled_from([8, 16, 64, 200]),
+@given(row_sequences(), st.sampled_from([8, 16, 64, 200, 1 << 22]),
        st.sampled_from([1, 16]), st.integers(1, 64))
 def test_block_by_page_matches_loop(case, stride, scale, window):
-    # scale 16 groups rows as 256-byte pages would at the unscaled stride.
+    # scale 16 groups rows as 256-byte pages would at the unscaled stride;
+    # a stride of 1 << 22 puts rows 1,024 pages apart, pages whose hashes
+    # share their low bits.
     seq, _ = case
     new = reorder.block_by_page(seq, stride * scale, window)
     assert new.dtype == np.int64
@@ -982,8 +984,11 @@ def test_filter_core_matches_cache_hierarchy(trace, setup):
 def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     rng = np.random.default_rng(7)
     sweep = np.tile(np.arange(512, dtype=np.uint64) * 64, 3)  # between L1 and L2 size
+    # Pages 1,024 apart share the low bits of their hash, and 2,000 of
+    # them grow the stride prefetcher's page table past its first slots.
+    apart = np.arange(2000, dtype=np.uint64) << 22
     vaddr = np.concatenate([rng.integers(0, 1 << 26, 3000, dtype=np.uint64),
-                            np.arange(3000, dtype=np.uint64)[::-1] * 192, sweep])
+                            np.arange(3000, dtype=np.uint64)[::-1] * 192, sweep, apart])
     trace = memsys.inject_sw_prefetch(Trace.from_addresses(vaddr), 8)
     cache = memsys.CacheConfig(memsys.LevelConfig(4096, 4), memsys.LevelConfig(16384, 8),
                                memsys.LevelConfig(65536, 16))

@@ -101,6 +101,14 @@ def test_from_addresses_rejects_a_wrapping_cycle():
     assert len(Trace.from_addresses(np.zeros(1, np.uint64), issue_gap=2**40)) == 1
 
 
+def test_from_addresses_holds_no_wide_temporaries():
+    # The cycle column is built in u32 in place: no 8-byte-per-record
+    # intermediate on top of the 4-byte cycle and 1-byte kind columns.
+    vaddr = np.zeros(1_000_000, np.uint64)
+    peak = _peak_bytes(Trace.from_addresses, vaddr)
+    assert peak <= 1.1 * 5 * len(vaddr)
+
+
 def test_io_peak_memory_stays_near_the_file_size(tmp_path):
     """Reading holds the 13-byte columns and one record block, writing
     one block: neither holds the whole file as records."""

@@ -1,51 +1,35 @@
-/* Compiled core of memloc's kd-tree, its recursive coordinate bisection,
- * its first-touch order, its decision-tree induction, its
- * space-filling-curve row order, its page blocking, its software-prefetch
- * injection and its two sequential simulators, and their only
- * implementation in the package.
- *
- * memloc_bisect builds the median-bisection order behind kdtree.KdTree
- * and reorder.reorder_rcb by selection, sorting only RCB's leaves;
- * memloc_first_touch orders the rows of reorder.reorder_first_touch by
- * first touch in one pass; memloc_kdtree runs the pruned kd-tree walk
- * behind KdTree and reports only the rows it examines; memloc_dtree
- * grows the decision tree behind kernels.gen_dtree_trace, its medians
- * selected as memloc_bisect's are; memloc_filter replays a trace's vaddr
- * column through the three-level LRU filter that memsys.filter_to_dram
- * models, each set a ring in recency order, with its stride prefetcher's
- * state in the page table memloc_block also uses, and reports the level
- * that served each record;
- * memloc_inject inserts the prefetch records of
- * memsys.inject_sw_prefetch; memloc_simulate runs the FR-FCFS-Cap
- * scheduler behind dramsim.simulate over a trace's vaddr and cycle
- * columns, mapping each request to its bank and row by the shifts and
- * masks dramsim derives from the scheme, and also times
- * dramsim.simulate_ideal's all-row-hit bound, whose masks of 0 put
- * every request on one bank and one row, with one window slot and one
- * latency; memloc_quantize is the grid
- * quantiser behind sfc.quantize_rows, memloc_sfc encodes and
- * radix-sorts the rows for reorder.reorder_sfc, and memloc_block groups
- * the rows of reorder.block_by_page by page.  All must give results
- * identical to the Python references that tests/test_oracles.py and
- * tests/test_dramsim.py compare them against (KdTreeOracle there,
- * sfc.encode and the bit-loop codecs, first_touch_oracle, the two
- * block_by_page oracles and inject_oracle, and the two bisection
- * oracles, dtree_oracle,
- * quantize_rows_oracle, CacheHierarchy, _simulate_reference over
- * _decompose_trace's mapping and, for the bound, the closed form
- * ideal_oracle in tests/reference_models.py).
- * _core.py compiles this file on first use and loads it with ctypes;
- * without a C compiler memloc cannot build a kd-tree, an RCB,
- * first-touch or SFC order, grow a decision tree, block rows by page,
- * inject prefetches, filter or simulate.
+/* Compiled core of memloc, the package's only implementation of each of
+ * these, for the Python callers named:
+ *   memloc_bisect       median-bisection order, by selection, sorting only
+ *                       RCB's leaves (kdtree.KdTree, reorder.reorder_rcb)
+ *   memloc_kdtree       pruned kd-tree walk (KdTree.walk)
+ *   memloc_first_touch  first-touch row order (reorder.reorder_first_touch)
+ *   memloc_dtree        decision-tree induction (kernels.gen_dtree_trace)
+ *   memloc_quantize     SFC grid quantiser (sfc.quantize_rows)
+ *   memloc_sfc          SFC codes and row order (reorder.reorder_sfc)
+ *   memloc_block        page blocking (reorder.block_by_page)
+ *   memloc_inject       software-prefetch injection (memsys.inject_sw_prefetch)
+ *   memloc_filter       three-level LRU filter with its stride prefetcher
+ *                       (memsys.filter_to_dram)
+ *   memloc_simulate     FR-FCFS-Cap scheduler and its all-row-hit bound
+ *                       (dramsim.simulate, dramsim.simulate_ideal)
+ * Each must give results identical to the Python reference that
+ * tests/test_oracles.py or tests/test_dramsim.py compares it against,
+ * most of them in tests/reference_models.py.  _core.py compiles this
+ * file on first use and loads it with ctypes; without a C compiler
+ * memloc cannot build a kd-tree, an RCB, first-touch or SFC order, grow
+ * a decision tree, block rows by page, inject prefetches, filter or
+ * simulate.
  *
  * Every function writes its results into arrays its caller allocated and
- * returns an int64_t: memloc_kdtree, which allocates nothing, the next
- * query to walk (nq when it is done); memloc_dtree the number of nodes;
- * memloc_inject, which allocates nothing, the number of records its
- * output holds, of which it writes no more than its capacity, as
- * snprintf does; the others 0; and all but memloc_kdtree,
- * memloc_quantize and memloc_inject -1 when memory runs out.
+ * sized, and returns an int64_t: memloc_kdtree, which allocates nothing,
+ * the next query to walk (nq when it is done); memloc_dtree the number
+ * of nodes; the others 0; and all but memloc_kdtree, memloc_quantize and
+ * memloc_inject -1 when memory runs out.  _core.py binds each function
+ * from its definition here, so a definition starts its line with
+ * "int64_t memloc_<name>(", and each parameter is an int64_t or double
+ * number, or a pointer to int64_t, uint64_t, uint32_t, uint8_t or double
+ * written "T *name", with const when the function only reads the array.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -271,8 +255,9 @@ static int demand(hierarchy *h, int64_t line)
  * unfilled way's tag 0.  served[i] = 0-2 when an L1-L3 hit serves the
  * demand access i, 3 when DRAM does, and 4 when record i is of kind
  * `prefetch_kind`, a software prefetch that fills level `sw_level` only.
- * stats receives the hierarchy's 2 counters, st.  The levels are
- * calloc'd, so a large cache pages in only the sets the trace touches. */
+ * stats receives the hierarchy's 2 counters, st, then the number of
+ * records served at each of levels 0-4.  The levels are calloc'd, so a
+ * large cache pages in only the sets the trace touches. */
 int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
                       const uint8_t *kinds, uint8_t *served, const int64_t *sets,
                       const int64_t *ways, int64_t sw_level, int64_t prefetch_kind,
@@ -286,15 +271,16 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
     level *sw = &h.lv[sw_level];
     for (int64_t i = 0; i < n && !rc; i++) {
         int64_t line = (int64_t)(vaddr[i] >> line_shift);
+        int r = 4;
         if (kinds[i] == prefetch_kind) {
-            served[i] = 4;
             if (lookup(sw, sw->pf, line) < 0)
                 fill(sw, sw->pf, line, 0);
-        } else {
-            int r = demand(&h, line);
-            served[i] = (uint8_t)r;
-            rc = r < 0;
+        } else if ((r = demand(&h, line)) < 0) {
+            rc = 1;
+            break;
         }
+        served[i] = (uint8_t)r;
+        stats[2 + r]++;
     }
     for (int k = 0; k < 3; k++)
         level_free(&h.lv[k]);
@@ -306,15 +292,12 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
  * record (kind other than prefetch_kind) a record of that kind for the
  * address of the demand record `distance` demands ahead, at the demand
  * record's cycle; demands with fewer than `distance` demands after them
- * get none.  A look-ahead index walks the demands once, `distance`
- * ahead of the copy.  Writes the first `capacity` output records at
- * most, reading vaddr and cycle for those alone, and returns the number
- * of all of them, so a call with capacity 0 and empty vaddr and cycle
- * sizes the out arrays of the next. */
+ * get none, so the out arrays hold n + max(0, demands - distance)
+ * records.  A look-ahead index walks the demands once, `distance` ahead
+ * of the copy. */
 int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
                       const uint8_t *kind, int64_t distance, int64_t prefetch_kind,
-                      int64_t capacity, uint64_t *out_vaddr, uint32_t *out_cycle,
-                      uint8_t *out_kind)
+                      uint64_t *out_vaddr, uint32_t *out_cycle, uint8_t *out_kind)
 {
     int64_t ahead = -1, o = 0;
     for (int64_t d = 0; d <= distance && ahead < n; d++)
@@ -323,35 +306,31 @@ int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
         while (ahead < n && kind[ahead] == prefetch_kind);
     for (int64_t i = 0; i < n; i++) {
         if (kind[i] != prefetch_kind && ahead < n) {
-            if (o < capacity) {
-                out_vaddr[o] = vaddr[ahead];
-                out_cycle[o] = cycle[i];
-                out_kind[o] = (uint8_t)prefetch_kind;
-            }
-            o++;
+            out_vaddr[o] = vaddr[ahead];
+            out_cycle[o] = cycle[i];
+            out_kind[o++] = (uint8_t)prefetch_kind;
             do
                 ahead++;
             while (ahead < n && kind[ahead] == prefetch_kind);
         }
-        if (o < capacity) {
-            out_vaddr[o] = vaddr[i];
-            out_cycle[o] = cycle[i];
-            out_kind[o] = kind[i];
-        }
-        o++;
+        out_vaddr[o] = vaddr[i];
+        out_cycle[o] = cycle[i];
+        out_kind[o++] = kind[i];
     }
-    return o;
+    return 0;
 }
 
 /* FR-FCFS-Cap over the n requests of vaddr.  Request i arrives at
  * cycle[i] when gap < 0 and at i * gap when not, and is on bank
  * vaddr[i] >> bank_shift & bank_mask, row vaddr[i] >> row_shift &
- * row_mask, mapped as it enters the window.  The window holds the
- * `depth` oldest arrived requests in arrival order; the oldest row hit
- * is served first unless an older request in front of it has been
- * bypassed max_bypass times.  counts[bank * 3 + kind] and events[i] get
- * the outcome, kind 0 hit, 1 closed bank, 2 conflict; latency[0..1] the
- * low and high 64 bits of the summed latencies. */
+ * row_mask, mapped as it enters the window, by the shifts and masks
+ * dramsim derives from the scheme; dramsim.simulate_ideal's all-row-hit
+ * bound passes masks of 0, one window slot and one latency.  The window
+ * holds the `depth` oldest arrived requests in arrival order; the oldest
+ * row hit is served first unless an older request in front of it has
+ * been bypassed max_bypass times.  counts[bank * 3 + kind] and events[i]
+ * get the outcome, kind 0 hit, 1 closed bank, 2 conflict; latency[0..1]
+ * the low and high 64 bits of the summed latencies. */
 int64_t memloc_simulate(int64_t n, const uint64_t *vaddr, const uint32_t *cycle, int64_t gap,
                         int64_t bank_shift, int64_t bank_mask, int64_t row_shift,
                         int64_t row_mask, int64_t nbanks, int64_t t_hit, int64_t t_closed,
@@ -594,12 +573,9 @@ int64_t memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
         int64_t lo, hi, depth;
     } stack[64];
     int64_t path[64];
-    keyed *a = malloc(n * sizeof *a), *tmp = malloc(n * sizeof *tmp);
-    if (!a || !tmp) {
-        free(a);
-        free(tmp);
+    keyed *a = malloc(2 * n * sizeof *a), *tmp = a + n;
+    if (!a)
         return -1;
-    }
     for (int64_t i = 0; i < n; i++)
         a[i].row = i;
     int64_t top = 1;
@@ -628,7 +604,6 @@ int64_t memloc_bisect(int64_t n, int64_t m, const double *data, int64_t *order,
     for (int64_t i = 0; i < n; i++)
         order[i] = a[i].row;
     free(a);
-    free(tmp);
     return 0;
 }
 
@@ -779,13 +754,12 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
         int64_t lo, hi, depth;
     } *stack = malloc((levels + 1) * sizeof *stack);
     keyed *a = malloc(2 * n * sizeof *a), *tmp = a + n;
-    int64_t *lab = malloc(n * sizeof *lab), *right = malloc(n * sizeof *right);
+    int64_t *lab = malloc(2 * n * sizeof *lab), *right = lab + n;
     int64_t *count = malloc(3 * ncls * sizeof *count), *left = count + ncls, *rest = left + ncls;
-    if (!stack || !a || !lab || !right || !count) {
+    if (!stack || !a || !lab || !count) {
         free(stack);
         free(a);
         free(lab);
-        free(right);
         free(count);
         return -1;
     }
@@ -854,7 +828,6 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
     free(stack);
     free(a);
     free(lab);
-    free(right);
     free(count);
     return nodes;
 }
@@ -1061,12 +1034,10 @@ int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_
     while (bits < 62 && (int64_t)1 << (bits - 1) < window)
         bits++;
     page_table t = {new_slots(bits), bits, 0, 0};
-    int64_t *group = calloc(window, sizeof *group);
-    int64_t *start = calloc(window, sizeof *start);
-    if (!t.slots || !group || !start) {
+    int64_t *group = calloc(2 * window, sizeof *group), *start = group + window;
+    if (!t.slots || !group) {
         free(t.slots);
         free(group);
-        free(start);
         return -1;
     }
     for (int64_t w0 = 0; w0 < n; w0 += window, t.stamp++, t.count = 0) {
@@ -1089,6 +1060,5 @@ int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_
     }
     free(t.slots);
     free(group);
-    free(start);
     return 0;
 }

@@ -12,12 +12,13 @@ blocking, prefetch injection, cache filter and DRAM scheduler, so memloc
 needs a C compiler (``cc``): when the core cannot be built or loaded,
 :func:`load` raises OSError.
 
-Every core function takes int64s, doubles and C-contiguous numpy
-arrays, writes its results into arrays its caller allocated, and
-returns an int64.  A negative return means the core ran out of memory
-for its own scratch space; the loaded functions raise
-MemoryError("<function>: out of memory") for it, so callers check
-nothing.
+Every core function writes its results into arrays its caller
+allocated and sized, and returns an int64.  :func:`load` binds each from
+its definition in ``_core.c`` (in the style its header sets), the one
+place its parameter types are written: an ``int64_t`` or ``double`` takes
+a number, and a ``T *`` a C-contiguous array of T, writeable unless
+``const``.  An array that does not fit raises TypeError before the call,
+and a negative return, the core out of memory, MemoryError("<function>: out of memory").
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import sysconfig
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,36 +41,61 @@ _SOURCE = Path(__file__).with_name("_core.c")
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _array(dtype):
-    return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+# The C types a parameter may have: a number's ctypes type, an array's element dtype.
+_NUMBERS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+_ARRAYS = {"int64_t": np.dtype(np.int64), "uint64_t": np.dtype(np.uint64),
+           "uint32_t": np.dtype(np.uint32), "uint8_t": np.dtype(np.uint8),
+           "double": np.dtype(np.float64)}
+_DEFINITION = re.compile(r"^int64_t (memloc_\w+)\(([^)]*)\)\s*\{", re.M)
+_PARAMETER = re.compile(r"\s*(const )?(\w+) (\*?)(\w+)\s*")
 
 
-_I64, _U8, _U64, _F64 = ctypes.c_int64, _array(np.uint8), _array(np.uint64), _array(np.float64)
-_SIGNATURES = {
-    "memloc_bisect": [_I64, _I64, _F64, _array(np.int64), _I64, _I64],
-    "memloc_kdtree": [_I64, _I64, _F64, _array(np.int64), _I64, _F64, _I64, ctypes.c_double,
-                      _F64, _I64, _I64, _array(np.int64), _array(np.int64)],
-    "memloc_dtree": [_I64, _I64, _F64, _I64, _array(np.int64), _I64, _I64, _array(np.int64),
-                     _array(np.int64)],
-    "memloc_filter": [_I64, _U64, _I64, _U8, _U8, _array(np.int64), _array(np.int64),
-                      *[_I64] * 5, _array(np.int64)],
-    "memloc_simulate": [_I64, _U64, _array(np.uint32), *[_I64] * 11, _array(np.int64), _U8,
-                        _U64],
-    "memloc_quantize": [_I64, _I64, _F64, _F64, _F64, ctypes.c_double, ctypes.c_double, _U64],
-    "memloc_sfc": [_I64, _I64, _U64, _I64, _I64, _U64, _array(np.int64)],
-    "memloc_inject": [_I64, _U64, _array(np.uint32), _U8, _I64, _I64, _I64, _U64,
-                      _array(np.uint32), _U8],
-    "memloc_block": [_I64, *[_array(np.int64)] * 2, _I64, _array(np.int64)],
-    "memloc_first_touch": [_I64, _array(np.int64), _I64, _array(np.int64)],
-}
+class Param(NamedTuple):
+    name: str
+    ctype: type  # c_int64 or c_double for a number, c_void_p for an array
+    dtype: np.dtype | None  # an array's elements
+    writes: bool  # an array without const, which the function writes
 
 
-def _check(result, func, args):
-    """The errcheck of every core function: a negative return means the
-    core ran out of memory."""
-    if result < 0:
-        raise MemoryError(f"{func.__name__}: out of memory")
-    return result
+def prototypes(source: str) -> dict:
+    """{function: its Params} for each int64_t memloc_* function that the C
+    source defines; TypeError for a parameter type the binding does not know."""
+    found = {}
+    for name, params in _DEFINITION.findall(source):
+        found[name] = []
+        for text in params.split(","):
+            m = _PARAMETER.fullmatch(text)
+            if not m or m[2] not in (_ARRAYS if m[3] else _NUMBERS):
+                raise TypeError(f"{name}: the binding does not know the type of {text.strip()!r}")
+            found[name].append(Param(m[4], ctypes.c_void_p, _ARRAYS[m[2]], not m[1]) if m[3]
+                               else Param(m[4], _NUMBERS[m[2]], None, False))
+    return found
+
+
+def _bind(lib, name: str, params: list) -> None:
+    """Set lib.<name> to the function that checks its array arguments and
+    calls with their data pointers."""
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = [p.ctype for p in params], ctypes.c_int64
+    arrays = [(i, p) for i, p in enumerate(params) if p.dtype is not None]
+
+    def call(*args):
+        if len(args) != len(params):
+            raise TypeError(f"{name} takes {len(params)} arguments, not {len(args)}")
+        values = list(args)  # args keeps every array alive until fn returns
+        for i, p in arrays:
+            a = args[i]
+            if not (isinstance(a, np.ndarray) and a.dtype == p.dtype and a.flags.c_contiguous
+                    and (a.flags.writeable or not p.writes)):
+                raise TypeError(f"{name}: argument {p.name} must be a C-contiguous"
+                                f"{' writeable' if p.writes else ''} {p.dtype} array")
+            values[i] = a.ctypes.data
+        if (result := fn(*values)) < 0:
+            raise MemoryError(f"{name}: out of memory")
+        return result
+
+    call.__name__ = name
+    setattr(lib, name, call)
 
 
 def _cache_dirs():
@@ -115,15 +143,14 @@ def _build() -> Path:
 @functools.cache
 def _open():
     """The library, or the OSError that kept it from loading: one try per process."""
+    bound = prototypes(_SOURCE.read_text())  # before a build: a bad prototype builds nothing
     try:
         lib = ctypes.CDLL(str(_build()))
     except OSError as e:
         return OSError(f"the compiled simulator core could not be built or loaded ({e}); "
                        "memloc needs a C compiler (cc)")
-    for fn, argtypes in _SIGNATURES.items():
-        getattr(lib, fn).argtypes = argtypes
-        getattr(lib, fn).restype = ctypes.c_int64
-        getattr(lib, fn).errcheck = _check
+    for name, params in bound.items():
+        _bind(lib, name, params)
     return lib
 
 

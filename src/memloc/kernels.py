@@ -69,12 +69,16 @@ def rows_to_lines(rows, addr: AddressModel) -> np.ndarray:
     """Expand row examinations into 64B-aligned line addresses: every
     distinct line covering the row's row_bytes bytes, per examination."""
     rows = np.asarray(rows, dtype=np.int64)
+    # Rows start at multiples of gcd(stride, line) inside a line, so no
+    # row crosses a line boundary when it is at most that long.  Then the
+    # lines are one array, updated in place.
+    if addr.row_bytes <= math.gcd(addr.row_stride_bytes, LINE_SIZE):
+        lines = rows * addr.row_stride_bytes
+        lines += addr.base
+        lines &= -LINE_SIZE  # x // LINE_SIZE * LINE_SIZE, in two's complement
+        return lines.view(np.uint64)
     start = addr.base + rows * addr.row_stride_bytes
     first = start // LINE_SIZE
-    # Rows start at multiples of gcd(stride, line) inside a line, so no
-    # row crosses a line boundary when it is at most that long.
-    if addr.row_bytes <= math.gcd(addr.row_stride_bytes, LINE_SIZE):
-        return (first * LINE_SIZE).astype(np.uint64)
     counts = (start + addr.row_bytes - 1) // LINE_SIZE - first + 1
     within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     return ((np.repeat(first, counts) + within) * LINE_SIZE).astype(np.uint64)

@@ -11,7 +11,7 @@ Python loops the tests compare them against live in tests/.  The core
 reads the trace's vaddr and kind columns as they are, keeps each cache
 set as a ring in recency order, so a fill moves no way, and reports the
 level that served each record, from which filter_to_dram takes the DRAM
-trace and all but the HW counters.
+trace, and counts the records of each level beside the HW counters.
 """
 
 from __future__ import annotations
@@ -106,17 +106,18 @@ class MemsysStats:
 
 
 def _levels(trace: Trace, cache: CacheConfig, pf: PrefetchConfig):
-    """The compiled filter's level per record (see memloc_filter) and [HW issued, HW useful]."""
+    """The compiled filter's level per record and its stats (see memloc_filter):
+    [HW issued, HW useful] and the records served at each of levels 0-4."""
     level = np.empty(len(trace), dtype=np.uint8)
-    hw = np.zeros(2, dtype=np.int64)
+    stats = np.zeros(7, dtype=np.int64)
     degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
     _core.load().memloc_filter(
         len(trace), trace.vaddr, LINE_SHIFT, trace.kind, level,
         np.array([c.num_sets for c in cache.levels], dtype=np.int64),
         np.array([c.associativity for c in cache.levels], dtype=np.int64),
         LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
-        degree, distance, _PAGE_LINES_SHIFT, hw)
-    return level, hw.tolist()
+        degree, distance, _PAGE_LINES_SHIFT, stats)
+    return level, stats.tolist()
 
 
 def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
@@ -127,12 +128,11 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     that miss every level.
     """
     trace.validate()
-    level, hw = _levels(trace, cache, pf)
-    l2, l3, dram, sw = (int(np.count_nonzero(level == k)) for k in range(1, 5))
+    level, (*hw, l1, l2, l3, dram, sw) = _levels(trace, cache, pf)
     misses = [l2 + l3 + dram, l3 + dram, dram]  # a level's misses are the next one's accesses
-    keep = level == 3
+    keep = level == 3  # a mask, not an index: 1 byte per record, not 8 per DRAM record
     return (Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]),
-            MemsysStats([len(level) - sw, *misses[:2]], misses, *hw, sw, dram))
+            MemsysStats([l1 + misses[0], *misses[:2]], misses, *hw, sw, dram))
 
 
 def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
@@ -141,13 +141,11 @@ def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
     accesses, standing in for compiler-inserted prefetch intrinsics)."""
     if distance < 1:
         raise ValueError("distance must be >= 1")
-    n, none = len(trace), Trace.empty()
-    # A distance past n + 1 injects nothing either, and fits in int64.
-    distance = min(distance, n + 1)
-    # With capacity 0 the core reads the kinds alone and returns the output's size.
-    size = _core.load().memloc_inject(n, none.vaddr, none.cycle, trace.kind, distance,
-                                      KIND_PREFETCH, 0, none.vaddr, none.cycle, none.kind)
+    n = len(trace)
+    demands = int(np.count_nonzero(trace.kind != KIND_PREFETCH))
+    size = n + max(0, demands - distance)  # a prefetch for each demand but the last `distance`
     out = Trace(np.empty(size, np.uint64), np.empty(size, np.uint32), np.empty(size, np.uint8))
-    _core.load().memloc_inject(n, trace.vaddr, trace.cycle, trace.kind, distance, KIND_PREFETCH,
-                               size, out.vaddr, out.cycle, out.kind)
+    # A distance past n + 1 injects nothing either, and fits in int64.
+    _core.load().memloc_inject(n, trace.vaddr, trace.cycle, trace.kind, min(distance, n + 1),
+                               KIND_PREFETCH, out.vaddr, out.cycle, out.kind)
     return out

@@ -3,10 +3,12 @@
 import ast
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +202,47 @@ def test_variant_overhead_excludes_loading_the_core(slow_build, variant):
 
 
 def test_the_core_takes_numbers_and_arrays_it_does_not_own():
-    ndpointer = np.ctypeslib.ndpointer(np.int64).__mro__[1]
-    for fn, argtypes in _core._SIGNATURES.items():
-        for t in argtypes:
-            assert t in (ctypes.c_int64, ctypes.c_double) or issubclass(t, ndpointer), (fn, t)
-        assert getattr(_core.load(), fn).restype is ctypes.c_int64
+    source, lib = _core._SOURCE.read_text(), _core.load()
+    defined = re.findall(r"^\w.*\b(memloc_\w+)\(", source, re.M)
+    bound = _core.prototypes(source)
+    assert len(defined) == 10 and sorted(bound) == sorted(defined)
+    arrays = {np.dtype(t) for t in (np.int64, np.uint64, np.uint32, np.uint8, np.float64)}
+    for fn, params in bound.items():
+        for p in params:
+            assert (p.ctype in (ctypes.c_int64, ctypes.c_double) and p.dtype is None
+                    or p.ctype is ctypes.c_void_p and p.dtype in arrays), (fn, p)
+        assert isinstance(getattr(lib, fn), types.FunctionType)  # the checked callable
+        assert getattr(lib, fn).__name__ == fn
     assert not [v for v in vars(_core).values()
                 if isinstance(v, type) and issubclass(v, ctypes.Structure)]
-    assert not hasattr(_core.load(), "memloc_release")
+    assert not hasattr(lib, "memloc_release")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("seq, out, name", [
+    (np.arange(4, dtype=np.int32), np.full(4, 7, np.int64), "seq"),
+    (np.arange(8, dtype=np.int64)[::2], np.full(4, 7, np.int64), "seq"),
+    (np.arange(4, dtype=np.int64), _read_only(np.full(4, 7, np.int64)), "out"),
+    ([0, 1, 2, 3], np.full(4, 7, np.int64), "seq"),
+], ids=["dtype", "strided", "read-only-output", "list"])
+def test_an_array_that_does_not_fit_fails_before_the_core_runs(seq, out, name):
+    with pytest.raises(TypeError, match=rf"^memloc_first_touch: argument {name} must be a "
+                                        "C-contiguous"):
+        _core.load().memloc_first_touch(4, seq, 4, out)
+    assert out.tolist() == [7] * 4
+
+
+def test_a_parameter_type_the_binding_does_not_know_fails_at_load(source):
+    path, compiles = source
+    path.write_text(path.read_text() + "\nint64_t memloc_scale(int64_t n, float x)\n{\n"
+                                       "    return n * x;\n}\n")
+    with pytest.raises(TypeError, match=r"^memloc_scale: .* type of 'float x'$"):
+        _core.load()
+    assert compiles == []  # the prototypes are read before anything is built
 
 
 def test_stages_pass_a_read_traces_own_columns_to_the_core(tmp_path, monkeypatch):
@@ -231,7 +266,7 @@ def test_stages_pass_a_read_traces_own_columns_to_the_core(tmp_path, monkeypatch
     memsys.inject_sw_prefetch(trace, 4)
     dramsim.simulate(trace)
     dramsim.simulate_ideal(trace)
-    assert passed == [("memloc_filter", {"vaddr", "kind"}), ("memloc_inject", {"kind"}),
+    assert passed == [("memloc_filter", {"vaddr", "kind"}),
                       ("memloc_inject", {"vaddr", "cycle", "kind"}),
                       ("memloc_simulate", {"vaddr", "cycle"}),
                       ("memloc_simulate", {"vaddr", "cycle"})]
@@ -280,25 +315,34 @@ def test_first_touch_allocates_its_scratch_before_writing():
     assert out.tolist() == [7] * 4
 
 
-def test_inject_writes_no_more_than_its_capacity():
-    # As snprintf does: the core fills what fits, leaves the element past
-    # it alone and returns the size of the whole output.
-    trace = traceio.Trace(np.arange(12, dtype=np.uint64) * 64, np.arange(12) * 4,
-                          np.array([0, 2, 0, 0, 1, 2, 2, 0, 1, 0, 0, 0], np.uint8))
-    expected = inject_oracle(trace, 3)
-    size = len(expected)
-    args = (len(trace), trace.vaddr, trace.cycle, trace.kind, 3, traceio.KIND_PREFETCH)
-    for capacity in (0, size - 1):
-        out = [np.full(size, 7, np.uint64), np.full(size, 7, np.uint32), np.full(size, 7, np.uint8)]
-        assert _core.load().memloc_inject(*args, capacity, *out) == size
-        assert [a[capacity:].tolist() for a in out] == [[7] * (size - capacity)] * 3
-        assert traceio.Trace(*(a[:capacity] for a in out)) == traceio.Trace(
-            *(a[:capacity] for a in (expected.vaddr, expected.cycle, expected.kind)))
+MIXED_KINDS = [0, 2, 0, 0, 1, 2, 2, 0, 1, 0, 0, 0]  # 9 demands among 12 records
+
+
+@pytest.mark.parametrize("kinds, distance", [
+    (MIXED_KINDS, 1), (MIXED_KINDS, 3), (MIXED_KINDS, 9), (MIXED_KINDS, 13),
+    ([2] * 5, 1), ([2] * 5, 6), ([], 1)],
+    ids=["mixed-1", "mixed-3", "mixed-9", "past-n", "prefetches-1", "prefetches-past-n", "empty"])
+def test_inject_output_holds_a_prefetch_for_each_demand_but_the_last_distance(kinds, distance):
+    # The caller sizes the output as n + max(0, demands - distance), and
+    # the core fills exactly that: the element past it keeps its sentinel.
+    n = len(kinds)
+    trace = traceio.Trace(np.arange(n, dtype=np.uint64) * 64, np.arange(n) * 4,
+                          np.array(kinds, np.uint8))
+    expected = inject_oracle(trace, distance)
+    size = n + max(0, sum(k != traceio.KIND_PREFETCH for k in kinds) - distance)
+    assert len(expected) == size
+    assert memsys.inject_sw_prefetch(trace, distance) == expected
+    out = [np.full(size + 1, 7, np.uint64), np.full(size + 1, 7, np.uint32),
+           np.full(size + 1, 7, np.uint8)]
+    _core.load().memloc_inject(n, trace.vaddr, trace.cycle, trace.kind, distance,
+                               traceio.KIND_PREFETCH, *out)
+    assert [a[size] for a in out] == [7] * 3
+    assert traceio.Trace(*(a[:size] for a in out)) == expected
 
 
 def test_filter_writes_every_level_and_two_counters():
-    # A counter written past the caller's two slots would corrupt the heap
-    # silently; here it would land on the sentinel.  A random walk over 400
+    # A counter written past the caller's seven slots would corrupt the
+    # heap silently; here it would land on the sentinel.  A random walk over 400
     # lines, repeated, then a sweep, software prefetched into L3 with the
     # HW prefetcher on, is served at every level.
     rng = np.random.default_rng(3)
@@ -306,7 +350,7 @@ def test_filter_writes_every_level_and_two_counters():
     trace = memsys.inject_sw_prefetch(
         traceio.Trace.from_addresses(lines.astype(np.uint64) * 64), 4)
     level = np.full(len(trace), 7, np.uint8)
-    stats = np.array([0, 0, 7], np.int64)
+    stats = np.array([0] * 7 + [7], np.int64)
     sets_and_ways = np.array([4, 8, 16], np.int64)
     _core.load().memloc_filter(len(trace), trace.vaddr, traceio.LINE_SHIFT, trace.kind, level,
                                sets_and_ways, sets_and_ways, 2, traceio.KIND_PREFETCH, 2, 1,
@@ -314,7 +358,8 @@ def test_filter_writes_every_level_and_two_counters():
     counts = np.bincount(level)  # no sentinel left, and each of levels 0-4 seen
     assert len(counts) == 5 and counts.min() > 0
     assert (level == 4).tolist() == (trace.kind == traceio.KIND_PREFETCH).tolist()
-    assert stats[0] > stats[1] > 0 and stats[2] == 7
+    assert stats[0] > stats[1] > 0 and stats[7] == 7
+    assert stats[2:7].tolist() == np.bincount(level, minlength=5).tolist()
 
 
 SRC = Path(_core.__file__).parent

@@ -49,6 +49,22 @@ class TestAddressModel:
         assert kernels.rows_to_lines([0, 1], last).tolist() == [base, 2**63 - 64]
         assert AddressModel(row_stride_bytes=2**62).row_stride_bytes == 2**62  # rows unknown
 
+    def test_single_line_rows_allocate_only_their_lines(self):
+        # One int64 array, updated in place: no temporaries beside it, and
+        # the caller's int64 rows are left as they were.
+        rows = np.random.default_rng(1).integers(0, 4_000_000, 1_000_000)
+        before = rows.copy()
+        addr = AddressModel(row_stride_bytes=64, row_bytes=8)
+        tracemalloc.start()
+        try:
+            lines = kernels.rows_to_lines(rows, addr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * lines.nbytes
+        assert np.array_equal(rows, before)
+        assert np.array_equal(lines, ((addr.base + rows * 64) // 64 * 64).astype(np.uint64))
+
     def test_addresses_line_aligned_and_in_range(self):
         addr = AddressModel(row_stride_bytes=24, row_bytes=24)
         rows = np.arange(100)

@@ -758,6 +758,11 @@ def dtree_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(dtree_cases())
+# 18 rows, one feature: the root's partition leaves its upper middle
+# value, 9, at position k + 2, so a min scan that skipped that slot
+# would split at 9.5 instead of 8.5.
+@example((np.array([4, 12, 1, 10, 2, 6, 0, 5, 17, 15, 13, 16, 11, 8, 7, 3, 14, 9.])[:, None],
+          np.array([0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0]), 2))
 def test_dtree_core_matches_recursive_induction(case):
     data, labels, max_depth = case
     lib, calls = _core.load(), []

@@ -42,7 +42,7 @@
  * sign bit flipped, line ^ INT64_MIN, so a way never filled, which calloc
  * zeroed, holds the tag of line INT64_MIN, and no line is INT64_MIN:
  * trace lines lie in [0, 2^58), and a stride prefetch moves a line by
- * less than a page's 64 lines times StridePrefetchConfig's bound of 2^56
+ * less than a page's 64 lines times PrefetchConfig's bound of 2^56
  * on degree + distance, so it stays above -2^62.  Unfilled ways sit at
  * the LRU end of the ring, so fills use them first.  Only L2 keeps
  * per-way prefetch flags: the helpers take them as `pf`, NULL for L1 and

@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = stage("dramsim", cmd_dramsim, "simulate DRAM over a trace", "--trace", "--stats")
     d.add_argument("--scheme", dest="dram.scheme", choices=dramsim.SCHEMES)
     d.add_argument("--cap", dest="dram.cap", type=int)
-    d.add_argument("--arrival", dest="dram.arrival", choices=["from-trace", "fixed-gap"])
+    d.add_argument("--arrival", dest="dram.arrival", choices=dramsim.ARRIVALS)
 
     pf = stage("prefetch", cmd_prefetch, "inject software prefetch records", "--trace", "--out")
     pf.add_argument("--distance", dest="prefetch.sw_distance", type=int)

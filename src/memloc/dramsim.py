@@ -24,6 +24,7 @@ from . import _core
 from .traceio import LINE_SHIFT, LINE_SIZE, Trace
 
 SCHEMES = ("RoBaRaCoCh", "ChRaBaRoCo")
+ARRIVALS = ("from-trace", "fixed-gap")
 _EVENT_CHARS = bytes.maketrans(bytes([0, 1, 2]), b"hmc")
 
 _FIELD_ORDER = {
@@ -35,10 +36,23 @@ _FIELD_ORDER = {
 
 
 @dataclass(frozen=True)
-class DramGeometry:
+class DramConfig:
+    """The `dram` section of a pipeline config, field for field: the
+    geometry, the timing in cycles, the address-mapping scheme and the
+    scheduler's cap, arrival model and window depth."""
+
     banks: int = 16
     rows_per_bank: int = 32768
     row_size_bytes: int = 8192
+    tCL: int = 16
+    tRCD: int = 16
+    tRP: int = 16
+    tBURST: int = 4
+    scheme: str = "RoBaRaCoCh"
+    cap: int = 4
+    arrival: str = "from-trace"  # "fixed-gap" spaces arrivals arrival_gap cycles apart
+    arrival_gap: int = 4
+    queue_depth: int = 32
 
     def __post_init__(self):
         for v in (self.banks, self.rows_per_bank, self.row_size_bytes):
@@ -46,6 +60,18 @@ class DramGeometry:
                 raise ValueError("geometry counts must be powers of two")
         if self.row_size_bytes < LINE_SIZE:
             raise ValueError(f"row_size_bytes must be >= the {LINE_SIZE}-byte line")
+        if min(self.tCL, self.tRCD, self.tRP, self.tBURST) < 1:
+            raise ValueError("timing parameters must be positive")
+        if self.cap < 1:
+            raise ValueError("cap must be >= 1")
+        if self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        if self.scheme not in _FIELD_ORDER:
+            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        if self.arrival not in ARRIVALS:
+            raise ValueError(f"unknown arrival model {self.arrival!r}")
+        if self.arrival == "fixed-gap" and self.arrival_gap < 0:
+            raise ValueError("arrival_gap must be >= 0")
 
     @property
     def columns_per_row(self) -> int:
@@ -57,18 +83,6 @@ class DramGeometry:
             "row": (self.rows_per_bank - 1).bit_length(),
             "column": (self.columns_per_row - 1).bit_length(),
         }
-
-
-@dataclass(frozen=True)
-class DramTiming:
-    tCL: int = 16
-    tRCD: int = 16
-    tRP: int = 16
-    tBURST: int = 4
-
-    def __post_init__(self):
-        if min(self.tCL, self.tRCD, self.tRP, self.tBURST) < 1:
-            raise ValueError("timing parameters must be positive")
 
     @property
     def hit(self) -> int:
@@ -98,34 +112,32 @@ class DramStats:
         return self.hits / self.total if self.total else 0.0
 
 
-def _fields(scheme: str, geom: DramGeometry) -> dict:
+def _fields(dram: DramConfig) -> dict:
     """name -> (shift, mask) of the scheme's fields: a field of address a
     is a >> shift & mask."""
-    if scheme not in _FIELD_ORDER:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    bits, shift, out = geom.field_bits(), LINE_SHIFT, {}
-    for name in _FIELD_ORDER[scheme]:
+    bits, shift, out = dram.field_bits(), LINE_SHIFT, {}
+    for name in _FIELD_ORDER[dram.scheme]:
         out[name] = (shift, (1 << bits[name]) - 1)
         shift += bits[name]
     return out
 
 
-def map_address(paddr: int, scheme: str, geom: DramGeometry = DramGeometry()):
+def map_address(paddr: int, dram: DramConfig = DramConfig()):
     """Decompose a physical address into (channel, rank, bank, row, column);
     channel and rank are always 0.
 
     Addresses beyond the geometry's capacity wrap modulo capacity.
     """
-    f = {name: int(paddr) >> shift & mask for name, (shift, mask) in _fields(scheme, geom).items()}
+    f = {name: int(paddr) >> shift & mask for name, (shift, mask) in _fields(dram).items()}
     return (0, 0, f["bank"], f["row"], f["column"])
 
 
-def _bank_row(scheme: str, geom: DramGeometry) -> tuple:
+def _bank_row(dram: DramConfig) -> tuple:
     """(bank shift, bank mask, row shift, row mask) with which the core maps
     a trace's requests as map_address does.  A vaddr has 64 bits, so a
     mask keeps the bits below 64 - shift alone, which fit an int64, and a
     field above them all is (0, 0)."""
-    fields, out = _fields(scheme, geom), ()
+    fields, out = _fields(dram), ()
     for name in ("bank", "row"):
         shift, mask = fields[name]
         mask &= (1 << max(64 - shift, 0)) - 1
@@ -133,21 +145,18 @@ def _bank_row(scheme: str, geom: DramGeometry) -> tuple:
     return out
 
 
-def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_row: tuple, nbanks: int,
-              latencies: tuple, cap: int, queue_depth: int):
+def _schedule(trace: Trace, dram: DramConfig, bank_row: tuple, nbanks: int, latencies: tuple,
+              cap: int, queue_depth: int):
     """(per-bank hit/closed/conflict counts, kinds in service order, mean
-    latency) of the compiled scheduler over a checked trace's arrivals,
-    its requests mapped by bank_row's shifts and masks."""
+    latency) of the compiled scheduler over a checked trace's arrivals
+    under `dram`'s arrival model, its requests mapped by bank_row's
+    shifts and masks."""
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
-    if arrival not in ("from-trace", "fixed-gap"):
-        raise ValueError(f"unknown arrival model {arrival!r}")
-    if arrival == "fixed-gap" and arrival_gap < 0:
-        raise ValueError("arrival_gap must be >= 0")
-    from_trace = arrival == "from-trace"
+    from_trace = dram.arrival == "from-trace"
     # In Python ints: the clock never passes the last arrival plus n services.
-    last = int(trace.cycle.max()) if from_trace else (n - 1) * arrival_gap
+    last = int(trace.cycle.max()) if from_trace else (n - 1) * dram.arrival_gap
     if last + n * max(latencies) >= 1 << 63:
         raise ValueError("arrival_gap or timing runs the DRAM clock past 2**63 cycles")
     counts = np.zeros((nbanks, 3), dtype=np.int64)
@@ -156,30 +165,23 @@ def _schedule(trace: Trace, arrival: str, arrival_gap: int, bank_row: tuple, nba
     # Bypass counts and the window never exceed n, so larger caps and
     # depths act as n + 1 and n do.  A gap of -1 takes arrivals from cycles.
     _core.load().memloc_simulate(n, trace.vaddr, trace.cycle,
-                                 -1 if from_trace else arrival_gap, *bank_row, nbanks,
+                                 -1 if from_trace else dram.arrival_gap, *bank_row, nbanks,
                                  *latencies, min(cap, n + 1) - 1, min(queue_depth, n), counts,
                                  events, latency)
     lo, hi = latency.tolist()
     return counts, events, (hi << 64 | lo) / n
 
 
-def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
-             timing: DramTiming = DramTiming(), scheme: str = "RoBaRaCoCh",
-             cap: int = 4, arrival: str = "from-trace", arrival_gap: int = 4,
-             queue_depth: int = 32, collect_events: bool = False) -> DramStats:
+def simulate(trace: Trace, dram: DramConfig = DramConfig(),
+             collect_events: bool = False) -> DramStats:
     """Run the FR-FCFS-Cap model over a trace and return DramStats.
 
-    arrival "from-trace" uses record cycles; "fixed-gap" spaces
-    arrivals `arrival_gap` cycles apart.  Only the `queue_depth`
-    oldest outstanding requests are visible to the scheduler.
+    Only the `dram.queue_depth` oldest outstanding requests are visible
+    to the scheduler.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
     counts, events, avg_latency = _schedule(
-        trace, arrival, arrival_gap, _bank_row(scheme, geom), geom.banks,
-        (timing.hit, timing.closed, timing.conflict), cap, queue_depth)
+        trace, dram, _bank_row(dram), dram.banks, (dram.hit, dram.closed, dram.conflict),
+        dram.cap, dram.queue_depth)
     return DramStats(
         *counts.sum(axis=0).tolist(), total=len(trace), avg_latency=avg_latency,
         per_bank={int(b): dict(zip(("hits", "misses", "conflicts"), counts[b].tolist()))
@@ -188,16 +190,14 @@ def simulate(trace: Trace, geom: DramGeometry = DramGeometry(),
         else None)
 
 
-def simulate_ideal(trace: Trace, timing: DramTiming = DramTiming(),
-                   arrival: str = "from-trace", arrival_gap: int = 4) -> DramStats:
+def simulate_ideal(trace: Trace, dram: DramConfig = DramConfig()) -> DramStats:
     """Every request serviced at row-hit latency; hit ratio reported as 1.
 
     The scheduler with one row, one slot and one latency serves the oldest
     request first, t_i = max(t_{i-1}, arrive_i) + t_hit; its masks of 0 put
     every request on bank 0, row 0, so it maps no address.
     """
-    _, _, avg_latency = _schedule(trace, arrival, arrival_gap, (0, 0, 0, 0), 1,
-                                  (timing.hit,) * 3, 1, 1)
+    _, _, avg_latency = _schedule(trace, dram, (0, 0, 0, 0), 1, (dram.hit,) * 3, 1, 1)
     return DramStats(hits=len(trace), total=len(trace), avg_latency=avg_latency)
 
 

@@ -58,25 +58,25 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class StridePrefetchConfig:
-    degree: int = 2
-    distance: int = 1
-
-    def __post_init__(self):
-        if self.degree < 1 or self.distance < 1:
-            raise ValueError("degree and distance must be >= 1")
-        # A prefetch line, line + stride * (distance + degree - 1) with a
-        # stride under one page, then stays inside int64.
-        if self.degree + self.distance > 1 << 56:
-            raise ValueError("degree + distance must be <= 2**56")
-
-
-@dataclass(frozen=True)
 class PrefetchConfig:
-    hw: StridePrefetchConfig | None = None
-    sw_target: str = "L2"  # target level for injected prefetch records
+    """The `prefetch` section of a pipeline config, field for field: the
+    HW stride prefetcher into L2, on with `hw`, and the target level and
+    distance of injected software prefetch records."""
+
+    hw: bool = False
+    hw_degree: int = 2
+    hw_distance: int = 1
+    sw_target: str = "L2"
+    sw_distance: int = 16  # checked by inject_sw_prefetch, which takes it
 
     def __post_init__(self):
+        if self.hw:
+            if self.hw_degree < 1 or self.hw_distance < 1:
+                raise ValueError("degree and distance must be >= 1")
+            # A prefetch line, line + stride * (distance + degree - 1) with a
+            # stride under one page, then stays inside int64.
+            if self.hw_degree + self.hw_distance > 1 << 56:
+                raise ValueError("degree + distance must be <= 2**56")
         if self.sw_target not in LEVEL_NAMES:
             raise ValueError(f"sw target must be one of {LEVEL_NAMES}")
 
@@ -110,7 +110,7 @@ def _levels(trace: Trace, cache: CacheConfig, pf: PrefetchConfig):
     [HW issued, HW useful] and the records served at each of levels 0-4."""
     level = np.empty(len(trace), dtype=np.uint8)
     stats = np.zeros(7, dtype=np.int64)
-    degree, distance = (pf.hw.degree, pf.hw.distance) if pf.hw else (0, 0)
+    degree, distance = (pf.hw_degree, pf.hw_distance) if pf.hw else (0, 0)
     _core.load().memloc_filter(
         len(trace), trace.vaddr, LINE_SHIFT, trace.kind, level,
         np.array([c.num_sets for c in cache.levels], dtype=np.int64),
@@ -125,9 +125,9 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     """Simulate the hierarchy; return (dram_trace, stats).
 
     The output is the order-preserving subsequence of demand accesses
-    that miss every level.
+    that miss every level.  No cycle is read, so the trace is not
+    checked here: read_trace checks every trace that comes from a file.
     """
-    trace.validate()
     level, (*hw, l1, l2, l3, dram, sw) = _levels(trace, cache, pf)
     misses = [l2 + l3 + dram, l3 + dram, dram]  # a level's misses are the next one's accesses
     keep = level == 3  # a mask, not an index: 1 byte per record, not 8 per DRAM record

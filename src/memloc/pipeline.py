@@ -15,7 +15,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ KERNELS = ("knn", "dbscan", "dtree", "gather")
 REORDERINGS = ("first-touch", "rcb", "hilbert", "zorder", "block", "zorder-comp")
 
 # Every accepted config key and its default; a dict value is a section.
+# The prefetch and dram sections are PrefetchConfig's and DramConfig's fields.
 DEFAULTS = {
     "seed": 0, "variants": ("baseline",), "sfc_bits": reorder.DEFAULT_SFC_BITS,
     "rcb_leaf_size": 32, "block_window": reorder.DEFAULT_BLOCK_WINDOW,
@@ -43,12 +44,8 @@ DEFAULTS = {
     },
     "cache": {"l1_kb": 32, "l1_ways": 8, "l2_kb": 256, "l2_ways": 8,
               "l3_kb": 8192, "l3_ways": 16},
-    "prefetch": {"hw": False, "hw_degree": 2, "hw_distance": 1,
-                 "sw_target": "L2", "sw_distance": 16},
-    "dram": {"banks": 16, "rows_per_bank": 32768, "row_size_bytes": 8192,
-             "tCL": 16, "tRCD": 16, "tRP": 16, "tBURST": 4,
-             "scheme": "RoBaRaCoCh", "cap": 4, "arrival": "from-trace",
-             "arrival_gap": 4, "queue_depth": 32},
+    "prefetch": asdict(memsys.PrefetchConfig()),
+    "dram": asdict(dramsim.DramConfig()),
 }
 
 
@@ -85,6 +82,8 @@ def resolve_config(config: dict, defaults: dict = DEFAULTS, prefix: str = "") ->
             prefix + key == "kernel.row_stride_bytes" and value is not None)
         if integral and not _is_integer(value):
             raise PipelineError(f"config: {prefix + key} must be an integer")
+        if isinstance(defaults[key], bool) and not isinstance(value, bool):
+            raise PipelineError(f"config: {prefix + key} must be a boolean")
         if prefix + key == "kernel.kind" and value is not None and value not in KERNELS:
             raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
         if prefix + key == "variants" and not (
@@ -103,22 +102,15 @@ def _is_integer(value) -> bool:
 
 def memory_config(cfg: dict):
     """(CacheConfig, PrefetchConfig) of a resolved config."""
-    c, p = cfg["cache"], cfg["prefetch"]
+    c = cfg["cache"]  # in KiB; LevelConfig takes bytes
     levels = (memsys.LevelConfig(c[f"l{i}_kb"] * 1024, c[f"l{i}_ways"]) for i in (1, 2, 3))
-    hw = memsys.StridePrefetchConfig(p["hw_degree"], p["hw_distance"]) if p["hw"] else None
-    return memsys.CacheConfig(*levels), memsys.PrefetchConfig(hw, p["sw_target"])
+    return memsys.CacheConfig(*levels), memsys.PrefetchConfig(**cfg["prefetch"])
 
 
 def simulate_dram(dram_trace, cfg: dict):
     """(actual, ideal) DramStats of a DRAM trace under the config's model."""
-    d = cfg["dram"]
-    pick = lambda *keys: {k: d[k] for k in keys}  # noqa: E731
-    geom = dramsim.DramGeometry(**pick("banks", "rows_per_bank", "row_size_bytes"))
-    timing = dramsim.DramTiming(**pick("tCL", "tRCD", "tRP", "tBURST"))
-    arrivals = pick("arrival", "arrival_gap")
-    return (dramsim.simulate(dram_trace, geom, timing, **arrivals,
-                             **pick("scheme", "cap", "queue_depth")),
-            dramsim.simulate_ideal(dram_trace, timing, **arrivals))
+    dram = dramsim.DramConfig(**cfg["dram"])
+    return dramsim.simulate(dram_trace, dram), dramsim.simulate_ideal(dram_trace, dram)
 
 
 @dataclass
@@ -162,9 +154,9 @@ def build_kernel(config: dict, cfg: dict | None = None) -> _KernelCtx:
         if k[key] < low:
             raise PipelineError(f"config: kernel.{key} must be >= {low}")
     n, m = k["n"], k["m"]
-    rng = np.random.default_rng(seed)
     data = labels = queries = None
     with _stage("config"):
+        rng = np.random.default_rng(seed)
         if kind != "gather":
             if k["clusters"]:
                 data = kernels.make_clustered(n, m, k["clusters"], seed,

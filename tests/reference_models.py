@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from memloc.dramsim import _FIELD_ORDER, DramGeometry, DramStats, DramTiming
+from memloc.dramsim import _FIELD_ORDER, DramConfig, DramStats
 from memloc.memsys import (
     _PAGE_LINES_SHIFT,
     LEVEL_NAMES,
@@ -29,7 +29,6 @@ from memloc.memsys import (
     LevelConfig,
     MemsysStats,
     PrefetchConfig,
-    StridePrefetchConfig,
 )
 from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
@@ -72,12 +71,12 @@ class _StridePrefetcher:
     """Per-4KB-page stream table feeding prefetches into L2.
 
     Trains on the L2 access stream (L1 demand misses).  A confirmed
-    stride (two consecutive same-page deltas equal) issues `degree`
+    stride (two consecutive same-page deltas equal) issues `hw_degree`
     line prefetches ahead; an L2 demand miss also issues a next-line
     prefetch, modeling default next-line behavior.
     """
 
-    def __init__(self, cfg: StridePrefetchConfig):
+    def __init__(self, cfg: PrefetchConfig):
         self.cfg = cfg
         self.table: dict = {}  # page -> (last_line, stride)
 
@@ -89,8 +88,8 @@ class _StridePrefetcher:
             last, stride = entry
             delta = line - last
             if delta != 0 and delta == stride:
-                for i in range(1, self.cfg.degree + 1):
-                    out.append(line + delta * (self.cfg.distance + i - 1))
+                for i in range(1, self.cfg.hw_degree + 1):
+                    out.append(line + delta * (self.cfg.hw_distance + i - 1))
             self.table[page] = (line, delta)
         else:
             self.table[page] = (line, 0)
@@ -107,7 +106,7 @@ class CacheHierarchy:
         self.levels = [_Level(c) for c in cache.levels]
         self.pf = pf
         self.stats = MemsysStats()
-        self.hw = _StridePrefetcher(pf.hw) if pf.hw else None
+        self.hw = _StridePrefetcher(pf) if pf.hw else None
         self.pf_lines: set = set()  # hw-prefetched L2 lines not yet demand-hit
         self.sw_level = LEVEL_NAMES.index(pf.sw_target)
 
@@ -183,24 +182,26 @@ def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
     return level, hier.stats
 
 
-def _decompose_trace(trace: Trace, scheme: str, geom: DramGeometry):
+def _decompose_trace(trace: Trace, dram: DramConfig):
     """(bank, row) int64 arrays of a trace's lines, the scheme's fields
     taken from the LSB up: the scheduler reference's address mapping."""
     line = (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
-    bits, fields = geom.field_bits(), {}
-    for name in _FIELD_ORDER[scheme]:
+    bits, fields = dram.field_bits(), {}
+    for name in _FIELD_ORDER[dram.scheme]:
         width = min(bits[name], 63)  # lines have 58 bits: a wider field takes them all
         fields[name] = line & ((1 << width) - 1)
         line = line >> width
     return fields["bank"], fields["row"]
 
 
-def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: DramTiming,
-                        cap: int, queue_depth: int, collect_events: bool) -> DramStats:
+def _simulate_reference(bank_arr, row_arr, arrive_arr, dram: DramConfig,
+                        collect_events: bool) -> DramStats:
     """The FR-FCFS-Cap loop in Python over _decompose_trace's bank and
-    row arrays and arrival_cycles: the reference for tests."""
+    row arrays and arrival_cycles, with dram's bank count, latencies, cap
+    and window depth: the reference for tests."""
     n = len(bank_arr)
-    t_hit, t_closed, t_conflict = timing.hit, timing.closed, timing.conflict
+    t_hit, t_closed, t_conflict = dram.hit, dram.closed, dram.conflict
+    nbanks, queue_depth = dram.banks, dram.queue_depth
     stats = DramStats(total=n, events=[] if collect_events else None)
 
     bank_id = bank_arr.tolist()
@@ -214,7 +215,7 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: Dram
     queued = {}  # (bank, row) -> number of window entries
     hits_queued = 0  # window entries matching their bank's open row
     t = 0
-    max_bypass = cap - 1  # cap=1 -> no bypass -> FCFS
+    max_bypass = dram.cap - 1  # cap=1 -> no bypass -> FCFS
     events = stats.events
 
     while window or next_req < n:
@@ -281,22 +282,22 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, nbanks: int, timing: Dram
     return stats
 
 
-def arrival_cycles(trace: Trace, arrival: str, arrival_gap: int) -> np.ndarray:
+def arrival_cycles(trace: Trace, dram: DramConfig) -> np.ndarray:
     """The int64 arrival cycles the simulators read: the record cycles,
-    or one request every `arrival_gap` cycles from cycle 0."""
-    if arrival == "from-trace":
+    or one request every `dram.arrival_gap` cycles from cycle 0."""
+    if dram.arrival == "from-trace":
         return trace.cycle.astype(np.int64)
-    return np.arange(len(trace), dtype=np.int64) * arrival_gap
+    return np.arange(len(trace), dtype=np.int64) * dram.arrival_gap
 
 
-def ideal_oracle(trace: Trace, timing: DramTiming, arrival: str, arrival_gap: int) -> float:
+def ideal_oracle(trace: Trace, dram: DramConfig) -> float:
     """simulate_ideal's mean latency in closed form.  All hits mean the
     scheduler never reorders, so the FCFS service chain
     t_i = max(t_{i-1}, arrive_i) + t_hit has the closed form below; it
     reads the arrivals alone, not where the requests map."""
-    arrive_arr = arrival_cycles(trace, arrival, arrival_gap)
+    arrive_arr = arrival_cycles(trace, dram)
     n = len(trace)
-    t_hit = timing.hit
+    t_hit = dram.hit
     idx = np.arange(n, dtype=np.int64)
     finish = np.maximum.accumulate(arrive_arr - t_hit * idx) + t_hit * (idx + 1)
     return float(np.mean(finish - arrive_arr))

@@ -71,12 +71,10 @@ def test_criterion_1_sfc_correctness():
 
 
 def test_criterion_2_scheduler_oracle():
-    geom = dramsim.DramGeometry()
-    timing = dramsim.DramTiming()
-    cols = geom.columns_per_row
+    dram = dramsim.DramConfig()
 
     def single_bank_trace(rows, gaps):
-        addrs = np.asarray(rows, np.uint64) * geom.banks * cols * 64
+        addrs = np.asarray(rows, np.uint64) * dram.banks * dram.columns_per_row * 64
         return Trace(addrs, np.cumsum(gaps).astype(np.uint32),
                      np.zeros(len(rows), np.uint8))
 
@@ -97,11 +95,11 @@ def test_criterion_2_scheduler_oracle():
             if pick is None:
                 pick = arrived[0]
             if open_row is None:
-                kind, svc = "m", timing.closed
+                kind, svc = "m", dram.closed
             elif rows[pick] == open_row:
-                kind, svc = "h", timing.hit
+                kind, svc = "h", dram.hit
             else:
-                kind, svc = "c", timing.conflict
+                kind, svc = "c", dram.conflict
             open_row = rows[pick]
             t = max(t, arrivals[pick]) + svc
             remaining.remove(pick)
@@ -116,11 +114,11 @@ def test_criterion_2_scheduler_oracle():
         gaps[0] = 0
         t = single_bank_trace(rows, gaps)
         arrivals = t.cycle.tolist()
-        s = dramsim.simulate(t, geom, timing, cap=10 ** 9,
-                             queue_depth=n + 1, collect_events=True)
+        s = dramsim.simulate(t, dramsim.DramConfig(cap=10 ** 9, queue_depth=n + 1),
+                             collect_events=True)
         assert s.events == oracle(rows, arrivals, fcfs=False), f"trial {trial}"
-        s1 = dramsim.simulate(t, geom, timing, cap=1,
-                              queue_depth=n + 1, collect_events=True)
+        s1 = dramsim.simulate(t, dramsim.DramConfig(cap=1, queue_depth=n + 1),
+                              collect_events=True)
         assert s1.events == oracle(rows, arrivals, fcfs=True), f"trial {trial}"
     report(2, "200 single-bank traces identical to brute-force FR-FCFS; "
               "cap=1 identical to FCFS")
@@ -190,7 +188,7 @@ def test_criterion_5_first_touch_dbscan():
 
 
 def test_criterion_6a_hw_prefetch_useless_fraction(gather):
-    pf = memsys.PrefetchConfig(hw=memsys.StridePrefetchConfig(degree=2))
+    pf = memsys.PrefetchConfig(hw=True, hw_degree=2)
     _, st_rand = memsys.filter_to_dram(gather, pf=pf)
     seq = kernels.gen_sequential_trace(50_000, AddressModel(row_stride_bytes=64))
     _, st_seq = memsys.filter_to_dram(seq, pf=pf)

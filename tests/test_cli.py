@@ -51,6 +51,12 @@ class TestGen:
         assert run(["gen", "--kind", "knn", "--n", "100", flag, value, "--out", tmp_path / "bad"]) == 1
         assert f"memloc: config: kernel.{flag[2:]} must be >= {low}" in capsys.readouterr().err
 
+    def test_negative_seed_fails_at_config(self, tmp_path, capsys):
+        assert run(["gen", "--kind", "gather", "--n", "10", "--count", "5", "--seed", "-1",
+                    "--out", tmp_path / "g"]) == 1
+        assert capsys.readouterr().err.startswith("memloc: config: ")
+        assert not (tmp_path / "g.trace").exists()
+
     def test_dbscan_and_dtree(self, tmp_path):
         assert run(["gen", "--kind", "dbscan", "--n", "200", "--radius", "0.1",
                     "--out", tmp_path / "db"]) == 0
@@ -166,6 +172,17 @@ class TestFilterAndDram:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
         assert 0.0 <= float(rows[0]["hit_ratio"]) <= 1.0
+
+    def test_filter_checks_a_trace_once_per_file_boundary(self, gather_prefix, tmp_path,
+                                                          monkeypatch):
+        # read_trace checks the trace it reads and write_trace the one it
+        # writes; the filter, which reads no cycle, checks nothing.
+        real, calls = traceio.Trace.validate, []
+        monkeypatch.setattr(traceio.Trace, "validate",
+                            lambda trace: calls.append(len(trace)) or real(trace))
+        assert run(["filter", "--trace", f"{gather_prefix}.trace", "--out", tmp_path / "d",
+                    "--stats", tmp_path / "s.csv"]) == 0
+        assert len(calls) == 2 and calls[0] == 10000
 
     def test_prefetch_injection(self, gather_prefix, tmp_path):
         out = tmp_path / "pf.trace"

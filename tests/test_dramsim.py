@@ -6,25 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memloc import dramsim
-from memloc.dramsim import (
-    DramGeometry,
-    DramTiming,
-    improvement,
-    map_address,
-    simulate,
-    simulate_ideal,
-)
+from memloc.dramsim import DramConfig, improvement, map_address, simulate, simulate_ideal
 from memloc.traceio import Trace
 from reference_models import ideal_oracle
 
-GEOM = DramGeometry()
-TIMING = DramTiming()
+DRAM = DramConfig()
 
 
-def trace_of(rows, bank=0, gap=0, geom=GEOM):
+def trace_of(rows, bank=0, gap=0):
     """Single-channel trace hitting (bank, row) pairs; RoBaRaCoCh layout."""
-    cols = geom.columns_per_row
-    addrs = [((r * geom.banks + bank) * cols) * 64 for r in rows]
+    addrs = [((r * DRAM.banks + bank) * DRAM.columns_per_row) * 64 for r in rows]
     cyc = np.arange(len(rows), dtype=np.uint32) * gap
     return Trace(np.asarray(addrs, np.uint64), cyc, np.zeros(len(rows), np.uint8))
 
@@ -69,30 +60,31 @@ def frfcfs_oracle(rows, arrivals, hit, closed, conflict, fcfs=False):
 
 class TestMapAddress:
     def test_zero(self):
-        assert map_address(0, "RoBaRaCoCh") == (0, 0, 0, 0, 0)
+        assert map_address(0) == (0, 0, 0, 0, 0)
 
     def test_line_one_is_column_one(self):
-        assert map_address(64, "RoBaRaCoCh") == (0, 0, 0, 0, 1)
+        assert map_address(64) == (0, 0, 0, 0, 1)
 
     def test_column_overflow_into_bank(self):
-        assert map_address(64 * 128, "RoBaRaCoCh") == (0, 0, 1, 0, 0)
+        assert map_address(64 * 128) == (0, 0, 1, 0, 0)
 
     def test_bank_overflow_into_row(self):
-        ch, rank, bank, row, col = map_address(64 * 128 * 16, "RoBaRaCoCh")
+        ch, rank, bank, row, col = map_address(64 * 128 * 16)
         assert (bank, row, col) == (0, 1, 0)
 
     def test_chrabarococo_layout(self):
         # Column lowest, then row: one row's worth of lines -> row 1.
-        assert map_address(8192, "ChRaBaRoCo") == (0, 0, 0, 1, 0)
-        assert map_address(64, "ChRaBaRoCo") == (0, 0, 0, 0, 1)
+        chrabaroco = DramConfig(scheme="ChRaBaRoCo")
+        assert map_address(8192, chrabaroco) == (0, 0, 0, 1, 0)
+        assert map_address(64, chrabaroco) == (0, 0, 0, 0, 1)
 
     def test_wraps_modulo_capacity(self):
         cap_lines = 128 * 16 * 32768  # columns * banks * rows
-        assert map_address(cap_lines * 64 + 64, "RoBaRaCoCh") == (0, 0, 0, 0, 1)
+        assert map_address(cap_lines * 64 + 64) == (0, 0, 0, 0, 1)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            map_address(0, "RoRoRo")
+            map_address(0, DramConfig(scheme="RoRoRo"))
 
 
 class TestTimingExamples:
@@ -138,7 +130,7 @@ class TestHitRatioClosedForm:
     def test_serialized_hits_equal_run_structure(self):
         rng = np.random.default_rng(1)
         rows = rng.integers(0, 6, 200).tolist()
-        s = simulate(trace_of(rows, gap=100), cap=1)
+        s = simulate(trace_of(rows, gap=100), DramConfig(cap=1))
         runs = 1 + sum(1 for a, b in zip(rows, rows[1:]) if a != b)
         assert s.hits == len(rows) - runs
 
@@ -150,9 +142,9 @@ class TestSchedulerOracle:
         n = int(rng.integers(10, 200))
         rows = rng.integers(0, 8, n).tolist()
         t = trace_of(rows, gap=int(rng.integers(0, 30)))
-        s = simulate(t, cap=10**9, queue_depth=n + 1, collect_events=True)
-        oracle = frfcfs_oracle(rows, t.cycle.tolist(), TIMING.hit,
-                               TIMING.closed, TIMING.conflict)
+        s = simulate(t, DramConfig(cap=10**9, queue_depth=n + 1), collect_events=True)
+        oracle = frfcfs_oracle(rows, t.cycle.tolist(), DRAM.hit,
+                               DRAM.closed, DRAM.conflict)
         assert s.events == oracle
 
     @pytest.mark.parametrize("seed", range(10))
@@ -161,15 +153,15 @@ class TestSchedulerOracle:
         n = int(rng.integers(10, 150))
         rows = rng.integers(0, 8, n).tolist()
         t = trace_of(rows, gap=int(rng.integers(0, 30)))
-        s = simulate(t, cap=1, queue_depth=n + 1, collect_events=True)
-        oracle = frfcfs_oracle(rows, t.cycle.tolist(), TIMING.hit,
-                               TIMING.closed, TIMING.conflict, fcfs=True)
+        s = simulate(t, DramConfig(cap=1, queue_depth=n + 1), collect_events=True)
+        oracle = frfcfs_oracle(rows, t.cycle.tolist(), DRAM.hit,
+                               DRAM.closed, DRAM.conflict, fcfs=True)
         assert s.events == oracle
 
     def test_no_starvation_under_cap(self):
         # A stream of row-0 hits must not indefinitely bypass a row-1 request.
         rows = [0, 1] + [0] * 50
-        s = simulate(trace_of(rows, gap=0), cap=4, collect_events=True)
+        s = simulate(trace_of(rows, gap=0), DramConfig(cap=4), collect_events=True)
         assert "c" in s.events[:2 + 4]  # row 1 served within cap-1 bypasses
 
 
@@ -200,14 +192,14 @@ class TestIdeal:
         actual = simulate(t)
         ideal = simulate_ideal(t)
         # only the first activation differs
-        delta = (TIMING.closed - TIMING.hit) / 100
+        delta = (DRAM.closed - DRAM.hit) / 100
         assert actual.avg_latency == pytest.approx(ideal.avg_latency + delta)
 
 
-class _OneLatency(DramTiming):
+class _OneLatency(DramConfig):
     """A closed bank and a conflict take the row-hit latency too."""
 
-    closed = conflict = DramTiming.hit
+    closed = conflict = DramConfig.hit
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,13 +215,12 @@ def test_ideal_is_the_scheduler_with_one_latency(requests, arrival, arrival_gap,
     # 200 requests of at most 38 cycles keep the latency sums far below
     # 2**53, so both averages are the exactly rounded quotient.
     banks, rows, gaps = (np.array(column, np.uint64) for column in zip(*requests))
-    vaddr = (rows * GEOM.banks + banks) * GEOM.columns_per_row * 64
+    vaddr = (rows * DRAM.banks + banks) * DRAM.columns_per_row * 64
     t = Trace(vaddr, np.cumsum(gaps), np.zeros(len(vaddr), np.uint8))
-    timing = _OneLatency(tCL=tCL, tBURST=tBURST)
-    arrivals = {"arrival": arrival, "arrival_gap": arrival_gap}
-    actual = simulate(t, timing=timing, cap=cap, queue_depth=queue_depth, **arrivals)
-    ideal = simulate_ideal(t, timing, **arrivals).avg_latency
-    assert actual.avg_latency == ideal == ideal_oracle(t, timing, arrival, arrival_gap)
+    dram = _OneLatency(tCL=tCL, tBURST=tBURST, cap=cap, arrival=arrival,
+                       arrival_gap=arrival_gap, queue_depth=queue_depth)
+    ideal = simulate_ideal(t, dram).avg_latency
+    assert simulate(t, dram).avg_latency == ideal == ideal_oracle(t, dram)
 
 
 class TestImprovement:
@@ -249,17 +240,17 @@ class TestImprovement:
 class TestGeometry:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            DramGeometry(banks=12)
+            DramConfig(banks=12)
 
     def test_rows_shorter_than_a_line_rejected(self):
-        assert DramGeometry(row_size_bytes=64).columns_per_row == 1
+        assert DramConfig(row_size_bytes=64).columns_per_row == 1
         for size in (32, 1):
             with pytest.raises(ValueError, match="row_size_bytes must be >= the 64-byte line"):
-                DramGeometry(row_size_bytes=size)
+                DramConfig(row_size_bytes=size)
 
     def test_bad_timing_rejected(self):
         with pytest.raises(ValueError):
-            DramTiming(tCL=0)
+            DramConfig(tCL=0)
 
     def test_per_bank_breakdown_sums(self):
         rng = np.random.default_rng(4)
@@ -277,25 +268,27 @@ class TestInputChecks:
     def test_queue_depth_below_one_rejected(self):
         for depth in (0, -1):
             with pytest.raises(ValueError, match="queue_depth"):
-                simulate(trace_of([1, 2, 3]), queue_depth=depth)
+                simulate(trace_of([1, 2, 3]), DramConfig(queue_depth=depth))
 
     @pytest.mark.parametrize("sim", [simulate, simulate_ideal])
     def test_negative_arrival_gap_rejected(self, sim):
         # Rejected too: a gap or a latency that would run the int64 clock past 2**63.
         for gap in (-50, 2**62, 2**63):
             with pytest.raises(ValueError, match="arrival_gap"):
-                sim(trace_of([1, 2, 3]), arrival="fixed-gap", arrival_gap=gap)
+                sim(trace_of([1, 2, 3]), DramConfig(arrival="fixed-gap", arrival_gap=gap))
         with pytest.raises(ValueError, match="timing"):
-            sim(trace_of([1, 2, 3]), timing=DramTiming(tCL=2**62))
+            sim(trace_of([1, 2, 3]), DramConfig(tCL=2**62))
+        # Under from-trace arrivals the gap is unread, so any gap is accepted.
+        assert sim(trace_of([1]), DramConfig(arrival_gap=-1)) == sim(trace_of([1]))
 
     @pytest.mark.parametrize("sim", [simulate, simulate_ideal])
     def test_shared_checks_apply_to_both(self, sim):
         with pytest.raises(ValueError, match="empty"):
             sim(Trace.empty())
         with pytest.raises(ValueError, match="arrival"):
-            sim(trace_of([1]), arrival="nope")
+            sim(trace_of([1]), DramConfig(arrival="nope"))
 
     def test_unknown_scheme_rejected(self):
-        # Only simulate maps addresses; the ideal bound reads arrivals alone.
-        with pytest.raises(ValueError, match="scheme"):
-            simulate(trace_of([1]), scheme="nope")
+        # Rejected when the config is built, though only simulate maps addresses.
+        with pytest.raises(ValueError, match="^unknown scheme 'nope'"):
+            DramConfig(scheme="nope")

@@ -61,8 +61,8 @@ def test_traceio_constants_agree():
 
 
 REMOVED_KNOBS = [
-    (memsys.LevelConfig, "line_size"), (dramsim.DramGeometry, "line_size"),
-    (dramsim.DramGeometry, "channels"), (dramsim.DramGeometry, "ranks"),
+    (memsys.LevelConfig, "line_size"), (dramsim.DramConfig, "line_size"),
+    (dramsim.DramConfig, "channels"), (dramsim.DramConfig, "ranks"),
     (kernels.AddressModel, "line_size"), (kernels.AddressModel, "page_size"),
     (memsys.filter_to_dram, "keep_prefetch_misses"), (dramsim.simulate, "ideal"),
     (kernels.rows_to_lines, "full_row"), (kernels.rows_to_trace, "full_row"),
@@ -72,6 +72,9 @@ REMOVED_KNOBS = [
         kernels.gen_dtree_trace, kernels.gen_gather_trace, kernels.gen_sequential_trace)),
     *((dramsim.simulate_ideal, name) for name in (
         "cap", "queue_depth", "collect_events", "geom", "scheme")),
+    # The dram section's keys are DramConfig's fields, not keywords.
+    *((dramsim.simulate, name) for name in (
+        "geom", "timing", "scheme", "cap", "arrival", "arrival_gap", "queue_depth")),
 ]
 
 

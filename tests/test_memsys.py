@@ -8,12 +8,12 @@ from memloc.memsys import (
     CacheConfig,
     LevelConfig,
     PrefetchConfig,
-    StridePrefetchConfig,
     _levels,
     filter_to_dram,
     inject_sw_prefetch,
 )
-from memloc.traceio import KIND_PREFETCH, KIND_READ, Trace
+from memloc.cli import main
+from memloc.traceio import HEADER_SIZE, KIND_PREFETCH, KIND_READ, Trace, write_trace
 from reference_models import CacheHierarchy, _Level
 
 
@@ -134,19 +134,27 @@ class TestFilterToDram:
         misses = sum(0 if oracle.access(int(a) >> 6) else 1 for a in t.vaddr)
         assert abs(len(out) - misses) <= 0.05 * misses
 
-    def test_malformed_trace_rejected(self):
-        bad = Trace(np.zeros(2, np.uint64), np.array([4, 0], np.uint32),
-                    np.zeros(2, np.uint8))
-        with pytest.raises(Exception):
-            filter_to_dram(bad)
+    def test_malformed_trace_rejected(self, tmp_path, capsys):
+        # The filter reads no cycle, so read_trace rejects a malformed
+        # trace file before the filter stage runs.
+        path = tmp_path / "bad.trace"
+        write_trace(path, lines_trace([1, 2]))
+        data = bytearray(path.read_bytes())
+        data[HEADER_SIZE + 8] = 9  # record 0's cycle, past record 1's 4
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert main(["filter", "--trace", str(path), "--out", str(out),
+                     "--stats", str(tmp_path / "stats.csv")]) == 1
+        assert capsys.readouterr().err == "memloc: filter: cycles must be non-decreasing\n"
+        assert not out.exists()
 
 
 class TestHwPrefetch:
     def pf(self, degree=2):
-        return PrefetchConfig(hw=StridePrefetchConfig(degree=degree))
+        return PrefetchConfig(hw=True, hw_degree=degree)
 
     def test_single_access_no_stride_prefetch(self):
-        hier = CacheHierarchy(pf=PrefetchConfig(hw=StridePrefetchConfig()))
+        hier = CacheHierarchy(pf=PrefetchConfig(hw=True))
         hier.access_demand(100)
         # only the next-line component may fire on the miss
         assert hier.stats.hw_prefetches_issued <= 1
@@ -176,10 +184,11 @@ class TestHwPrefetch:
         assert 0.0 <= st.useless_fraction <= 1.0
 
     def test_reach_is_bounded_so_prefetch_lines_fit_int64(self):
-        StridePrefetchConfig(degree=1, distance=(1 << 56) - 1)
+        PrefetchConfig(hw=True, hw_degree=1, hw_distance=(1 << 56) - 1)
         for degree, distance in ((1, 1 << 56), (1 << 56, 1), (3, 1 << 70)):
             with pytest.raises(ValueError, match="2\\*\\*56"):
-                StridePrefetchConfig(degree=degree, distance=distance)
+                PrefetchConfig(hw=True, hw_degree=degree, hw_distance=distance)
+            PrefetchConfig(hw_degree=degree, hw_distance=distance)  # unread with hw off
 
 
 class TestSwPrefetch:

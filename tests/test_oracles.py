@@ -917,10 +917,9 @@ def filter_reference(trace, cache, pf):
     return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats, level
 
 
-def simulate_reference(trace, geom, timing, scheme, cap, arrival, arrival_gap, queue_depth):
-    bank, row = _decompose_trace(trace, scheme, geom)
-    return _simulate_reference(bank, row, arrival_cycles(trace, arrival, arrival_gap),
-                               geom.banks, timing, cap, queue_depth, True)
+def simulate_reference(trace, dram):
+    bank, row = _decompose_trace(trace, dram)
+    return _simulate_reference(bank, row, arrival_cycles(trace, dram), dram, True)
 
 
 def assert_same_filter(got, want):
@@ -951,9 +950,9 @@ def cache_setups(draw):
               for ways in draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))]
     degree = draw(st.integers(1, 4))
     distance = draw(st.sampled_from([1, 2, 3, 4, (1 << 56) - degree]))
-    hw = draw(st.sampled_from([None, memsys.StridePrefetchConfig(degree, distance)]))
-    return memsys.CacheConfig(*levels), memsys.PrefetchConfig(hw, draw(st.sampled_from(
-        memsys.LEVEL_NAMES)))
+    hw = draw(st.sampled_from([False, True]))
+    return memsys.CacheConfig(*levels), memsys.PrefetchConfig(
+        hw, degree, distance, draw(st.sampled_from(memsys.LEVEL_NAMES)))
 
 
 @st.composite
@@ -985,7 +984,7 @@ def test_filter_core_matches_cache_hierarchy(trace, setup):
 
 
 @pytest.mark.parametrize("target", memsys.LEVEL_NAMES)
-@pytest.mark.parametrize("hw", [None, memsys.StridePrefetchConfig(4, 3)])
+@pytest.mark.parametrize("hw", [None, {"hw": True, "hw_degree": 4, "hw_distance": 3}])
 def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     rng = np.random.default_rng(7)
     sweep = np.tile(np.arange(512, dtype=np.uint64) * 64, 3)  # between L1 and L2 size
@@ -997,7 +996,7 @@ def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     trace = memsys.inject_sw_prefetch(Trace.from_addresses(vaddr), 8)
     cache = memsys.CacheConfig(memsys.LevelConfig(4096, 4), memsys.LevelConfig(16384, 8),
                                memsys.LevelConfig(65536, 16))
-    pf = memsys.PrefetchConfig(hw, target)
+    pf = memsys.PrefetchConfig(**(hw or {}), sw_target=target)
     got = filter_core(trace, cache, pf)
     assert_same_filter(got, filter_reference(trace, cache, pf))
     # A trace read from a file, whose columns are contiguous, gives the same.
@@ -1014,28 +1013,27 @@ def dram_cases(draw):
     vaddr has; lines past the capacity, on some draws near the last line,
     2**58 - 1; bursty cycles and every scheduler setting."""
     rows, row_bytes = draw(st.sampled_from([(4, 128), (4, 128), (2**70, 128), (4, 2**70)]))
-    geom = dramsim.DramGeometry(banks=draw(st.sampled_from([1, 2, 4])), rows_per_bank=rows,
-                                row_size_bytes=row_bytes)
+    banks = draw(st.sampled_from([1, 2, 4]))
     n = draw(st.integers(1, 80))
     top = draw(st.sampled_from([0, 0, 1 << 20, (1 << 58) - 64]))
     lines = [top + line for line in draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))]
     gaps = draw(st.lists(st.sampled_from([0, 0, 1, 4, 30]), min_size=n, max_size=n))
     trace = Trace(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT),
                   np.cumsum(gaps, dtype=np.int64), np.zeros(n, np.uint8))
-    timing = dramsim.DramTiming(*draw(st.lists(st.integers(1, 20), min_size=4, max_size=4)))
-    arrival = draw(st.sampled_from(["from-trace", "fixed-gap"]))
-    return (trace, geom, timing, draw(st.sampled_from(dramsim.SCHEMES)),
-            draw(st.integers(1, 6)), arrival, draw(st.integers(0, 8)), draw(st.integers(1, 40)))
+    timing = draw(st.lists(st.integers(1, 20), min_size=4, max_size=4))
+    return trace, dramsim.DramConfig(
+        banks, rows, row_bytes, *timing, scheme=draw(st.sampled_from(dramsim.SCHEMES)),
+        cap=draw(st.integers(1, 6)), arrival=draw(st.sampled_from(dramsim.ARRIVALS)),
+        arrival_gap=draw(st.integers(0, 8)), queue_depth=draw(st.integers(1, 40)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(dram_cases())
 def test_simulate_core_matches_reference(case):
-    trace, geom, timing, scheme, cap, arrival, gap, depth = case
-    got = dramsim.simulate(trace, geom, timing, scheme, cap, arrival, gap, depth,
-                           collect_events=True)
-    assert_same_dram(got, simulate_reference(*case))
-    assert dramsim.simulate(trace, geom, timing, scheme, cap, arrival, gap, depth).events is None
+    trace, dram = case
+    got = dramsim.simulate(trace, dram, collect_events=True)
+    assert_same_dram(got, simulate_reference(trace, dram))
+    assert dramsim.simulate(trace, dram).events is None
 
 
 @pytest.mark.parametrize("cap, depth", [(1, 32), (4, 32), (10 ** 30, 10 ** 30), (3, 1)])
@@ -1043,17 +1041,14 @@ def test_simulate_core_matches_on_a_long_trace(cap, depth, tmp_path):
     rng = np.random.default_rng(11)
     trace = Trace(rng.integers(0, 1 << 30, 5000, dtype=np.uint64) & ~np.uint64(63),
                   np.cumsum(rng.integers(0, 40, 5000)), np.zeros(5000, np.uint8))
-    geom, timing = dramsim.DramGeometry(banks=8), dramsim.DramTiming()
-    got = dramsim.simulate(trace, geom, timing, "ChRaBaRoCo", cap, "from-trace", 4, depth,
-                           collect_events=True)
-    assert_same_dram(got, simulate_reference(trace, geom, timing, "ChRaBaRoCo", cap,
-                                             "from-trace", 4, depth))
+    dram = dramsim.DramConfig(banks=8, scheme="ChRaBaRoCo", cap=cap, queue_depth=depth)
+    got = dramsim.simulate(trace, dram, collect_events=True)
+    assert_same_dram(got, simulate_reference(trace, dram))
     # A trace read from a file, whose columns are contiguous, gives the same.
     traceio.write_trace(tmp_path / "t.trace", trace)
     read = traceio.read_trace(tmp_path / "t.trace")
     assert read.vaddr.flags.c_contiguous and read.cycle.flags.c_contiguous
-    assert_same_dram(dramsim.simulate(read, geom, timing, "ChRaBaRoCo", cap, "from-trace", 4,
-                                      depth, collect_events=True), got)
-    for arrival in ("from-trace", "fixed-gap"):
-        assert dramsim.simulate_ideal(read, timing, arrival) == dramsim.simulate_ideal(
-            trace, timing, arrival)
+    assert_same_dram(dramsim.simulate(read, dram, collect_events=True), got)
+    for arrival in dramsim.ARRIVALS:
+        ideal = dramsim.DramConfig(arrival=arrival)
+        assert dramsim.simulate_ideal(read, ideal) == dramsim.simulate_ideal(trace, ideal)

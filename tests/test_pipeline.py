@@ -1,7 +1,6 @@
 """The shared experiment model: config checks, golden rows, CLI parity."""
 
 import dataclasses
-import inspect
 import json
 import os
 import subprocess
@@ -197,6 +196,7 @@ STAGE_ERRORS = {
                                                 "row_stride_bytes": 64.5}}),
     "fractional-k": ("config", {"kernel": {**BASE["kernel"], "k": 1.5}}),
     "string-seed": ("config", {"seed": "1"}),
+    "negative-seed": ("config", {"seed": -1, "kernel": {"kind": "gather", "n": 10, "count": 5}}),
     "float-cache-size": ("config", {"cache": {"l2_kb": 256.0}}),
     "bool-cap": ("config", {"dram": {"cap": True}}),
     "m-zero": ("config", {"kernel": {"kind": "gather", "n": 50, "count": 20, "m": 0}}),
@@ -246,9 +246,15 @@ def test_a_trace_past_the_cycle_field_fails_at_gen(failing, monkeypatch):
     ({"kernel": {**BASE["kernel"], "k": 1.5}}, "kernel.k"),
     ({"rcb_leaf_size": 32.0}, "rcb_leaf_size"),
     ({"dram": {"cap": True}}, "dram.cap"),
+    # A key whose default is a boolean takes only JSON true or false.
+    ({"prefetch": {"hw": "false"}}, "prefetch.hw"),
+    ({"prefetch": {"hw": 1}}, "prefetch.hw"),
+    ({"prefetch": {"hw": None}}, "prefetch.hw"),
+    ({"kernel": {**BASE["kernel"], "queries_from_data": 0}}, "kernel.queries_from_data"),
 ])
 def test_integer_keys_take_only_integers(bad, key):
-    with pytest.raises(pipeline.PipelineError, match=f"^config: {key} must be an integer$"):
+    what = "a boolean" if key in ("prefetch.hw", "kernel.queries_from_data") else "an integer"
+    with pytest.raises(pipeline.PipelineError, match=f"^config: {key} must be {what}$"):
         pipeline.build_kernel({**BASE, **bad})
 
 
@@ -448,12 +454,29 @@ class TestPageMapping:
 
 def test_bad_dram_queue_settings_fail_fast_with_their_stage():
     base = {"seed": 1, "kernel": {"kind": "gather", "n": 4096, "count": 200}}
-    for dram, what in (({"queue_depth": 0}, "queue_depth"),
-                       ({"arrival": "fixed-gap", "arrival_gap": -50}, "arrival_gap"),
-                       ({"arrival": "fixed-gap", "arrival_gap": 2**62}, "arrival_gap"),
-                       ({"tCL": 2**62}, "arrival_gap or timing")):
-        with pytest.raises(pipeline.PipelineError, match=f"^dramsim: {what}"):
-            pipeline.run_pipeline({**base, "dram": dram})
+    for section, bad, what in (
+            ("dram", {"queue_depth": 0}, "dramsim: queue_depth"),
+            ("dram", {"arrival": "fixed-gap", "arrival_gap": -50}, "dramsim: arrival_gap"),
+            ("dram", {"arrival": "fixed-gap", "arrival_gap": 2**62}, "dramsim: arrival_gap"),
+            ("dram", {"tCL": 2**62}, "dramsim: arrival_gap or timing"),
+            ("dram", {"scheme": "RoRoRo"},
+             r"dramsim: unknown scheme 'RoRoRo'; choose from \('RoBaRaCoCh', 'ChRaBaRoCo'\)$"),
+            ("dram", {"banks": 12}, "dramsim: geometry counts must be powers of two$"),
+            ("dram", {"row_size_bytes": 32}, "dramsim: row_size_bytes must be >= the 64-byte line$"),
+            ("dram", {"tRP": 0}, "dramsim: timing parameters must be positive$"),
+            ("dram", {"cap": 0}, "dramsim: cap must be >= 1$"),
+            ("dram", {"arrival": "poisson"}, "dramsim: unknown arrival model 'poisson'$"),
+            ("prefetch", {"hw": True, "hw_degree": 0}, "filter: degree and distance must be >= 1$"),
+            ("prefetch", {"sw_target": "L4"},
+             r"filter: sw target must be one of \('L1', 'L2', 'L3'\)$")):
+        with pytest.raises(pipeline.PipelineError, match=f"^{what}"):
+            pipeline.run_pipeline({**base, section: bad})
+    # A key that only a setting left off reads is not checked.
+    rows = without_overhead(pipeline.run_pipeline(base))
+    for section, unread in (("dram", {"arrival_gap": -1}), ("prefetch", {"hw_degree": 0})):
+        config = {**base, section: unread}
+        assert without_overhead(pipeline.run_pipeline(config)) == [
+            {**row, "config_hash": pipeline.config_hash(config)} for row in rows]
 
 
 def test_each_dram_trace_is_mapped_once(monkeypatch):
@@ -478,24 +501,7 @@ def test_each_dram_trace_is_mapped_once(monkeypatch):
     assert dramsim.simulate_ideal(trace) == ideal and len(calls) == 1
 
 
-def test_defaults_table_matches_the_library_defaults(monkeypatch):
-    """pipeline.DEFAULTS repeats the library's defaults; they must not drift."""
-    cfg = pipeline.resolve_config({})
-    assert pipeline.memory_config(cfg) == (memsys.CacheConfig(), memsys.PrefetchConfig())
-    hw = pipeline.resolve_config({"prefetch": {"hw": True}})
-    assert pipeline.memory_config(hw)[1] == memsys.PrefetchConfig(memsys.StridePrefetchConfig())
-
-    signatures, calls = {}, {}
-    for name in ("simulate", "simulate_ideal"):
-        signatures[name] = inspect.signature(getattr(dramsim, name)).parameters
-
-        def record(trace, *args, _name=name, **kw):
-            calls[_name] = (args, kw)
-        monkeypatch.setattr(dramsim, name, record)
-    pipeline.simulate_dram(traceio.Trace.empty(), cfg)
-    assert set(calls) == set(signatures)
-    for name, (args, kw) in calls.items():
-        params = signatures[name]
-        passed = {**dict(zip(list(params)[1:], args)), **kw}
-        assert set(passed) == set(params) - {"trace", "collect_events"}
-        assert passed == {k: params[k].default for k in passed}
+def test_defaults_table_matches_the_library_defaults():
+    """pipeline.DEFAULTS writes the cache defaults again, in KiB; its dram
+    and prefetch sections are DramConfig's and PrefetchConfig's own."""
+    assert pipeline.memory_config(pipeline.resolve_config({}))[0] == memsys.CacheConfig()

@@ -9,8 +9,10 @@
  *   memloc_sfc          SFC codes and row order (reorder.reorder_sfc)
  *   memloc_block        page blocking (reorder.block_by_page)
  *   memloc_inject       software-prefetch injection (memsys.inject_sw_prefetch)
- *   memloc_filter       three-level LRU filter with its stride prefetcher
- *                       (memsys.filter_to_dram)
+ *   memloc_filter       three-level LRU filter, move-to-front sets, with its
+ *                       stride prefetcher (memsys.filter_to_dram)
+ *   memloc_take         the filter's DRAM trace, the records one level
+ *                       served (memsys.filter_to_dram)
  *   memloc_simulate     FR-FCFS-Cap scheduler and its all-row-hit bound
  *                       (dramsim.simulate, dramsim.simulate_ideal)
  * Each must give results identical to the Python reference that
@@ -24,32 +26,33 @@
  * Every function writes its results into arrays its caller allocated and
  * sized, and returns an int64_t: memloc_kdtree, which allocates nothing,
  * the next query to walk (nq when it is done); memloc_dtree the number
- * of nodes; the others 0; and all but memloc_kdtree, memloc_quantize and
- * memloc_inject -1 when memory runs out.  _core.py binds each function
- * from its definition here, so a definition starts its line with
- * "int64_t memloc_<name>(", and each parameter is an int64_t or double
- * number, or a pointer to int64_t, uint64_t, uint32_t, uint8_t or double
- * written "T *name", with const when the function only reads the array.
+ * of nodes; the others 0; and all but memloc_kdtree, memloc_quantize,
+ * memloc_inject and memloc_take -1 when memory runs out.  _core.py binds
+ * each function from its definition here, so a definition starts its
+ * line with "int64_t memloc_<name>(", and each parameter is an int64_t
+ * or double number, or a pointer to int64_t, uint64_t, uint32_t, uint8_t
+ * or double written "T *name", with const when the function only reads
+ * the array.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* One set-associative LRU level.  Each set is a ring of `ways` tags in
- * recency order: the LRU way at the set's head, the MRU way just before
- * it (the last way when head is 0).  A fill overwrites the way at head
- * and advances head, so it moves nothing.  A tag is its line with the
- * sign bit flipped, line ^ INT64_MIN, so a way never filled, which calloc
- * zeroed, holds the tag of line INT64_MIN, and no line is INT64_MIN:
- * trace lines lie in [0, 2^58), and a stride prefetch moves a line by
- * less than a page's 64 lines times PrefetchConfig's bound of 2^56
- * on degree + distance, so it stays above -2^62.  Unfilled ways sit at
- * the LRU end of the ring, so fills use them first.  Only L2 keeps
- * per-way prefetch flags: the helpers take them as `pf`, NULL for L1 and
- * L3, so each call compiles to its own code. */
+/* One set-associative LRU level.  Each set is an array of `ways` tags in
+ * recency order, MRU first: Mattson et al.'s LRU stack (IBM Syst. J.
+ * 1970) kept as a move-to-front list (Sleator and Tarjan, CACM 1985).  A
+ * tag is its line with the sign bit flipped, line ^ INT64_MIN, so a way
+ * never filled, which calloc zeroed, holds the tag of line INT64_MIN, and
+ * no line is INT64_MIN: trace lines lie in [0, 2^58), and a stride
+ * prefetch moves a line by less than a page's 64 lines times
+ * PrefetchConfig's bound of 2^56 on degree + distance, so it stays above
+ * -2^62.  A fill puts its line first and shifts the set down one way, so
+ * unfilled ways stay at the LRU end, and fills use them first.  Only L2
+ * keeps per-way prefetch flags, which move with their tags: the helpers
+ * take them as `pf`, NULL for L1 and L3, so each call compiles to its own
+ * code. */
 typedef struct {
     int64_t *tag;   /* sets * ways tags */
-    int64_t *head;  /* per set: its LRU way */
     uint8_t *pf;    /* L2 only, per way: HW-prefetched and not yet demand-hit */
     int64_t ways, mask;
 } level;
@@ -59,74 +62,89 @@ static int level_init(level *lv, int64_t sets, int64_t ways, int flags)
     lv->ways = ways;
     lv->mask = sets - 1;
     lv->tag = calloc(sets * ways, sizeof *lv->tag);
-    lv->head = calloc(sets, sizeof *lv->head);
     lv->pf = flags ? calloc(sets * ways, 1) : NULL;
-    return lv->tag && lv->head && (lv->pf || !flags) ? 0 : -1;
+    return lv->tag && (lv->pf || !flags) ? 0 : -1;
 }
 
 static void level_free(level *lv)
 {
     free(lv->tag);
-    free(lv->head);
     free(lv->pf);
 }
 
-/* Hit: move the line to MRU and return the index of its way; miss: -1.
- * Every way is compared, with no early exit, so the loop's length does
- * not depend on where the line is.  A hit in [0, end), the newer run,
- * which ends at MRU (end is head, or ways when head is 0), moves the
- * tags after it down one, and the line takes the MRU way, end - 1; a hit
- * in [head, ways), the older run, moves the tags before it up one, and
- * the line takes the way at head, which becomes MRU as head advances.
- * Always inlined, so a NULL pf drops the flag moves from the call's
- * code. */
-static inline __attribute__((always_inline)) int64_t lookup(level *lv, uint8_t *pf,
-                                                             int64_t line)
+/* The way of the set at base that holds tag, or ways when none does. */
+static inline int64_t way_of(const level *lv, int64_t base, int64_t tag)
 {
-    int64_t set = line & lv->mask, w = lv->ways, base = set * w, *t = lv->tag + base;
-    int64_t tag = line ^ INT64_MIN, h = lv->head[set], end = h ? h : w, p = -1;
-    for (int64_t q = 0; q < w; q++)
-        p = t[q] == tag ? q : p;
-    if (p < 0)
-        return -1;
-    uint8_t flag = pf ? pf[base + p] : 0;
-    if (p < end) {
-        for (; p < end - 1; p++) {
-            t[p] = t[p + 1];
-            if (pf)
-                pf[base + p] = pf[base + p + 1];
-        }
-    } else {
-        for (; p > h; p--) {
-            t[p] = t[p - 1];
-            if (pf)
-                pf[base + p] = pf[base + p - 1];
-        }
-        lv->head[set] = h + 1 == w ? 0 : h + 1;
+    int64_t p = 0;
+    while (p < lv->ways && lv->tag[base + p] != tag)
+        p++;
+    return p;
+}
+
+/* Put tag and flag first in the set at base, shifting its ways before way
+ * p down one, so the tag at p falls out. */
+static inline __attribute__((always_inline)) void to_front(level *lv, uint8_t *pf, int64_t base,
+                                                           int64_t p, int64_t tag, uint8_t flag)
+{
+    int64_t *t = lv->tag + base;
+    for (; p > 0; p--) {
+        t[p] = t[p - 1];
+        if (pf)
+            pf[base + p] = pf[base + p - 1];
     }
-    t[p] = tag;
+    t[0] = tag;
     if (pf)
-        pf[base + p] = flag;
-    return base + p;
+        pf[base] = flag;
+}
+
+/* Scan the line's set from MRU.  A hit moves the line to MRU with its flag
+ * and returns that way's index; a miss returns -1, after putting the line
+ * at MRU with a 0 flag over the LRU way when `fill` is set.  With fill,
+ * the scan shifts each way it passes down one as it goes, so it ends at
+ * the line's way, or past the LRU way, with the move done: one loop with
+ * one exit that depends on the data, where a scan and then a shift have
+ * two.  Always inlined, so a NULL pf drops the flag moves from the
+ * call's code. */
+static inline __attribute__((always_inline)) int64_t lookup(level *lv, uint8_t *pf,
+                                                             int64_t line, int fill)
+{
+    int64_t w = lv->ways, base = (line & lv->mask) * w, tag = line ^ INT64_MIN, p;
+    if (!fill) {
+        if ((p = way_of(lv, base, tag)) == w)
+            return -1;
+        to_front(lv, pf, base, p, tag, pf ? pf[base + p] : 0);
+        return base;
+    }
+    int64_t *t = lv->tag + base, moved = tag;  /* the tag and flag for way p */
+    uint8_t flag = 0;
+    for (p = 0; p < w; p++) {
+        int64_t x = t[p];
+        t[p] = moved;
+        moved = x;
+        if (pf) {
+            uint8_t f = pf[base + p];
+            pf[base + p] = flag;
+            flag = f;
+        }
+        if (x == tag)
+            break;
+    }
+    if (p == w)
+        return -1;
+    if (pf)
+        pf[base] = flag;  /* the line's own */
+    return base;
 }
 
 static inline int contains(const level *lv, int64_t line)
 {
-    const int64_t *t = lv->tag + (line & lv->mask) * lv->ways;
-    for (int64_t p = 0; p < lv->ways; p++)
-        if (t[p] == (line ^ INT64_MIN))
-            return 1;
-    return 0;
+    return way_of(lv, (line & lv->mask) * lv->ways, line ^ INT64_MIN) < lv->ways;
 }
 
-/* Insert as MRU over the LRU way (an unfilled one while the set has one). */
+/* Insert a line the set does not hold as MRU over the LRU way. */
 static inline void fill(level *lv, uint8_t *pf, int64_t line, uint8_t flag)
 {
-    int64_t set = line & lv->mask, h = lv->head[set];
-    lv->tag[set * lv->ways + h] = line ^ INT64_MIN;
-    if (pf)
-        pf[set * lv->ways + h] = flag;
-    lv->head[set] = h + 1 == lv->ways ? 0 : h + 1;
+    to_front(lv, pf, (line & lv->mask) * lv->ways, lv->ways - 1, line ^ INT64_MIN, flag);
 }
 
 /* A map from pages to two int64s, a and b, by linear probing from the top
@@ -224,28 +242,26 @@ static int observe(hierarchy *h, int64_t line, int l2_miss)
     return 0;
 }
 
-/* One demand access: the level that served it (3 for DRAM), -1 on no memory. */
+/* One demand access: the level that served it (3 for DRAM), -1 on no
+ * memory.  L1 and L3 look up and fill in one pass, as nothing touches
+ * their sets in between; L2 fills after observe, whose prefetches may
+ * fill the same set first. */
 static int demand(hierarchy *h, int64_t line)
 {
     level *l1 = &h->lv[0], *l2 = &h->lv[1], *l3 = &h->lv[2];
-    if (lookup(l1, NULL, line) >= 0)
+    if (lookup(l1, NULL, line, 1) >= 0)
         return 0;
-    int64_t way = lookup(l2, l2->pf, line);
+    int64_t way = lookup(l2, l2->pf, line, 0);
     if (way >= 0 && l2->pf[way]) {
         l2->pf[way] = 0;
         h->st[1]++;
     }
     if (h->degree && observe(h, line, way < 0))
         return -1;
-    if (way >= 0) {
-        fill(l1, NULL, line, 0);
+    if (way >= 0)
         return 1;
-    }
-    int dram = lookup(l3, NULL, line) < 0;
-    if (dram)
-        fill(l3, NULL, line, 0);
+    int dram = lookup(l3, NULL, line, 1) < 0;
     fill(l2, l2->pf, line, 0);
-    fill(l1, NULL, line, 0);
     return 2 + dram;
 }
 
@@ -273,8 +289,7 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
         int64_t line = (int64_t)(vaddr[i] >> line_shift);
         int r = 4;
         if (kinds[i] == prefetch_kind) {
-            if (lookup(sw, sw->pf, line) < 0)
-                fill(sw, sw->pf, line, 0);
+            lookup(sw, sw->pf, line, 1);
         } else if ((r = demand(&h, line)) < 0) {
             rc = 1;
             break;
@@ -286,6 +301,22 @@ int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
         level_free(&h.lv[k]);
     free(h.pages.slots);
     return rc ? -1 : 0;
+}
+
+/* Copy to the out arrays, in order, the records i with served[i] ==
+ * level: with level 3, memloc_filter's DRAM trace, which the caller sizes
+ * from the filter's count of DRAM records. */
+int64_t memloc_take(int64_t n, const uint8_t *served, int64_t level, const uint64_t *vaddr,
+                    const uint32_t *cycle, const uint8_t *kind, uint64_t *out_vaddr,
+                    uint32_t *out_cycle, uint8_t *out_kind)
+{
+    for (int64_t i = 0, o = 0; i < n; i++)
+        if (served[i] == level) {
+            out_vaddr[o] = vaddr[i];
+            out_cycle[o] = cycle[i];
+            out_kind[o++] = kind[i];
+        }
+    return 0;
 }
 
 /* Copy the n records to the out arrays, putting before each demand

@@ -9,9 +9,11 @@ filter_to_dram runs the model and inject_sw_prefetch inserts those
 records in the compiled core (_core.c), which needs a C compiler; the
 Python loops the tests compare them against live in tests/.  The core
 reads the trace's vaddr and kind columns as they are, keeps each cache
-set as a ring in recency order, so a fill moves no way, and reports the
-level that served each record, from which filter_to_dram takes the DRAM
-trace, and counts the records of each level beside the HW counters.
+set as an LRU stack, an array in recency order that a hit or fill moves
+to the front, and reports the level that served each record, 1 byte per
+record, and the count of each level beside the HW counters.  From these
+filter_to_dram sizes the DRAM trace exactly, and a second core pass,
+memloc_take, copies the DRAM records into it.
 """
 
 from __future__ import annotations
@@ -130,9 +132,10 @@ def filter_to_dram(trace: Trace, cache: CacheConfig = CacheConfig(),
     """
     level, (*hw, l1, l2, l3, dram, sw) = _levels(trace, cache, pf)
     misses = [l2 + l3 + dram, l3 + dram, dram]  # a level's misses are the next one's accesses
-    keep = level == 3  # a mask, not an index: 1 byte per record, not 8 per DRAM record
-    return (Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]),
-            MemsysStats([l1 + misses[0], *misses[:2]], misses, *hw, sw, dram))
+    out = Trace.empty(dram)
+    _core.load().memloc_take(len(trace), level, 3, trace.vaddr, trace.cycle, trace.kind,
+                             out.vaddr, out.cycle, out.kind)
+    return out, MemsysStats([l1 + misses[0], *misses[:2]], misses, *hw, sw, dram)
 
 
 def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
@@ -144,7 +147,7 @@ def inject_sw_prefetch(trace: Trace, distance: int) -> Trace:
     n = len(trace)
     demands = int(np.count_nonzero(trace.kind != KIND_PREFETCH))
     size = n + max(0, demands - distance)  # a prefetch for each demand but the last `distance`
-    out = Trace(np.empty(size, np.uint64), np.empty(size, np.uint32), np.empty(size, np.uint8))
+    out = Trace.empty(size)
     # A distance past n + 1 injects nothing either, and fits in int64.
     _core.load().memloc_inject(n, trace.vaddr, trace.cycle, trace.kind, min(distance, n + 1),
                                KIND_PREFETCH, out.vaddr, out.cycle, out.kind)

@@ -84,6 +84,9 @@ def resolve_config(config: dict, defaults: dict = DEFAULTS, prefix: str = "") ->
             raise PipelineError(f"config: {prefix + key} must be an integer")
         if isinstance(defaults[key], bool) and not isinstance(value, bool):
             raise PipelineError(f"config: {prefix + key} must be a boolean")
+        if isinstance(defaults[key], float) and not (
+                _is_integer(value) or isinstance(value, float)):
+            raise PipelineError(f"config: {prefix + key} must be a number")
         if prefix + key == "kernel.kind" and value is not None and value not in KERNELS:
             raise PipelineError(f"config: kernel.kind must be one of {KERNELS}")
         if prefix + key == "variants" and not (

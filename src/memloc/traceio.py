@@ -71,8 +71,9 @@ class Trace:
         )
 
     @classmethod
-    def empty(cls) -> "Trace":
-        return cls(np.empty(0, np.uint64), np.empty(0, np.uint32), np.empty(0, np.uint8))
+    def empty(cls, n: int = 0) -> "Trace":
+        """A trace of n records whose columns are allocated but not filled."""
+        return cls(np.empty(n, np.uint64), np.empty(n, np.uint32), np.empty(n, np.uint8))
 
     @classmethod
     def from_addresses(cls, vaddr, kind=KIND_READ, issue_gap: int = ISSUE_GAP) -> "Trace":

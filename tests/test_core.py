@@ -205,7 +205,7 @@ def test_the_core_takes_numbers_and_arrays_it_does_not_own():
     source, lib = _core._SOURCE.read_text(), _core.load()
     defined = re.findall(r"^\w.*\b(memloc_\w+)\(", source, re.M)
     bound = _core.prototypes(source)
-    assert len(defined) == 10 and sorted(bound) == sorted(defined)
+    assert len(defined) == 11 and sorted(bound) == sorted(defined)
     arrays = {np.dtype(t) for t in (np.int64, np.uint64, np.uint32, np.uint8, np.float64)}
     for fn, params in bound.items():
         for p in params:
@@ -267,6 +267,7 @@ def test_stages_pass_a_read_traces_own_columns_to_the_core(tmp_path, monkeypatch
     dramsim.simulate(trace)
     dramsim.simulate_ideal(trace)
     assert passed == [("memloc_filter", {"vaddr", "kind"}),
+                      ("memloc_take", {"vaddr", "cycle", "kind"}),
                       ("memloc_inject", {"vaddr", "cycle", "kind"}),
                       ("memloc_simulate", {"vaddr", "cycle"}),
                       ("memloc_simulate", {"vaddr", "cycle"})]
@@ -360,6 +361,40 @@ def test_filter_writes_every_level_and_two_counters():
     assert (level == 4).tolist() == (trace.kind == traceio.KIND_PREFETCH).tolist()
     assert stats[0] > stats[1] > 0 and stats[7] == 7
     assert stats[2:7].tolist() == np.bincount(level, minlength=5).tolist()
+
+
+@pytest.mark.parametrize("served", [[], [0] * 6, [4] * 6, [3] * 6, [3, 0, 4, 3, 1, 2, 3]],
+                         ids=["empty", "all-l1", "all-sw", "all-dram", "mixed"])
+def test_take_copies_the_records_one_level_served_in_order(served):
+    # The caller sizes the output from the level's count, and the core
+    # fills exactly that: the element past it keeps its sentinel.
+    n = len(served)
+    trace = traceio.Trace(np.arange(n, dtype=np.uint64) * 64 + 2**63, np.arange(n) * 4,
+                          np.arange(n) % 3)
+    level = np.array(served, np.uint8)
+    keep, size = level == 3, served.count(3)
+    out = [np.full(size + 1, 7, np.uint64), np.full(size + 1, 7, np.uint32),
+           np.full(size + 1, 7, np.uint8)]
+    _core.load().memloc_take(n, level, 3, trace.vaddr, trace.cycle, trace.kind, *out)
+    assert [a[size] for a in out] == [7] * 3
+    assert traceio.Trace(*(a[:size] for a in out)) == traceio.Trace(
+        trace.vaddr[keep], trace.cycle[keep], trace.kind[keep])
+
+
+@pytest.mark.parametrize("lines, kind", [
+    ([], traceio.KIND_READ), ([7] * 50, traceio.KIND_READ),
+    (range(50), traceio.KIND_PREFETCH), (range(50), traceio.KIND_READ)],
+    ids=["empty", "one-line", "all-sw", "all-dram"])
+def test_filter_returns_the_dram_records_in_fresh_columns(lines, kind):
+    trace = traceio.Trace.from_addresses(np.array(lines, np.uint64) * 4096, kind)
+    dram, stats = memsys.filter_to_dram(trace)
+    keep = memsys._levels(trace, memsys.CacheConfig(), memsys.PrefetchConfig())[0] == 3
+    assert dram == traceio.Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep])
+    assert len(dram) == stats.dram_demand_accesses
+    for column in ("vaddr", "cycle", "kind"):
+        got, source = getattr(dram, column), getattr(trace, column)
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert not np.shares_memory(got, source)
 
 
 SRC = Path(_core.__file__).parent

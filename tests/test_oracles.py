@@ -943,11 +943,12 @@ def assert_same_dram(got, want):
 
 @st.composite
 def cache_setups(draw):
-    """Tiny caches (1-4 sets, 1-4 ways), HW prefetch on or off (its degree
-    + distance up to the 2**56 bound, so prefetch lines reach past
-    +-2**61), any SW target."""
-    levels = [memsys.LevelConfig(draw(st.sampled_from([1, 2, 4])) * ways * 64, ways)
-              for ways in draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))]
+    """Tiny caches (1-4 sets; 1-4 ways, or the benchmark's 8 and 16), HW
+    prefetch on or off (its degree + distance up to the 2**56 bound, so
+    prefetch lines reach past +-2**61), any SW target."""
+    ways = st.one_of(st.integers(1, 4), st.sampled_from([8, 16]))
+    levels = [memsys.LevelConfig(draw(st.sampled_from([1, 2, 4])) * w * 64, w)
+              for w in draw(st.lists(ways, min_size=3, max_size=3))]
     degree = draw(st.integers(1, 4))
     distance = draw(st.sampled_from([1, 2, 3, 4, (1 << 56) - degree]))
     hw = draw(st.sampled_from([False, True]))
@@ -973,11 +974,41 @@ def line_traces(draw):
     lines = [line + top for line in lines]
     kinds = draw(st.lists(st.sampled_from([0, 0, 0, 1, KIND_PREFETCH]),
                           min_size=len(lines), max_size=len(lines)))
+    return _line_trace(lines, kinds)
+
+
+def _line_trace(lines, kinds=0):
     return Trace.from_addresses(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT), kinds)
+
+
+# One set per level, 8, 8 and 16 ways, so every line shares a set.
+_ONE_SET = memsys.CacheConfig(memsys.LevelConfig(8 * 64, 8), memsys.LevelConfig(8 * 64, 8),
+                              memsys.LevelConfig(16 * 64, 16))
 
 
 @settings(max_examples=300, deadline=None)
 @given(line_traces(), cache_setups())
+# Lines 0-15 fill L3, whose LRU way then serves 0; L1 serves 0 again
+# from its MRU way and 9 from its LRU way; L3 serves 8 from a middle
+# way and 1 from its LRU way.
+@example(_line_trace([*range(16), 0, 0, 9, 8, 1]),
+         (_ONE_SET, memsys.PrefetchConfig(sw_target="L1")))
+# SW prefetches of lines 20-27 fill L2; prefetches of 20 then hit its
+# LRU and its MRU way, and demands of 21 and 22 hit its LRU way.
+@example(_line_trace([*range(20, 28), 20, 20, 21, 22], [KIND_PREFETCH] * 10 + [0, 0]),
+         (_ONE_SET, memsys.PrefetchConfig(sw_target="L2")))
+# The same sweeps with the stride prefetcher flagging L2's ways.
+@example(_line_trace([*range(16), 0, 0, 9, 8, 1, *range(20, 28), 20, 20, 21, 22]),
+         (_ONE_SET, memsys.PrefetchConfig(True, 1, 1, "L3")))
+# Demand 3's next-line prefetch flags 4 in L2; a SW prefetch of 4 moves
+# it to MRU and one of 8 shifts it down, both keeping the flag, so the
+# demand of 4 counts it useful.
+@example(_line_trace([3, 4, 8, 4], [0, KIND_PREFETCH, KIND_PREFETCH, 0]),
+         (_ONE_SET, memsys.PrefetchConfig(True, 1, 1, "L2")))
+# Line 0's next-line prefetch, 1, fills one-way L2 between the lookup
+# of 0 and its fill, so the fill of 0 evicts 1 and the demand of 1 misses.
+@example(_line_trace([0, 1]), (memsys.CacheConfig(*[memsys.LevelConfig(64, 1)] * 3),
+                                  memsys.PrefetchConfig(True, 1, 1, "L2")))
 def test_filter_core_matches_cache_hierarchy(trace, setup):
     cache, pf = setup
     assert_same_filter(filter_core(trace, cache, pf), filter_reference(trace, cache, pf))

@@ -211,6 +211,10 @@ STAGE_ERRORS = {
                                           "spread": float("nan")}}),
     "aliased-rows": ("config", {"kernel": {"kind": "gather", "n": 5000, "count": 2000,
                                            "row_stride_bytes": 2**62}}),
+    "bool-radius": ("config", {"kernel": {"kind": "dbscan", "n": 200, "radius": True}}),
+    "string-radius": ("config", {"kernel": {"kind": "dbscan", "n": 200, "radius": "0.1"}}),
+    "bool-spread": ("config", {"kernel": {**BASE["kernel"], "clusters": 4, "spread": False}}),
+    "null-spread": ("config", {"kernel": {**BASE["kernel"], "clusters": 4, "spread": None}}),
 }
 
 
@@ -256,6 +260,14 @@ def test_integer_keys_take_only_integers(bad, key):
     what = "a boolean" if key in ("prefetch.hw", "kernel.queries_from_data") else "an integer"
     with pytest.raises(pipeline.PipelineError, match=f"^config: {key} must be {what}$"):
         pipeline.build_kernel({**BASE, **bad})
+
+
+@pytest.mark.parametrize("key, value", [("radius", True), ("radius", "0.1"), ("spread", [0.1])])
+def test_float_keys_take_only_numbers(key, value):
+    with pytest.raises(pipeline.PipelineError, match=f"^config: kernel.{key} must be a number$"):
+        pipeline.resolve_config({"kernel": {key: value}})
+    cfg = pipeline.resolve_config({"kernel": {key: 1}})  # an integer is a number
+    assert cfg["kernel"][key] == 1
 
 
 def test_missing_points_message_names_the_kernel_only_when_known():

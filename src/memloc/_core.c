@@ -5,6 +5,8 @@
  *   memloc_kdtree       pruned kd-tree walk (KdTree.walk)
  *   memloc_first_touch  first-touch row order (reorder.reorder_first_touch)
  *   memloc_dtree        decision-tree induction (kernels.gen_dtree_trace)
+ *   memloc_node_rows    each tree node's rows in a given row order, with no
+ *                       sort (kernels.node_rows)
  *   memloc_quantize     SFC grid quantiser (sfc.quantize_rows)
  *   memloc_sfc          SFC codes and row order (reorder.reorder_sfc)
  *   memloc_block        page blocking (reorder.block_by_page)
@@ -26,9 +28,11 @@
  * Every function writes its results into arrays its caller allocated and
  * sized, and returns an int64_t: memloc_kdtree, which allocates nothing,
  * the next query to walk (nq when it is done); memloc_dtree the number
- * of nodes; the others 0; and all but memloc_kdtree, memloc_quantize,
- * memloc_inject and memloc_take -1 when memory runs out.  _core.py binds
- * each function from its definition here, so a definition starts its
+ * of nodes; memloc_node_rows the entries it wrote, fewer than the nodes'
+ * rows when they are not a tree or the order not a permutation; the
+ * others 0; and all but memloc_kdtree, memloc_quantize, memloc_inject
+ * and memloc_take -1 when memory runs out.  _core.py binds each
+ * function from its definition here, so a definition starts its
  * line with "int64_t memloc_<name>(", and each parameter is an int64_t
  * or double number, or a pointer to int64_t, uint64_t, uint32_t, uint8_t
  * or double written "T *name", with const when the function only reads
@@ -861,6 +865,66 @@ int64_t memloc_dtree(int64_t n, int64_t m, const double *data, int64_t ncls,
     free(lab);
     free(count);
     return nodes;
+}
+
+/* memloc_node_rows's first pass, over the nodes in preorder: last[r] (all
+ * -1 on entry) becomes the deepest node holding row r, parent[s] is last[]
+ * of s's first row, and next[s] is where s starts in out.  In a tree in
+ * preorder each row of a node overwrites exactly its parent in last[], so
+ * that one check finds a row twice in a node, a row the parent lacks and
+ * overlapping siblings.  Returns -1 on such a row or one outside [0, n). */
+static int tree_parents(int64_t n, int64_t nodes, const int64_t *bounds, const int64_t *src,
+                        int64_t *last, int64_t *parent, int64_t *next)
+{
+    int64_t total = 0;
+    for (int64_t s = 0; s < nodes; s++) {
+        int64_t lo = bounds[2 * s], hi = bounds[2 * s + 1];
+        if (hi < lo)
+            return -1;
+        parent[s] = lo < hi && (uint64_t)src[lo] < (uint64_t)n ? last[src[lo]] : -1;
+        next[s] = total;
+        total += hi - lo;
+        for (int64_t i = lo; i < hi; i++) {
+            uint64_t r = (uint64_t)src[i];
+            if (r >= (uint64_t)n || last[r] != parent[s])
+                return -1;
+            last[r] = s;
+        }
+    }
+    return 0;
+}
+
+/* Node after node, into out, each position v whose row order[v] the node
+ * holds, ascending in v: node s is src[bounds[2s] .. bounds[2s + 1]), the
+ * nodes come in preorder, each a subset of its parent's, and order is a
+ * permutation of [0, n).  After tree_parents, one pass over v appends v
+ * to each node on the path from last[order[v]] up through parent and
+ * clears last[], so a repeated row adds nothing.  O(n + the nodes' rows)
+ * with no comparisons, in n + 2 * nodes int64 of scratch.  Returns the
+ * entries written: the nodes' total on valid input, 0 when they are not
+ * such a tree. */
+int64_t memloc_node_rows(int64_t n, int64_t nodes, const int64_t *bounds, const int64_t *src,
+                         const int64_t *order, int64_t *out)
+{
+    int64_t *last = malloc((n + 2 * nodes ? n + 2 * nodes : 1) * sizeof *last);
+    if (!last)
+        return -1;
+    int64_t *parent = last + n, *next = parent + nodes, written = 0;
+    for (int64_t r = 0; r < n; r++)
+        last[r] = -1;
+    if (tree_parents(n, nodes, bounds, src, last, parent, next) >= 0)
+        for (int64_t v = 0; v < n; v++) {
+            uint64_t r = (uint64_t)order[v];
+            if (r >= (uint64_t)n)
+                continue;
+            for (int64_t s = last[r]; s >= 0; s = parent[s]) {
+                out[next[s]++] = v;
+                written++;
+            }
+            last[r] = -1;
+        }
+    free(last);
+    return written;
 }
 
 /* Quantise the n x m row-major matrix data onto the grid: coordinate j

@@ -155,20 +155,25 @@ def gen_dtree_trace(data: np.ndarray, labels: np.ndarray, max_depth: int,
     bounds = np.empty((cap, 2), dtype=np.int64)
     nodes = _core.load().memloc_dtree(n, m, data, len(classes), codes.astype(np.int64),
                                       depth, cap, idx, bounds)
-    lo, hi = bounds[:nodes].T
-    starts = np.concatenate(([0], np.cumsum(hi - lo)))
+    bounds = bounds[:nodes]
+    starts = np.concatenate(([0], np.cumsum(bounds[:, 1] - bounds[:, 0])))
     # The core partitions node ranges of idx in place; node i's rows are
     # what its range holds at the end, put back in storage order.
-    rows = idx[np.arange(starts[-1]) + np.repeat(lo - starts[:-1], hi - lo)]
-    rows = sort_segments(rows, starts, n)
+    rows = node_rows(bounds, idx, np.arange(n, dtype=np.int64))
     return rows_to_trace(rows, addr), rows, starts
 
 
-def sort_segments(rows: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
-    """rows, values below n, with each segment rows[starts[i]:starts[i + 1]]
-    sorted: one sort by segment * n + row."""
-    segment = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    return np.sort(segment * n + rows) % n
+def node_rows(bounds: np.ndarray, src: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Node after node, the positions v, ascending, whose row order[v]
+    the node holds.  The nodes form a tree over the rows of `order`, a
+    permutation, and come in preorder: node s holds
+    src[bounds[s, 0]:bounds[s, 1]], a subset of its parent's rows.  One
+    core pass over the nodes and one over `order` (memloc_node_rows),
+    with no sort; ValueError when the nodes are not such a tree."""
+    out = np.empty((bounds[:, 1] - bounds[:, 0]).sum(), dtype=np.int64)
+    if _core.load().memloc_node_rows(len(order), len(bounds), bounds, src, order, out) != len(out):
+        raise ValueError("the nodes' rows are not a tree in preorder")
+    return out
 
 
 def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0):

@@ -225,7 +225,8 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
     A replay derives the variant's rows from the baseline's walk: a
     computation reordering takes the baseline's per-query segments in
     the new order, and a data reordering relabels the rows through the
-    inverse permutation (Ding & Kennedy, PLDI 1999).  A layout keeps the
+    inverse permutation (Ding & Kennedy, PLDI 1999); a decision tree's
+    node gets the new rows of the old rows it holds.  A layout keeps the
     baseline's tree even where ties would make one built over the moved
     rows differ, so it changes where rows live, not which are examined."""
     if variant == "baseline":
@@ -247,15 +248,18 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
 def _derive(kind: str, variant: str, perm: np.ndarray, rows: np.ndarray, starts) -> np.ndarray:
     """The rows the kernel examines after `variant`'s permutation
     (map[new] = old), from the baseline's rows and the starts of its
-    iterations."""
+    iterations.  A decision tree's nodes take theirs from one core pass
+    over the nodes and one over the permutation (kernels.node_rows),
+    with no inverse permutation and no sort."""
     if variant == "zorder-comp":
         # The tree is unchanged, and each query walks it on its own.
         return _segments(rows, starts, perm)
-    inverse = reorder.invert_permutation(perm)
     if kind == "dtree":
         # A split ignores the order of its node's rows, so every node
-        # holds the same points, and its row list is in storage order.
-        return kernels.sort_segments(inverse[rows], starts, len(perm))
+        # holds the same points, and its row list is in storage order:
+        # new row v joins, in order of v, each node that holds perm[v].
+        return kernels.node_rows(np.column_stack((starts[:-1], starts[1:])), rows, perm)
+    inverse = reorder.invert_permutation(perm)
     if kind == "dbscan":
         # DBSCAN's queries are its rows, so they move with them.
         return inverse[_segments(rows, starts, perm)]

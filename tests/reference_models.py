@@ -1,6 +1,7 @@
 """Python reference loops of memloc's two simulators, the closed form of
 its all-row-hit DRAM bound, its two median-bisection builders, its
-decision-tree induction and its grid quantiser.
+decision-tree induction, its tree nodes' row lists and its grid
+quantiser.
 
 The cache filter (CacheHierarchy, driven by _filter_reference, which
 reports the level that served each record and keeps its own counters),
@@ -8,13 +9,15 @@ the FR-FCFS-Cap scheduler (_simulate_reference, over _decompose_trace's
 bank and row arrays), the all-hit bound (ideal_oracle), recursive
 coordinate bisection (reorder_rcb_oracle), the kd-tree's order
 (kdtree_order_oracle), the decision tree's nodes (dtree_oracle, with
-its _gini) and the SFC grid (quantize_rows_oracle) in Python and numpy.
+its _gini), each node's sorted rows (sort_segments_oracle) and the SFC
+grid (quantize_rows_oracle) in Python and numpy.
 memsys.filter_to_dram, dramsim.simulate, dramsim.simulate_ideal,
-reorder.reorder_rcb, kdtree.KdTree, kernels.gen_dtree_trace and
-sfc.quantize_rows run the compiled core, _core.c, which must give
-identical results; test_oracles.py and test_dramsim.py check that, and
-test_memsys.py and test_acceptance.py drive the simulator loops
-directly.  Imported by the tests, not collected as one.
+reorder.reorder_rcb, kdtree.KdTree, kernels.gen_dtree_trace,
+kernels.node_rows and sfc.quantize_rows run the compiled core, _core.c,
+which must give identical results; test_oracles.py and
+test_dramsim.py check that, and test_memsys.py and test_acceptance.py
+drive the simulator loops directly.  Imported by the tests, not
+collected as one.
 """
 
 from __future__ import annotations
@@ -394,6 +397,15 @@ def dtree_oracle(data: np.ndarray, labels: np.ndarray, max_depth: int):
 
     grow(np.arange(data.shape[0], dtype=np.int64), 1)
     return nodes, leaves
+
+
+def sort_segments_oracle(rows: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """rows, values below n, with each segment rows[starts[i]:starts[i + 1]]
+    sorted: one sort by segment * n + row.  kernels.node_rows gives this
+    for a tree's nodes, their rows relabelled through the inverse of its
+    order."""
+    segment = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return np.sort(segment * n + rows) % n
 
 
 def quantize_rows_oracle(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:

@@ -205,7 +205,7 @@ def test_the_core_takes_numbers_and_arrays_it_does_not_own():
     source, lib = _core._SOURCE.read_text(), _core.load()
     defined = re.findall(r"^\w.*\b(memloc_\w+)\(", source, re.M)
     bound = _core.prototypes(source)
-    assert len(defined) == 11 and sorted(bound) == sorted(defined)
+    assert len(defined) == 12 and sorted(bound) == sorted(defined)
     arrays = {np.dtype(t) for t in (np.int64, np.uint64, np.uint32, np.uint8, np.float64)}
     for fn, params in bound.items():
         for p in params:
@@ -401,7 +401,7 @@ SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
                    "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle",
                    "block_by_page_oracle", "block_by_page_lexsort_oracle", "inject_oracle",
-                   "ideal_oracle", "first_touch_oracle"}
+                   "ideal_oracle", "first_touch_oracle", "sort_segments_oracle"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

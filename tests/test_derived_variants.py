@@ -2,7 +2,7 @@
 
 The pipeline runs a kernel once per config and derives every layout and
 query-order variant from that walk: relabelled rows, per-query segments
-in a new order, or per-node row lists relabelled and sorted.  Where the
+in a new order, or per-node row lists in the new row order.  Where the
 tree does not depend on the storage order, the reference is the kernel
 generated again over the permuted rows or queries.  Where it does (ties
 in the first feature column of a kNN or DBSCAN config), a layout still
@@ -11,6 +11,7 @@ the original data and relabelled through the inverse permutation.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,6 +37,24 @@ def _derived_and_expected(ctx, variant, expected):
 def _kernel(kind, seed, n, m, **spec):
     return pipeline.build_kernel({"seed": seed, "kernel": {"kind": kind, "n": n, "m": m,
                                                           **spec}})
+
+
+def test_a_dtree_layout_allocates_only_its_rows():
+    # 100k rows, depth 8: 601,561 node rows, 4.8 MB.  The core's own
+    # scratch (n + 2 * nodes int64) is C malloc, which tracemalloc does
+    # not see; no inverse permutation, relabelled copy or sort key is
+    # made in Python beside the output.
+    ctx = _kernel("dtree", 1, 100_000, 4, max_depth=8)
+    _, rows, starts = ctx.generate()
+    perm, _ = pipeline.reorder_by("hilbert", CFG, kind="dtree", points=ctx.data)
+    tracemalloc.start()
+    try:
+        derived = pipeline._derive("dtree", "hilbert", perm, rows, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(derived) == starts[-1] > 4 * len(perm)
+    assert peak <= 1.1 * derived.nbytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -194,22 +194,39 @@ def test_visit_sequence_matches_its_pinned_digest(kernel, digest):
 
 
 # SHA-256 of the little-endian int64 dtree rows and starts, recorded with
-# the recursive Python induction on uniform data with balanced labels.
+# the recursive Python induction on uniform data with balanced labels,
+# and of the rows each layout derives from them, recorded when
+# pipeline._derive relabelled the rows through the inverse permutation
+# and sorted each node's.
 DTREE = {"kind": "dtree", "n": 600, "max_depth": 6}
 
 
-@pytest.mark.parametrize("seed, m, rows_digest, starts_digest", [
+@pytest.mark.parametrize("seed, m, rows_digest, starts_digest, derived", [
     (1, 2, "2c97f876c78a41938e28b948f9147102286ca709c152059d027a2ff703568089",
-     "e47f4cde2e1b4ce81c8e564354521f0ecc4965c9b15797fcfa619dd7b3e865d5"),
+     "e47f4cde2e1b4ce81c8e564354521f0ecc4965c9b15797fcfa619dd7b3e865d5",
+     {"hilbert": "4726db6520d68110d0b70b58fc6a38aa454851c4200c04efe276785f56617f57",
+      "zorder": "e89ca6dcc57a801958244dd7342ac2412825fdf9c73e4b63e0a85b91bac53edf",
+      "rcb": "cc0677b6809cf6580dc4b46d5ee02bee956601306e0448492ca879d5c5aa6038"}),
     (2, 4, "da17c56c1eec44afba2feb5044249913ae5542dc118d54016ec6b471694789ab",
-     "6dc1ca8e28071b5899d62dfd83ed28bd99675366f4665c1405150aea5d14a930"),
+     "6dc1ca8e28071b5899d62dfd83ed28bd99675366f4665c1405150aea5d14a930",
+     {"hilbert": "3a42741ebfa0f44e12a41e0223829a42ca110cd1c20802403cc682002a5369b5",
+      "zorder": "cb354fd695f7f0d5a494f2e6357129d9206bcc180d9cd672bc421d14f34fd548",
+      "rcb": "1166d352546fced40a36fb20b34a4ad888ad540bb1e6871b4074ab93602ebc6b"}),
     (0, 8, "3ea95d68c4978227392425a4445c24a5554bd263d6f93fa58d265ae44c13d9b5",
-     "4b1e50b161c03131ee46832051bc28eb0be585f82622d91d96f6b54ac32fe8aa"),
+     "4b1e50b161c03131ee46832051bc28eb0be585f82622d91d96f6b54ac32fe8aa",
+     {"hilbert": "92e2ee42b83d73209af1197bbb95accf4a513bbd6895824fbdfa01af057f4bad",
+      "zorder": "ce0a71a1b1948f8da00e0d257e530669ff64339a0b5782f80afb2a23e8564a45",
+      "rcb": "7a873b423c95546937fa19e5687633dce3590930007eafb948a456523f6f9156"}),
 ], ids=["dtree-m2", "dtree-m4", "dtree-m8"])
-def test_dtree_nodes_match_their_pinned_digests(seed, m, rows_digest, starts_digest):
-    _, rows, starts = pipeline.build_kernel({"seed": seed, "kernel": {**DTREE, "m": m}}).generate()
+def test_dtree_nodes_match_their_pinned_digests(seed, m, rows_digest, starts_digest, derived):
+    ctx = pipeline.build_kernel({"seed": seed, "kernel": {**DTREE, "m": m}})
+    _, rows, starts = ctx.generate()
     assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == rows_digest
     assert hashlib.sha256(starts.astype("<i8").tobytes()).hexdigest() == starts_digest
+    for variant, digest in derived.items():
+        perm, _ = pipeline.reorder_by(variant, ctx.cfg, kind="dtree", points=ctx.data)
+        layout = pipeline._derive("dtree", variant, perm, rows, starts)
+        assert hashlib.sha256(layout.astype("<i8").tobytes()).hexdigest() == digest, variant
 
 
 def test_visit_buffer_grows_to_every_visit():

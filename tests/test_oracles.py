@@ -13,10 +13,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from memloc import _core, dramsim, kernels, memsys, reorder, sfc, traceio
+from memloc import _core, dramsim, kernels, memsys, pipeline, reorder, sfc, traceio
 from memloc.kdtree import KdTree
 from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
@@ -29,6 +29,7 @@ from reference_models import (
     kdtree_order_oracle,
     quantize_rows_oracle,
     reorder_rcb_oracle,
+    sort_segments_oracle,
 )
 
 
@@ -771,6 +772,9 @@ def test_dtree_core_matches_recursive_induction(case):
         def memloc_dtree(self, *args):
             calls.append(args)
             return lib.memloc_dtree(*args)
+
+        def memloc_node_rows(self, *args):
+            return lib.memloc_node_rows(*args)
     with mock.patch.object(_core, "load", Core):
         _, rows, starts = kernels.gen_dtree_trace(data, labels, max_depth,
                                                   kernels.AddressModel.for_matrix(data.shape[1]))
@@ -781,6 +785,139 @@ def test_dtree_core_matches_recursive_induction(case):
     # The core's index array ends as the leaves' rows in preorder, each in
     # storage order: its partitions are stable.
     assert len(calls) == 1 and calls[0][7].tolist() == np.concatenate(leaves).tolist()
+
+
+@st.composite
+def preorder_trees(draw):
+    """(n, nodes, parents, bounds, src, order): a tree over the rows
+    [0, n), its nodes' row lists in preorder, each shuffled, a subset of
+    its parent's and disjoint from its siblings, with parents[s] the
+    node's parent (-1 for the root).  The lists are stored back to back
+    in src, in a random order of the nodes, node s at
+    src[bounds[s, 0]:bounds[s, 1]].  A chain drops one row a level, so
+    it is about n deep and ends in an empty node; a split deals a node's
+    rows to one to three children, dropping some or none; a sparse
+    tree's root leaves rows out.  order is a permutation or the
+    identity."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["chain", "split", "sparse"]))
+    drop = draw(st.sampled_from([0.0, 0.2]))
+    root = rng.permutation(n)
+    if shape == "sparse":
+        root = root[:rng.integers(0, n + 1)]
+    nodes, parents, stack = [], [], [(root, -1)]
+    while stack:
+        rows, parent = stack.pop()
+        nodes.append(rows)
+        parents.append(parent)
+        s = len(nodes) - 1
+        if shape == "chain":
+            if len(rows):
+                stack.append((rng.permutation(rows)[1:], s))
+        elif len(rows) >= 2 and rng.random() < 0.75:
+            k = rng.integers(1, 4)
+            deal = np.where(rng.random(len(rows)) < drop, k, rng.integers(0, k, len(rows)))
+            stack.extend((rng.permutation(rows[deal == c]), s) for c in reversed(range(k)))
+    placed = rng.permutation(len(nodes))
+    ends = np.cumsum([len(nodes[s]) for s in placed])
+    bounds = np.empty((len(nodes), 2), dtype=np.int64)
+    bounds[placed, 0], bounds[placed, 1] = ends - [len(nodes[s]) for s in placed], ends
+    src = np.concatenate([nodes[s] for s in placed]).astype(np.int64)
+    order = rng.permutation(n) if draw(st.booleans()) else np.arange(n, dtype=np.int64)
+    return n, nodes, parents, bounds, src, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(preorder_trees())
+def test_node_rows_match_a_sort_of_each_node(tree):
+    # Node by node, the new rows v whose old row order[v] the node holds,
+    # ascending: the old rows relabelled through the inverse and sorted.
+    n, nodes, _, bounds, src, order = tree
+    starts = np.cumsum([0] + [len(rows) for rows in nodes])
+    relabelled = reorder.invert_permutation(order)[np.concatenate(nodes).astype(np.int64)]
+    expected = sort_segments_oracle(relabelled, starts, n)
+    assert kernels.node_rows(bounds, src, order).tolist() == expected.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(preorder_trees(), st.sampled_from(["lacks", "twice", "overlap"]), st.randoms())
+def test_node_rows_reject_nodes_that_are_not_a_tree(tree, fault, pick):
+    # One non-first row of a node of two or more is replaced: by a row its
+    # parent lacks, by another of its own rows, or by a row of an earlier
+    # sibling.  (A node's first row only says who its parent is.)
+    n, nodes, parents, bounds, src, order = tree
+    wide = [s for s, rows in enumerate(nodes) if len(rows) >= 2]
+    if fault == "lacks":
+        wide = [s for s in wide if parents[s] >= 0 and len(nodes[parents[s]]) < n]
+        others = lambda s: np.setdiff1d(np.arange(n), nodes[parents[s]])
+    elif fault == "twice":
+        others = lambda s: nodes[s][:1]
+    else:
+        earlier = lambda s: [t for t in range(s) if parents[t] == parents[s] and len(nodes[t])]
+        wide = [s for s in wide if parents[s] >= 0 and earlier(s)]
+        others = lambda s: nodes[pick.choice(earlier(s))]
+    assume(wide)
+    s = pick.choice(wide)
+    src = src.copy()
+    src[bounds[s, 0] + pick.randrange(1, len(nodes[s]))] = pick.choice(others(s).tolist())
+    total = int(src.size)
+    out = np.full(total, -7, dtype=np.int64)
+    assert _core.load().memloc_node_rows(n, len(bounds), bounds, src, order, out) < total
+    assert (out == -7).all()
+    with pytest.raises(ValueError, match=r"^the nodes' rows are not a tree in preorder$"):
+        kernels.node_rows(bounds, src, order)
+
+
+@pytest.mark.parametrize("bounds, src, order", [
+    ([[0, 2], [2, 1]], [0, 1], [0, 1]),
+    ([[0, 2]], [0, 2], [0, 1]),
+    ([[0, 2]], [1, -1], [0, 1]),
+    ([[0, 2]], [0, 1], [1, 1]),
+    ([[0, 2]], [0, 1], [1 << 40, 1]),
+], ids=["node-ends-before-it-starts", "row-past-n", "negative-row", "order-repeats-a-row",
+        "order-far-past-n"])
+def test_node_rows_return_short_on_a_range_or_order_out_of_place(bounds, src, order):
+    # Over two rows.  A node past its range, or a row outside [0, n),
+    # writes nothing; an order that is not a permutation misses a row.
+    bounds, src, order = (np.array(a, dtype=np.int64) for a in (bounds, src, order))
+    total = int((bounds[:, 1] - bounds[:, 0]).sum())
+    out = np.full(total, -7, dtype=np.int64)
+    assert _core.load().memloc_node_rows(2, len(bounds), bounds, src, order, out) < total
+    if order.tolist() == [0, 1]:
+        assert (out == -7).all()
+    with pytest.raises(ValueError, match=r"^the nodes' rows are not a tree in preorder$"):
+        kernels.node_rows(bounds, src, order)
+
+
+DTREE_CONFIG = {"seed": 1, "kernel": {"kind": "dtree", "n": 600, "m": 2, "max_depth": 6}}
+
+
+def test_a_layout_over_nodes_that_are_not_a_tree_fails_at_gen():
+    ctx = pipeline.build_kernel(DTREE_CONFIG)
+    trace, rows, starts = ctx.generate()
+    rows = rows.copy()
+    rows[starts[1] + 1] = rows[starts[1]]  # node 1, the root's left child, holds a row twice
+    with pytest.raises(pipeline.PipelineError,
+                       match=r"^gen: the nodes' rows are not a tree in preorder$"):
+        pipeline.run_variant(ctx, "hilbert", (trace, rows, starts))
+
+
+def test_a_tree_whose_root_holds_a_row_twice_fails_at_gen():
+    lib = _core.load()
+
+    class Core:
+        def memloc_dtree(self, *args):
+            nodes = lib.memloc_dtree(*args)
+            args[7][1] = args[7][0]  # idx: the root holds its first row twice
+            return nodes
+
+        def memloc_node_rows(self, *args):
+            return lib.memloc_node_rows(*args)
+    with mock.patch.object(_core, "load", Core):
+        with pytest.raises(pipeline.PipelineError,
+                           match=r"^gen: the nodes' rows are not a tree in preorder$"):
+            pipeline.build_kernel(DTREE_CONFIG).generate()
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,8 +15,10 @@
  *                       stride prefetcher (memsys.filter_to_dram)
  *   memloc_take         the filter's DRAM trace, the records one level
  *                       served (memsys.filter_to_dram)
- *   memloc_simulate     FR-FCFS-Cap scheduler and its all-row-hit bound
- *                       (dramsim.simulate, dramsim.simulate_ideal)
+ *   memloc_simulate     FR-FCFS-Cap scheduler, which scans its window only
+ *                       while a queued request may hit an open row, and
+ *                       its all-row-hit bound (dramsim.simulate,
+ *                       dramsim.simulate_ideal)
  * Each must give results identical to the Python reference that
  * tests/test_oracles.py or tests/test_dramsim.py compares it against,
  * most of them in tests/reference_models.py.  _core.py compiles this
@@ -31,7 +33,10 @@
  * of nodes; memloc_node_rows the entries it wrote, fewer than the nodes'
  * rows when they are not a tree or the order not a permutation; the
  * others 0; and all but memloc_kdtree, memloc_quantize, memloc_inject
- * and memloc_take -1 when memory runs out.  _core.py binds each
+ * and memloc_take -1 when memory runs out.  memloc_sfc, memloc_block,
+ * memloc_first_touch and memloc_simulate allocate all their scratch
+ * before they write, so their -1 leaves the caller's arrays as they
+ * were.  _core.py binds each
  * function from its definition here, so a definition starts its
  * line with "int64_t memloc_<name>(", and each parameter is an int64_t
  * or double number, or a pointer to int64_t, uint64_t, uint32_t, uint8_t
@@ -365,7 +370,10 @@ int64_t memloc_inject(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
  * row hit is served first unless an older request in front of it has
  * been bypassed max_bypass times.  counts[bank * 3 + kind] and events[i]
  * get the outcome, kind 0 hit, 1 closed bank, 2 conflict; latency[0..1]
- * the low and high 64 bits of the summed latencies. */
+ * the low and high 64 bits of the summed latencies.  While no queued
+ * request can hit its bank's open row, the oldest is served with no scan
+ * of the window.  All scratch, the window's ring and its bucket counts,
+ * O(depth) and 72 bytes a slot, is allocated before anything is written. */
 int64_t memloc_simulate(int64_t n, const uint64_t *vaddr, const uint32_t *cycle, int64_t gap,
                         int64_t bank_shift, int64_t bank_mask, int64_t row_shift,
                         int64_t row_mask, int64_t nbanks, int64_t t_hit, int64_t t_closed,
@@ -374,66 +382,100 @@ int64_t memloc_simulate(int64_t n, const uint64_t *vaddr, const uint32_t *cycle,
 {
     /* The window is a ring of entries that keep their request's bank and
      * row, so a scan reads only the window and the open rows, and serving
-     * the oldest request moves nothing. */
+     * the oldest request moves nothing: request `next` enters slot next
+     * and serving frees slot `done` (mod size), so it holds done .. next - 1.
+     * `clean` means that no window request hits its bank's open row, so
+     * the oldest is served with no scan.  A scan that reaches the window's
+     * end sets it.  An arrival that hits clears it, and so does serving a
+     * request whose bucket still counts a window request, as one of them
+     * may hit the row it opened: an entry's `bucket` is a multiplicative
+     * hash of its (bank, row), the address bits under `key`, into
+     * `queued`, 8 buckets a slot, which counts the window's entries in
+     * each.  Two rows that share a bucket cost a scan, never a wrong pick.
+     * A window of one slot never holds a request behind the one it
+     * serves, so it keeps no counts and never scans. */
     typedef struct {
         int64_t bank, row, arrive, bypass;
+        uint32_t bucket;
     } entry;
-    int64_t size = 1;
-    while (size < depth)
+    int64_t size = 1, bits = 3;  /* 2^bits buckets, at most 2^32: a uint32_t bucket */
+    while (size < depth) {
         size *= 2;
+        bits += bits < 32;
+    }
+    int fits = (uint64_t)size <= SIZE_MAX / sizeof(entry);
     int64_t *open_row = malloc(nbanks * sizeof *open_row);
-    entry *win = malloc(size * sizeof *win);
-    if (!open_row || !win) {
+    entry *win = fits ? malloc(size * sizeof *win) : NULL;
+    uint32_t *queued = fits ? calloc((size_t)1 << bits, sizeof *queued) : NULL;
+    if (!open_row || !win || !queued) {
         free(open_row);
         free(win);
+        free(queued);
         return -1;
     }
     memset(open_row, 0xff, nbanks * sizeof *open_row);
-    unsigned __int128 lat = 0;
-    int64_t head = 0, len = 0, mask = size - 1, next = 0, served = 0, t = 0;
+    const int64_t service[3] = {t_hit, t_closed, t_conflict};
+    uint64_t lat_lo = 0, lat_hi = 0;
+    int64_t mask = size - 1, next = 0, done = 0, t = 0;
     int64_t at = n && gap < 0 ? cycle[0] : 0;  /* request next's arrival */
-    while (len || next < n) {
-        while (next < n && len < depth && at <= t) {
+    int clean = 0, counted = depth > 1;
+    uint64_t key = (uint64_t)bank_mask << bank_shift | (uint64_t)row_mask << row_shift;
+    while (done < n) {
+        while (next < n && next - done < depth && at <= t) {
             uint64_t a = vaddr[next];
-            win[(head + len++) & mask] = (entry){(int64_t)(a >> bank_shift) & bank_mask,
-                                                 (int64_t)(a >> row_shift) & row_mask, at, 0};
+            int64_t bank = (int64_t)(a >> bank_shift) & bank_mask;
+            int64_t row = (int64_t)(a >> row_shift) & row_mask;
+            entry *w = &win[next & mask];
+            *w = (entry){bank, row, at, 0, 0};
+            if (counted) {
+                w->bucket = (a & key) * 0x9e3779b97f4a7c15u >> (64 - bits);
+                queued[w->bucket]++;
+                clean &= open_row[bank] != row;
+            }
             next++;
             at = next == n ? 0 : gap < 0 ? cycle[next] : next * gap;
         }
-        if (!len) {
+        if (next == done) {
             t = at;
             continue;
         }
-        int64_t pick = 0;
-        for (int64_t pos = 0; pos < len; pos++) {
-            const entry *w = &win[(head + pos) & mask];
-            if (open_row[w->bank] == w->row) {
-                pick = pos;
-                break;
+        int64_t pick = done;
+        if (!clean && counted) {
+            int64_t pos = done;
+            for (; pos < next; pos++) {
+                const entry *w = &win[pos & mask];
+                if (open_row[w->bank] == w->row) {
+                    pick = pos;
+                    break;
+                }
+                if (w->bypass >= max_bypass)
+                    break;
             }
-            if (w->bypass >= max_bypass)
-                break;
+            clean = pos == next;
         }
         /* Take the pick out: the requests in front of it move back one
          * slot, each bypassed once more. */
-        entry e = win[(head + pick) & mask];
-        for (int64_t pos = pick; pos > 0; pos--) {
-            win[(head + pos) & mask] = win[(head + pos - 1) & mask];
-            win[(head + pos) & mask].bypass++;
+        entry e = win[pick & mask];
+        for (int64_t pos = pick; pos > done; pos--) {
+            win[pos & mask] = win[(pos - 1) & mask];
+            win[pos & mask].bypass++;
         }
-        head = (head + 1) & mask;
-        len--;
-        int kind = open_row[e.bank] == e.row ? 0 : open_row[e.bank] == -1 ? 1 : 2;
+        if (counted)
+            clean &= --queued[e.bucket] == 0;
+        int64_t open = open_row[e.bank];
+        int kind = open == e.row ? 0 : open == -1 ? 1 : 2;
         open_row[e.bank] = e.row;
-        t = (t > e.arrive ? t : e.arrive) + (kind == 0 ? t_hit : kind == 1 ? t_closed : t_conflict);
-        lat += (unsigned __int128)(t - e.arrive);
+        t = (t > e.arrive ? t : e.arrive) + service[kind];
+        uint64_t d = (uint64_t)(t - e.arrive);
+        lat_hi += (lat_lo += d) < d;  /* the 128-bit sum, with its carry */
         counts[e.bank * 3 + kind]++;
-        events[served++] = (uint8_t)kind;
+        events[done++] = (uint8_t)kind;
     }
-    latency[0] = (uint64_t)lat;
-    latency[1] = (uint64_t)(lat >> 64);
+    latency[0] = lat_lo;
+    latency[1] = lat_hi;
     free(open_row);
     free(win);
+    free(queued);
     return 0;
 }
 
@@ -1116,14 +1158,16 @@ int64_t memloc_first_touch(int64_t len, const int64_t *seq, int64_t n, int64_t *
 
 /* Group the n rows of seq by page inside consecutive windows of
  * `window` >= 1 rows (the caller bounds it, and the scratch, by n): out
- * gets each window's rows grouped by pages[i], the groups in order of
- * their first row and the rows of a group in their order in seq.  A
- * window numbers its pages in a page table, each page's group in a, and
- * the next window frees them all by raising the stamp, so none clears
- * it; its rows are then counted per group and scattered stably.  All
- * scratch, O(window), is allocated before anything is written. */
-int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_t window,
-                     int64_t *out)
+ * gets each window's rows grouped by the page of their first byte,
+ * row * stride >> page_shift (floor division, negative rows included;
+ * the caller checks that no row's byte leaves int64), the groups in
+ * order of their first row and the rows of a group in their order in
+ * seq.  A window numbers its pages in a page table, each page's group in
+ * a, and the next window frees them all by raising the stamp, so none
+ * clears it; its rows are then counted per group and scattered stably.
+ * All scratch, O(window), is allocated before anything is written. */
+int64_t memloc_block(int64_t n, const int64_t *seq, int64_t stride, int64_t page_shift,
+                     int64_t window, int64_t *out)
 {
     int bits = 1;  /* >= 2 * window slots: no window fills half, so none doubles them */
     while (bits < 62 && (int64_t)1 << (bits - 1) < window)
@@ -1138,9 +1182,10 @@ int64_t memloc_block(int64_t n, const int64_t *seq, const int64_t *pages, int64_
     for (int64_t w0 = 0; w0 < n; w0 += window, t.stamp++, t.count = 0) {
         int64_t len = n - w0 < window ? n - w0 : window, groups = 0;
         for (int64_t i = 0; i < len; i++) {
-            page_slot *s = find(&t, pages[w0 + i]);
+            int64_t page = seq[w0 + i] * stride >> page_shift;
+            page_slot *s = find(&t, page);
             if (s->stamp != t.stamp)
-                claim(&t, s, pages[w0 + i], groups++, 0);
+                claim(&t, s, page, groups++, 0);
             group[i] = s->a;
             start[group[i]]++;
         }

@@ -11,7 +11,12 @@ which needs a C compiler), simulate_ideal too with one row, one slot and
 one latency; tests/reference_models.py holds their Python references.
 The core reads the trace's vaddr and cycle columns and maps each request
 as it enters the scheduler's window, with the bank and row shifts and
-masks that simulate derives from the scheme once per trace.
+masks that simulate derives from the scheme once per trace.  While no
+queued request can hit its bank's open row, it serves the oldest without
+scanning the window: a scan that finds no hit says so, an arrival on an
+open row or a served request whose (bank, row) bucket still counts a
+queued request says it may no longer hold.  The results are those of
+the full scan.
 """
 
 from __future__ import annotations

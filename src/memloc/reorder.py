@@ -20,6 +20,7 @@ from .traceio import PAGE_SIZE
 
 DEFAULT_SFC_BITS = 10
 DEFAULT_BLOCK_WINDOW = 4096
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1  # byte -> page number
 
 
 def check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
@@ -96,8 +97,9 @@ def block_by_page(seq, row_stride_bytes: int, window: int = DEFAULT_BLOCK_WINDOW
     by the page of their row's first byte, pages ordered by first
     appearance (memloc_block, in one pass per window).  The matrix starts
     on a page boundary (AddressModel), so that page is
-    row * row_stride_bytes // PAGE_SIZE, and that byte must lie in
-    [-2**63, 2**63).  The multiset of accesses is preserved.
+    row * row_stride_bytes // PAGE_SIZE, which the core computes from
+    each row, and that byte must lie in [-2**63, 2**63).  The multiset of
+    accesses is preserved.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -110,7 +112,7 @@ def block_by_page(seq, row_stride_bytes: int, window: int = DEFAULT_BLOCK_WINDOW
     if lo < -2**63 or hi >= 2**63:  # int64 would wrap them onto other pages
         raise ValueError(f"rows start at bytes {lo} to {hi}, outside [-2**63, 2**63)")
     out = np.empty_like(seq)
-    _core.load().memloc_block(len(seq), seq, (seq * row_stride_bytes) // PAGE_SIZE,
+    _core.load().memloc_block(len(seq), seq, row_stride_bytes, _PAGE_SHIFT,
                               min(window, len(seq)), out)
     return out
 

@@ -303,8 +303,22 @@ def test_block_allocates_its_scratch_before_writing():
     seq = np.arange(4, dtype=np.int64)
     out = np.full(4, 7, dtype=np.int64)
     with pytest.raises(MemoryError, match=r"^memloc_block: out of memory$"):
-        _core.load().memloc_block(2**60, seq, seq, 2**60, out)
+        _core.load().memloc_block(2**60, seq, 64, 12, 2**60, out)
     assert out.tolist() == [7] * 4 and seq.tolist() == [0, 1, 2, 3]
+
+
+def test_simulate_allocates_its_scratch_before_writing():
+    # A 2**60-request window: its ring and bucket counts cannot be
+    # allocated, and the caller's arrays are left as they were.
+    vaddr = np.arange(4, dtype=np.uint64) << np.uint64(6)
+    cycle = np.zeros(4, dtype=np.uint32)
+    counts = np.full((16, 3), 7, dtype=np.int64)
+    events = np.full(4, 7, dtype=np.uint8)
+    latency = np.full(2, 7, dtype=np.uint64)
+    with pytest.raises(MemoryError, match=r"^memloc_simulate: out of memory$"):
+        _core.load().memloc_simulate(4, vaddr, cycle, -1, 6, 15, 10, 32767, 16, 20, 36, 52,
+                                     3, 2**60, counts, events, latency)
+    assert (counts == 7).all() and (events == 7).all() and (latency == 7).all()
 
 
 def test_first_touch_allocates_its_scratch_before_writing():

@@ -1195,13 +1195,57 @@ def dram_cases(draw):
         arrival_gap=draw(st.integers(0, 8)), queue_depth=draw(st.integers(1, 40)))
 
 
+def _dram_case(lines, cycles, cap=4, depth=32):
+    """Lines on 2 banks of 4 rows of 2 lines, line = row << 2 | bank << 1
+    | column, arriving at the given cycles; a hit takes 5 cycles, a
+    closed bank 9 and a conflict 13."""
+    trace = Trace(np.array(lines, np.uint64) << np.uint64(LINE_SHIFT),
+                  np.array(cycles, np.int64), np.zeros(len(lines), np.uint8))
+    return trace, dramsim.DramConfig(2, 4, 128, 4, 4, 4, 1, cap=cap, queue_depth=depth)
+
+
 @settings(max_examples=400, deadline=None)
 @given(dram_cases())
+# Row 0 of bank 0 opens with a window of no hits behind it, then bank 0
+# serves row 1, and line 5, on that row, arrives behind line 8: the
+# arrival hits and must be served before 8.
+@example(_dram_case([0, 4, 8, 5], [0, 1, 2, 12]))
+# Line 4 opens row 1 of bank 0 while line 5, on that row, waits behind
+# line 8: 5 is served next, though no arrival came between.
+@example(_dram_case([0, 4, 8, 5], [0, 1, 2, 3]))
+# With cap 2, the hit 1 bypasses line 6 (bank 1, row 1), so 6 is capped
+# and served next, though a hit, line 0 again, waits behind it; that is
+# still a hit behind 10 (bank 1, row 2), and the scheduler must find it.
+@example(_dram_case([0, 6, 1, 10, 0], [0, 1, 2, 3, 4], cap=2))
+# One slot: FCFS, with hits, closed banks and conflicts.
+@example(_dram_case([0, 1, 4, 0, 2, 8, 9, 3], [0] * 8, depth=1))
 def test_simulate_core_matches_reference(case):
     trace, dram = case
     got = dramsim.simulate(trace, dram, collect_events=True)
     assert_same_dram(got, simulate_reference(trace, dram))
     assert dramsim.simulate(trace, dram).events is None
+
+
+def test_simulate_core_matches_at_the_default_geometry():
+    # 20,000 random lines at the default 16 banks, cap 4 and depth 32,
+    # arriving faster than they are served, so the window stays full and
+    # mostly holds no hit; one request in 16 repeats the row of one of the
+    # 40 before it, so rows reopen with requests to them still queued, and
+    # some arrive on an open row.
+    rng = np.random.default_rng(12)
+    n = 20000
+    lines = rng.integers(0, 1 << 30, n, dtype=np.uint64)
+    repeat = np.flatnonzero(rng.random(n) < 1 / 16)
+    repeat = repeat[repeat >= 40]
+    back = repeat - rng.integers(1, 41, len(repeat))
+    lines[repeat] = (lines[back] & ~np.uint64(127)) | rng.integers(0, 128, len(repeat),
+                                                                   dtype=np.uint64)
+    trace = Trace(lines << np.uint64(LINE_SHIFT), np.cumsum(rng.integers(0, 8, n)),
+                  np.zeros(n, np.uint8))
+    dram = dramsim.DramConfig()
+    got = dramsim.simulate(trace, dram, collect_events=True)
+    assert_same_dram(got, simulate_reference(trace, dram))
+    assert 0 < got.hits < n // 8
 
 
 @pytest.mark.parametrize("cap, depth", [(1, 32), (4, 32), (10 ** 30, 10 ** 30), (3, 1)])

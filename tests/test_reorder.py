@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,23 @@ class TestApplyPermutation:
 def test_block_by_page_multiset_property(seq, window):
     out = reorder.block_by_page(seq, 128, window=window)
     assert sorted(out.tolist()) == sorted(seq)
+
+
+def test_block_by_page_allocates_only_its_output():
+    # 1M gather rows: the core computes each row's page, so no product or
+    # page array is made beside the output, and the caller's rows are
+    # left as they were.
+    seq = np.random.default_rng(16).integers(0, 4_000_000, 1_000_000)
+    before = seq.copy()
+    tracemalloc.start()
+    try:
+        out = reorder.block_by_page(seq, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
+    assert np.array_equal(seq, before)
+    assert np.array_equal(np.sort(out), np.sort(seq))
 
 
 @given(st.lists(st.integers(0, 19), max_size=100))

@@ -8,15 +8,17 @@ has exhausted its bypass budget (cap=1 degenerates to FCFS).  Service
 latencies: hit tCL+tBURST, closed bank tRCD+tCL+tBURST, conflict
 tRP+tRCD+tCL+tBURST.  simulate runs it in the compiled core (_core.c,
 which needs a C compiler), simulate_ideal too with one row, one slot and
-one latency; tests/reference_models.py holds their Python references.
-The core reads the trace's vaddr and cycle columns and maps each request
-as it enters the scheduler's window, with the bank and row shifts and
-masks that simulate derives from the scheme once per trace.  While no
-queued request can hit its bank's open row, it serves the oldest without
-scanning the window: a scan that finds no hit says so, an arrival on an
-open row or a served request whose (bank, row) bucket still counts a
-queued request says it may no longer hold.  The results are those of
-the full scan.
+one latency; tests/reference_models.py holds their Python references,
+with its own address mapping.  The core reads the trace's vaddr and
+cycle columns and maps each request as it enters the scheduler's window,
+with the bank and row shifts and masks that simulate derives from the
+scheme once per trace.  While no queued request can hit its bank's
+open row, it serves the oldest without scanning the window: a scan that
+finds no hit says so, an arrival on an open row or a served request
+whose (bank, row) bucket still counts a queued request says it may no
+longer hold.  The results are those of the full scan.  The core also
+writes each request's kind in service order, which _schedule returns
+and only the tests read.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .traceio import LINE_SHIFT, LINE_SIZE, Trace
 
 SCHEMES = ("RoBaRaCoCh", "ChRaBaRoCo")
 ARRIVALS = ("from-trace", "fixed-gap")
-_EVENT_CHARS = bytes.maketrans(bytes([0, 1, 2]), b"hmc")
 
 _FIELD_ORDER = {
     # scheme -> field names from LSB upward (name read right-to-left).  The
@@ -110,7 +111,6 @@ class DramStats:
     total: int = 0
     avg_latency: float = 0.0
     per_bank: dict = field(default_factory=dict)
-    events: list | None = None  # per-request 'h'/'m'/'c' in service order
 
     @property
     def hit_ratio(self) -> float:
@@ -127,19 +127,10 @@ def _fields(dram: DramConfig) -> dict:
     return out
 
 
-def map_address(paddr: int, dram: DramConfig = DramConfig()):
-    """Decompose a physical address into (channel, rank, bank, row, column);
-    channel and rank are always 0.
-
-    Addresses beyond the geometry's capacity wrap modulo capacity.
-    """
-    f = {name: int(paddr) >> shift & mask for name, (shift, mask) in _fields(dram).items()}
-    return (0, 0, f["bank"], f["row"], f["column"])
-
-
 def _bank_row(dram: DramConfig) -> tuple:
     """(bank shift, bank mask, row shift, row mask) with which the core maps
-    a trace's requests as map_address does.  A vaddr has 64 bits, so a
+    a trace's requests: a field of address a is a >> shift & mask.  Fields
+    wrap modulo the geometry's capacity.  A vaddr has 64 bits, so a
     mask keeps the bits below 64 - shift alone, which fit an int64, and a
     field above them all is (0, 0)."""
     fields, out = _fields(dram), ()
@@ -152,8 +143,8 @@ def _bank_row(dram: DramConfig) -> tuple:
 
 def _schedule(trace: Trace, dram: DramConfig, bank_row: tuple, nbanks: int, latencies: tuple,
               cap: int, queue_depth: int):
-    """(per-bank hit/closed/conflict counts, kinds in service order, mean
-    latency) of the compiled scheduler over a checked trace's arrivals
+    """(per-bank hit/closed/conflict counts, kinds in service order as 0
+    hit, 1 closed and 2 conflict, mean latency) of the compiled scheduler over a checked trace's arrivals
     under `dram`'s arrival model, its requests mapped by bank_row's
     shifts and masks."""
     n = len(trace)
@@ -177,22 +168,19 @@ def _schedule(trace: Trace, dram: DramConfig, bank_row: tuple, nbanks: int, late
     return counts, events, (hi << 64 | lo) / n
 
 
-def simulate(trace: Trace, dram: DramConfig = DramConfig(),
-             collect_events: bool = False) -> DramStats:
+def simulate(trace: Trace, dram: DramConfig = DramConfig()) -> DramStats:
     """Run the FR-FCFS-Cap model over a trace and return DramStats.
 
     Only the `dram.queue_depth` oldest outstanding requests are visible
     to the scheduler.
     """
-    counts, events, avg_latency = _schedule(
+    counts, _, avg_latency = _schedule(
         trace, dram, _bank_row(dram), dram.banks, (dram.hit, dram.closed, dram.conflict),
         dram.cap, dram.queue_depth)
     return DramStats(
         *counts.sum(axis=0).tolist(), total=len(trace), avg_latency=avg_latency,
         per_bank={int(b): dict(zip(("hits", "misses", "conflicts"), counts[b].tolist()))
-                  for b in np.flatnonzero(counts.any(axis=1))},
-        events=list(events.tobytes().translate(_EVENT_CHARS).decode()) if collect_events
-        else None)
+                  for b in np.flatnonzero(counts.any(axis=1))})
 
 
 def simulate_ideal(trace: Trace, dram: DramConfig = DramConfig()) -> DramStats:

@@ -186,12 +186,6 @@ def gen_gather_trace(n: int, count: int, addr: AddressModel, seed: int = 0):
     return rows_to_trace(rows, addr), rows
 
 
-def gen_sequential_trace(n_lines: int, addr: AddressModel) -> Trace:
-    """Streaming sanity kernel: one pass of consecutive lines."""
-    lines = addr.base + np.arange(n_lines, dtype=np.uint64) * LINE_SIZE
-    return Trace.from_addresses(lines, KIND_READ)
-
-
 def make_clustered(n: int, m: int, clusters: int, seed: int = 0,
                    layout: str = "contiguous", spread: float = 0.02) -> np.ndarray:
     """Gaussian cluster mixture in the unit cube.

@@ -1,7 +1,8 @@
 """Python reference loops of memloc's two simulators, the closed form of
 its all-row-hit DRAM bound, its two median-bisection builders, its
-decision-tree induction, its tree nodes' row lists and its grid
-quantiser.
+decision-tree induction, its tree nodes' row lists, its grid quantiser
+and its two space-filling curves, and the test-side views of the
+compiled core that they are compared with.
 
 The cache filter (CacheHierarchy, driven by _filter_reference, which
 reports the level that served each record and keeps its own counters),
@@ -9,22 +10,26 @@ the FR-FCFS-Cap scheduler (_simulate_reference, over _decompose_trace's
 bank and row arrays), the all-hit bound (ideal_oracle), recursive
 coordinate bisection (reorder_rcb_oracle), the kd-tree's order
 (kdtree_order_oracle), the decision tree's nodes (dtree_oracle, with
-its _gini), each node's sorted rows (sort_segments_oracle) and the SFC
-grid (quantize_rows_oracle) in Python and numpy.
+its _gini), each node's sorted rows (sort_segments_oracle), the SFC
+grid (quantize_rows_oracle) and the Morton and Hilbert codes
+(morton_*_oracle, hilbert_*_oracle) in Python and numpy.
 memsys.filter_to_dram, dramsim.simulate, dramsim.simulate_ideal,
 reorder.reorder_rcb, kdtree.KdTree, kernels.gen_dtree_trace,
-kernels.node_rows and sfc.quantize_rows run the compiled core, _core.c,
-which must give identical results; test_oracles.py and
-test_dramsim.py check that, and test_memsys.py and test_acceptance.py
-drive the simulator loops directly.  Imported by the tests, not
-collected as one.
+kernels.node_rows, sfc.quantize_rows and reorder.reorder_sfc run the
+compiled core, _core.c, which must give identical results;
+test_oracles.py, test_sfc.py and test_dramsim.py check that, through
+core_sfc, core_codes, core_walk and core_events where the package
+returns less than the core computes, and test_memsys.py and
+test_acceptance.py drive the simulator loops directly.  Imported by the
+tests, not collected as one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from memloc.dramsim import _FIELD_ORDER, DramConfig, DramStats
+from memloc import _core
+from memloc.dramsim import _FIELD_ORDER, DramConfig, DramStats, _bank_row, _schedule
 from memloc.memsys import (
     _PAGE_LINES_SHIFT,
     LEVEL_NAMES,
@@ -187,7 +192,8 @@ def _filter_reference(lines: np.ndarray, kinds: np.ndarray, cache: CacheConfig,
 
 def _decompose_trace(trace: Trace, dram: DramConfig):
     """(bank, row) int64 arrays of a trace's lines, the scheme's fields
-    taken from the LSB up: the scheduler reference's address mapping."""
+    taken from the LSB up: the scheduler reference's address mapping,
+    which dramsim._bank_row's shifts and masks must agree with."""
     line = (trace.vaddr >> np.uint64(LINE_SHIFT)).astype(np.int64)
     bits, fields = dram.field_bits(), {}
     for name in _FIELD_ORDER[dram.scheme]:
@@ -197,15 +203,15 @@ def _decompose_trace(trace: Trace, dram: DramConfig):
     return fields["bank"], fields["row"]
 
 
-def _simulate_reference(bank_arr, row_arr, arrive_arr, dram: DramConfig,
-                        collect_events: bool) -> DramStats:
-    """The FR-FCFS-Cap loop in Python over _decompose_trace's bank and
-    row arrays and arrival_cycles, with dram's bank count, latencies, cap
-    and window depth: the reference for tests."""
+def _simulate_reference(bank_arr, row_arr, arrive_arr, dram: DramConfig):
+    """(stats, kinds 'h'/'m'/'c' in service order) of the FR-FCFS-Cap
+    loop in Python over _decompose_trace's bank and row arrays and
+    arrival_cycles, with dram's bank count, latencies, cap and window
+    depth: the reference for tests."""
     n = len(bank_arr)
     t_hit, t_closed, t_conflict = dram.hit, dram.closed, dram.conflict
     nbanks, queue_depth = dram.banks, dram.queue_depth
-    stats = DramStats(total=n, events=[] if collect_events else None)
+    stats = DramStats(total=n)
 
     bank_id = bank_arr.tolist()
     row = row_arr.tolist()
@@ -219,7 +225,7 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, dram: DramConfig,
     hits_queued = 0  # window entries matching their bank's open row
     t = 0
     max_bypass = dram.cap - 1  # cap=1 -> no bypass -> FCFS
-    events = stats.events
+    events = []
 
     while window or next_req < n:
         while next_req < n and len(window) < queue_depth and arrive[next_req] <= t:
@@ -273,8 +279,7 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, dram: DramConfig,
         if bs is None:
             bs = bank_stats[b] = [0, 0, 0]
         bs[kind] += 1
-        if events is not None:
-            events.append("hmc"[kind])
+        events.append("hmc"[kind])
 
     stats.avg_latency = lat_sum / n
     stats.per_bank = {
@@ -282,7 +287,7 @@ def _simulate_reference(bank_arr, row_arr, arrive_arr, dram: DramConfig,
         for b, v in sorted(bank_stats.items())
     }
     stats.hits, stats.misses, stats.conflicts = map(sum, zip(*bank_stats.values()))
-    return stats
+    return stats, events
 
 
 def arrival_cycles(trace: Trace, dram: DramConfig) -> np.ndarray:
@@ -424,3 +429,157 @@ def quantize_rows_oracle(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
             scaled = np.floor((data[:, live] - lo[live]) / span[live] * top + 0.5)
         out[:, live] = np.clip(scaled, 0, ceiling).astype(np.uint64)
     return out
+
+
+# The SFC codes as one bit loop per function and curve (Skilling, AIP
+# Conf. Proc. 707, 2004, for Hilbert): the oracles of memloc_sfc.
+
+def _check_coords(coords, cfg: QuantizerConfig):
+    if len(coords) != cfg.dims:
+        raise ValueError(f"expected {cfg.dims} coordinates, got {len(coords)}")
+    side = cfg.grid_side
+    for c in coords:
+        if not 0 <= c < side:
+            raise ValueError(f"coordinate {c} outside [0, {side})")
+
+
+def _check_code(code: int, cfg: QuantizerConfig):
+    if not 0 <= code < (1 << cfg.code_bits):
+        raise ValueError(f"code {code} outside [0, 2^{cfg.code_bits})")
+
+
+def morton_encode_oracle(coords, cfg: QuantizerConfig) -> int:
+    """Bit-interleave grid coordinates; dim 0 is the LSB of each group."""
+    _check_coords(coords, cfg)
+    d, b = cfg.dims, cfg.bits
+    code = 0
+    for j, c in enumerate(coords):
+        c = int(c)
+        for k in range(b):
+            if (c >> k) & 1:
+                code |= 1 << (k * d + j)
+    return code
+
+
+def morton_decode_oracle(code: int, cfg: QuantizerConfig):
+    """Inverse of :func:`morton_encode_oracle`."""
+    _check_code(code, cfg)
+    d, b = cfg.dims, cfg.bits
+    coords = [0] * d
+    for k in range(b):
+        for j in range(d):
+            if (code >> (k * d + j)) & 1:
+                coords[j] |= 1 << k
+    return tuple(coords)
+
+
+def _axes_to_transpose(x: list, bits: int) -> list:
+    # Gray-code transpose form (Skilling-style), in place.
+    n = len(x)
+    m = 1 << (bits - 1)
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(n):
+            if x[i] & q:
+                x[0] ^= p
+            else:
+                t = (x[0] ^ x[i]) & p
+                x[0] ^= t
+                x[i] ^= t
+        q >>= 1
+    for i in range(1, n):
+        x[i] ^= x[i - 1]
+    t = 0
+    q = m
+    while q > 1:
+        if x[n - 1] & q:
+            t ^= q - 1
+        q >>= 1
+    for i in range(n):
+        x[i] ^= t
+    return x
+
+
+def _transpose_to_axes(x: list, bits: int) -> list:
+    n = len(x)
+    top = 2 << (bits - 1)
+    t = x[n - 1] >> 1
+    for i in range(n - 1, 0, -1):
+        x[i] ^= x[i - 1]
+    x[0] ^= t
+    q = 2
+    while q != top:
+        p = q - 1
+        for i in range(n - 1, -1, -1):
+            if x[i] & q:
+                x[0] ^= p
+            else:
+                t = (x[0] ^ x[i]) & p
+                x[0] ^= t
+                x[i] ^= t
+        q <<= 1
+    return x
+
+
+def hilbert_encode_oracle(coords, cfg: QuantizerConfig) -> int:
+    """Hilbert index of a grid point (canonical orientation).
+
+    For d=2, b=1 the cell order is (0,0), (0,1), (1,1), (1,0).
+    """
+    _check_coords(coords, cfg)
+    d, b = cfg.dims, cfg.bits
+    x = _axes_to_transpose([int(c) for c in coords], b)
+    # Interleave transpose bits, axis 0 most significant within each group.
+    code = 0
+    for k in range(b - 1, -1, -1):
+        for i in range(d):
+            code = (code << 1) | ((x[i] >> k) & 1)
+    return code
+
+
+def hilbert_decode_oracle(code: int, cfg: QuantizerConfig):
+    """Inverse of :func:`hilbert_encode_oracle`."""
+    _check_code(code, cfg)
+    d, b = cfg.dims, cfg.bits
+    x = [0] * d
+    pos = d * b
+    for k in range(b - 1, -1, -1):
+        for i in range(d):
+            pos -= 1
+            if (code >> pos) & 1:
+                x[i] |= 1 << k
+    return tuple(_transpose_to_axes(x, b))
+
+
+def core_sfc(grid_rows: np.ndarray, bits: int, curve: str):
+    """memloc_sfc's code words, least significant word first, and order
+    of the (n, d) uint64 grid."""
+    n, d = grid_rows.shape
+    words = np.empty((-(-d * bits // 64), n), dtype=np.uint64)
+    order = np.empty(n, dtype=np.int64)
+    _core.load().memloc_sfc(n, d, np.ascontiguousarray(grid_rows, dtype=np.uint64), bits,
+                            curve == "hilbert", words, order)
+    return words, order
+
+
+def core_codes(points, cfg: QuantizerConfig, curve: str) -> list:
+    """memloc_sfc's codes of grid points, as Python ints."""
+    grid = np.array(points, dtype=np.uint64).reshape(-1, cfg.dims)
+    words, _ = core_sfc(grid, cfg.bits, curve)
+    return [sum(w << 64 * i for i, w in enumerate(col)) for col in words.T.tolist()]
+
+
+def core_walk(dims: int, bits: int, curve: str) -> np.ndarray:
+    """The cells of the full grid of side 2^bits in dims dimensions, in
+    memloc_sfc's order: the curve's walk, cell i of code i."""
+    cells = np.indices((1 << bits,) * dims).reshape(dims, -1).T
+    return cells[core_sfc(cells, bits, curve)[1]]
+
+
+def core_events(trace: Trace, dram: DramConfig) -> list:
+    """dramsim.simulate's request kinds in service order, 'h' hit, 'm'
+    closed bank and 'c' conflict, from the core's events array."""
+    _, events, _ = _schedule(trace, dram, _bank_row(dram), dram.banks,
+                             (dram.hit, dram.closed, dram.conflict), dram.cap, dram.queue_depth)
+    return ["hmc"[kind] for kind in events.tolist()]

@@ -17,9 +17,16 @@ import pytest
 from memloc import dramsim, kernels, memsys, pipeline, reorder, traceio
 from memloc.cli import main as cli_main
 from memloc.kernels import AddressModel
-from memloc.sfc import QuantizerConfig, hilbert_decode, hilbert_encode, morton_decode, morton_encode
-from memloc.traceio import Trace
-from reference_models import _Level
+from memloc.sfc import QuantizerConfig
+from memloc.traceio import LINE_SIZE, Trace
+from reference_models import (
+    _Level,
+    core_codes,
+    core_events,
+    core_walk,
+    hilbert_decode_oracle,
+    morton_decode_oracle,
+)
 
 
 def report(n, msg):
@@ -49,20 +56,16 @@ def test_criterion_1_sfc_correctness():
     per = 10_000 // len(combos) + 1
     for d, b in combos:
         cfg = QuantizerConfig(d, b)
-        for _ in range(per):
-            p = tuple(rng.randrange(1 << b) for _ in range(d))
-            assert morton_decode(morton_encode(p, cfg), cfg) == p
-            assert hilbert_decode(hilbert_encode(p, cfg), cfg) == p
+        points = [tuple(rng.randrange(1 << b) for _ in range(d)) for _ in range(per)]
+        # The core's codes, decoded by the bit loops, give the points back.
+        for curve, decode in (("zorder", morton_decode_oracle), ("hilbert", hilbert_decode_oracle)):
+            assert [decode(c, cfg) for c in core_codes(points, cfg, curve)] == points
     checked = 0
     for d, b in combos:
         if d * b > 16:
             continue
-        cfg = QuantizerConfig(d, b)
-        prev = hilbert_decode(0, cfg)
-        for idx in range(1, 1 << (d * b)):
-            cur = hilbert_decode(idx, cfg)
-            assert sum(abs(a - c) for a, c in zip(cur, prev)) == 1
-            prev = cur
+        walk = core_walk(d, b, "hilbert")
+        assert (np.abs(np.diff(walk, axis=0)).sum(axis=1) == 1).all()
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -114,12 +117,10 @@ def test_criterion_2_scheduler_oracle():
         gaps[0] = 0
         t = single_bank_trace(rows, gaps)
         arrivals = t.cycle.tolist()
-        s = dramsim.simulate(t, dramsim.DramConfig(cap=10 ** 9, queue_depth=n + 1),
-                             collect_events=True)
-        assert s.events == oracle(rows, arrivals, fcfs=False), f"trial {trial}"
-        s1 = dramsim.simulate(t, dramsim.DramConfig(cap=1, queue_depth=n + 1),
-                              collect_events=True)
-        assert s1.events == oracle(rows, arrivals, fcfs=True), f"trial {trial}"
+        events = core_events(t, dramsim.DramConfig(cap=10 ** 9, queue_depth=n + 1))
+        assert events == oracle(rows, arrivals, fcfs=False), f"trial {trial}"
+        events = core_events(t, dramsim.DramConfig(cap=1, queue_depth=n + 1))
+        assert events == oracle(rows, arrivals, fcfs=True), f"trial {trial}"
     report(2, "200 single-bank traces identical to brute-force FR-FCFS; "
               "cap=1 identical to FCFS")
 
@@ -190,7 +191,8 @@ def test_criterion_5_first_touch_dbscan():
 def test_criterion_6a_hw_prefetch_useless_fraction(gather):
     pf = memsys.PrefetchConfig(hw=True, hw_degree=2)
     _, st_rand = memsys.filter_to_dram(gather, pf=pf)
-    seq = kernels.gen_sequential_trace(50_000, AddressModel(row_stride_bytes=64))
+    # One streaming pass of consecutive lines from the matrix base.
+    seq = Trace.from_addresses(AddressModel().base + np.arange(50_000, dtype=np.uint64) * LINE_SIZE)
     _, st_seq = memsys.filter_to_dram(seq, pf=pf)
     assert st_rand.hw_prefetches_issued > 0
     assert st_rand.useless_fraction >= 0.40

@@ -415,7 +415,9 @@ SRC = Path(_core.__file__).parent
 REFERENCE_LOOPS = {"CacheHierarchy", "_Level", "_StridePrefetcher", "_filter_reference",
                    "_simulate_reference", "_gini", "dtree_oracle", "quantize_rows_oracle",
                    "block_by_page_oracle", "block_by_page_lexsort_oracle", "inject_oracle",
-                   "ideal_oracle", "first_touch_oracle", "sort_segments_oracle"}
+                   "ideal_oracle", "first_touch_oracle", "sort_segments_oracle",
+                   "morton_encode", "morton_decode", "hilbert_encode", "hilbert_decode",
+                   "_axes_to_transpose", "_transpose_to_axes", "map_address"}
 
 
 def _second_implementations(tree: ast.AST) -> list:

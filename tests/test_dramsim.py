@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memloc import dramsim
-from memloc.dramsim import DramConfig, improvement, map_address, simulate, simulate_ideal
+from memloc.dramsim import DramConfig, improvement, simulate, simulate_ideal
 from memloc.traceio import Trace
-from reference_models import ideal_oracle
+from reference_models import _decompose_trace, core_events, ideal_oracle
 
 DRAM = DramConfig()
 
@@ -58,33 +58,45 @@ def frfcfs_oracle(rows, arrivals, hit, closed, conflict, fcfs=False):
     return events
 
 
+def bank_row(paddr, dram=DRAM):
+    """(bank, row) of an address by the shifts and masks the core maps
+    with, which must agree with the reference's mapping."""
+    bank_shift, bank_mask, row_shift, row_mask = dramsim._bank_row(dram)
+    got = (paddr >> bank_shift & bank_mask, paddr >> row_shift & row_mask)
+    bank, row = _decompose_trace(Trace.from_addresses([paddr]), dram)
+    assert got == (int(bank[0]), int(row[0]))
+    return got
+
+
 class TestMapAddress:
     def test_zero(self):
-        assert map_address(0) == (0, 0, 0, 0, 0)
+        assert bank_row(0) == (0, 0)
 
     def test_line_one_is_column_one(self):
-        assert map_address(64) == (0, 0, 0, 0, 1)
+        # Columns are the lowest field: a DRAM row's 128 lines share its bank and row.
+        assert {bank_row(64 * col) for col in range(128)} == {(0, 0)}
 
     def test_column_overflow_into_bank(self):
-        assert map_address(64 * 128) == (0, 0, 1, 0, 0)
+        assert bank_row(64 * 128) == (1, 0)
 
     def test_bank_overflow_into_row(self):
-        ch, rank, bank, row, col = map_address(64 * 128 * 16)
-        assert (bank, row, col) == (0, 1, 0)
+        assert bank_row(64 * 128 * 16) == (0, 1)
 
     def test_chrabarococo_layout(self):
         # Column lowest, then row: one row's worth of lines -> row 1.
         chrabaroco = DramConfig(scheme="ChRaBaRoCo")
-        assert map_address(8192, chrabaroco) == (0, 0, 0, 1, 0)
-        assert map_address(64, chrabaroco) == (0, 0, 0, 0, 1)
+        assert bank_row(8192, chrabaroco) == (0, 1)
+        assert bank_row(64, chrabaroco) == (0, 0)
+        assert bank_row(8192 * 32768, chrabaroco) == (1, 0)
 
     def test_wraps_modulo_capacity(self):
         cap_lines = 128 * 16 * 32768  # columns * banks * rows
-        assert map_address(cap_lines * 64 + 64) == (0, 0, 0, 0, 1)
+        assert bank_row(cap_lines * 64 + 64) == (0, 0)
+        assert bank_row(cap_lines * 64 + 64 * 128 * 17) == (1, 1)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            map_address(0, DramConfig(scheme="RoRoRo"))
+            DramConfig(scheme="RoRoRo")
 
 
 class TestTimingExamples:
@@ -94,16 +106,16 @@ class TestTimingExamples:
         assert (s.hits, s.misses, s.conflicts) == (0, 1, 0)
 
     def test_back_to_back_same_row_hit(self):
-        s = simulate(trace_of([5, 5]), collect_events=True)
-        assert s.events == ["m", "h"]
+        t = trace_of([5, 5])
+        assert core_events(t, DRAM) == ["m", "h"]
         # first: 0..36; second arrives at 0, serviced 36..56 -> latency 56
-        assert s.avg_latency == (36 + 56) / 2
+        assert simulate(t).avg_latency == (36 + 56) / 2
 
     def test_conflict_latency(self):
-        s = simulate(trace_of([1, 2], gap=100), collect_events=True)
-        assert s.events == ["m", "c"]
+        t = trace_of([1, 2], gap=100)
+        assert core_events(t, DRAM) == ["m", "c"]
         # second starts at its arrival 100, takes 52
-        assert s.avg_latency == (36 + 52) / 2
+        assert simulate(t).avg_latency == (36 + 52) / 2
 
     def test_ideal_single_request(self):
         s = simulate_ideal(trace_of([5]))
@@ -142,10 +154,10 @@ class TestSchedulerOracle:
         n = int(rng.integers(10, 200))
         rows = rng.integers(0, 8, n).tolist()
         t = trace_of(rows, gap=int(rng.integers(0, 30)))
-        s = simulate(t, DramConfig(cap=10**9, queue_depth=n + 1), collect_events=True)
+        events = core_events(t, DramConfig(cap=10**9, queue_depth=n + 1))
         oracle = frfcfs_oracle(rows, t.cycle.tolist(), DRAM.hit,
                                DRAM.closed, DRAM.conflict)
-        assert s.events == oracle
+        assert events == oracle
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cap_one_is_fcfs(self, seed):
@@ -153,16 +165,16 @@ class TestSchedulerOracle:
         n = int(rng.integers(10, 150))
         rows = rng.integers(0, 8, n).tolist()
         t = trace_of(rows, gap=int(rng.integers(0, 30)))
-        s = simulate(t, DramConfig(cap=1, queue_depth=n + 1), collect_events=True)
+        events = core_events(t, DramConfig(cap=1, queue_depth=n + 1))
         oracle = frfcfs_oracle(rows, t.cycle.tolist(), DRAM.hit,
                                DRAM.closed, DRAM.conflict, fcfs=True)
-        assert s.events == oracle
+        assert events == oracle
 
     def test_no_starvation_under_cap(self):
         # A stream of row-0 hits must not indefinitely bypass a row-1 request.
         rows = [0, 1] + [0] * 50
-        s = simulate(trace_of(rows, gap=0), DramConfig(cap=4), collect_events=True)
-        assert "c" in s.events[:2 + 4]  # row 1 served within cap-1 bypasses
+        events = core_events(trace_of(rows, gap=0), DramConfig(cap=4))
+        assert "c" in events[:2 + 4]  # row 1 served within cap-1 bypasses
 
 
 class TestPermutationSensitivity:

@@ -69,12 +69,14 @@ REMOVED_KNOBS = [
     (reorder.block_by_page, "page_size_bytes"), (memsys.inject_sw_prefetch, "stream"),
     *((gen, "issue_gap") for gen in (
         kernels.rows_to_trace, kernels.gen_knn_trace, kernels.gen_dbscan_trace,
-        kernels.gen_dtree_trace, kernels.gen_gather_trace, kernels.gen_sequential_trace)),
+        kernels.gen_dtree_trace, kernels.gen_gather_trace)),
     *((dramsim.simulate_ideal, name) for name in (
         "cap", "queue_depth", "collect_events", "geom", "scheme")),
     # The dram section's keys are DramConfig's fields, not keywords.
     *((dramsim.simulate, name) for name in (
         "geom", "timing", "scheme", "cap", "arrival", "arrival_gap", "queue_depth")),
+    # The tests read the request kinds from the core (reference_models.core_events).
+    (dramsim.simulate, "collect_events"),
 ]
 
 

@@ -25,8 +25,15 @@ from reference_models import (
     _filter_reference,
     _simulate_reference,
     arrival_cycles,
+    core_codes,
+    core_events,
+    core_sfc,
     dtree_oracle,
+    hilbert_decode_oracle,
+    hilbert_encode_oracle,
     kdtree_order_oracle,
+    morton_decode_oracle,
+    morton_encode_oracle,
     quantize_rows_oracle,
     reorder_rcb_oracle,
     sort_segments_oracle,
@@ -125,126 +132,6 @@ def load_permutation_oracle(path):
     for new, old in body:
         perm[int(new)] = int(old)
     return reorder.check_permutation(perm, len(body))
-
-
-# The scalar SFC codecs as one bit loop per function and curve.
-
-def _check_coords(coords, cfg: QuantizerConfig):
-    if len(coords) != cfg.dims:
-        raise ValueError(f"expected {cfg.dims} coordinates, got {len(coords)}")
-    side = cfg.grid_side
-    for c in coords:
-        if not 0 <= c < side:
-            raise ValueError(f"coordinate {c} outside [0, {side})")
-
-
-def _check_code(code: int, cfg: QuantizerConfig):
-    if not 0 <= code < (1 << cfg.code_bits):
-        raise ValueError(f"code {code} outside [0, 2^{cfg.code_bits})")
-
-
-def morton_encode_oracle(coords, cfg: QuantizerConfig) -> int:
-    """Bit-interleave grid coordinates; dim 0 is the LSB of each group."""
-    _check_coords(coords, cfg)
-    d, b = cfg.dims, cfg.bits
-    code = 0
-    for j, c in enumerate(coords):
-        c = int(c)
-        for k in range(b):
-            if (c >> k) & 1:
-                code |= 1 << (k * d + j)
-    return code
-
-
-def morton_decode_oracle(code: int, cfg: QuantizerConfig):
-    """Inverse of :func:`morton_encode_oracle`."""
-    _check_code(code, cfg)
-    d, b = cfg.dims, cfg.bits
-    coords = [0] * d
-    for k in range(b):
-        for j in range(d):
-            if (code >> (k * d + j)) & 1:
-                coords[j] |= 1 << k
-    return tuple(coords)
-
-
-def _axes_to_transpose(x: list, bits: int) -> list:
-    # Gray-code transpose form (Skilling-style), in place.
-    n = len(x)
-    m = 1 << (bits - 1)
-    q = m
-    while q > 1:
-        p = q - 1
-        for i in range(n):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q >>= 1
-    for i in range(1, n):
-        x[i] ^= x[i - 1]
-    t = 0
-    q = m
-    while q > 1:
-        if x[n - 1] & q:
-            t ^= q - 1
-        q >>= 1
-    for i in range(n):
-        x[i] ^= t
-    return x
-
-
-def _transpose_to_axes(x: list, bits: int) -> list:
-    n = len(x)
-    top = 2 << (bits - 1)
-    t = x[n - 1] >> 1
-    for i in range(n - 1, 0, -1):
-        x[i] ^= x[i - 1]
-    x[0] ^= t
-    q = 2
-    while q != top:
-        p = q - 1
-        for i in range(n - 1, -1, -1):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q <<= 1
-    return x
-
-
-def hilbert_encode_oracle(coords, cfg: QuantizerConfig) -> int:
-    """Hilbert index of a grid point (canonical orientation).
-
-    For d=2, b=1 the cell order is (0,0), (0,1), (1,1), (1,0).
-    """
-    _check_coords(coords, cfg)
-    d, b = cfg.dims, cfg.bits
-    x = _axes_to_transpose([int(c) for c in coords], b)
-    # Interleave transpose bits, axis 0 most significant within each group.
-    code = 0
-    for k in range(b - 1, -1, -1):
-        for i in range(d):
-            code = (code << 1) | ((x[i] >> k) & 1)
-    return code
-
-
-def hilbert_decode_oracle(code: int, cfg: QuantizerConfig):
-    """Inverse of :func:`hilbert_encode_oracle`."""
-    _check_code(code, cfg)
-    d, b = cfg.dims, cfg.bits
-    x = [0] * d
-    pos = d * b
-    for k in range(b - 1, -1, -1):
-        for i in range(d):
-            pos -= 1
-            if (code >> pos) & 1:
-                x[i] |= 1 << k
-    return tuple(_transpose_to_axes(x, b))
 
 
 def reorder_sfc_oracle(data, curve, bits):
@@ -474,6 +361,17 @@ def grids(draw):
     return d, draw(st.integers(1, min(64, 128 // d)))
 
 
+def assert_core_codes_match_bit_loops(points, cfg):
+    """memloc_sfc's codes of the points are the bit loops' on both curves,
+    and the bit loops' decoders invert them: cell i of the curve has the
+    core's code i."""
+    for curve, encode, decode in (("zorder", morton_encode_oracle, morton_decode_oracle),
+                                  ("hilbert", hilbert_encode_oracle, hilbert_decode_oracle)):
+        codes = core_codes(points, cfg, curve)
+        assert codes == [encode(p, cfg) for p in points]
+        assert [decode(code, cfg) for code in codes] == points
+
+
 @settings(max_examples=300, deadline=None)
 @given(grids(), st.data())
 def test_sfc_codecs_match_bit_loops(grid, data):
@@ -481,56 +379,41 @@ def test_sfc_codecs_match_bit_loops(grid, data):
     cfg = QuantizerConfig(d, b)
     p = tuple(data.draw(st.lists(st.integers(0, (1 << b) - 1), min_size=d, max_size=d)))
     code = data.draw(st.integers(0, (1 << d * b) - 1))
-    assert sfc.morton_encode(p, cfg) == morton_encode_oracle(p, cfg)
-    assert sfc.hilbert_encode(p, cfg) == hilbert_encode_oracle(p, cfg)
-    assert sfc.morton_decode(code, cfg) == morton_decode_oracle(code, cfg)
-    assert sfc.hilbert_decode(code, cfg) == hilbert_decode_oracle(code, cfg)
+    # The cells of a drawn code, so every code is a code of the core's.
+    cells = [p, morton_decode_oracle(code, cfg), hilbert_decode_oracle(code, cfg)]
+    assert_core_codes_match_bit_loops(cells, cfg)
+    assert core_codes([cells[1]], cfg, "zorder") == core_codes([cells[2]], cfg, "hilbert") == [code]
 
 
-@pytest.mark.parametrize("d, b", [(1, 128), (2, 64), (1, 64), (128, 1), (3, 42)])
+@pytest.mark.parametrize("d, b", [(2, 64), (1, 64), (128, 1), (3, 42)])
 def test_sfc_codecs_match_bit_loops_at_full_width(d, b):
     cfg = QuantizerConfig(d, b)
     rng = random.Random(d * 1000 + b)
+    points = [tuple(rng.randrange(1 << b) for _ in range(d)) for _ in range(50)]
+    assert_core_codes_match_bit_loops(points, cfg)
     for _ in range(50):
-        p = tuple(rng.randrange(1 << b) for _ in range(d))
         code = rng.randrange(1 << d * b)
-        assert sfc.morton_encode(p, cfg) == morton_encode_oracle(p, cfg)
-        assert sfc.hilbert_encode(p, cfg) == hilbert_encode_oracle(p, cfg)
-        assert sfc.morton_decode(code, cfg) == morton_decode_oracle(code, cfg)
-        assert sfc.hilbert_decode(code, cfg) == hilbert_decode_oracle(code, cfg)
-
-
-def core_sfc(grid_rows: np.ndarray, bits: int, curve: str):
-    """memloc_sfc's code words and order of the (n, d) uint64 grid."""
-    n, d = grid_rows.shape
-    words = np.empty((-(-d * bits // 64), n), dtype=np.uint64)
-    order = np.empty(n, dtype=np.int64)
-    _core.load().memloc_sfc(n, d, np.ascontiguousarray(grid_rows), bits, curve == "hilbert",
-                            words, order)
-    return words, order
+        assert core_codes([morton_decode_oracle(code, cfg)], cfg, "zorder") == [code]
+        assert core_codes([hilbert_decode_oracle(code, cfg)], cfg, "hilbert") == [code]
 
 
 @settings(max_examples=100, deadline=None)
 @given(grids(), st.one_of(st.integers(1, 30), st.integers(500, 1100)), st.integers(0, 2**32 - 1),
        st.integers(0, 1), st.sampled_from(["hilbert", "zorder"]))
 def test_column_codec_matches_bit_loops(grid, n, seed, coarse, curve):
-    """The column codec against the bit loops on the first 30 rows, and
-    memloc_sfc against the column codec and a stable lexsort of its words
-    on all of them: past 500 rows the core encodes several blocks in
-    every lane width.  Coarse grids repeat codes, so order ties."""
+    """memloc_sfc's words against the bit loops and its order against a
+    stable lexsort of them, on every row: past 500 rows the core encodes
+    several blocks in every lane width.  Coarse grids repeat codes, so
+    order ties."""
     d, b = grid
     cfg = QuantizerConfig(d, b)
-    cols = np.random.default_rng(seed).integers(0, 1 << b, (d, n), dtype=np.uint64)
+    rows = np.random.default_rng(seed).integers(0, 1 << b, (n, d), dtype=np.uint64)
     if coarse:
-        cols &= np.uint64(3)
-    words = sfc.encode(list(cols), b, curve)
+        rows &= np.uint64(3)
+    words, order = core_sfc(rows, b, curve)
     oracle = morton_encode_oracle if curve == "zorder" else hilbert_encode_oracle
-    for r in range(min(n, 30)):
-        code = sum(int(w[r]) << 64 * i for i, w in enumerate(words))
-        assert code == oracle(tuple(int(c) for c in cols[:, r]), cfg)
-    assert np.array_equal(np.array(sfc.decode(words, d, b, curve)), cols)
-    core_words, order = core_sfc(cols.T, b, curve)
-    assert np.array_equal(core_words, np.array(words))
+    want = [oracle(p, cfg) for p in map(tuple, rows.tolist())]
+    assert [sum(w << 64 * i for i, w in enumerate(col)) for col in words.T.tolist()] == want
     # lexsort takes its last key as the primary one: the top code word.
     assert np.array_equal(order, np.lexsort(words))
 
@@ -596,7 +479,7 @@ def test_core_quantizer_matches_numpy(case):
     cfg, data = case
     expect = quantize_rows_oracle(data, cfg)
     assert np.array_equal(sfc.quantize_rows(data, cfg), expect)
-    assert sfc.quantize(data[0], cfg) == tuple(int(v) for v in expect[0])
+    assert np.array_equal(sfc.quantize_rows(data[0][None], cfg), expect[:1])
 
 
 @st.composite
@@ -1054,9 +937,15 @@ def filter_reference(trace, cache, pf):
     return Trace(trace.vaddr[keep], trace.cycle[keep], trace.kind[keep]), stats, level
 
 
+def simulate_core(trace, dram):
+    """simulate's stats and the core's request kinds in service order."""
+    return dramsim.simulate(trace, dram), core_events(trace, dram)
+
+
 def simulate_reference(trace, dram):
+    """simulate_core over the Python FR-FCFS-Cap loop."""
     bank, row = _decompose_trace(trace, dram)
-    return _simulate_reference(bank, row, arrival_cycles(trace, dram), dram, True)
+    return _simulate_reference(bank, row, arrival_cycles(trace, dram), dram)
 
 
 def assert_same_filter(got, want):
@@ -1071,6 +960,8 @@ def assert_same_filter(got, want):
 
 
 def assert_same_dram(got, want):
+    (got, events), (want, events_ref) = got, want
+    assert events == events_ref
     assert vars(got) == vars(want)
     assert list(got.per_bank.items()) == list(want.per_bank.items())  # sorted by bank
     for value in (got.hits, got.misses, got.conflicts, got.total):
@@ -1221,9 +1112,7 @@ def _dram_case(lines, cycles, cap=4, depth=32):
 @example(_dram_case([0, 1, 4, 0, 2, 8, 9, 3], [0] * 8, depth=1))
 def test_simulate_core_matches_reference(case):
     trace, dram = case
-    got = dramsim.simulate(trace, dram, collect_events=True)
-    assert_same_dram(got, simulate_reference(trace, dram))
-    assert dramsim.simulate(trace, dram).events is None
+    assert_same_dram(simulate_core(trace, dram), simulate_reference(trace, dram))
 
 
 def test_simulate_core_matches_at_the_default_geometry():
@@ -1243,9 +1132,9 @@ def test_simulate_core_matches_at_the_default_geometry():
     trace = Trace(lines << np.uint64(LINE_SHIFT), np.cumsum(rng.integers(0, 8, n)),
                   np.zeros(n, np.uint8))
     dram = dramsim.DramConfig()
-    got = dramsim.simulate(trace, dram, collect_events=True)
+    got = simulate_core(trace, dram)
     assert_same_dram(got, simulate_reference(trace, dram))
-    assert 0 < got.hits < n // 8
+    assert 0 < got[0].hits < n // 8
 
 
 @pytest.mark.parametrize("cap, depth", [(1, 32), (4, 32), (10 ** 30, 10 ** 30), (3, 1)])
@@ -1254,13 +1143,13 @@ def test_simulate_core_matches_on_a_long_trace(cap, depth, tmp_path):
     trace = Trace(rng.integers(0, 1 << 30, 5000, dtype=np.uint64) & ~np.uint64(63),
                   np.cumsum(rng.integers(0, 40, 5000)), np.zeros(5000, np.uint8))
     dram = dramsim.DramConfig(banks=8, scheme="ChRaBaRoCo", cap=cap, queue_depth=depth)
-    got = dramsim.simulate(trace, dram, collect_events=True)
+    got = simulate_core(trace, dram)
     assert_same_dram(got, simulate_reference(trace, dram))
     # A trace read from a file, whose columns are contiguous, gives the same.
     traceio.write_trace(tmp_path / "t.trace", trace)
     read = traceio.read_trace(tmp_path / "t.trace")
     assert read.vaddr.flags.c_contiguous and read.cycle.flags.c_contiguous
-    assert_same_dram(dramsim.simulate(read, dram, collect_events=True), got)
+    assert_same_dram(simulate_core(read, dram), got)
     for arrival in dramsim.ARRIVALS:
         ideal = dramsim.DramConfig(arrival=arrival)
         assert dramsim.simulate_ideal(read, ideal) == dramsim.simulate_ideal(trace, ideal)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from memloc import pipeline, reorder
 from memloc.kdtree import KdTree
-from memloc.sfc import QuantizerConfig, morton_encode, quantize_rows
+from memloc.sfc import QuantizerConfig, quantize_rows
+from reference_models import morton_encode_oracle
 
 
 def is_bijection(perm, n):
@@ -160,7 +161,7 @@ class TestSfcReorder:
         data = rng.random((120, 3))
         bits = 6
         cfg = QuantizerConfig(3, bits, tuple(data.min(0)), tuple(data.max(0)))
-        codes = [morton_encode(g, cfg) for g in quantize_rows(data, cfg).tolist()]
+        codes = [morton_encode_oracle(g, cfg) for g in quantize_rows(data, cfg).tolist()]
         oracle = sorted(range(120), key=codes.__getitem__)
         assert reorder.reorder_sfc(data, "zorder", bits).tolist() == oracle
 
@@ -317,6 +318,21 @@ def test_permutation_csv_roundtrip(tmp_path):
     path = tmp_path / "perm.csv"
     reorder.save_permutation(path, perm)
     assert np.array_equal(reorder.load_permutation(path), perm)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("-1,0\r\n0,1\r\n", "outside"),   # -1 would index the last slot
+    ("0,1\r\n2,0\r\n", "outside"),    # a position past n
+    ("0\r\n1\r\n", "new_position,old_index"),
+    ("0,1,0\r\n1,0,0\r\n", "new_position,old_index"),
+    ("0,1\r\n1\r\n", None),            # numpy rejects a ragged file itself
+], ids=["minus-one", "past-n", "one-column", "three-columns", "ragged"])
+@pytest.mark.parametrize("header", ["", "new_position,old_index\r\n"], ids=["bare", "header"])
+def test_load_permutation_rejects_malformed_rows(tmp_path, body, match, header):
+    path = tmp_path / "perm.csv"
+    path.write_text(header + body)
+    with pytest.raises(ValueError, match=match):
+        reorder.load_permutation(path)
 
 
 def test_dataset_file_roundtrip(tmp_path):

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memloc import reorder
-from memloc.sfc import (
-    QuantizerConfig,
-    hilbert_decode,
-    hilbert_encode,
-    morton_decode,
-    morton_encode,
-    quantize,
-    quantize_rows,
+from memloc.sfc import QuantizerConfig, quantize_rows
+from reference_models import (
+    core_codes,
+    core_walk,
+    hilbert_decode_oracle,
+    morton_decode_oracle,
 )
 
 
@@ -25,6 +23,11 @@ def ref_morton(coords, d, b):
         for j in range(d):
             bits.append((coords[j] >> k) & 1)
     return sum(bit << i for i, bit in enumerate(bits))
+
+
+def cell(point, cfg):
+    """quantize_rows of one point."""
+    return tuple(quantize_rows(np.asarray(point, dtype=np.float64)[None], cfg)[0].tolist())
 
 
 def ref_hilbert_2d(n, d):
@@ -55,30 +58,30 @@ class TestQuantize:
 
     def test_lower_bound_maps_to_zero(self):
         cfg = QuantizerConfig(3, 4, (0.0, -1.0, 5.0), (1.0, 1.0, 9.0))
-        assert quantize([0.0, -1.0, 5.0], cfg) == (0, 0, 0)
+        assert cell([0.0, -1.0, 5.0], cfg) == (0, 0, 0)
 
     def test_upper_bound_maps_to_top(self):
         cfg = QuantizerConfig(2, 4, (0.0, 0.0), (1.0, 2.0))
-        assert quantize([1.0, 2.0], cfg) == (15, 15)
+        assert cell([1.0, 2.0], cfg) == (15, 15)
 
     def test_half_rounds_up(self):
         cfg = QuantizerConfig(1, 3, (0.0,), (1.0,))
         # floor(0.5 * 7 + 0.5) = 4
-        assert quantize([0.5], cfg) == (4,)
+        assert cell([0.5], cfg) == (4,)
 
     def test_degenerate_dimension(self):
         cfg = QuantizerConfig(2, 4, (0.0, 3.0), (1.0, 3.0))
-        assert quantize([0.7, 3.0], cfg)[1] == 0
+        assert cell([0.7, 3.0], cfg)[1] == 0
 
     def test_dimension_mismatch(self):
         cfg = QuantizerConfig(2, 4)
         with pytest.raises(ValueError):
-            quantize([0.1], cfg)
+            cell([0.1], cfg)
 
     def test_clamped_outside_bounds(self):
         cfg = QuantizerConfig(1, 4, (0.0,), (1.0,))
-        assert quantize([2.5], cfg) == (15,)
-        assert quantize([-2.5], cfg) == (0,)
+        assert cell([2.5], cfg) == (15,)
+        assert cell([-2.5], cfg) == (0,)
 
     def test_rows_matches_scalar(self):
         cfg = QuantizerConfig(3, 6, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -86,14 +89,14 @@ class TestQuantize:
         pts = rng.random((50, 3))
         rows = quantize_rows(pts, cfg)
         for p, r in zip(pts, rows):
-            assert quantize(p, cfg) == tuple(r)
+            assert cell(p, cfg) == tuple(r)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=50)
     def test_componentwise_monotone(self, a, b):
         cfg = QuantizerConfig(1, 8, (0.0,), (1.0,))
         lo, hi = sorted([a, b])
-        assert quantize([lo], cfg) <= quantize([hi], cfg)
+        assert cell([lo], cfg) <= cell([hi], cfg)
 
     @given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=50), st.integers(1, 64))
     @settings(max_examples=200)
@@ -114,87 +117,77 @@ class TestQuantize:
 
 class TestMorton:
     def test_zero(self):
-        assert morton_encode((0, 0, 0), QuantizerConfig(3, 4)) == 0
+        assert core_codes([(0, 0, 0)], QuantizerConfig(3, 4), "zorder") == [0]
 
     def test_known_value(self):
-        assert morton_encode((3, 5), QuantizerConfig(2, 3)) == 39
+        assert core_codes([(3, 5)], QuantizerConfig(2, 3), "zorder") == [39]
 
     def test_one_dimension_is_identity(self):
-        cfg = QuantizerConfig(1, 9)
-        for x in (0, 1, 17, 511):
-            assert morton_encode((x,), cfg) == x
+        xs = [0, 1, 17, 511]
+        assert core_codes([(x,) for x in xs], QuantizerConfig(1, 9), "zorder") == xs
 
     def test_matches_reference_interleave(self):
         rng = random.Random(1)
         for d, b in [(2, 3), (3, 5), (4, 8), (7, 11)]:
-            cfg = QuantizerConfig(d, b)
-            for _ in range(200):
-                p = tuple(rng.randrange(1 << b) for _ in range(d))
-                assert morton_encode(p, cfg) == ref_morton(p, d, b)
+            points = [tuple(rng.randrange(1 << b) for _ in range(d)) for _ in range(200)]
+            assert core_codes(points, QuantizerConfig(d, b), "zorder") == [
+                ref_morton(p, d, b) for p in points]
 
     def test_decode_known(self):
-        assert morton_decode(39, QuantizerConfig(2, 3)) == (3, 5)
+        assert core_walk(2, 3, "zorder")[39].tolist() == [3, 5]
 
     def test_roundtrip_random(self):
         rng = random.Random(2)
         cfg = QuantizerConfig(4, 10)
-        for _ in range(10_000):
-            code = rng.randrange(1 << 40)
-            assert morton_encode(morton_decode(code, cfg), cfg) == code
-
-    def test_out_of_range_code_rejected(self):
-        with pytest.raises(ValueError):
-            morton_decode(1 << 6, QuantizerConfig(2, 3))
+        codes = [rng.randrange(1 << 40) for _ in range(10_000)]
+        assert core_codes([morton_decode_oracle(c, cfg) for c in codes], cfg, "zorder") == codes
 
     def test_top_bits_identify_orthant(self):
         # The most significant d-bit group is the orthant of the point.
-        cfg = QuantizerConfig(3, 4)
         rng = random.Random(3)
-        for _ in range(300):
-            p = tuple(rng.randrange(16) for _ in range(3))
-            code = morton_encode(p, cfg)
-            orthant = code >> (3 * 3)
-            expect = sum(((c >> 3) & 1) << j for j, c in enumerate(p))
-            assert orthant == expect
+        points = [tuple(rng.randrange(16) for _ in range(3)) for _ in range(300)]
+        for p, code in zip(points, core_codes(points, QuantizerConfig(3, 4), "zorder")):
+            assert code >> (3 * 3) == sum(((c >> 3) & 1) << j for j, c in enumerate(p))
+
+
+# Every grid of at most 2^16 cells: small enough to walk whole.
+SMALL_GRIDS = [(d, b) for d in range(1, 17) for b in range(1, 16 // d + 1)]
 
 
 class TestHilbert:
     def test_origin(self):
-        assert hilbert_encode((0, 0), QuantizerConfig(2, 4)) == 0
-        assert hilbert_decode(0, QuantizerConfig(3, 5)) == (0, 0, 0)
+        assert core_codes([(0, 0)], QuantizerConfig(2, 4), "hilbert") == [0]
+        assert core_walk(3, 5, "hilbert")[0].tolist() == [0, 0, 0]
 
     def test_base_cell_order(self):
-        cfg = QuantizerConfig(2, 1)
-        assert [hilbert_decode(i, cfg) for i in range(4)] == [
-            (0, 0), (0, 1), (1, 1), (1, 0)]
+        assert core_walk(2, 1, "hilbert").tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
 
     def test_matches_recursive_2d_oracle(self):
         for b in (1, 2, 3, 4):
-            cfg = QuantizerConfig(2, b)
             side = 1 << b
-            for idx in range(side * side):
-                assert hilbert_decode(idx, cfg) == ref_hilbert_2d(side, idx)
+            assert core_walk(2, b, "hilbert").tolist() == [
+                list(ref_hilbert_2d(side, idx)) for idx in range(side * side)]
 
-    @pytest.mark.parametrize("d,b", [(2, 4), (4, 2), (2, 8), (4, 4), (8, 2), (3, 5)])
+    @pytest.mark.parametrize("d,b", SMALL_GRIDS, ids=[f"{d}-{b}" for d, b in SMALL_GRIDS])
     def test_adjacency_exhaustive(self, d, b):
+        """The core's walk of the whole grid takes unit steps, its codes
+        are a permutation of [0, 2^(d*b)), and its first cells are the
+        bit-loop decoder's."""
         cfg = QuantizerConfig(d, b)
-        prev = hilbert_decode(0, cfg)
-        for idx in range(1, 1 << (d * b)):
-            cur = hilbert_decode(idx, cfg)
-            assert sum(abs(a - c) for a, c in zip(cur, prev)) == 1
-            prev = cur
+        walk = core_walk(d, b, "hilbert")
+        assert (np.abs(np.diff(walk, axis=0)).sum(axis=1) == 1).all()
+        assert sorted(core_codes(walk, cfg, "hilbert")) == list(range(1 << d * b))
+        head = min(300, 1 << d * b)
+        assert list(map(tuple, walk[:head].tolist())) == [
+            hilbert_decode_oracle(idx, cfg) for idx in range(head)]
 
     def test_roundtrip_random(self):
         rng = random.Random(4)
         for d, b in [(1, 12), (2, 12), (4, 8), (8, 12)]:
             cfg = QuantizerConfig(d, b)
-            for _ in range(2500):
-                code = rng.randrange(1 << (d * b))
-                assert hilbert_encode(hilbert_decode(code, cfg), cfg) == code
-
-    def test_out_of_range_code_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert_decode(16, QuantizerConfig(2, 2))
+            codes = [rng.randrange(1 << (d * b)) for _ in range(2500)]
+            assert core_codes([hilbert_decode_oracle(c, cfg) for c in codes], cfg,
+                              "hilbert") == codes
 
 
 class TestConfig:

@@ -7,7 +7,7 @@
  *   memloc_dtree        decision-tree induction (kernels.gen_dtree_trace)
  *   memloc_node_rows    each tree node's rows in a given row order, with no
  *                       sort (kernels.node_rows)
- *   memloc_quantize     SFC grid quantiser (sfc.quantize_rows)
+ *   memloc_quantize     SFC grid quantiser (reorder.reorder_sfc)
  *   memloc_sfc          SFC codes and row order (reorder.reorder_sfc)
  *   memloc_block        page blocking (reorder.block_by_page)
  *   memloc_inject       software-prefetch injection (memsys.inject_sw_prefetch)
@@ -31,9 +31,10 @@
  * sized, and returns an int64_t: memloc_kdtree, which allocates nothing,
  * the next query to walk (nq when it is done); memloc_dtree the number
  * of nodes; memloc_node_rows the entries it wrote, fewer than the nodes'
- * rows when they are not a tree or the order not a permutation; the
- * others 0; and all but memloc_kdtree, memloc_quantize, memloc_inject
- * and memloc_take -1 when memory runs out.  memloc_sfc, memloc_block,
+ * rows when they are not a tree or the order not a permutation;
+ * memloc_quantize 1 when an axis's max - min is not finite; the others
+ * 0; and all but memloc_kdtree, memloc_inject and memloc_take -1 when
+ * memory runs out.  memloc_quantize, memloc_sfc, memloc_block,
  * memloc_first_touch and memloc_simulate allocate all their scratch
  * before they write, so their -1 leaves the caller's arrays as they
  * were.  _core.py binds each
@@ -43,6 +44,7 @@
  * or double written "T *name", with const when the function only reads
  * the array.
  */
+#include <float.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -969,21 +971,39 @@ int64_t memloc_node_rows(int64_t n, int64_t nodes, const int64_t *bounds, const 
     return written;
 }
 
-/* Quantise the n x m row-major matrix data onto the grid: coordinate j
- * of a row is floor((x - lo[j]) / span[j] * top + 0.5), clamped to
- * [0, ceiling], and 0 on an axis whose span is 0.  The caller's
- * ceiling is an integer, so for a positive value below it the floor is
- * the truncating cast, and a NaN, which no finite input makes, would
- * give 0. */
-int64_t memloc_quantize(int64_t n, int64_t m, const double *data, const double *lo,
-                        const double *span, double top, double ceiling, uint64_t *grid)
+/* Quantise the n x m row-major matrix data (n >= 1) onto a grid of
+ * 1 <= bits <= 64 bits per axis, bounded by each axis's min and max from
+ * one pass over the rows: coordinate j of a row is floor((x - lo[j]) /
+ * span[j] * top + 0.5), clamped to [0, ceiling], and 0 on an axis of
+ * span 0.  top is 2^bits - 1 as a float64 and ceiling the largest
+ * integer float64 below 2^bits and at most top, so the cast floors any
+ * positive value below it.  1, writing no grid, if a span is not finite. */
+int64_t memloc_quantize(int64_t n, int64_t m, const double *data, int64_t bits, uint64_t *grid)
 {
-    for (int64_t i = 0; i < n; i++)
+    double *lo = malloc(2 * m * sizeof *lo);
+    if (!lo)
+        return -1;
+    double *span = lo + m;
+    for (int64_t j = 0; j < m; j++)
+        lo[j] = span[j] = data[j];
+    for (int64_t i = 1; i < n; i++)
+        for (int64_t j = 0; j < m; j++) {
+            double x = data[i * m + j];
+            lo[j] = x < lo[j] ? x : lo[j];
+            span[j] = x > span[j] ? x : span[j];
+        }
+    int64_t finite = 1;
+    for (int64_t j = 0; j < m; j++)
+        finite &= (span[j] -= lo[j]) <= DBL_MAX;  /* span held the max */
+    uint64_t mask = ~(uint64_t)0 >> (64 - bits);
+    double top = (double)mask, ceiling = (double)(mask - (mask >> 53));
+    for (int64_t i = 0; finite && i < n; i++)
         for (int64_t j = 0; j < m; j++) {
             double v = span[j] > 0 ? (data[i * m + j] - lo[j]) / span[j] * top + 0.5 : 0.0;
             grid[i * m + j] = v > 0 ? (uint64_t)(v < ceiling ? v : ceiling) : 0;
         }
-    return 0;
+    free(lo);
+    return !finite;
 }
 
 /* The code pass works on blocks of rows, one axis at a time: axis j of
@@ -1017,8 +1037,8 @@ static void xor_into(uint64_t *restrict x, const uint64_t *restrict y)
 }
 
 /* Skilling's axes-to-transpose step (AIP Conf. Proc. 707, 2004) on the
- * m axes of a block, axis i at x[i * WORDS ..], as sfc._axes_to_transpose
- * does it on one row: the exchanges, then the Gray code. */
+ * m axes of a block, axis i at x[i * WORDS ..], as tests/reference_models.py's
+ * _axes_to_transpose does on one row: the exchanges, then the Gray code. */
 static void hilbert_transpose(uint64_t *x, int64_t m, int64_t bits, uint64_t one)
 {
     uint64_t t[WORDS] = {0};
@@ -1055,10 +1075,10 @@ static void pack_bit(uint64_t *restrict out, const uint64_t *restrict xj, int64_
  * stable order.  words is the ceil(m * bits / 64) x n code-word matrix,
  * least significant word first: bit k of axis j is code bit k * m + j
  * of the Morton code, and of the Hilbert code (hilbert = 1) bit
- * k * m + m - 1 - j of Skilling's transpose, sfc.encode's layout.  order
- * gets the rows by ascending code, equal codes in row order, by an LSD
- * radix sort over the code's 8-bit digits that skips a digit all rows
- * share.  All scratch is allocated before anything is written. */
+ * k * m + m - 1 - j of Skilling's transpose, as hilbert_encode_oracle in
+ * tests/reference_models.py lays it out.  order gets the rows by
+ * ascending code, equal codes in row order, by an LSD radix sort over the
+ * code's 8-bit digits that skips a digit all rows share. */
 int64_t memloc_sfc(int64_t n, int64_t m, const uint64_t *grid, int64_t bits, int64_t hilbert,
                    uint64_t *words, int64_t *order)
 {

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _core
 from .kdtree import feature_matrix, median_bisect
-from .sfc import QuantizerConfig, quantize_rows
 from .traceio import PAGE_SIZE
 
 DEFAULT_SFC_BITS = 10
@@ -66,22 +65,31 @@ def reorder_rcb(data: np.ndarray, leaf_size: int) -> np.ndarray:
 
 
 def reorder_sfc(data: np.ndarray, curve: str, bits: int = DEFAULT_SFC_BITS) -> np.ndarray:
-    """Stable sort of rows by ascending space-filling-curve index,
-    quantizing with the dataset's own min/max bounds.
+    """Stable sort of rows by ascending space-filling-curve index on a grid
+    of `bits` bits per axis between each axis's own min and max.
 
-    The compiled core quantizes the rows (memloc_quantize), then encodes
+    Morton (Z-order) codes interleave the coordinate bits, axis 0 lowest in
+    each group; Hilbert codes use Skilling's Gray-code transpose (AIP Conf.
+    Proc. 707, 2004), so consecutive cells differ by 1 in one coordinate.
+    A code holds at most 128 bits and a grid axis 64.  The compiled core
+    finds the bounds and quantizes the rows (memloc_quantize), then encodes
     them and radix-sorts their codes in one call (memloc_sfc)."""
     if curve not in ("hilbert", "zorder"):
         raise ValueError(f"unknown curve {curve!r}")
     data = feature_matrix(data)
-    # numpy reduces a narrow row-major matrix along axis 0 a row at a
-    # time; the transposed copy reduces each axis in one contiguous run.
-    axes = data.T.copy()
-    cfg = QuantizerConfig(data.shape[1], bits, axes.min(axis=1), axes.max(axis=1))
-    grid = quantize_rows(data, cfg)
-    words = np.empty((-(-cfg.code_bits // 64), len(grid)), dtype=np.uint64)
-    order = np.empty(len(grid), dtype=np.int64)
-    _core.load().memloc_sfc(len(grid), cfg.dims, grid, bits, curve == "hilbert", words, order)
+    n, m = data.shape
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    if m * bits > 128:
+        raise ValueError(f"dims*bits = {m * bits} exceeds the 128-bit code budget; reduce bits")
+    if bits > 64:
+        raise ValueError(f"bits = {bits} exceeds the 64-bit grid columns")
+    grid = np.empty((n, m), dtype=np.uint64)
+    if _core.load().memloc_quantize(n, m, data, bits, grid):
+        raise ValueError("hi - lo must be finite")
+    words = np.empty((-(-m * bits // 64), n), dtype=np.uint64)
+    order = np.empty(n, dtype=np.int64)
+    _core.load().memloc_sfc(n, m, grid, bits, curve == "hilbert", words, order)
     return order
 
 

@@ -15,9 +15,9 @@ grid (quantize_rows_oracle) and the Morton and Hilbert codes
 (morton_*_oracle, hilbert_*_oracle) in Python and numpy.
 memsys.filter_to_dram, dramsim.simulate, dramsim.simulate_ideal,
 reorder.reorder_rcb, kdtree.KdTree, kernels.gen_dtree_trace,
-kernels.node_rows, sfc.quantize_rows and reorder.reorder_sfc run the
-compiled core, _core.c, which must give identical results;
-test_oracles.py, test_sfc.py and test_dramsim.py check that, through
+kernels.node_rows and reorder.reorder_sfc run the compiled core,
+_core.c, which must give identical results; test_oracles.py,
+test_sfc.py and test_dramsim.py check that, through core_grid,
 core_sfc, core_codes, core_walk and core_events where the package
 returns less than the core computes, and test_memsys.py and
 test_acceptance.py drive the simulator loops directly.  Imported by the
@@ -25,6 +25,8 @@ tests, not collected as one.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from memloc.memsys import (
     MemsysStats,
     PrefetchConfig,
 )
-from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, Trace
 
 
@@ -413,42 +414,58 @@ def sort_segments_oracle(rows: np.ndarray, starts: np.ndarray, n: int) -> np.nda
     return np.sort(segment * n + rows) % n
 
 
-def quantize_rows_oracle(data: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """sfc.quantize_rows as numpy: floor((x - lo) / span * top + 0.5)
-    clamped to the grid, and 0 on an axis of span 0.  Above 53 bits
-    float64 rounds `top` up to 2^bits, so the clamp stays below that."""
+def quantize_rows_oracle(data: np.ndarray, bits: int) -> np.ndarray:
+    """reorder.reorder_sfc's grid as numpy: floor((x - lo) / span * top + 0.5)
+    between each axis's min and max, clamped to the grid, and 0 on an axis
+    of span 0.  Above 53 bits float64 rounds `top` up to 2^bits, so the
+    clamp stays below that."""
     data = np.asarray(data, dtype=np.float64)
-    lo = np.array(cfg.lo, dtype=np.float64)
-    span = np.array(cfg.hi, dtype=np.float64) - lo
-    top = cfg.grid_side - 1
-    ceiling = min(float(top), np.nextafter(float(cfg.grid_side), 0))
+    lo = data.min(axis=0)
+    span = data.max(axis=0) - lo
+    top = (1 << bits) - 1
+    ceiling = min(float(top), np.nextafter(float(1 << bits), 0))
     out = np.zeros(data.shape, dtype=np.uint64)
     live = span > 0
-    if live.any():
-        with np.errstate(over="ignore"):  # x - lo may overflow to +-inf: clamped
-            scaled = np.floor((data[:, live] - lo[live]) / span[live] * top + 0.5)
-        out[:, live] = np.clip(scaled, 0, ceiling).astype(np.uint64)
+    scaled = np.floor((data[:, live] - lo[live]) / span[live] * top + 0.5)
+    out[:, live] = np.clip(scaled, 0, ceiling).astype(np.uint64)
     return out
+
+
+def core_grid(data: np.ndarray, bits: int) -> np.ndarray:
+    """memloc_quantize's grid of the (n, m) rows; ValueError when an axis's
+    max - min is not finite."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    grid = np.empty(data.shape, dtype=np.uint64)
+    if _core.load().memloc_quantize(*data.shape, data, bits, grid):
+        raise ValueError("hi - lo must be finite")
+    return grid
 
 
 # The SFC codes as one bit loop per function and curve (Skilling, AIP
 # Conf. Proc. 707, 2004, for Hilbert): the oracles of memloc_sfc.
 
-def _check_coords(coords, cfg: QuantizerConfig):
+class Grid(NamedTuple):
+    """The oracles' grid: dims axes of bits bits each."""
+
+    dims: int
+    bits: int
+
+
+def _check_coords(coords, cfg: Grid):
     if len(coords) != cfg.dims:
         raise ValueError(f"expected {cfg.dims} coordinates, got {len(coords)}")
-    side = cfg.grid_side
+    side = 1 << cfg.bits
     for c in coords:
         if not 0 <= c < side:
             raise ValueError(f"coordinate {c} outside [0, {side})")
 
 
-def _check_code(code: int, cfg: QuantizerConfig):
-    if not 0 <= code < (1 << cfg.code_bits):
-        raise ValueError(f"code {code} outside [0, 2^{cfg.code_bits})")
+def _check_code(code: int, cfg: Grid):
+    if not 0 <= code < (1 << cfg.dims * cfg.bits):
+        raise ValueError(f"code {code} outside [0, 2^{cfg.dims * cfg.bits})")
 
 
-def morton_encode_oracle(coords, cfg: QuantizerConfig) -> int:
+def morton_encode_oracle(coords, cfg: Grid) -> int:
     """Bit-interleave grid coordinates; dim 0 is the LSB of each group."""
     _check_coords(coords, cfg)
     d, b = cfg.dims, cfg.bits
@@ -461,7 +478,7 @@ def morton_encode_oracle(coords, cfg: QuantizerConfig) -> int:
     return code
 
 
-def morton_decode_oracle(code: int, cfg: QuantizerConfig):
+def morton_decode_oracle(code: int, cfg: Grid):
     """Inverse of :func:`morton_encode_oracle`."""
     _check_code(code, cfg)
     d, b = cfg.dims, cfg.bits
@@ -522,7 +539,7 @@ def _transpose_to_axes(x: list, bits: int) -> list:
     return x
 
 
-def hilbert_encode_oracle(coords, cfg: QuantizerConfig) -> int:
+def hilbert_encode_oracle(coords, cfg: Grid) -> int:
     """Hilbert index of a grid point (canonical orientation).
 
     For d=2, b=1 the cell order is (0,0), (0,1), (1,1), (1,0).
@@ -538,7 +555,7 @@ def hilbert_encode_oracle(coords, cfg: QuantizerConfig) -> int:
     return code
 
 
-def hilbert_decode_oracle(code: int, cfg: QuantizerConfig):
+def hilbert_decode_oracle(code: int, cfg: Grid):
     """Inverse of :func:`hilbert_encode_oracle`."""
     _check_code(code, cfg)
     d, b = cfg.dims, cfg.bits
@@ -563,7 +580,7 @@ def core_sfc(grid_rows: np.ndarray, bits: int, curve: str):
     return words, order
 
 
-def core_codes(points, cfg: QuantizerConfig, curve: str) -> list:
+def core_codes(points, cfg: Grid, curve: str) -> list:
     """memloc_sfc's codes of grid points, as Python ints."""
     grid = np.array(points, dtype=np.uint64).reshape(-1, cfg.dims)
     words, _ = core_sfc(grid, cfg.bits, curve)

@@ -17,9 +17,9 @@ import pytest
 from memloc import dramsim, kernels, memsys, pipeline, reorder, traceio
 from memloc.cli import main as cli_main
 from memloc.kernels import AddressModel
-from memloc.sfc import QuantizerConfig
 from memloc.traceio import LINE_SIZE, Trace
 from reference_models import (
+    Grid,
     _Level,
     core_codes,
     core_events,
@@ -55,7 +55,7 @@ def test_criterion_1_sfc_correctness():
     combos = [(d, b) for d in (1, 2, 4, 8) for b in (1, 4, 8, 12)]
     per = 10_000 // len(combos) + 1
     for d, b in combos:
-        cfg = QuantizerConfig(d, b)
+        cfg = Grid(d, b)
         points = [tuple(rng.randrange(1 << b) for _ in range(d)) for _ in range(per)]
         # The core's codes, decoded by the bit loops, give the points back.
         for curve, decode in (("zorder", morton_decode_oracle), ("hilbert", hilbert_decode_oracle)):

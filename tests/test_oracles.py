@@ -16,17 +16,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from memloc import _core, dramsim, kernels, memsys, pipeline, reorder, sfc, traceio
+from memloc import _core, dramsim, kernels, memsys, pipeline, reorder, traceio
 from memloc.kdtree import KdTree
-from memloc.sfc import QuantizerConfig
 from memloc.traceio import KIND_PREFETCH, LINE_SHIFT, LINE_SIZE, PAGE_SIZE, Trace
 from reference_models import (
+    Grid,
     _decompose_trace,
     _filter_reference,
     _simulate_reference,
     arrival_cycles,
     core_codes,
     core_events,
+    core_grid,
     core_sfc,
     dtree_oracle,
     hilbert_decode_oracle,
@@ -137,9 +138,9 @@ def load_permutation_oracle(path):
 def reorder_sfc_oracle(data, curve, bits):
     """Stable sort of rows by a Python-int code per row, with a key function."""
     data = np.asarray(data, dtype=np.float64)
-    cfg = QuantizerConfig(data.shape[1], bits, tuple(data.min(axis=0)), tuple(data.max(axis=0)))
+    cfg = Grid(data.shape[1], bits)
     encode = morton_encode_oracle if curve == "zorder" else hilbert_encode_oracle
-    codes = [encode(row, cfg) for row in quantize_rows_oracle(data, cfg).tolist()]
+    codes = [encode(row, cfg) for row in quantize_rows_oracle(data, bits).tolist()]
     return np.asarray(sorted(range(len(codes)), key=codes.__getitem__), dtype=np.int64)
 
 
@@ -376,7 +377,7 @@ def assert_core_codes_match_bit_loops(points, cfg):
 @given(grids(), st.data())
 def test_sfc_codecs_match_bit_loops(grid, data):
     d, b = grid
-    cfg = QuantizerConfig(d, b)
+    cfg = Grid(d, b)
     p = tuple(data.draw(st.lists(st.integers(0, (1 << b) - 1), min_size=d, max_size=d)))
     code = data.draw(st.integers(0, (1 << d * b) - 1))
     # The cells of a drawn code, so every code is a code of the core's.
@@ -387,7 +388,7 @@ def test_sfc_codecs_match_bit_loops(grid, data):
 
 @pytest.mark.parametrize("d, b", [(2, 64), (1, 64), (128, 1), (3, 42)])
 def test_sfc_codecs_match_bit_loops_at_full_width(d, b):
-    cfg = QuantizerConfig(d, b)
+    cfg = Grid(d, b)
     rng = random.Random(d * 1000 + b)
     points = [tuple(rng.randrange(1 << b) for _ in range(d)) for _ in range(50)]
     assert_core_codes_match_bit_loops(points, cfg)
@@ -406,7 +407,7 @@ def test_column_codec_matches_bit_loops(grid, n, seed, coarse, curve):
     several blocks in every lane width.  Coarse grids repeat codes, so
     order ties."""
     d, b = grid
-    cfg = QuantizerConfig(d, b)
+    cfg = Grid(d, b)
     rows = np.random.default_rng(seed).integers(0, 1 << b, (n, d), dtype=np.uint64)
     if coarse:
         rows &= np.uint64(3)
@@ -436,11 +437,12 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def quantizer_cases(draw):
-    """A config of 1-64 bits and 1-4 axes, each axis ordinary, degenerate
-    or of subnormal span, and rows of values in and around the bounds,
-    -0.0, and values far enough out that x - lo overflows."""
+    """Rows of 1-4 axes for a grid of 1-64 bits, each axis ordinary,
+    degenerate or of subnormal span: values between two bounds whose
+    difference is finite, the bounds themselves, their midpoint and
+    -0.0 when it lies between them."""
     bits = draw(st.integers(1, 64))
-    lo, hi = [], []
+    values = []
     for _ in range(draw(st.integers(1, min(4, 128 // bits)))):
         kind = draw(st.sampled_from(["wide", "unit", "degenerate", "subnormal"]))
         if kind == "wide":
@@ -455,31 +457,22 @@ def quantizer_cases(draw):
         else:
             a = draw(st.sampled_from([0.0, -0.0, 5e-324, -1e-310]))
             b = a + draw(st.floats(5e-324, 2e-308))
-        lo.append(a)
-        hi.append(b)
-    cfg = QuantizerConfig(len(lo), bits, tuple(lo), tuple(hi))
-    near = [v for a, b in zip(lo, hi) for v in (a, b, a + (b - a) / 2, -0.0, 1e308, -1e308)]
-    value = st.one_of(FINITE, st.sampled_from(near))
-    rows = draw(st.lists(st.lists(value, min_size=len(lo), max_size=len(lo)), min_size=1,
-                         max_size=20))
-    return cfg, np.array(rows, dtype=np.float64)
-
-
-def _one_point(bits, lo, hi, point):
-    return QuantizerConfig(1, bits, (lo,), (hi,)), np.array([[point]])
+        near = [a, b, a + (b - a) / 2] + [-0.0] * (a <= 0 <= b)
+        values.append(st.one_of(st.floats(a, b), st.sampled_from(near)))
+    rows = draw(st.lists(st.tuples(*values), min_size=1, max_size=20))
+    return bits, np.array(rows, dtype=np.float64)
 
 
 @settings(max_examples=400, deadline=None)
 @given(quantizer_cases())
-@example(_one_point(10, 1e308, 1.5e308, -1e308))   # x - lo overflows to -inf: grid 0
-@example(_one_point(64, -1e308, -5e307, 1e308))    # x - lo overflows to +inf: the top cell
-@example(_one_point(54, 0.0, 5e-324, 1.0))         # subnormal span: the quotient overflows
-@example(_one_point(3, 0.0, 1.0, 0.5))             # a half rounds up
+@example((54, np.array([[0.0], [5e-324], [1e-323]])))          # a subnormal span
+@example((3, np.array([[0.0], [1.0], [0.5]])))                   # a half rounds up
+@example((64, np.array([[0.0], [np.nextafter(1.0, 0)], [1.0]])))  # a 64-bit axis near its top
 def test_core_quantizer_matches_numpy(case):
-    cfg, data = case
-    expect = quantize_rows_oracle(data, cfg)
-    assert np.array_equal(sfc.quantize_rows(data, cfg), expect)
-    assert np.array_equal(sfc.quantize_rows(data[0][None], cfg), expect[:1])
+    bits, data = case
+    expect = quantize_rows_oracle(data, bits)
+    assert np.array_equal(core_grid(data, bits), expect)
+    assert np.array_equal(core_grid(data[::-1], bits), expect[::-1])
 
 
 @st.composite

@@ -183,7 +183,10 @@ STAGE_ERRORS = {
     "rcb-leaf-size": ("reorder", {"rcb_leaf_size": 0, "variants": ["rcb"]}),
     "block-window": ("reorder", {"block_window": 0, "variants": ["block"]}),
     "sfc-bits": ("reorder", {"sfc_bits": 0, "variants": ["zorder"]}),
-    "wide-grid": ("reorder", {"sfc_bits": 65, "variants": ["zorder-comp"]}),
+    "code-budget": ("reorder", {"kernel": {**BASE["kernel"], "m": 3}, "sfc_bits": 43,
+                                "variants": ["hilbert"]}),
+    "wide-grid": ("reorder", {"kernel": {**BASE["kernel"], "m": 1}, "sfc_bits": 65,
+                              "variants": ["zorder-comp"]}),
     "sw-distance": ("prefetch", {"prefetch": {"sw_distance": 0}, "variants": ["sw-prefetch"]}),
     "k-above-n": ("gen", {"kernel": {**BASE["kernel"], "k": 201}}),
     "k-zero": ("config", {"kernel": {**BASE["kernel"], "k": 0}}),

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from memloc import pipeline, reorder
 from memloc.kdtree import KdTree
-from memloc.sfc import QuantizerConfig, quantize_rows
-from reference_models import morton_encode_oracle
+from reference_models import Grid, morton_encode_oracle, quantize_rows_oracle
 
 
 def is_bijection(perm, n):
@@ -160,8 +159,8 @@ class TestSfcReorder:
         rng = np.random.default_rng(6)
         data = rng.random((120, 3))
         bits = 6
-        cfg = QuantizerConfig(3, bits, tuple(data.min(0)), tuple(data.max(0)))
-        codes = [morton_encode_oracle(g, cfg) for g in quantize_rows(data, cfg).tolist()]
+        codes = [morton_encode_oracle(g, Grid(3, bits))
+                 for g in quantize_rows_oracle(data, bits).tolist()]
         oracle = sorted(range(120), key=codes.__getitem__)
         assert reorder.reorder_sfc(data, "zorder", bits).tolist() == oracle
 
@@ -184,6 +183,32 @@ class TestSfcReorder:
     def test_empty_rejected(self, curve):
         with pytest.raises(ValueError, match="^dataset must be a non-empty"):
             reorder.reorder_sfc(np.empty((0, 2)), curve)
+
+    @pytest.mark.parametrize("curve", ["hilbert", "zorder"])
+    @pytest.mark.parametrize("data, bits, match", [
+        (np.ones((4, 2)), 0, r"^bits must be >= 1$"),
+        (np.ones((4, 3)), 43, r"^dims\*bits = 129 exceeds the 128-bit code budget; reduce bits$"),
+        # 65 bits are past the grid's columns too: the code budget is checked first.
+        (np.ones((4, 2)), 65, r"^dims\*bits = 130 exceeds the 128-bit code budget; reduce bits$"),
+        (np.ones((4, 1)), 65, r"^bits = 65 exceeds the 64-bit grid columns$"),
+        (np.array([[-1e308], [1e308]]), 10, r"^hi - lo must be finite$"),
+    ], ids=["bits", "code-budget", "code-budget-first", "grid-columns", "span"])
+    def test_error_messages(self, data, bits, match, curve):
+        with pytest.raises(ValueError, match=match):
+            reorder.reorder_sfc(data, curve, bits)
+
+    @pytest.mark.parametrize("curve", ["hilbert", "zorder"])
+    def test_allocates_only_its_grid_words_and_order(self, curve):
+        # An (n, 8) grid of 8-byte cells, 2 code words and an order of
+        # 8 bytes per row: 8.8 MB at n = 100,000 and the default 10 bits.
+        data = np.random.default_rng(17).random((100_000, 8))
+        tracemalloc.start()
+        try:
+            order = reorder.reorder_sfc(data, curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (data.size * 8 + 2 * len(data) * 8 + order.nbytes)
 
 
 class TestQueryZorder:

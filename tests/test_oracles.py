@@ -446,7 +446,8 @@ def quantizer_cases(draw):
     for _ in range(draw(st.integers(1, min(4, 128 // bits)))):
         kind = draw(st.sampled_from(["wide", "unit", "degenerate", "subnormal"]))
         if kind == "wide":
-            a, b = sorted([draw(FINITE), draw(FINITE)])
+            # -0.0 sorts below 0.0, so st.floats(a, b) never gets an empty range
+            a, b = sorted([draw(FINITE), draw(FINITE)], key=lambda v: (v, np.copysign(1.0, v)))
             if not np.isfinite(b - a):
                 a, b = a / 2, b / 2
         elif kind == "unit":

@@ -19,6 +19,14 @@ place its parameter types are written: an ``int64_t`` or ``double`` takes
 a number, and a ``T *`` a C-contiguous array of T, writeable unless
 ``const``.  An array that does not fit raises TypeError before the call,
 and a negative return, the core out of memory, MemoryError("<function>: out of memory").
+
+An array's pointer is read through one buffer export,
+``ctypes.addressof(ctypes.c_char.from_buffer(a))``, which itself demands
+a writeable, C-contiguous array of at least one byte and costs about a
+third of ``a.ctypes.data``.  The export is released before the call, so
+the caller may resize the array in place between calls
+(``KdTree.walk`` does).  Only a read-only array passed as ``const`` and
+an empty array fall back to ``a.ctypes.data``.
 """
 
 from __future__ import annotations
@@ -78,6 +86,11 @@ def _bind(lib, name: str, params: list) -> None:
     fn = getattr(lib, name)
     fn.argtypes, fn.restype = [p.ctype for p in params], ctypes.c_int64
     arrays = [(i, p) for i, p in enumerate(params) if p.dtype is not None]
+    address, export = ctypes.addressof, ctypes.c_char.from_buffer
+
+    def unfit(p):
+        return TypeError(f"{name}: argument {p.name} must be a C-contiguous"
+                         f"{' writeable' if p.writes else ''} {p.dtype} array")
 
     def call(*args):
         if len(args) != len(params):
@@ -85,11 +98,14 @@ def _bind(lib, name: str, params: list) -> None:
         values = list(args)  # args keeps every array alive until fn returns
         for i, p in arrays:
             a = args[i]
-            if not (isinstance(a, np.ndarray) and a.dtype == p.dtype and a.flags.c_contiguous
-                    and (a.flags.writeable or not p.writes)):
-                raise TypeError(f"{name}: argument {p.name} must be a C-contiguous"
-                                f"{' writeable' if p.writes else ''} {p.dtype} array")
-            values[i] = a.ctypes.data
+            if not (isinstance(a, np.ndarray) and a.dtype == p.dtype):
+                raise unfit(p)
+            try:  # the export dies with the expression, so a caller may resize a between calls
+                values[i] = address(export(a))
+            except (TypeError, ValueError):  # read-only, not C-contiguous, or empty
+                if not (a.flags.c_contiguous and (a.flags.writeable or not p.writes)):
+                    raise unfit(p) from None
+                values[i] = a.ctypes.data
         if (result := fn(*values)) < 0:
             raise MemoryError(f"{name}: out of memory")
         return result

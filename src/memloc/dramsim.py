@@ -12,7 +12,7 @@ one latency; tests/reference_models.py holds their Python references,
 with its own address mapping.  The core reads the trace's vaddr and
 cycle columns and maps each request as it enters the scheduler's window,
 with the bank and row shifts and masks that simulate derives from the
-scheme once per trace.  While no queued request can hit its bank's
+scheme once per DramConfig.  While no queued request can hit its bank's
 open row, it serves the oldest without scanning the window: a scan that
 finds no hit says so, an arrival on an open row or a served request
 whose (bank, row) bucket still counts a queued request says it may no
@@ -24,6 +24,7 @@ and only the tests read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,11 @@ class DramConfig:
     def conflict(self) -> int:
         return self.tRP + self.tRCD + self.tCL + self.tBURST
 
+    @cached_property
+    def _mapping(self) -> tuple:
+        """_bank_row's shifts and masks, derived on a config's first simulate."""
+        return _bank_row(self)
+
 
 @dataclass
 class DramStats:
@@ -175,12 +181,13 @@ def simulate(trace: Trace, dram: DramConfig = DramConfig()) -> DramStats:
     to the scheduler.
     """
     counts, _, avg_latency = _schedule(
-        trace, dram, _bank_row(dram), dram.banks, (dram.hit, dram.closed, dram.conflict),
+        trace, dram, dram._mapping, dram.banks, (dram.hit, dram.closed, dram.conflict),
         dram.cap, dram.queue_depth)
+    banks = counts.tolist()
     return DramStats(
-        *counts.sum(axis=0).tolist(), total=len(trace), avg_latency=avg_latency,
-        per_bank={int(b): dict(zip(("hits", "misses", "conflicts"), counts[b].tolist()))
-                  for b in np.flatnonzero(counts.any(axis=1))})
+        *map(sum, zip(*banks)), total=len(trace), avg_latency=avg_latency,
+        per_bank={b: dict(zip(("hits", "misses", "conflicts"), split))
+                  for b, split in enumerate(banks) if any(split)})
 
 
 def simulate_ideal(trace: Trace, dram: DramConfig = DramConfig()) -> DramStats:

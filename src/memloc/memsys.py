@@ -19,6 +19,7 @@ memloc_take, copies the DRAM records into it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,13 @@ class CacheConfig:
     @property
     def levels(self):
         return (self.l1, self.l2, self.l3)
+
+    @cached_property
+    def _geometry(self) -> tuple:
+        """(sets, ways) per level, the arrays memloc_filter reads, built on
+        a config's first filter."""
+        return (np.array([c.num_sets for c in self.levels], dtype=np.int64),
+                np.array([c.associativity for c in self.levels], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,7 @@ def _levels(trace: Trace, cache: CacheConfig, pf: PrefetchConfig):
     stats = np.zeros(7, dtype=np.int64)
     degree, distance = (pf.hw_degree, pf.hw_distance) if pf.hw else (0, 0)
     _core.load().memloc_filter(
-        len(trace), trace.vaddr, LINE_SHIFT, trace.kind, level,
-        np.array([c.num_sets for c in cache.levels], dtype=np.int64),
-        np.array([c.associativity for c in cache.levels], dtype=np.int64),
+        len(trace), trace.vaddr, LINE_SHIFT, trace.kind, level, *cache._geometry,
         LEVEL_NAMES.index(pf.sw_target), KIND_PREFETCH,
         degree, distance, _PAGE_LINES_SHIFT, stats)
     return level, stats.tolist()

@@ -16,6 +16,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,16 @@ class _KernelCtx:
     @property
     def spec(self) -> dict:
         return self.cfg["kernel"]
+
+    # A run's simulator configs, built and checked at its first variant's
+    # filter and dramsim stages, which tag their errors.
+    @cached_property
+    def memory(self) -> tuple:
+        return memory_config(self.cfg)
+
+    @cached_property
+    def dram(self) -> dramsim.DramConfig:
+        return dramsim.DramConfig(**self.cfg["dram"])
 
     def generate(self):
         """(trace, row_sequence, starts) of the kernel over its inputs;
@@ -289,9 +300,10 @@ def run_variant(ctx: _KernelCtx, variant: str, baseline: tuple) -> dict:
         trace = replay()
 
     with _stage("filter"):
-        dram_trace, mstats = memsys.filter_to_dram(trace, *memory_config(ctx.cfg))
+        dram_trace, mstats = memsys.filter_to_dram(trace, *ctx.memory)
     with _stage("dramsim"):
-        actual, ideal = simulate_dram(dram_trace, ctx.cfg)
+        actual = dramsim.simulate(dram_trace, ctx.dram)
+        ideal = dramsim.simulate_ideal(dram_trace, ctx.dram)
     return {
         "config_hash": ctx.config_hash,
         "variant": variant,

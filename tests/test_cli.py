@@ -27,6 +27,15 @@ def gather_prefix(tmp_path):
     return prefix
 
 
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # Only pipeline --jobs above 1 needs it, and with it logging.
+    code = ("import sys, memloc.cli\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    src = Path(pipeline.__file__).parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 class TestGen:
     def test_gather_record_count(self, gather_prefix, capsys):
         trace = traceio.read_trace(str(gather_prefix) + ".trace")
@@ -336,7 +345,7 @@ class TestPipelineJobs:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        from memloc import cli
+        import concurrent.futures  # the module cmd_pipeline imports when it needs a pool
 
         made = []
 
@@ -353,7 +362,7 @@ class TestPipelineJobs:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: [])
         return made
 

@@ -236,6 +236,26 @@ def test_an_array_that_does_not_fit_fails_before_the_core_runs(seq, out, name):
     assert out.tolist() == [7] * 4
 
 
+@pytest.mark.parametrize("make_seq, n", [
+    (lambda: _read_only(np.array([2, 0, 2], np.int64)), 4),
+    (lambda: np.empty(0, np.int64), 4),
+    (lambda: np.empty(0, np.int64), 0),
+    (lambda: np.arange(10)[3:], 10),
+], ids=["read-only-input", "empty-input", "empty-output", "offset-view"])
+def test_an_array_that_fits_reaches_the_core_from_its_first_element(make_seq, n):
+    # Read-only and empty arrays take the fallback pointer read; a view
+    # passes its own first element, not its base's.
+    seq, out, expected = make_seq(), np.full(n, 7, np.int64), np.full(n, 7, np.int64)
+    lib = _core.load()
+    assert lib.memloc_first_touch(len(seq), seq, n, out) == 0
+    lib.memloc_first_touch(len(seq), seq.copy(), n, expected)
+    touched = list(dict.fromkeys(seq.tolist()))
+    assert out.tolist() == expected.tolist() == touched + sorted(set(range(n)) - set(touched))
+    # No buffer export outlives the call, so the output resizes in place
+    # with numpy's reference check on, as KdTree.walk resizes its rows.
+    out.resize(n + 4)
+
+
 def test_a_parameter_type_the_binding_does_not_know_fails_at_load(source):
     path, compiles = source
     path.write_text(path.read_text() + "\nint64_t memloc_scale(int64_t n, float x)\n{\n"

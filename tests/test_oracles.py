@@ -958,6 +958,9 @@ def assert_same_dram(got, want):
     assert events == events_ref
     assert vars(got) == vars(want)
     assert list(got.per_bank.items()) == list(want.per_bank.items())  # sorted by bank
+    # Plain ints, as json.dumps takes them, not numpy scalars.
+    assert all(type(bank) is int and all(type(v) is int for v in split.values())
+               for bank, split in got.per_bank.items())
     for value in (got.hits, got.misses, got.conflicts, got.total):
         assert type(value) is int
     assert type(got.avg_latency) is float

@@ -516,6 +516,27 @@ def test_each_dram_trace_is_mapped_once(monkeypatch):
     assert dramsim.simulate_ideal(trace) == ideal and len(calls) == 1
 
 
+def test_a_run_builds_its_simulator_configs_once(monkeypatch):
+    # Eight variants share one CacheConfig, PrefetchConfig and DramConfig,
+    # and with them the level geometry and the DRAM mapping; the next run
+    # builds its own.
+    built = []
+    for module, name in ((memsys, "CacheConfig"), (memsys, "PrefetchConfig"),
+                         (dramsim, "DramConfig"), (dramsim, "_bank_row")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name, **k: built.append(_name)
+                            or _real(*a, **k))
+    config = {**BASE, "variants": ["baseline", "hilbert", "zorder-comp", "first-touch",
+                                   "rcb", "block", "zorder", "sw-prefetch"]}
+    first = pipeline.run_pipeline(config)
+    assert len(first) == 8
+    assert sorted(built) == ["CacheConfig", "DramConfig", "PrefetchConfig", "_bank_row"]
+    assert without_overhead(pipeline.run_pipeline(config)) == without_overhead(first)
+    assert sorted(built) == sorted(["CacheConfig", "DramConfig", "PrefetchConfig",
+                                    "_bank_row"] * 2)
+
+
 def test_defaults_table_matches_the_library_defaults():
     """pipeline.DEFAULTS writes the cache defaults again, in KiB; its dram
     and prefetch sections are DramConfig's and PrefetchConfig's own."""

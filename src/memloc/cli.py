@@ -163,17 +163,14 @@ def render_report(rows: list[dict]) -> str:
         hr = float(r["hit_ratio"])
         lat = float(r["avg_latency"])
         ideal = float(r["ideal_latency"])
-        if r.get("improvement_pct") not in (None, ""):
-            imp = float(r["improvement_pct"])
-        else:
-            imp = 100.0 * (lat - ideal) / lat if lat else 0.0
+        imp = float(r["improvement_pct"])
         out.append(f"{name:<20} {hr:.2f}, {lat:.2f}, {ideal:.2f}, {imp:.2f}")
     return "\n".join(out)
 
 
 def cmd_report(args) -> int:
     rows = [r for path in args.csv for r in pipeline.read_csv(path)]
-    required = {"hit_ratio", "avg_latency", "ideal_latency"}
+    required = {"hit_ratio", "avg_latency", "ideal_latency", "improvement_pct"}
     for r in rows:
         if not required <= set(r):
             return _fail("report", f"missing columns {required - set(r)}")

@@ -123,28 +123,19 @@ class DramStats:
         return self.hits / self.total if self.total else 0.0
 
 
-def _fields(dram: DramConfig) -> dict:
-    """name -> (shift, mask) of the scheme's fields: a field of address a
-    is a >> shift & mask."""
-    bits, shift, out = dram.field_bits(), LINE_SHIFT, {}
-    for name in _FIELD_ORDER[dram.scheme]:
-        out[name] = (shift, (1 << bits[name]) - 1)
-        shift += bits[name]
-    return out
-
-
 def _bank_row(dram: DramConfig) -> tuple:
     """(bank shift, bank mask, row shift, row mask) with which the core maps
-    a trace's requests: a field of address a is a >> shift & mask.  Fields
+    a trace's requests: a field of address a is a >> shift & mask, the
+    scheme's fields laid from the LSB up above the line offset.  Fields
     wrap modulo the geometry's capacity.  A vaddr has 64 bits, so a
     mask keeps the bits below 64 - shift alone, which fit an int64, and a
     field above them all is (0, 0)."""
-    fields, out = _fields(dram), ()
-    for name in ("bank", "row"):
-        shift, mask = fields[name]
-        mask &= (1 << max(64 - shift, 0)) - 1
-        out += (shift, mask) if mask else (0, 0)
-    return out
+    bits, shift, fields = dram.field_bits(), LINE_SHIFT, {}
+    for name in _FIELD_ORDER[dram.scheme]:
+        mask = (1 << min(bits[name], max(64 - shift, 0))) - 1
+        fields[name] = (shift, mask) if mask else (0, 0)
+        shift += bits[name]
+    return (*fields["bank"], *fields["row"])
 
 
 def _schedule(trace: Trace, dram: DramConfig, bank_row: tuple, nbanks: int, latencies: tuple,

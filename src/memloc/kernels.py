@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,14 +28,15 @@ class AddressModel:
 
     Row r starts at virtual byte base + r * row_stride_bytes, and each
     examination reads its first row_bytes bytes: one record per 64B line
-    they cover.  base is page-aligned, so r * row_stride_bytes // PAGE_SIZE
-    is the page the row starts on, counted from the matrix's first page.
+    they cover.  base, one fixed address, is page-aligned, so
+    r * row_stride_bytes // PAGE_SIZE is the page the row starts on,
+    counted from the matrix's first page.
     "shuffle" page mapping places the pages of the matrix's `rows` rows
     in a seeded random permutation of their frames.  A matrix whose
     `rows` are known must end by byte 2**63.
     """
 
-    base: int = 0x1000_0000
+    base: ClassVar[int] = 0x1000_0000
     row_stride_bytes: int = 64
     row_bytes: int = 0  # bytes read per examination; defaults to the stride
     page_mapping: str = "identity"  # or "shuffle"
@@ -42,8 +44,6 @@ class AddressModel:
     rows: int = 0  # rows in the matrix; shuffle page mapping needs it
 
     def __post_init__(self):
-        if self.base % PAGE_SIZE:
-            raise ValueError("base must be page-aligned")
         if self.row_stride_bytes < 1:
             raise ValueError("row_stride_bytes must be >= 1")
         if self.page_mapping not in ("identity", "shuffle"):

@@ -205,11 +205,15 @@ def reorder_by(method: str, cfg: dict, *, kind: str | None = None, points=None,
     first-touch permutes the `n` rows by the inspected `rows` sequence;
     block reorders the `rows` sequence itself, grouping rows by the page
     they start on at `row_stride_bytes`.
+
+    A decision tree has no queries to reorder, and its first node, the
+    root, lists every row in storage order, so its first-touch order is
+    the identity: both variants are rejected on it.
     """
     if method not in REORDERINGS:
         raise PipelineError(f"reorder: unknown method or variant {method!r}")
-    if method == "zorder-comp" and kind == "dtree":
-        raise PipelineError("reorder: zorder-comp is not applicable to tree kernels")
+    if kind == "dtree" and method in ("zorder-comp", "first-touch"):
+        raise PipelineError(f"reorder: {method} is not applicable to tree kernels")
     with _stage("reorder"):
         if method == "block" and rows is not None and row_stride_bytes is not None:
             return None, reorder.block_by_page(rows, row_stride_bytes,
@@ -246,8 +250,7 @@ def _transform(ctx: _KernelCtx, variant: str, cfg: dict, baseline: tuple):
         with _stage("prefetch"):
             trace = memsys.inject_sw_prefetch(baseline[0], cfg["prefetch"]["sw_distance"])
         return lambda: trace
-    rows = baseline[1] if variant in ("first-touch", "block") else None
-    perm, new_rows = reorder_by(variant, cfg, kind=ctx.kind, rows=rows, n=ctx.spec["n"],
+    perm, new_rows = reorder_by(variant, cfg, kind=ctx.kind, rows=baseline[1], n=ctx.spec["n"],
                                 points=ctx.queries if variant == "zorder-comp" else ctx.data,
                                 row_stride_bytes=ctx.addr.row_stride_bytes)
     if new_rows is not None:

@@ -116,10 +116,14 @@ class TestReorder:
                     "--out", tmp_path / "w"]) == 1
         assert capsys.readouterr().err.startswith("memloc: reorder: hi - lo must be finite")
 
-    def test_zorder_comp_rejected_for_tree_kernel(self, dataset, tmp_path):
-        rc = run(["reorder", "--method", "zorder-comp", "--kernel", "dtree",
+    @pytest.mark.parametrize("method", ["zorder-comp", "first-touch"])
+    def test_method_rejected_for_tree_kernel(self, method, dataset, tmp_path, capsys):
+        rc = run(["reorder", "--method", method, "--kernel", "dtree",
                   "--dataset", dataset, "--out", tmp_path / "x"])
-        assert rc != 0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"memloc: reorder: {method} is not applicable to tree kernels\n")
+        assert not list(tmp_path.glob("x*"))
 
     def test_first_touch_roundtrip(self, dataset, tmp_path):
         rows_path = tmp_path / "rows.bin"
@@ -333,6 +337,14 @@ class TestReport:
         assert run(["report", path]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1  # header only
+
+    def test_a_row_without_improvement_fails(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        self.write_csv(path, [{"benchmark": "demo", "hit_ratio": 0.5,
+                               "avg_latency": 40.0, "ideal_latency": 20.0}])
+        assert run(["report", path]) == 1
+        assert capsys.readouterr().err == (
+            "memloc: report: missing columns {'improvement_pct'}\n")
 
     def test_schema_mismatch_fails(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -18,15 +18,6 @@ def page_transitions(vaddr):
 
 
 class TestAddressModel:
-    def test_unaligned_base_rejected(self):
-        with pytest.raises(ValueError):
-            AddressModel(base=100)
-
-    def test_line_aligned_base_off_a_page_rejected(self):
-        # block_by_page counts pages from the matrix's first byte.
-        with pytest.raises(ValueError, match="page-aligned"):
-            AddressModel(base=0x1000_0040)
-
     def test_for_matrix_default_stride_packs_rows(self):
         assert AddressModel.for_matrix(3).row_stride_bytes == 24
         addr = AddressModel.for_matrix(3, 64, 8)

@@ -280,6 +280,28 @@ def test_missing_points_message_names_the_kernel_only_when_known():
             pipeline.reorder_by("hilbert", cfg, kind=kind)
 
 
+@pytest.mark.parametrize("method", ["zorder-comp", "first-touch"])
+def test_a_tree_kernel_rejects_query_order_and_first_touch(method):
+    config = {"seed": 1, "kernel": {"kind": "dtree", "n": 300, "max_depth": 3},
+              "variants": ["baseline", method]}
+    message = f"^reorder: {method} is not applicable to tree kernels$"
+    with pytest.raises(pipeline.PipelineError, match=message):
+        pipeline.run_pipeline(config)
+    with pytest.raises(pipeline.PipelineError, match=message):  # no rows or points needed
+        pipeline.reorder_by(method, pipeline.resolve_config(config), kind="dtree")
+
+
+@pytest.mark.parametrize("seed", [1, 137, 1000004])
+@pytest.mark.parametrize("spec", [{"clusters": 0}, {"clusters": 8, "layout": "shuffled"}])
+def test_first_touch_of_a_dtree_baseline_is_the_identity(seed, spec):
+    # The first node is the root, which lists every row in storage order.
+    ctx = pipeline.build_kernel({"seed": seed, "kernel": {"kind": "dtree", "n": 2000, "m": 4,
+                                                          "max_depth": 4, **spec}})
+    _, rows, starts = ctx.generate()
+    assert np.array_equal(rows[:starts[1]], np.arange(2000))
+    assert np.array_equal(reorder.reorder_first_touch(rows, 2000), np.arange(2000))
+
+
 @pytest.mark.parametrize("method", ["hilbert", "zorder", "rcb", "zorder-comp"])
 def test_non_finite_points_fail_in_the_reorder_stage(method):
     points = np.random.default_rng(1).random((8, 2))
@@ -361,7 +383,7 @@ DBSCAN_CONFIG = {"kind": "dbscan", "n": 1000, "radius": 0.03}
 
 @pytest.mark.parametrize("kernel, variants, tied", [
     ({"kind": "dtree", "n": 2000, "m": 4, "max_depth": 5, "clusters": 16},
-     ["baseline", *ALL_LAYOUTS, "sw-prefetch"], False),
+     ["baseline", "hilbert", "zorder", "rcb", "block", "sw-prefetch"], False),
     (KNN_CONFIG, ["baseline", "zorder-comp", *ALL_LAYOUTS, "sw-prefetch"], False),
     (DBSCAN_CONFIG, ["baseline", *ALL_LAYOUTS], False),
     (KNN_CONFIG, ["baseline", *ALL_LAYOUTS], True),

@@ -35,14 +35,13 @@
  * memloc_quantize 1 when an axis's max - min is not finite; the others
  * 0; and all but memloc_kdtree, memloc_inject and memloc_take -1 when
  * memory runs out.  memloc_quantize, memloc_sfc, memloc_block,
- * memloc_first_touch and memloc_simulate allocate all their scratch
- * before they write, so their -1 leaves the caller's arrays as they
- * were.  _core.py binds each
- * function from its definition here, so a definition starts its
- * line with "int64_t memloc_<name>(", and each parameter is an int64_t
- * or double number, or a pointer to int64_t, uint64_t, uint32_t, uint8_t
- * or double written "T *name", with const when the function only reads
- * the array.
+ * memloc_first_touch, memloc_filter and memloc_simulate allocate all
+ * their scratch before they write, so their -1 leaves the caller's arrays
+ * as they were.  _core.py binds each function from its definition here,
+ * so a definition starts its line with "int64_t memloc_<name>(", and
+ * each parameter is an int64_t or double number, or a pointer to int64_t,
+ * uint64_t, uint32_t, uint8_t or double written "T *name", with const
+ * when the function only reads the array.
  */
 #include <float.h>
 #include <stdint.h>
@@ -162,19 +161,32 @@ static inline void fill(level *lv, uint8_t *pf, int64_t line, uint8_t flag)
  * `bits` bits of page * 2^64 / golden ratio (Knuth's multiplicative hashing,
  * TAOCP vol. 3, 6.4), so pages 2^k apart get different home slots.  A slot
  * is live while its stamp equals the table's: a free slot's stamp is -1, a
- * table's starts at 0, and raising it frees every slot at once. */
+ * table's starts at 0, and raising it frees every slot at once.  A table is
+ * sized once, by table_bits, for the most pages its caller can add, and
+ * never grows: at most half full, find always ends at the page or at a free
+ * slot, where a new page is one store. */
 typedef struct {
     int64_t page, stamp, a, b;
 } page_slot;
 
 typedef struct {
     page_slot *slots;
-    int64_t bits, stamp, count;  /* count: live slots */
+    int64_t bits, stamp;
 } page_table;
 
+/* The fewest bits, at least 1, whose 2^bits slots hold `pages` pages at
+ * half load or less; for pages >= 1, 2^bits < 4 * pages, under 128 bytes a page. */
+static int table_bits(int64_t pages)
+{
+    int bits = 1;
+    while (bits < 62 && (int64_t)1 << (bits - 1) < pages)
+        bits++;
+    return bits;
+}
+
 /* 2^bits free slots, or NULL, filled with 0xff rather than calloc'd: find
- * reads a slot before claim writes it, and a fresh calloc'd page read first
- * faults again when written (a zero fill would be compiled into calloc). */
+ * reads a slot before a page is stored in it, and a fresh calloc'd page read
+ * first faults again when written (a zero fill would be compiled into calloc). */
 static page_slot *new_slots(int64_t bits)
 {
     size_t n = (size_t)1 << bits;
@@ -190,29 +202,6 @@ static page_slot *find(const page_table *t, int64_t page)
     while (t->slots[i].stamp == t->stamp && t->slots[i].page != page)
         i = (i + 1) & mask;
     return &t->slots[i];
-}
-
-/* Fill the free slot s, which find returned for page, and double the
- * table at half load, rehashing only its live slots; a doubling moves
- * every slot, so s and any other slot pointer is stale after it.  -1 when
- * memory runs out. */
-static int claim(page_table *t, page_slot *s, int64_t page, int64_t a, int64_t b)
-{
-    int64_t size = (int64_t)1 << t->bits;
-    *s = (page_slot){page, t->stamp, a, b};
-    if (++t->count * 2 <= size)
-        return 0;
-    page_slot *old = t->slots;
-    if (!(t->slots = new_slots(t->bits + 1))) {
-        t->slots = old;
-        return -1;
-    }
-    t->bits++;
-    for (int64_t i = 0; i < size; i++)
-        if (old[i].stamp == t->stamp)
-            *find(t, old[i].page) = old[i];
-    free(old);
-    return 0;
 }
 
 typedef struct {
@@ -234,7 +223,7 @@ static void hw_prefetch(hierarchy *h, int64_t line)
 /* Train the per-page stride table on an L2 access (an L1 demand miss) and
  * issue its prefetches into L2: `degree` lines ahead once two consecutive
  * same-page deltas are equal, and the next line on an L2 miss. */
-static int observe(hierarchy *h, int64_t line, int l2_miss)
+static void observe(hierarchy *h, int64_t line, int l2_miss)
 {
     int64_t page = line >> h->page_shift;
     page_slot *s = find(&h->pages, page);
@@ -245,18 +234,16 @@ static int observe(hierarchy *h, int64_t line, int l2_miss)
                 hw_prefetch(h, line + delta * (h->distance + k - 1));
         s->a = line;
         s->b = delta;
-    } else if (claim(&h->pages, s, page, line, 0)) {
-        return -1;
+    } else {
+        *s = (page_slot){page, h->pages.stamp, line, 0};
     }
     if (l2_miss)
         hw_prefetch(h, line + 1);
-    return 0;
 }
 
-/* One demand access: the level that served it (3 for DRAM), -1 on no
- * memory.  L1 and L3 look up and fill in one pass, as nothing touches
- * their sets in between; L2 fills after observe, whose prefetches may
- * fill the same set first. */
+/* One demand access: the level that served it (3 for DRAM).  L1 and L3
+ * look up and fill in one pass, as nothing touches their sets in between;
+ * L2 fills after observe, whose prefetches may fill the same set first. */
 static int demand(hierarchy *h, int64_t line)
 {
     level *l1 = &h->lv[0], *l2 = &h->lv[1], *l3 = &h->lv[2];
@@ -267,8 +254,8 @@ static int demand(hierarchy *h, int64_t line)
         l2->pf[way] = 0;
         h->st[1]++;
     }
-    if (h->degree && observe(h, line, way < 0))
-        return -1;
+    if (h->degree)
+        observe(h, line, way < 0);
     if (way >= 0)
         return 1;
     int dram = lookup(l3, NULL, line, 1) < 0;
@@ -284,27 +271,39 @@ static int demand(hierarchy *h, int64_t line)
  * `prefetch_kind`, a software prefetch that fills level `sw_level` only.
  * stats receives the hierarchy's 2 counters, st, then the number of
  * records served at each of levels 0-4.  The levels are calloc'd, so a
- * large cache pages in only the sets the trace touches. */
+ * large cache pages in only the sets the trace touches.  With the HW
+ * prefetcher on (degree > 0), its page table is sized once, before the
+ * first record, for the lesser of n and the pages vaddr spans, as observe
+ * adds at most one page a demand record: 128 bytes a record at most. */
 int64_t memloc_filter(int64_t n, const uint64_t *vaddr, int64_t line_shift,
                       const uint8_t *kinds, uint8_t *served, const int64_t *sets,
                       const int64_t *ways, int64_t sw_level, int64_t prefetch_kind,
                       int64_t degree, int64_t distance, int64_t page_shift, int64_t *stats)
 {
-    hierarchy h = {.pages = {new_slots(10), 10, 0, 0}, .degree = degree,
-                   .distance = distance, .page_shift = page_shift, .st = stats};
-    int rc = !h.pages.slots;
+    hierarchy h = {.degree = degree, .distance = distance, .page_shift = page_shift,
+                   .st = stats};
+    int rc = 0;
     for (int k = 0; k < 3; k++)
         rc |= level_init(&h.lv[k], sets[k], ways[k], k == 1);
+    if (degree) {
+        uint64_t lo = UINT64_MAX, hi = 0;
+        for (int64_t i = 0; i < n; i++) {
+            lo = vaddr[i] < lo ? vaddr[i] : lo;
+            hi = vaddr[i] > hi ? vaddr[i] : hi;
+        }
+        int64_t span = ((int64_t)(hi >> line_shift) >> page_shift) -
+                       ((int64_t)(lo >> line_shift) >> page_shift) + 1;
+        h.pages.bits = table_bits(n && span < n ? span : n);
+        rc |= !(h.pages.slots = new_slots(h.pages.bits));
+    }
     level *sw = &h.lv[sw_level];
     for (int64_t i = 0; i < n && !rc; i++) {
         int64_t line = (int64_t)(vaddr[i] >> line_shift);
         int r = 4;
-        if (kinds[i] == prefetch_kind) {
+        if (kinds[i] == prefetch_kind)
             lookup(sw, sw->pf, line, 1);
-        } else if ((r = demand(&h, line)) < 0) {
-            rc = 1;
-            break;
-        }
+        else
+            r = demand(&h, line);
         served[i] = (uint8_t)r;
         stats[2 + r]++;
     }
@@ -1189,23 +1188,21 @@ int64_t memloc_first_touch(int64_t len, const int64_t *seq, int64_t n, int64_t *
 int64_t memloc_block(int64_t n, const int64_t *seq, int64_t stride, int64_t page_shift,
                      int64_t window, int64_t *out)
 {
-    int bits = 1;  /* >= 2 * window slots: no window fills half, so none doubles them */
-    while (bits < 62 && (int64_t)1 << (bits - 1) < window)
-        bits++;
-    page_table t = {new_slots(bits), bits, 0, 0};
+    int bits = table_bits(window);  /* a window adds at most `window` pages */
+    page_table t = {new_slots(bits), bits, 0};
     int64_t *group = calloc(2 * window, sizeof *group), *start = group + window;
     if (!t.slots || !group) {
         free(t.slots);
         free(group);
         return -1;
     }
-    for (int64_t w0 = 0; w0 < n; w0 += window, t.stamp++, t.count = 0) {
+    for (int64_t w0 = 0; w0 < n; w0 += window, t.stamp++) {
         int64_t len = n - w0 < window ? n - w0 : window, groups = 0;
         for (int64_t i = 0; i < len; i++) {
             int64_t page = seq[w0 + i] * stride >> page_shift;
             page_slot *s = find(&t, page);
             if (s->stamp != t.stamp)
-                claim(&t, s, page, groups++, 0);
+                *s = (page_slot){page, t.stamp, groups++, 0};
             group[i] = s->a;
             start[group[i]]++;
         }

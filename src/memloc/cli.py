@@ -118,10 +118,13 @@ def cmd_dramsim(args) -> int:
     row = [args.trace, cfg["dram"]["scheme"], cfg["dram"]["cap"], stats.hits, stats.misses,
            stats.conflicts, f"{stats.hit_ratio:.6f}", f"{stats.avg_latency:.4f}",
            f"{ideal.avg_latency:.4f}", f"{dramsim.improvement(stats, ideal):.4f}"]
-    new = not Path(args.stats).exists()
-    with open(args.stats, "a", newline="") as f:
+    with open(args.stats, "a+", newline="") as f:
+        f.seek(0)
+        first = next(csv.reader(f), None)  # None: a new or empty file
+        if first not in (None, header):
+            return _fail("dramsim", f"{args.stats} holds another table")
         w = csv.writer(f)
-        if new:
+        if first is None:
             w.writerow(header)
         w.writerow(row)
     print(f"hit_ratio {stats.hit_ratio:.4f} avg_latency {stats.avg_latency:.2f}")
@@ -169,11 +172,21 @@ def render_report(rows: list[dict]) -> str:
 
 
 def cmd_report(args) -> int:
-    rows = [r for path in args.csv for r in pipeline.read_csv(path)]
-    required = {"hit_ratio", "avg_latency", "ideal_latency", "improvement_pct"}
-    for r in rows:
-        if not required <= set(r):
-            return _fail("report", f"missing columns {required - set(r)}")
+    """Fails on a missing column, or on a cell of one that is not a number
+    (a row cut short reads as None), naming the file and its row k, the
+    k-th under the header."""
+    rows, required = [], ("hit_ratio", "avg_latency", "ideal_latency", "improvement_pct")
+    for path in args.csv:
+        for k, r in enumerate(pipeline.read_csv(path), 1):
+            if missing := set(required) - set(r):
+                return _fail("report", f"missing columns {missing}")
+            for column in required:
+                try:
+                    float(r[column])
+                except (TypeError, ValueError):
+                    return _fail("report", f"{path}: row {k}: {column} is not a number "
+                                           f"({r[column]!r})")
+            rows.append(r)
     print(render_report(rows))
     return 0
 

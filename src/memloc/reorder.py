@@ -140,24 +140,6 @@ def save_permutation(path, perm: np.ndarray):
                comments="")
 
 
-def load_permutation(path) -> np.ndarray:
-    """Inverse of :func:`save_permutation`; the header line is optional.
-    ValueError unless every row is two integers and each column holds
-    0 .. n-1 once."""
-    lines = Path(path).read_text().splitlines()
-    if lines and not lines[0].lstrip("+-")[:1].isdigit():
-        lines = lines[1:]
-    body = (np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2) if lines
-            else np.empty((0, 2), dtype=np.int64))
-    if body.shape[1] != 2:
-        raise ValueError("a permutation row must be new_position,old_index")
-    if len(body) and not 0 <= body[:, 0].min() <= body[:, 0].max() < len(body):
-        raise ValueError(f"new_position outside [0, {len(body)})")
-    perm = np.full(len(body), -1, dtype=np.int64)
-    perm[body[:, 0]] = body[:, 1]
-    return check_permutation(perm, len(body))
-
-
 def save_dataset(path, data: np.ndarray):
     """Raw little-endian float64 rows plus a JSON sidecar with n and m."""
     data = np.ascontiguousarray(data, dtype="<f8")

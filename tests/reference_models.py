@@ -12,7 +12,9 @@ coordinate bisection (reorder_rcb_oracle), the kd-tree's order
 (kdtree_order_oracle), the decision tree's nodes (dtree_oracle, with
 its _gini), each node's sorted rows (sort_segments_oracle), the SFC
 grid (quantize_rows_oracle) and the Morton and Hilbert codes
-(morton_*_oracle, hilbert_*_oracle) in Python and numpy.
+(morton_*_oracle, hilbert_*_oracle) in Python and numpy.  Beside them
+sits the one reader of reorder.save_permutation's CSV
+(load_permutation_oracle), which no stage needs.
 memsys.filter_to_dram, dramsim.simulate, dramsim.simulate_ideal,
 reorder.reorder_rcb, kdtree.KdTree, kernels.gen_dtree_trace,
 kernels.node_rows and reorder.reorder_sfc run the compiled core,
@@ -26,11 +28,13 @@ tests, not collected as one.
 
 from __future__ import annotations
 
+import csv
 from typing import NamedTuple
 
 import numpy as np
 
 from memloc import _core
+from memloc.reorder import check_permutation
 from memloc.dramsim import _FIELD_ORDER, DramConfig, DramStats, _bank_row, _schedule
 from memloc.memsys import (
     _PAGE_LINES_SHIFT,
@@ -600,3 +604,15 @@ def core_events(trace: Trace, dram: DramConfig) -> list:
     _, events, _ = _schedule(trace, dram, _bank_row(dram), dram.banks,
                              (dram.hit, dram.closed, dram.conflict), dram.cap, dram.queue_depth)
     return ["hmc"[kind] for kind in events.tolist()]
+
+
+def load_permutation_oracle(path) -> np.ndarray:
+    """The permutation a `.perm.csv` holds, whose header line is optional;
+    ValueError unless each column holds 0 .. n-1 once."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    body = rows[1:] if rows and rows[0] and not rows[0][0].isdigit() else rows
+    perm = np.full(len(body), -1, dtype=np.int64)
+    for new, old in body:
+        perm[int(new)] = int(old)
+    return check_permutation(perm, len(body))

@@ -11,6 +11,7 @@ import pytest
 
 from memloc import cli, pipeline, reorder, traceio
 from memloc.cli import main, render_report
+from reference_models import load_permutation_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_pipeline.json").read_text())
 
@@ -97,7 +98,7 @@ class TestReorder:
         out = tmp_path / "h"
         assert run(["reorder", "--method", "hilbert", "--dataset", dataset,
                     "--bits", "1", "--out", out]) == 0
-        perm = reorder.load_permutation(str(out) + ".perm.csv")
+        perm = load_permutation_oracle(str(out) + ".perm.csv")
         assert perm.tolist() == [0, 2, 3, 1]
 
     def test_overhead_reported_positive(self, dataset, tmp_path):
@@ -131,7 +132,7 @@ class TestReorder:
         out = tmp_path / "ft"
         assert run(["reorder", "--method", "first-touch", "--dataset", dataset,
                     "--rows", rows_path, "--out", out]) == 0
-        perm = reorder.load_permutation(str(out) + ".perm.csv")
+        perm = load_permutation_oracle(str(out) + ".perm.csv")
         assert perm.tolist() == [2, 0, 1, 3]
 
     def test_block_writes_reordered_rows(self, tmp_path):
@@ -185,6 +186,17 @@ class TestFilterAndDram:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
         assert 0.0 <= float(rows[0]["hit_ratio"]) <= 1.0
+
+    def test_dramsim_refuses_a_stats_file_of_another_table(self, gather_prefix, tmp_path,
+                                                          capsys):
+        dram, stats = tmp_path / "dram.trace", tmp_path / "filter.csv"
+        assert run(["filter", "--trace", f"{gather_prefix}.trace", "--out", dram,
+                    "--stats", stats]) == 0
+        before = stats.read_bytes()
+        capsys.readouterr()
+        assert run(["dramsim", "--trace", dram, "--stats", stats]) == 1
+        assert capsys.readouterr().err == f"memloc: dramsim: {stats} holds another table\n"
+        assert stats.read_bytes() == before
 
     def test_filter_checks_a_trace_once_per_file_boundary(self, gather_prefix, tmp_path,
                                                           monkeypatch):
@@ -345,6 +357,16 @@ class TestReport:
         assert run(["report", path]) == 1
         assert capsys.readouterr().err == (
             "memloc: report: missing columns {'improvement_pct'}\n")
+
+    @pytest.mark.parametrize("body, err", [
+        ("a,0.5,40,20,50\nb,0.5,,20,50\n", "row 2: avg_latency is not a number ('')"),
+        ("a,0.5,40\n", "row 1: ideal_latency is not a number (None)"),
+    ], ids=["blank-cell", "short-row"])
+    def test_a_cell_that_is_not_a_number_fails(self, tmp_path, capsys, body, err):
+        path = tmp_path / "r.csv"
+        path.write_text("benchmark,hit_ratio,avg_latency,ideal_latency,improvement_pct\n" + body)
+        assert run(["report", path]) == 1
+        assert capsys.readouterr().err == f"memloc: report: {path}: {err}\n"
 
     def test_schema_mismatch_fails(self, tmp_path):
         path = tmp_path / "bad.csv"

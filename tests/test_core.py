@@ -468,6 +468,44 @@ def test_guard_catches_the_old_fallback():
     assert len(_second_implementations(ast.parse(old))) == 5
 
 
+def _unreached(trees: dict, defining: set) -> list:
+    """Functions, classes and methods defined in the modules named in
+    `defining` that no Name or attribute in any of `trees` uses outside
+    their own definition; a dunder method is called by Python itself."""
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.setdefault(getattr(node, "id", None) or node.attr, []).append(node)
+    found = []
+    for name in sorted(defining):
+        for node in ast.walk(trees[name]):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                inside = set(ast.walk(node))
+                if all(use in inside for use in uses.get(node.name, [])):
+                    found.append(f"{name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_package_definition_is_reached_from_the_package_or_the_benchmark():
+    # A function only tests call belongs in tests/, beside the tests.
+    perfbench = SRC.parents[1] / "perfbench"
+    paths = {p.name: p for p in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(p.read_text(), str(p)) for name, p in paths.items()}
+    trees.update({f"perfbench/{p.name}": ast.parse(p.read_text(), str(p))
+                  for p in sorted(perfbench.glob("*.py"))})
+    assert _unreached(trees, set(paths)) == []
+
+
+def test_reach_guard_ignores_a_definitions_own_uses():
+    trees = {"m": ast.parse("def walk(n): return walk(n - 1)\n"
+                            "class K:\n    def __init__(self): pass\n    def go(self): pass\n"
+                            "def used(): pass\n"),
+             "user": ast.parse("K().go\nused()\n")}
+    assert _unreached(trees, {"m"}) == ["m:1: walk"]
+
+
 def test_importing_memloc_builds_nothing():
     code = ("import memloc.cli, memloc.pipeline\n"
             "from memloc import _core\n"

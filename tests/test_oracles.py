@@ -33,6 +33,7 @@ from reference_models import (
     hilbert_decode_oracle,
     hilbert_encode_oracle,
     kdtree_order_oracle,
+    load_permutation_oracle,
     morton_decode_oracle,
     morton_encode_oracle,
     quantize_rows_oracle,
@@ -123,16 +124,6 @@ def save_permutation_oracle(path, perm):
         w.writerow(["new_position", "old_index"])
         for new, old in enumerate(np.asarray(perm, dtype=np.int64)):
             w.writerow([new, int(old)])
-
-
-def load_permutation_oracle(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    body = rows[1:] if rows and rows[0] and not rows[0][0].isdigit() else rows
-    perm = np.full(len(body), -1, dtype=np.int64)
-    for new, old in body:
-        perm[int(new)] = int(old)
-    return reorder.check_permutation(perm, len(body))
 
 
 def reorder_sfc_oracle(data, curve, bits):
@@ -344,15 +335,7 @@ def test_permutation_csv_matches_csv_module(tmp_path_factory, n, seed):
     reorder.save_permutation(d / "new.csv", perm)
     save_permutation_oracle(d / "old.csv", perm)
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
-    assert np.array_equal(reorder.load_permutation(d / "old.csv"), perm)
     assert np.array_equal(load_permutation_oracle(d / "new.csv"), perm)
-
-
-def test_load_permutation_without_header(tmp_path):
-    path = tmp_path / "bare.csv"
-    path.write_text("0,2\r\n1,0\r\n2,1\r\n")
-    assert reorder.load_permutation(path).tolist() == [2, 0, 1]
-    assert load_permutation_oracle(path).tolist() == [2, 0, 1]
 
 
 @st.composite
@@ -1044,8 +1027,8 @@ def test_filter_core_matches_cache_hierarchy(trace, setup):
 def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     rng = np.random.default_rng(7)
     sweep = np.tile(np.arange(512, dtype=np.uint64) * 64, 3)  # between L1 and L2 size
-    # Pages 1,024 apart share the low bits of their hash, and 2,000 of
-    # them grow the stride prefetcher's page table past its first slots.
+    # Pages 1,024 apart, whose hashes share low bits, span far more pages
+    # than there are records, so the page table is sized from n.
     apart = np.arange(2000, dtype=np.uint64) << 22
     vaddr = np.concatenate([rng.integers(0, 1 << 26, 3000, dtype=np.uint64),
                             np.arange(3000, dtype=np.uint64)[::-1] * 192, sweep, apart])
@@ -1060,6 +1043,31 @@ def test_filter_core_matches_on_a_long_trace(target, hw, tmp_path):
     read = traceio.read_trace(tmp_path / "t.trace")
     assert read.vaddr.flags.c_contiguous and read.kind.flags.c_contiguous
     assert_same_filter(filter_core(read, cache, pf), got)
+
+
+@pytest.mark.parametrize("k", [0, 1, 6, 10])
+@pytest.mark.parametrize("base", [0, 999_983, (1 << 52) - 1024], ids=["zero", "odd", "top"])
+def test_filter_core_matches_with_the_page_table_half_full(k, base):
+    # Demand lines on every page of a span of exactly 2^k pages, each page
+    # three times at stride 2 in a shuffled page order: the stride
+    # prefetcher's table holds 2^k pages in 2^(k+1) slots.
+    pages = base + np.random.default_rng(k).permutation(1 << k)
+    lines = np.concatenate([pages * 64 + 3 + 2 * j for j in range(3)]).astype(np.uint64)
+    trace = Trace.from_addresses(lines << np.uint64(LINE_SHIFT))
+    cache = memsys.CacheConfig(memsys.LevelConfig(4096, 4), memsys.LevelConfig(16384, 8),
+                               memsys.LevelConfig(65536, 16))
+    pf = memsys.PrefetchConfig(True, 2, 1)
+    assert_same_filter(filter_core(trace, cache, pf), filter_reference(trace, cache, pf))
+
+
+@pytest.mark.parametrize("lines, kinds", [
+    ([], []), ([77], [0]), ([77], [KIND_PREFETCH]), ([77, 79], [0, 0]),
+    ([0, (1 << 58) - 1], [0, 0]), ([(1 << 58) - 1, 0], [KIND_PREFETCH, 0]),
+], ids=["empty", "one", "one-prefetch", "two-one-page", "two-far", "prefetch-then-far"])
+def test_filter_core_matches_on_the_shortest_traces(lines, kinds):
+    trace = _line_trace(lines, np.array(kinds, np.uint8))
+    pf = memsys.PrefetchConfig(True, 2, 1)
+    assert_same_filter(filter_core(trace, _ONE_SET, pf), filter_reference(trace, _ONE_SET, pf))
 
 
 @st.composite

@@ -13,6 +13,7 @@ import pytest
 
 from memloc import dramsim, kernels, memsys, pipeline, reorder, traceio
 from memloc.cli import main
+from reference_models import load_permutation_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_pipeline.json").read_text())
 
@@ -72,7 +73,7 @@ def test_cli_reorder_matches_pipeline(tmp_path):
                      "--rows", str(tmp_path / "rows"), "--out", str(tmp_path / method)]) == 0
         perm, _ = pipeline.reorder_by(method, cfg, points=ctx.data, rows=rows, n=300,
                                       row_stride_bytes=16)
-        assert np.array_equal(reorder.load_permutation(tmp_path / f"{method}.perm.csv"), perm)
+        assert np.array_equal(load_permutation_oracle(tmp_path / f"{method}.perm.csv"), perm)
 
 
 @pytest.mark.parametrize("m", [2, 16])
